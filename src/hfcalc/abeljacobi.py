@@ -19,7 +19,10 @@ decimal digits plus internal guard digits):
   sign-resolved against wp'(z) = y, with direct quadrature along a straight
   contour (t = x + s^2, branch-tracked) as an independent fallback;
 * wp and wp' by Laurent series after lattice reduction and argument
-  halving, followed by group-law doublings.
+  halving, followed by group-law doublings.  The coefficient table comes
+  from the quadratic recurrence folded by symmetry (each product pair once),
+  in real arithmetic when g2 and g3 are real; the series and its derivative
+  are summed together by one Horner pass in z^2.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -178,8 +181,11 @@ class EllipticCurve:
         self.digits = int(digits)
         self._workdps = self.digits + _GUARD_DIGITS
         with mp.workdps(self._workdps):
-            self.g2 = mpc(g2)
-            self.g3 = mpc(g3)
+            try:
+                self.g2 = mpc(g2)
+                self.g3 = mpc(g3)
+            except (TypeError, ValueError) as exc:
+                raise CurveError(f"curve coefficients must be numbers: {exc}")
             disc = self.g2 ** 3 - 27 * self.g3 ** 2
             scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2, mpf(1))
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
@@ -248,18 +254,26 @@ class EllipticCurve:
 
     def _laurent_coefficients(self):
         # wp(z) = z^-2 + sum c_k z^{2k};  c_1 = g2/20, c_2 = g3/28, and the
-        # rest follow from the quadratic recursion induced by wp'' = 6 wp^2 - g2/2.
+        # rest follow from the quadratic recursion induced by wp'' = 6 wp^2 - g2/2:
+        # c_k = 3 / ((2k + 3)(k - 2)) * sum_{m=1}^{k-2} c_m c_{k-1-m}.  The sum
+        # is symmetric in m <-> k-1-m, so each pair is taken once and doubled,
+        # plus the middle square when k - 1 is even.  Real g2, g3 give a real
+        # table, which is cheaper to build and to evaluate.
         ratio = mpf("0.3")
         terms = int(mp.dps * mp.log(10) / (2 * abs(mp.log(ratio)))) + 12
-        c = [mpc(0)] * (terms + 1)
+        if mp.im(self.g2) == 0 and mp.im(self.g3) == 0:
+            g2, g3, zero = mp.re(self.g2), mp.re(self.g3), mpf(0)
+        else:
+            g2, g3, zero = self.g2, self.g3, mpc(0)
+        c = [zero] * (terms + 1)
         if terms >= 1:
-            c[1] = self.g2 / 20
+            c[1] = g2 / 20
         if terms >= 2:
-            c[2] = self.g3 / 28
+            c[2] = g3 / 28
         for k in range(3, terms + 1):
-            acc = mpc(0)
-            for m in range(1, k - 1):
-                acc += c[m] * c[k - 1 - m]
+            acc = 2 * mp.fdot((c[m], c[k - 1 - m]) for m in range(1, k // 2))
+            if k % 2 == 1:
+                acc += c[(k - 1) // 2] ** 2
             c[k] = 3 * acc / ((2 * k + 3) * (k - 2))
         return c
 
@@ -322,16 +336,13 @@ class EllipticCurve:
         while abs(z) > target:
             z /= 2
             halvings += 1
-        z2 = z * z
-        p = 1 / z2
-        pp = -2 / (z2 * z)
-        zpow = mpc(1)
-        for k in range(1, len(self._laurent)):
-            zpow *= z2
-            ck = self._laurent[k]
-            if ck != 0:
-                p += ck * zpow
-                pp += 2 * k * ck * zpow / z
+        # wp = z^-2 + S(w) and wp' = -2 z^-3 + 2 z S'(w) with w = z^2 and
+        # S(w) = sum c_k w^k: one Horner pass gives S and S' together.
+        w = z * z
+        s, ds = mp.polyval(self._laurent[::-1], w, derivative=True)
+        inv = 1 / w
+        p = inv + s
+        pp = 2 * z * ds - 2 * inv / z
         for _ in range(halvings):
             if abs(pp) == 0:
                 raise CurveError("wp doubling passed through a branch point")

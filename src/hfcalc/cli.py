@@ -266,7 +266,11 @@ def _fmt_complex(value, digits: int) -> dict:
 
 
 def _cmd_aj(args, out) -> int:
-    digits = int(os.environ.get("HFCALC_AJ_PRECISION", "40"))
+    raw = os.environ.get("HFCALC_AJ_PRECISION", "40")
+    try:
+        digits = int(raw)
+    except ValueError:
+        raise ParseError(f"HFCALC_AJ_PRECISION={raw!r} is not an integer number of digits")
     with mp.workdps(digits + 10):
         g2 = _parse_complex(args.g2)
         g3 = _parse_complex(args.g3)

@@ -140,12 +140,26 @@ def parse_ring_element(ring: RingModel, text: str) -> dict:
 
 
 _LEAVES = {
-    "point": (0, lambda: point()),
-    "gm": (0, lambda: gm()),
-    "projective_space": (1, lambda n: projective_space(int(n))),
-    "curve": (1, lambda g: curve(int(g))),
-    "affine_space": (1, lambda n: affine_space(int(n))),
+    "point": (0, point),
+    "gm": (0, gm),
+    "projective_space": (1, projective_space),
+    "curve": (1, curve),
+    "affine_space": (1, affine_space),
 }
+
+
+def _int_arg(value: Any, what: str) -> int:
+    """An integer constructor argument: a JSON integer, an integral number or
+    a numeral string; anything else (``"abc"``, ``null``, ``1.5``, ``true``)
+    is a ParseError rather than a silent truncation."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what}: argument {value!r} is not an integer")
 
 
 def _eval_expr(expr: Any) -> Model:
@@ -156,7 +170,7 @@ def _eval_expr(expr: Any) -> Model:
         arity, fn = _LEAVES[head]
         if len(args) != arity:
             raise ParseError(f"{head} takes {arity} argument(s), got {len(args)}")
-        return fn(*args)
+        return fn(*(_int_arg(a, head) for a in args))
     if head == "product":
         if len(args) != 2:
             raise ParseError("product takes two sub-expressions")
@@ -168,7 +182,7 @@ def _eval_expr(expr: Any) -> Model:
         if len(args) != 2:
             raise ParseError("projective_bundle takes a base expression and a rank")
         base = _eval_expr(args[0])
-        return projective_bundle(base, int(args[1]))
+        return projective_bundle(base, _int_arg(args[1], "projective_bundle rank"))
     raise ParseError(f"unknown constructor {head!r}")
 
 

@@ -6,9 +6,13 @@ elliptic logarithm, and the group law for principal divisors (three points
 on a line sum to zero in C/L).
 """
 
+import cmath
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from hfcalc.abeljacobi import Divisor, EllipticCurve, lattice_invariants, periods
@@ -284,3 +288,82 @@ class TestJacobianBridge:
         assert desc.complex_torus_dim == 1
         a, b = lemniscatic.frac_coords(lemniscatic.w1 / 3 + lemniscatic.w2 / 5)
         assert 0 <= a < 1 and 0 <= b < 1
+
+
+def reference_laurent(g2, g3, terms):
+    """Plain complex O(K^2) recurrence for the Laurent coefficients of wp."""
+    c = [mpc(0)] * (terms + 1)
+    c[1] = mpc(g2) / 20
+    c[2] = mpc(g3) / 28
+    for k in range(3, terms + 1):
+        acc = mpc(0)
+        for m in range(1, k - 1):
+            acc += c[m] * c[k - 1 - m]
+        c[k] = 3 * acc / ((2 * k + 3) * (k - 2))
+    return c
+
+
+def reference_wp_pair(c, z):
+    """Termwise Laurent series of (wp, wp') near the origin."""
+    p = 1 / z ** 2 + sum(c[k] * z ** (2 * k) for k in range(1, len(c)))
+    pp = -2 / z ** 3 + sum(2 * k * c[k] * z ** (2 * k - 1) for k in range(1, len(c)))
+    return p, pp
+
+
+class TestLaurentTable:
+    @pytest.mark.parametrize("digits", [20, 40, 100])
+    @pytest.mark.parametrize(
+        "g2, g3", [(4, 0), (-3, 1), (0, 4), (mpc(1.5, 0.3), mpc(-2, 1)), (mpc(0, 2), 5)]
+    )
+    def test_table_and_wp_against_reference(self, g2, g3, digits):
+        e = EllipticCurve(g2, g3, digits=digits)
+        real = mp.im(e.g2) == 0 and mp.im(e.g3) == 0
+        with mp.workdps(e._workdps):
+            tol = mpf(10) ** (-(e._workdps - 3))
+            want = reference_laurent(e.g2, e.g3, len(e._laurent) - 1)
+            for got, ref in zip(e._laurent, want):
+                assert isinstance(got, mpf if real else mpc)
+                assert abs(got - ref) <= tol * max(1, abs(ref))
+            # Inside 0.3 rho the series is summed directly, with no doubling.
+            for phase in (0, 1, 2.5, 4):
+                z = mpf("0.25") * e._rho * mp.expj(phase)
+                p, pp = e.wp_pair_raw(z)
+                rp, rpp = reference_wp_pair(want, z)
+                assert abs(p - rp) <= tol * abs(rp)
+                assert abs(pp - rpp) <= tol * abs(rpp)
+
+
+@st.composite
+def curve_invariants(draw):
+    """(g2, g3) with |g2|, |g3| in 1e-3..1e4: real, complex or near-singular."""
+    shape = draw(st.sampled_from(["real", "complex", "near_singular"]))
+    if shape == "near_singular":
+        # g3 close to a root of g2^3 = 27 g3^2, |g3| kept inside 1e-3..1e4.
+        g2 = 10 ** draw(st.floats(-1.5, 2.5)) * cmath.exp(1j * draw(st.sampled_from([0.0, 1.0, 2.2])))
+        offset = draw(st.sampled_from([-1, 1])) * 10 ** -draw(st.floats(2, 8))
+        return g2, cmath.sqrt(g2 ** 3 / 27) * (1 + offset)
+    mags = [10 ** draw(st.floats(-3, 4)) for _ in range(2)]
+    if shape == "real":
+        return tuple(draw(st.sampled_from([-1, 1])) * m for m in mags)
+    return tuple(m * cmath.exp(1j * draw(st.floats(0, 2 * math.pi))) for m in mags)
+
+
+class TestRegressionFence:
+    @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        curve_invariants(),
+        st.sampled_from([20, 40, 100]),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+    )
+    def test_lattice_and_round_trip(self, invariants, digits, a, b):
+        g2, g3 = invariants
+        e = EllipticCurve(g2, g3, digits=digits)
+        with mp.workdps(e._workdps):
+            tol = mpf(10) ** (-(digits - 3))
+            g2r, g3r = lattice_invariants(e.w1, e.w2)
+            assert abs(g2r - e.g2) <= tol * max(1, abs(e.g2))
+            assert abs(g3r - e.g3) <= tol * max(1, abs(e.g3))
+            z0 = mpf(a) * e.w1 + mpf(b) * e.w2
+            z1 = e.aj(Divisor.of([(e.point_at(z0), 1), (None, -1)]))
+            assert e.lattice_distance(z1 - z0) <= tol * abs(e.w1)

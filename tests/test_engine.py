@@ -293,23 +293,40 @@ class TestSplitting:
                     assert ok, (model.name, n, p, lhs, rhs)
 
 
+MV_THEORIES = [HZ, HQ, MU, MUQ, custom_theory({-1: 2, 0: 1, 3: 1}, name="custom")]
+
+
+def corrupted_gm():
+    """Gm with an extra H^1 class: chi drops by one, so Mayer-Vietoris fails."""
+    return QuasiProjModel.make(
+        name="bad-gm", betti={0: 1, 1: 2}, filt={(1, 1): 1},
+        lattice={(1, 1): 1}, hodge_class_rank={0: 1},
+    )
+
+
 class TestMayerVietoris:
     def test_p1_cover(self):
-        assert mv_consistency(
-            projective_space(1), affine_space(1), affine_space(1), gm(), HZ, 1
-        )
+        for theory in MV_THEORIES:
+            for p in (-3, 0, 1, 3):
+                assert mv_consistency(
+                    projective_space(1), affine_space(1), affine_space(1), gm(), theory, p
+                ), (theory.name, p)
 
     def test_trivial_cover(self):
         x = gm()
         assert mv_consistency(x, x, x, x, MU, 2)
 
     def test_corrupted_intersection(self):
-        bad = QuasiProjModel.make(
-            name="bad-gm", betti={0: 1, 1: 2}, filt={(1, 1): 1},
-            lattice={(1, 1): 1}, hodge_class_rank={0: 1},
-        )
-        assert not mv_consistency(
-            projective_space(1), affine_space(1), affine_space(1), bad, HZ, 1
+        for theory in MV_THEORIES:
+            for p in (-3, 0, 1, 3):
+                assert not mv_consistency(
+                    projective_space(1), affine_space(1), affine_space(1), corrupted_gm(), theory, p
+                ), (theory.name, p)
+
+    def test_zero_theory_constrains_nothing(self):
+        zero = custom_theory({0: 0}, name="zero")
+        assert mv_consistency(
+            projective_space(1), affine_space(1), affine_space(1), corrupted_gm(), zero, 1
         )
 
 

@@ -8,14 +8,17 @@ reruns each command twice and compares bytes.
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from hfcalc.abeljacobi import EllipticCurve
 from hfcalc.cli import run
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import GroupDescriptor, hfc_group
-from hfcalc.errors import ParseError
+from hfcalc.errors import CurveError, ParseError
 from hfcalc.io import (
     descriptor_from_json,
     descriptor_to_json,
@@ -29,6 +32,7 @@ from hfcalc.spaces import curve, gm, point, product, projective_bundle, projecti
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fixture(name: str) -> str:
@@ -39,6 +43,17 @@ def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()
     code = run(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def run_cli_process(*argv: str, **env_extra: str) -> tuple[int, str]:
+    """Exit code and stderr of a separate ``python -m hfcalc.cli`` process."""
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfcalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 class TestSpaceDocuments:
@@ -252,6 +267,67 @@ class TestCliCommands:
         payload = json.loads(out)
         assert payload["digits"] == 20
         assert payload["periods"]["w1"]["re"].startswith("2.6220575542921198")
+
+
+NOT_AN_INTEGER = [
+    ["projective_space", "abc"],
+    ["projective_space", None],
+    ["projective_space", 1.5],
+    ["projective_space", True],
+    ["curve", "abc"],
+    ["curve", None],
+    ["curve", 1.5],
+    ["affine_space", "abc"],
+    ["affine_space", None],
+    ["affine_space", 2.5],
+    ["projective_bundle", ["point"], "abc"],
+    ["projective_bundle", ["point"], None],
+    ["projective_bundle", ["point"], 1.5],
+]
+
+
+class TestInputBoundary:
+    """Malformed input ends in a CalcError with exit code 1, never a traceback."""
+
+    def test_aj_precision_not_an_integer(self):
+        code, err = run_cli_process(
+            "aj", "--g2", "4", "--g3", "0", "--divisor", '[["inf", 0]]', HFCALC_AJ_PRECISION="abc",
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert "HFCALC_AJ_PRECISION" in err
+
+    def test_constructor_argument_not_an_integer_process(self, tmp_path):
+        path = tmp_path / "pabc.json"
+        path.write_text(json.dumps({"kind": "construct", "expr": ["projective_space", "abc"]}))
+        code, err = run_cli_process(
+            "compute", "--space", str(path), "--theory", "HZ", "--n", "0", "--p", "0",
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        assert "projective_space" in err
+
+    @pytest.mark.parametrize("expr", NOT_AN_INTEGER, ids=json.dumps)
+    def test_constructor_argument_not_an_integer(self, expr, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"kind": "construct", "expr": expr}))
+        code, _ = run_cli("compute", "--space", str(path), "--theory", "HZ", "--n", "0", "--p", "0")
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        with pytest.raises(ParseError):
+            parse_space({"kind": "construct", "expr": expr})
+
+    def test_integral_arguments_accepted(self):
+        for expr in (["curve", 1.0], ["projective_space", "2"], ["projective_bundle", ["point"], 3.0]):
+            parse_space({"kind": "construct", "expr": expr})
+        assert parse_space({"kind": "construct", "expr": ["curve", 2.0]}).betti_rank(1) == 4
+
+    @pytest.mark.parametrize("value", ["1+2j", "abc", None, [1]], ids=repr)
+    def test_curve_coefficient_rejected(self, value):
+        with pytest.raises(CurveError):
+            EllipticCurve(value, 0)
+        with pytest.raises(CurveError):
+            EllipticCurve(4, value)
 
 
 GOLDEN_COMMANDS = {
