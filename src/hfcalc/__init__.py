@@ -27,7 +27,6 @@ from hfcalc.spaces import (
     QuasiProjModel,
     affine_space,
     curve,
-    filtration_dim,
     gm,
     point,
     product,
@@ -54,7 +53,6 @@ __all__ = [
     "projective_bundle",
     "affine_space",
     "gm",
-    "filtration_dim",
     "GroupDescriptor",
     "e_rank",
     "filtered_dim",

@@ -7,17 +7,20 @@ the Abel-Jacobi map sends a degree-zero divisor to the lattice-reduced sum
 of the logarithms of its points.
 
 Numerical scheme (all at a configurable working precision, default 40
-decimal digits plus internal guard digits):
+decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
+curves get more, see ``EllipticCurve``):
 
-* periods by the arithmetic-geometric mean over C with the standard
-  optimal-branch selection rule (|a - b| <= |a + b| at every step), applied
-  to square roots of root differences; the root labelling is fixed by
-  requiring that recomputing g2, g3 from the lattice via Eisenstein
-  q-series reproduces the inputs;
-* elliptic logarithm by a descending-Landen-type duplication (Carlson's
-  symmetric integral R_F), polished by Newton steps on wp(z) = x and
-  sign-resolved against wp'(z) = y, with direct quadrature along a straight
-  contour (t = x + s^2, branch-tracked) as an independent fallback;
+* periods by the arithmetic-geometric mean over C with the optimal-branch
+  rule (|a - b| <= |a + b| at every step), after Cremona-Thongjunthug
+  (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
+  a = sqrt(e1 - e3), b = sqrt(e1 - e2), c = sqrt(e2 - e3), negate b or c
+  when that brings it closer to a, and set w1 = pi / M(a, b),
+  w2 = pi i / M(a, c).  Recomputing g2, g3 from the lattice via Eisenstein
+  q-series must reproduce the inputs;
+* elliptic logarithm z = R_F(x - e1, x - e2, x - e3) (Carlson's symmetric
+  integral, by duplication), signed so that wp'(z) = y; one evaluation of
+  (wp, wp') at z must reproduce the point.  Branch points snap to the
+  matching half period;
 * wp and wp' by Laurent series after lattice reduction and argument
   halving, followed by group-law doublings.  The coefficient table comes
   from the quadratic recurrence folded by symmetry (each product pair once),
@@ -40,6 +43,7 @@ from hfcalc.errors import CurveError
 __all__ = ["EllipticCurve", "Divisor", "periods", "lattice_invariants", "complex_agm", "carlson_rf"]
 
 _GUARD_DIGITS = 25
+MAX_DIGITS = 1000  # curve set-up grows about cubically: 0.36 s at 400 digits, 3.3 s at 800
 
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
@@ -172,12 +176,37 @@ class Divisor:
         return Divisor(self.entries + other.entries)
 
 
+def _period_basis(e1, e2, e3):
+    """Cremona-Thongjunthug periods (w1, w2) of the roots in this order."""
+    a, b, c = mp.sqrt(e1 - e3), mp.sqrt(e1 - e2), mp.sqrt(e2 - e3)
+    if abs(a - b) > abs(a + b):
+        b = -b
+    if abs(a - c) > abs(a + c):
+        c = -c
+    w1 = mp.pi / complex_agm(a, b)
+    w2 = mp.pi * 1j / complex_agm(a, c)
+    if mp.im(w2 / w1) < 0:
+        w2 = -w2
+    return w1, w2
+
+
 class EllipticCurve:
-    """y^2 = 4x^3 - g2 x - g3 with its period lattice and elliptic logarithm."""
+    """y^2 = 4x^3 - g2 x - g3 with its period lattice and elliptic logarithm.
+
+    The working precision is ``digits`` plus guard digits.  When |disc|
+    falls k orders of magnitude short of scale = max(|g2|^3, |g3|^2, 1),
+    differences of nearly equal roots lose about k/2 digits, and points near
+    the node lose another k/2 in (wp, wp'), whose doubling step divides two
+    small numbers there, and in the logarithm, where dz = dx / y.  The guard
+    digits absorb k up to 20; beyond that the curve adds k - 20 working
+    digits.
+    """
 
     def __init__(self, g2, g3, digits: int = 40):
         if digits < 10:
             raise CurveError("working precision below 10 digits is not supported")
+        if digits > MAX_DIGITS:
+            raise CurveError(f"working precision above {MAX_DIGITS} digits is not supported")
         self.digits = int(digits)
         self._workdps = self.digits + _GUARD_DIGITS
         with mp.workdps(self._workdps):
@@ -191,6 +220,8 @@ class EllipticCurve:
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
                 raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
             self.discriminant = disc
+            self._workdps += max(0, int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20)
+        with mp.workdps(self._workdps):
             self.roots = self._sorted_roots()
             self.w1, self.w2 = self._compute_periods()
             self.tau = self.w2 / self.w1
@@ -201,46 +232,25 @@ class EllipticCurve:
     # -- lattice construction ---------------------------------------------------
 
     def _sorted_roots(self):
-        roots = mp.polyroots([mpc(4), mpc(0), -self.g2, -self.g3], maxsteps=200, extraprec=60)
+        try:
+            roots = mp.polyroots([mpc(4), mpc(0), -self.g2, -self.g3], maxsteps=200, extraprec=mp.prec)
+        except mp.NoConvergence:
+            raise CurveError("the roots of 4x^3 - g2 x - g3 did not converge at working precision")
         is_real = all(abs(mp.im(r)) < mpf(10) ** (-self.digits) * (1 + abs(r)) for r in roots)
         if is_real:
             roots = [mpc(mp.re(r)) for r in roots]
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
-    def _periods_for(self, e1, e2, e3):
-        m1 = complex_agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-        m2 = complex_agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
-        if m1 == 0 or m2 == 0:
-            return None
-        w1 = mp.pi / m1
-        w2 = mp.pi * 1j / m2
-        if mp.im(w2 / w1) == 0:
-            return None
-        if mp.im(w2 / w1) < 0:
-            w2 = -w2
-        return w1, w2
-
     def _compute_periods(self):
-        from itertools import permutations
-
-        tol = mpf(10) ** (-(self.digits - 3))
-        best = None
-        for perm in permutations(self.roots):
-            pair = self._periods_for(*perm)
-            if pair is None:
-                continue
-            g2r, g3r = lattice_invariants(*pair)
-            err = max(
-                abs(g2r - self.g2) / max(1, abs(self.g2)),
-                abs(g3r - self.g3) / max(1, abs(self.g3)),
-            )
-            if err < tol:
-                return pair
-            if best is None or err < best[0]:
-                best = (err, pair)
-        raise CurveError(
-            f"period lattice does not reproduce (g2, g3); best residual {best[0] if best else 'n/a'}"
+        w1, w2 = _period_basis(*self.roots)
+        g2r, g3r = lattice_invariants(w1, w2)
+        err = max(
+            abs(g2r - self.g2) / max(1, abs(self.g2)),
+            abs(g3r - self.g3) / max(1, abs(self.g3)),
         )
+        if err >= mpf(10) ** (-(self.digits - 3)):
+            raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
+        return w1, w2
 
     def _shortest_vector(self):
         r1, r2 = _reduce_tau(self.w1, self.w2)
@@ -356,12 +366,6 @@ class EllipticCurve:
         with mp.workdps(self._workdps):
             return self.wp_pair_raw(z)
 
-    def wp(self, z):
-        return self.wp_pair(z)[0]
-
-    def wp_prime(self, z):
-        return self.wp_pair(z)[1]
-
     # -- point and divisor utilities ---------------------------------------------
 
     def on_curve_residual(self, pt: Point) -> mpf:
@@ -391,40 +395,6 @@ class EllipticCurve:
 
     # -- elliptic logarithm -----------------------------------------------------------
 
-    def _log_by_quadrature(self, x, y):
-        # Integrate dt / sqrt(4 t^3 - g2 t - g3) from x to infinity along
-        # t = x + s^2.  Each factor t - e_i moves right along a horizontal
-        # line, so principal square roots stay continuous; real roots ahead
-        # of a real x are integrable branch points and become split points.
-        e1, e2, e3 = self.roots
-        sign = None
-        splits = [mpf(0)]
-        for e in self.roots:
-            d = e - x
-            if abs(mp.im(d)) < mpf(10) ** (-self._workdps + 5) and mp.re(d) > 0:
-                splits.append(mp.sqrt(mp.re(d)))
-        splits = sorted(set(splits))
-        far = max(abs(e1 - x), abs(e2 - x), abs(e3 - x), mpf(1))
-        splits.append(2 * mp.sqrt(far))
-
-        def w(s):
-            prod = mp.sqrt(x - e1 + s * s) * mp.sqrt(x - e2 + s * s) * mp.sqrt(x - e3 + s * s)
-            return 2 * prod
-
-        w0 = w(mpf(0))
-        if abs(w0) > 0 and abs(y) > 0:
-            sign = 1 if abs(w0 - y) <= abs(w0 + y) else -1
-        else:
-            sign = 1
-
-        def integrand(s):
-            return 2 * s / (sign * w(s))
-
-        head = mp.quad(integrand, splits)
-        # tail via s = 1/u; the integrand tends to a finite limit at u = 0
-        tail = mp.quad(lambda u: integrand(1 / u) / u ** 2, [mpf(0), 1 / splits[-1]])
-        return head + tail
-
     def elliptic_log(self, pt: Point):
         """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell."""
         if pt is None:
@@ -441,39 +411,14 @@ class EllipticCurve:
                 if abs(self.roots[idx] - x) <= tol * scale * 10:
                     return self.reduce_fundamental(self._half_periods[idx])
             z = carlson_rf(x - e1, x - e2, x - e3)
-            z = self._polish_and_orient(z, x, y)
-            if z is None:
-                z = self._polish_and_orient(self._log_by_quadrature(x, y), x, y)
-            if z is None:
-                raise CurveError("elliptic logarithm failed to converge for this point")
-            return self.reduce_fundamental(z)
-
-    def _polish_and_orient(self, z0, x, y):
-        # Newton on wp(z) = x down to working precision, then pick the sign
-        # of z from wp'; the public tolerance 10^(-digits+3) is checked with
-        # a wide margin by the caller.
-        goal = mpf(10) ** (-(self._workdps - 10))
-        tol = mpf(10) ** (-(self.digits - 3))
-        scale = max(abs(x), abs(y), mpf(1))
-        z = mpc(z0)
-        if self.lattice_distance(z) < self._rho * mpf(10) ** (-self.digits):
-            return None
-        for _ in range(100):
             p, pp = self.wp_pair_raw(z)
-            if abs(p - x) <= goal * scale:
-                break
-            if pp == 0:
-                return None
-            step = (p - x) / pp
-            if abs(step) > self._rho:
-                step *= self._rho / (2 * abs(step))
-            z -= step
-        p, pp = self.wp_pair_raw(z)
-        if abs(p - x) > tol * scale:
-            return None
-        if abs(pp - y) <= abs(pp + y):
-            return z if abs(pp - y) <= tol * scale else None
-        return -z if abs(pp + y) <= tol * scale else None
+            if abs(pp - y) > abs(pp + y):
+                z, pp = -z, -pp
+            size = max(abs(x), abs(y), mpf(1))
+            miss = max(abs(p - x), abs(pp - y))
+            if miss > tol * size:
+                raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss / size, 8)}")
+            return self.reduce_fundamental(z)
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 

@@ -83,14 +83,6 @@ class CoefficientTheory:
         return 0
 
     @property
-    def j_min(self) -> int:
-        """Least j with nonzero rank; rank_at vanishes below it."""
-        if self.kind == "partition":
-            return 0
-        support = [j for j, r in self.table if r > 0]
-        return min(support) if support else 0
-
-    @property
     def is_rational(self) -> bool:
         return self.ring_field == RATIONAL
 

@@ -135,9 +135,6 @@ class GroupDescriptor:
             exactness=EXACT if self.exactness == other.exactness == EXACT else RANK_LEVEL,
         )
 
-    def discrete_part(self) -> FgAbelianGroup:
-        return FgAbelianGroup(self.free_rank, self.torsion)
-
 
 def descriptor_sum(parts: Iterable[GroupDescriptor]) -> GroupDescriptor:
     total = GroupDescriptor()
@@ -422,6 +419,6 @@ def transfer_normalization_check(model: Model, divisor_class: Poly) -> tuple[boo
         deg = model.ring.degree_of(reduced)
         if deg != 2:
             raise RingError(f"divisor class must have degree 2, got {deg}")
-    class_rank = model.ring.rank_of_element(reduced)
+    class_rank = 0 if model.ring.is_zero(reduced) else 1
     group = hfc_group(model, builtin_theory("MU"), 2, 1, _variant_for(model))
     return class_rank <= group.free_rank, class_rank, group.free_rank

@@ -157,10 +157,6 @@ class RingModel:
     def graded_dimension(self, degree: int) -> int:
         return sum(1 for m in self.basis_monomials() if self.monomial_degree(m) == degree)
 
-    def rank_of_element(self, p: Poly) -> int:
-        """Rank of the subgroup generated by a single element: 0 or 1."""
-        return 0 if self.is_zero(p) else 1
-
 
 def polynomial_ring_mod_power(name: str, degree: int, power: int) -> RingModel:
     """Z[name]/(name^power) with the generator in the given even degree."""

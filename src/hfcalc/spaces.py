@@ -43,7 +43,6 @@ __all__ = [
     "projective_bundle",
     "affine_space",
     "gm",
-    "filtration_dim",
     "quasi_product",
     "as_quasiproj",
 ]
@@ -275,11 +274,6 @@ class QuasiProjModel:
 
 
 Model = KahlerModel | QuasiProjModel
-
-
-def filtration_dim(model: Model, p: int, n: int) -> int:
-    """dim F^p H^n(X; C) for either model kind."""
-    return model.filtration_dim(p, n)
 
 
 # -- constructors ---------------------------------------------------------------

@@ -35,7 +35,7 @@ from hfcalc.spaces import (
 from .test_abelian import snf_matches_minor_oracle
 from .test_coefficients import monomial_count
 from .test_engine import point_table_oracle
-from .test_io_cli import GOLDEN, GOLDEN_COMMANDS, run_cli
+from .test_io_cli import AJ_GOLDEN_COMMANDS, GOLDEN, GOLDEN_COMMANDS, run_cli
 
 MU = builtin_theory("MU")
 HZ = builtin_theory("HZ")
@@ -196,3 +196,13 @@ def test_criterion_9_golden_cli_outputs():
         assert out1 == out2, name
         assert out1 == (GOLDEN / name).read_text(encoding="utf-8"), name
     report(9, "point-table and three compute fixtures byte-identical across runs and vs goldens")
+
+
+def test_criterion_9_aj_golden_outputs(monkeypatch):
+    for name in sorted(AJ_GOLDEN_COMMANDS):
+        digits, argv = AJ_GOLDEN_COMMANDS[name]
+        monkeypatch.setenv("HFCALC_AJ_PRECISION", str(digits))
+        code, out = run_cli(*argv)
+        assert code == 0, name
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
+    report(9, "five Abel-Jacobi outputs (real, complex, 2-torsion, 100 digits) byte-identical vs goldens")

@@ -62,7 +62,6 @@ class TestBuiltins:
         mu = builtin_theory("MU")
         assert mu.rank_at(2) == 2
         assert mu.rank_at(-1) == 0
-        assert mu.j_min == 0
         assert not mu.is_ordinary_integral
 
     def test_muq(self):
@@ -87,7 +86,6 @@ class TestCustomTheories:
 
     def test_negative_j_min(self):
         t = custom_theory({-1: 1})
-        assert t.j_min == -1
         assert t.rank_at(-1) == 1
         assert t.rank_at(-2) == 0
 

@@ -10,9 +10,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from hfcalc.abeljacobi import EllipticCurve
 from hfcalc.cli import run
@@ -322,12 +324,48 @@ class TestInputBoundary:
             parse_space({"kind": "construct", "expr": expr})
         assert parse_space({"kind": "construct", "expr": ["curve", 2.0]}).betti_rank(1) == 4
 
+    def test_aj_hostile_precision_process(self):
+        start = time.monotonic()
+        code, err = run_cli_process(
+            "aj", "--g2", "4", "--g3", "0", "--divisor", "[]", HFCALC_AJ_PRECISION="100000",
+        )
+        assert time.monotonic() - start < 2.0
+        assert code == 1
+        assert "Traceback" not in err
+        assert "1000 digits" in err
+
+    def test_aj_near_singular_curve(self, monkeypatch):
+        # |disc| / scale is about 2e-53: the roots need extra precision to
+        # converge, and points near the node need extra working digits.
+        monkeypatch.setenv("HFCALC_AJ_PRECISION", "100")
+        argv = ["aj", "--g2", NEAR_SINGULAR_G2, "--g3", NEAR_SINGULAR_G3]
+        code, _ = run_cli(*argv, "--divisor", "[]")
+        assert code == 0
+        with mp.workdps(110):
+            e = EllipticCurve(mp.mpmathify(NEAR_SINGULAR_G2), mp.mpmathify(NEAR_SINGULAR_G3), 100)
+        with mp.workdps(e._workdps):
+            z0 = mpf("0.3") * e.w1 + mpf("0.6") * e.w2
+            x, y = (mp.nstr(v, e._workdps) for v in e.point_at(z0))
+            code, out = run_cli(*argv, "--divisor", json.dumps([[[x, y], 1], ["inf", -1]]), "--format", "json")
+            assert code == 0
+            z = json.loads(out)["z"]
+            z1 = mp.mpmathify(z["re"]) + 1j * mp.mpmathify(z["im"])
+            assert e.lattice_distance(z1 - z0) <= mpf(10) ** -97 * abs(e.w1)
+
     @pytest.mark.parametrize("value", ["1+2j", "abc", None, [1]], ids=repr)
     def test_curve_coefficient_rejected(self, value):
         with pytest.raises(CurveError):
             EllipticCurve(value, 0)
         with pytest.raises(CurveError):
             EllipticCurve(4, value)
+
+
+NEAR_SINGULAR_G2 = (
+    "0.0006552104316479137105725722909456306360986429534871701577081338685915219699484879356532474048435688018798828125"
+)
+NEAR_SINGULAR_G3 = (
+    "0.000003227671465082218756630609689870209369938793025731742159037473357085166521054226895055151530828616697116470859"
+)
 
 
 GOLDEN_COMMANDS = {
@@ -346,6 +384,26 @@ GOLDEN_COMMANDS = {
         "compute", "--space", fixture("p1.json"), "--theory", "MU", "--n", "0", "--p", "0",
         "--format", "json",
     ],
+}
+
+
+# Abel-Jacobi goldens: name -> (HFCALC_AJ_PRECISION, argv).
+AJ_GOLDEN_COMMANDS = {
+    "aj_real_pos_disc.txt": (
+        40, ["aj", "--g2", "12", "--g3", "4", "--divisor", '[[["2", "2"], 1], [["-1", "2"], -1]]'],
+    ),
+    "aj_real_neg_disc.json": (
+        40, ["aj", "--g2", "4", "--g3", "8", "--divisor", '[[["2", "4"], 1], ["inf", -1]]', "--format", "json"],
+    ),
+    "aj_complex.txt": (
+        40, ["aj", "--g2", "1+2j", "--g3", "2-2j", "--divisor", '[[["1", "1"], 2], ["inf", -2]]'],
+    ),
+    "aj_two_torsion.json": (
+        40, ["aj", "--g2", "4", "--g3", "0", "--divisor", '[[["1", "0"], 1], ["inf", -1]]', "--format", "json"],
+    ),
+    "aj_d100.txt": (
+        100, ["aj", "--g2", "1+2j", "--g3", "2-2j", "--divisor", '[[["1", "-1"], 1], ["inf", -1]]'],
+    ),
 }
 
 

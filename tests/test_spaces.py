@@ -10,7 +10,6 @@ from hfcalc.spaces import (
     affine_space,
     as_quasiproj,
     curve,
-    filtration_dim,
     gm,
     point,
     product,
@@ -192,9 +191,9 @@ class TestQuasiProj:
 
 class TestFiltration:
     def test_examples(self):
-        assert filtration_dim(curve(1), 1, 1) == 1
-        assert filtration_dim(projective_space(2), 1, 2) == 1
-        assert filtration_dim(projective_space(2), 2, 2) == 0
+        assert curve(1).filtration_dim(1, 1) == 1
+        assert projective_space(2).filtration_dim(1, 2) == 1
+        assert projective_space(2).filtration_dim(2, 2) == 0
 
     def test_full_below_zero(self):
         for model in ALL_KAHLER:
@@ -203,8 +202,8 @@ class TestFiltration:
                 assert model.filtration_dim(-3, n) == model.betti_rank(n)
 
     def test_outside_range(self):
-        assert filtration_dim(curve(1), 0, 3) == 0
-        assert filtration_dim(curve(1), 0, -1) == 0
+        assert curve(1).filtration_dim(0, 3) == 0
+        assert curve(1).filtration_dim(0, -1) == 0
 
     def test_odd_degree_complement_identity(self):
         # For odd n the filtration and its conjugate-level complement tile
