@@ -159,67 +159,62 @@ def _cmd_point_table(args, out) -> int:
 # -- checks ----------------------------------------------------------------------------
 
 
-def _check_payload(kind: str, ok: bool, lhs=None, rhs=None, extra=None) -> dict:
-    payload = {"command": "check", "kind": kind, "ok": ok}
-    if lhs is not None:
-        payload["lhs"] = descriptor_to_json(lhs)
-    if rhs is not None:
-        payload["rhs"] = descriptor_to_json(rhs)
-    if extra:
-        payload.update(extra)
-    return payload
+def _ring_of(model: Model):
+    if model.ring is None:
+        raise ParseError(f"{model.name} carries no ring presentation")
+    return model.ring
+
+
+def _check_mv(args):
+    x, u, v, w = (_load_space(path) for path in (args.space, args.u, args.v, args.w))
+    return mv_consistency(x, u, v, w, load_theory_argument(args.theory), args.p), None, None
+
+
+def _check_a1(args):
+    model = _load_space(args.space)
+    if not isinstance(model, QuasiProjModel):
+        raise ParseError("check a1 needs a quasiprojective space")
+    return a1_invariance_check(model, load_theory_argument(args.theory), args.n, args.p)
+
+
+def _check_grothendieck(args):
+    model = _load_space(args.space)
+    chern = [parse_ring_element(_ring_of(model), c) for c in args.chern.split(";")] if args.chern else None
+    return grothendieck_check(model, args.r, chern), None, None
+
+
+def _check_transfer(args):
+    model = _load_space(args.space)
+    divisor_class = parse_ring_element(_ring_of(model), args.divisor_class)
+    ok, class_rank, group_rank = transfer_normalization_check(model, divisor_class)
+    return ok, None, None, {"class_rank": class_rank, "group_rank": group_rank}
+
+
+# kind -> (required flags, runner returning (ok, lhs, rhs[, extra])).
+CHECKS = {
+    "splitting": (("space",), lambda a: rational_splitting_check(_load_space(a.space), a.n, a.p)),
+    "mv": (("space", "u", "v", "w", "theory"), _check_mv),
+    "a1": (("space", "theory"), _check_a1),
+    "pbf": (
+        ("space", "theory"),
+        lambda a: pbf_check(_load_space(a.space), a.r, a.n, a.p, load_theory_argument(a.theory)),
+    ),
+    "grothendieck": (("space",), _check_grothendieck),
+    "transfer": (("space", "divisor_class"), _check_transfer),
+}
 
 
 def _cmd_check(args, out) -> int:
-    kind = args.kind
-    lhs = rhs = None
-    extra = None
-    if kind == "splitting":
-        model = _load_space(args.space)
-        ok, lhs, rhs = rational_splitting_check(model, args.n, args.p)
-    elif kind == "mv":
-        x = _load_space(args.space)
-        u = _load_space(args.u)
-        v = _load_space(args.v)
-        w = _load_space(args.w)
-        theory = load_theory_argument(args.theory)
-        ok = mv_consistency(x, u, v, w, theory, args.p)
-    elif kind == "a1":
-        model = _load_space(args.space)
-        if not isinstance(model, QuasiProjModel):
-            raise ParseError("check a1 needs a quasiprojective space")
-        theory = load_theory_argument(args.theory)
-        ok, lhs, rhs = a1_invariance_check(model, theory, args.n, args.p)
-    elif kind == "pbf":
-        model = _load_space(args.space)
-        theory = load_theory_argument(args.theory)
-        ok, lhs, rhs = pbf_check(model, args.r, args.n, args.p, theory)
-    elif kind == "grothendieck":
-        model = _load_space(args.space)
-        chern = None
-        if args.chern:
-            if model.ring is None:
-                raise ParseError(f"{model.name} carries no ring presentation")
-            chern = [parse_ring_element(model.ring, c) for c in args.chern.split(";")]
-        ok = grothendieck_check(model, args.r, chern)
-    elif kind == "transfer":
-        model = _load_space(args.space)
-        if model.ring is None:
-            raise ParseError(f"{model.name} carries no ring presentation")
-        divisor_class = parse_ring_element(model.ring, args.divisor_class)
-        ok, class_rank, group_rank = transfer_normalization_check(model, divisor_class)
-        extra = {"class_rank": class_rank, "group_rank": group_rank}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown check {kind!r}")
-
+    ok, lhs, rhs, *rest = CHECKS[args.kind][1](args)
+    extra = rest[0] if rest else {}
+    sides = [(side, d) for side, d in (("lhs", lhs), ("rhs", rhs)) if d is not None]
     if args.format == "json":
-        _emit_json(_check_payload(kind, ok, lhs, rhs, extra), out)
+        payload = {"command": "check", "kind": args.kind, "ok": ok, **extra}
+        payload.update((side, descriptor_to_json(d)) for side, d in sides)
+        _emit_json(payload, out)
     else:
-        lines = [("OK" if ok else "FAIL") + f" check {kind}"]
-        if lhs is not None:
-            lines.append(f"lhs: {render_descriptor(lhs, args.ascii)}")
-        if rhs is not None:
-            lines.append(f"rhs: {render_descriptor(rhs, args.ascii)}")
+        lines = [("OK" if ok else "FAIL") + f" check {args.kind}"]
+        lines += [f"{side}: {render_descriptor(d, args.ascii)}" for side, d in sides]
         if extra:
             lines.append(f"class rank: {extra['class_rank']}  group rank: {extra['group_rank']}")
         _emit(lines, out)
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_point_table)
 
     p = sub.add_parser("check", help="consistency checkers")
-    p.add_argument("kind", choices=["splitting", "mv", "a1", "pbf", "grothendieck", "transfer"])
+    p.add_argument("kind", choices=list(CHECKS))
     p.add_argument("--space")
     p.add_argument("--u")
     p.add_argument("--v")
@@ -403,17 +398,9 @@ def run(argv: list[str], out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_range_flags(argv))
     if args.command == "check":
-        needs = {
-            "splitting": ["space"],
-            "mv": ["space", "u", "v", "w", "theory"],
-            "a1": ["space", "theory"],
-            "pbf": ["space", "theory"],
-            "grothendieck": ["space"],
-            "transfer": ["space", "divisor_class"],
-        }
         missing = [
             "--" + name.replace("_", "-")
-            for name in needs[args.kind]
+            for name in CHECKS[args.kind][0]
             if getattr(args, name) in (None, "")
         ]
         if missing:

@@ -18,7 +18,6 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from hfcalc.errors import TheoryError
@@ -29,22 +28,26 @@ INTEGRAL = "integral"
 RATIONAL = "rational"
 
 
-@lru_cache(maxsize=None)
-def _partitions_upto(n: int) -> tuple[int, ...]:
-    # Classic DP over allowed part sizes.
-    table = [0] * (n + 1)
-    table[0] = 1
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return tuple(table)
+# p(0), p(1), ..., grown on demand by Euler's pentagonal number recurrence
+#   p(m) = sum_{k >= 1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)).
+_PARTITIONS = [1]
 
 
 def partition_count(n: int) -> int:
     """Number of partitions of ``n`` (0 for negative ``n``)."""
     if n < 0:
         return 0
-    return _partitions_upto(n)[n]
+    table = _PARTITIONS
+    while len(table) <= n:
+        m = len(table)
+        total, k, g = 0, 1, 1
+        while g <= m:
+            term = table[m - g] + (table[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+            g = k * (3 * k - 1) // 2
+        table.append(total)
+    return table[n]
 
 
 def mu_rank(j: int) -> int:

@@ -35,7 +35,7 @@ exact sequence determines, never cocycle-level representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from hfcalc.abelian import FgAbelianGroup, divisibility_chain
@@ -316,12 +316,18 @@ def rational_splitting_check(
     # Beyond j_hi every summand is zero; j = 0 is always included so the
     # empty sum keeps the diagonal's (possibly zero-dimensional) torus marker.
     j_hi = max(0, (top + 2 - n) // 2)
-    parts = []
-    for j in range(0, j_hi + 1):
-        cell = hfc_group(model, hq, n + 2 * j, p + j, variant)
-        for _ in range(mu_rank(j)):
-            parts.append(cell)
-    rhs = parts[0] if len(parts) == 1 else descriptor_sum(parts)
+
+    def copies(cell: GroupDescriptor, k: int) -> GroupDescriptor:
+        # The direct sum of k copies of an HQ cell, which carries no torsion.
+        ctd = cell.complex_torus_dim
+        return replace(
+            cell, free_rank=k * cell.free_rank, circle_rank=k * cell.circle_rank,
+            real_rank=k * cell.real_rank, complex_torus_dim=None if ctd is None else k * ctd,
+        )
+
+    rhs = descriptor_sum(
+        copies(hfc_group(model, hq, n + 2 * j, p + j, variant), mu_rank(j)) for j in range(j_hi + 1)
+    )
     return lhs == rhs, lhs, rhs
 
 

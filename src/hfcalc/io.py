@@ -17,6 +17,7 @@ are re-validated after loading.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
@@ -198,7 +199,7 @@ def parse_space(doc: Any) -> Model:
         model = _eval_expr(doc.get("expr"))
         name = doc.get("name")
         if name:
-            model = _rename(model, str(name))
+            model = replace(model, name=str(name))
         return model
     if kind == "kahler":
         betti = {}
@@ -239,12 +240,6 @@ def parse_space(doc: Any) -> Model:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"quasiprojective document: {exc}")
     raise ParseError(f"unknown space kind {kind!r} (expected kahler, quasiprojective or construct)")
-
-
-def _rename(model: Model, name: str) -> Model:
-    if isinstance(model, KahlerModel):
-        return KahlerModel(name, model.dim, model.betti, model.hodge, model.hodge_class_rank, model.ring)
-    return QuasiProjModel(name, model.betti, model.filt, model.lattice, model.hodge_class_rank, model.ring)
 
 
 def parse_space_text(text: str) -> Model:

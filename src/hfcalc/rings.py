@@ -20,6 +20,7 @@ carry no ring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Mapping
@@ -150,12 +151,14 @@ class RingModel:
 
     # -- graded structure --------------------------------------------------------
 
-    def basis_monomials(self) -> list[Monomial]:
+    def graded_dimensions(self) -> Counter:
+        """degree -> number of basis monomials (exponents below each rule's
+        power) of that degree, counted in one pass over the basis."""
         ranges = [range(power) for power, _tail in self.rules]
-        return [m for m in iproduct(*ranges)] if self.generators else [()]
+        return Counter(self.monomial_degree(m) for m in iproduct(*ranges))
 
     def graded_dimension(self, degree: int) -> int:
-        return sum(1 for m in self.basis_monomials() if self.monomial_degree(m) == degree)
+        return self.graded_dimensions()[degree]
 
 
 def polynomial_ring_mod_power(name: str, degree: int, power: int) -> RingModel:

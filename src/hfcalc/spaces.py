@@ -13,11 +13,17 @@ Two model kinds feed the engine:
   complex span lies in F^p.  Mixed Hodge weights are not modelled; the
   filtration tables are all the engine consumes.
 
+Products and projective bundles convolve tables: a product's Betti ranks,
+Hodge numbers and Hodge-class ranks are the convolutions of its factors'
+tables (Kunneth), and a rank-r bundle's are the base's convolved with
+1 + t + ... + t^(r-1) in the matching grading (the projective bundle
+formula).
+
 Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
 families).  The constructors install the defaults that are correct for
-them -- cellular spaces use h^{q,q}, products use the Kunneth convolution
-of the factors' tables -- and callers may override.
+them -- cellular spaces use h^{q,q}, products and bundles the convolution
+-- and callers may override.
 
 The position of the integral lattice relative to the Hodge filtration on a
 KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
@@ -26,7 +32,7 @@ KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from hfcalc.abelian import FgAbelianGroup
@@ -171,11 +177,11 @@ class KahlerModel:
                     f"{self.name}: hodge_class_rank({q}) = {v} outside [0, h^{{{q},{q}}} = {self.hodge_number(q, q)}]"
                 )
         if self.ring is not None:
+            rdims = self.ring.graded_dimensions()
             for n in range(0, 2 * d + 1):
-                rdim = self.ring.graded_dimension(n)
-                if rdim != self.betti_rank(n):
+                if rdims[n] != self.betti_rank(n):
                     raise ModelError(
-                        f"{self.name}: ring presentation has dimension {rdim} in degree {n}, Betti rank is {self.betti_rank(n)}"
+                        f"{self.name}: ring presentation has dimension {rdims[n]} in degree {n}, Betti rank is {self.betti_rank(n)}"
                     )
 
 
@@ -279,6 +285,17 @@ Model = KahlerModel | QuasiProjModel
 # -- constructors ---------------------------------------------------------------
 
 
+def _convolve(a: Mapping, b: Mapping) -> dict:
+    """out[k + l] += a[k] * b[l]; keys are integers or (s, t) pairs, added
+    componentwise."""
+    out: dict = {}
+    for k, u in a.items():
+        for l, v in b.items():
+            key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[1])
+            out[key] = out.get(key, 0) + u * v
+    return out
+
+
 def point() -> KahlerModel:
     return KahlerModel.make(
         name="point",
@@ -309,11 +326,7 @@ def curve(g: int) -> KahlerModel:
     if g < 0:
         raise ModelError("curve needs genus >= 0")
     if g == 0:
-        m = projective_space(1)
-        return KahlerModel.make(
-            name="curve(0)", dim=1, betti=m.betti, hodge=m.hodge,
-            hodge_class_rank=m.hodge_class_rank, ring=m.ring,
-        )
+        return replace(projective_space(1), name="curve(0)")
     return KahlerModel.make(
         name=f"curve({g})",
         dim=1,
@@ -334,30 +347,18 @@ def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] 
         for n in sorted(factor.betti):
             if factor.betti_torsion(n):
                 raise ModelError(f"product factor {factor.name} has torsion in degree {n}")
-    dim = x.dim + y.dim
-    betti = {}
-    for n in range(0, 2 * dim + 1):
-        r = sum(x.betti_rank(i) * y.betti_rank(n - i) for i in range(0, n + 1))
-        if r:
-            betti[n] = FgAbelianGroup(r)
-    hodge: dict = {}
-    for (s1, t1), v1 in x.hodge.items():
-        for (s2, t2), v2 in y.hodge.items():
-            key = (s1 + s2, t1 + t2)
-            hodge[key] = hodge.get(key, 0) + v1 * v2
+    ranks = _convolve(
+        {n: g.free_rank for n, g in x.betti.items()}, {n: g.free_rank for n, g in y.betti.items()}
+    )
     if hodge_class_rank is None:
-        hcr: dict = {}
-        for q1, v1 in x.hodge_class_rank.items():
-            for q2, v2 in y.hodge_class_rank.items():
-                hcr[q1 + q2] = hcr.get(q1 + q2, 0) + v1 * v2
-    else:
-        hcr = dict(hodge_class_rank)
+        hodge_class_rank = _convolve(x.hodge_class_rank, y.hodge_class_rank)
     ring = None
     if x.ring is not None and y.ring is not None:
         ring = tensor_rings(x.ring, y.ring)
     return KahlerModel.make(
-        name=f"{x.name} x {y.name}", dim=dim, betti=betti, hodge=hodge,
-        hodge_class_rank=hcr, ring=ring,
+        name=f"{x.name} x {y.name}", dim=x.dim + y.dim,
+        betti={n: FgAbelianGroup(r) for n, r in ranks.items()},
+        hodge=_convolve(x.hodge, y.hodge), hodge_class_rank=hodge_class_rank, ring=ring,
     )
 
 
@@ -371,6 +372,9 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
     if r < 1:
         raise ModelError("projective_bundle needs r >= 1")
     shifts = range(r)
+    name = f"P(V^{r} -> {x.name})"
+    hcr = _convolve(x.hodge_class_rank, {i: 1 for i in shifts})
+    ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
     if isinstance(x, KahlerModel):
         dim = x.dim + r - 1
         betti = {}
@@ -381,29 +385,14 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
                 tors.extend(x.betti_torsion(n - 2 * i))
             if free or tors:
                 betti[n] = FgAbelianGroup.of(free, tors)
-        hodge: dict = {}
-        for (s, t), v in x.hodge.items():
-            for i in shifts:
-                key = (s + i, t + i)
-                hodge[key] = hodge.get(key, 0) + v
-        hcr: dict = {}
-        for q, v in x.hodge_class_rank.items():
-            for i in shifts:
-                hcr[q + i] = hcr.get(q + i, 0) + v
-        ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
         return KahlerModel.make(
-            name=f"P(V^{r} -> {x.name})", dim=dim, betti=betti, hodge=hodge,
+            name=name, dim=dim, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
-    top = x.max_degree + 2 * (r - 1)
-    betti_q = {}
+    betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
     filt = {}
     lattice = {}
-    for n in range(0, top + 1):
-        b = sum(x.betti_rank(n - 2 * i) for i in shifts)
-        if not b:
-            continue
-        betti_q[n] = b
+    for n in betti_q:
         for p in range(1, n + 1):
             f = sum(x.filtration_dim(p - i, n - 2 * i) for i in shifts)
             lat = sum(x.lattice_rank_in_filtration(p - i, n - 2 * i) for i in shifts)
@@ -411,14 +400,8 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
                 filt[(p, n)] = f
             if lat:
                 lattice[(p, n)] = lat
-    hcr = {}
-    for q, v in x.hodge_class_rank.items():
-        for i in shifts:
-            hcr[q + i] = hcr.get(q + i, 0) + v
-    ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
     return QuasiProjModel.make(
-        name=f"P(V^{r} -> {x.name})", betti=betti_q, filt=filt, lattice=lattice,
-        hodge_class_rank=hcr, ring=ring,
+        name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
     )
 
 
@@ -484,15 +467,10 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
             model.lattice_rank_in_filtration(a, n) - model.lattice_rank_in_filtration(a + 1, n), 0
         )
 
-    top = x.max_degree + y.max_degree
-    betti = {}
+    betti = _convolve(x.betti, y.betti)
     filt = {}
     lattice = {}
-    for n in range(0, top + 1):
-        b = sum(x.betti_rank(i) * y.betti_rank(n - i) for i in range(0, n + 1))
-        if not b:
-            continue
-        betti[n] = b
+    for n, b in betti.items():
         for p in range(1, n + 1):
             f = 0
             lat = 0
@@ -506,10 +484,7 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
                 filt[(p, n)] = f
             if lat:
                 lattice[(p, n)] = min(lat, f, b)
-    hcr: dict = {}
-    for q1, v1 in x.hodge_class_rank.items():
-        for q2, v2 in y.hodge_class_rank.items():
-            hcr[q1 + q2] = hcr.get(q1 + q2, 0) + v1 * v2
     return QuasiProjModel.make(
-        name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice, hodge_class_rank=hcr,
+        name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice,
+        hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank),
     )

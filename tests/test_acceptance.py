@@ -35,7 +35,15 @@ from hfcalc.spaces import (
 from .test_abelian import snf_matches_minor_oracle
 from .test_coefficients import monomial_count
 from .test_engine import point_table_oracle
-from .test_io_cli import AJ_GOLDEN_COMMANDS, GOLDEN, GOLDEN_COMMANDS, run_cli
+from .test_io_cli import (
+    AJ_GOLDEN_COMMANDS,
+    CHECK_GOLDEN_COMMANDS,
+    EMIT_GOLDEN_MODELS,
+    GOLDEN,
+    GOLDEN_COMMANDS,
+    golden_output,
+    run_cli,
+)
 
 MU = builtin_theory("MU")
 HZ = builtin_theory("HZ")
@@ -206,3 +214,11 @@ def test_criterion_9_aj_golden_outputs(monkeypatch):
         assert code == 0, name
         assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
     report(9, "five Abel-Jacobi outputs (real, complex, 2-torsion, 100 digits) byte-identical vs goldens")
+
+
+def test_criterion_9_check_and_emit_golden_outputs(tmp_path):
+    names = sorted(CHECK_GOLDEN_COMMANDS) + sorted(EMIT_GOLDEN_MODELS)
+    for name in names:
+        _code, out = golden_output(name, tmp_path)
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
+    report(9, f"{len(names)} check and emit-space outputs (six kinds, a FAIL, an error) byte-identical vs goldens")

@@ -49,6 +49,14 @@ class TestMuRank:
                 series[n] += series[n - i]
         assert series == [partition_count(n) for n in range(bound + 1)]
 
+    def test_large_values(self):
+        # Published values (OEIS A000041); asked largest first, on a table
+        # that may not reach them yet.
+        assert partition_count(1000) == 24061467864032622473692149727991
+        assert partition_count(400) == 6727090051741041926
+        assert partition_count(100) == 190569292
+        assert [partition_count(n) for n in (-3, -1)] == [0, 0]
+
 
 class TestBuiltins:
     def test_hz(self):

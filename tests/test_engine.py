@@ -7,6 +7,8 @@ properties (fundamental short exact sequence, additivity in the
 coefficient table, rational splitting, bundle formula).
 """
 
+import time
+
 import pytest
 
 from hfcalc.abelian import FgAbelianGroup
@@ -39,6 +41,7 @@ from hfcalc.spaces import (
     gm,
     point,
     product,
+    projective_bundle,
     projective_space,
 )
 
@@ -271,6 +274,18 @@ class TestAdditivity:
                     assert lhs == rhs, (model.name, n, p)
 
 
+def splitting_oracle(model, n, p):
+    """The check as first written: each HQ cell repeated p(j) times, then summed."""
+    variant = "analytic" if isinstance(model, KahlerModel) else "log"
+    lhs = hfc_group(model, MUQ, n, p, variant)
+    parts = []
+    for j in range(0, max(0, (model.max_degree + 2 - n) // 2) + 1):
+        cell = hfc_group(model, HQ, n + 2 * j, p + j, variant)
+        parts.extend([cell] * mu_rank(j))
+    rhs = parts[0] if len(parts) == 1 else descriptor_sum(parts)
+    return lhs == rhs, lhs, rhs
+
+
 class TestSplitting:
     def test_point_above_diagonal(self):
         ok, lhs, rhs = rational_splitting_check(point(), 1, 1)
@@ -291,6 +306,23 @@ class TestSplitting:
                 for p in range(0, 4):
                     ok, lhs, rhs = rational_splitting_check(model, n, p)
                     assert ok, (model.name, n, p, lhs, rhs)
+
+    def test_matches_replicated_sum(self):
+        models = (point(), projective_space(1), projective_space(2), curve(1), curve(2),
+                  product(curve(1), curve(1)), gm(), projective_bundle(gm(), 2))
+        for model in models:
+            for n in range(-2, 7):
+                for p in range(-1, 4):
+                    assert rational_splitting_check(model, n, p) == splitting_oracle(model, n, p), (
+                        model.name, n, p)
+
+    def test_large_projective_space(self):
+        # P150 at n = 0 sums 152 HQ cells, the last taken p(151) = 45060624582 times.
+        model = projective_space(150)
+        start = time.perf_counter()
+        ok, lhs, rhs = rational_splitting_check(model, 0, 0)
+        assert ok and lhs == rhs
+        assert time.perf_counter() - start < 1.0
 
 
 MV_THEORIES = [HZ, HQ, MU, MUQ, custom_theory({-1: 2, 0: 1, 3: 1}, name="custom")]

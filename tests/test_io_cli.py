@@ -1,10 +1,12 @@
 """Serialization round-trips, descriptor rendering, and the CLI surface.
 
 Golden files under tests/golden freeze the byte-exact output of the
-point-table command and three compute fixtures; the determinism test also
-reruns each command twice and compares bytes.
+point-table command, three compute fixtures, the Abel-Jacobi command, every
+check kind and emit-space; the determinism test also reruns each command
+twice and compares bytes.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -30,7 +32,16 @@ from hfcalc.io import (
     parse_space_text,
     render_descriptor,
 )
-from hfcalc.spaces import curve, gm, point, product, projective_bundle, projective_space
+from hfcalc.spaces import (
+    as_quasiproj,
+    curve,
+    gm,
+    point,
+    product,
+    projective_bundle,
+    projective_space,
+    quasi_product,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -405,6 +416,63 @@ AJ_GOLDEN_COMMANDS = {
         100, ["aj", "--g2", "1+2j", "--g3", "2-2j", "--divisor", '[[["1", "-1"], 1], ["inf", -1]]'],
     ),
 }
+
+
+def _check_argvs() -> dict:
+    """The six check kinds (plus a FAIL verdict), each in table and JSON form."""
+    base = {
+        "splitting": ["check", "splitting", "--space", fixture("p2.json"), "--n", "2", "--p", "1"],
+        "mv": ["check", "mv", "--space", fixture("p1.json"), "--u", fixture("a1.json"),
+               "--v", fixture("a1.json"), "--w", fixture("gm.json"), "--theory", "MU", "--p", "1"],
+        "mv_fail": ["check", "mv", "--space", fixture("p1.json"), "--u", fixture("a1.json"),
+                    "--v", fixture("a1.json"), "--w", fixture("bad_gm.json"), "--theory", "HZ", "--p", "1"],
+        "a1": ["check", "a1", "--space", fixture("gm.json"), "--theory", "HZ", "--n", "1", "--p", "1"],
+        "pbf": ["check", "pbf", "--space", fixture("elliptic.json"), "--r", "3", "--theory", "MU",
+                "--n", "3", "--p", "2"],
+        "grothendieck": ["check", "grothendieck", "--space", fixture("p2.json"), "--r", "3",
+                         "--chern", "3*x;3*x^2;x^3"],
+        "transfer": ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class", "2*x"],
+    }
+    out = {}
+    for name, argv in base.items():
+        out[f"check_{name}.txt"] = (0, argv)
+        out[f"check_{name}.json"] = (0, argv + ["--format", "json"])
+    # A domain error: the golden holds the message on stderr.
+    out["check_a1_error.txt"] = (1, ["check", "a1", "--space", fixture("p1.json"), "--theory", "HZ"])
+    return out
+
+
+# check goldens: name -> (exit code, argv); the golden is stdout, or stderr
+# when the exit code is nonzero.
+CHECK_GOLDEN_COMMANDS = _check_argvs()
+
+
+def _torsion_bundle():
+    return projective_bundle(parse_space_text((FIXTURES / "torsion.json").read_text()), 3)
+
+
+# emit-space goldens: name -> model; the golden is `hfcalc emit-space` on the
+# model's emitted document, so it also pins the parse/emit round trip.
+EMIT_GOLDEN_MODELS = {
+    "emit_product_curve1_curve2.json": lambda: product(curve(1), curve(2)),
+    "emit_bundle_torsion_3.json": _torsion_bundle,
+    "emit_bundle_gm_3.json": lambda: projective_bundle(gm(), 3),
+    "emit_quasi_product_gm_curve2.json": lambda: quasi_product(gm(), as_quasiproj(curve(2))),
+}
+
+
+def golden_output(name: str, tmp_path) -> tuple[int, str]:
+    """Exit code and golden-comparable output of a check or emit-space golden."""
+    if name in EMIT_GOLDEN_MODELS:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(emit_space(EMIT_GOLDEN_MODELS[name]())), encoding="utf-8")
+        return run_cli("emit-space", "--space", str(path))
+    code, argv = CHECK_GOLDEN_COMMANDS[name]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got, out = run_cli(*argv)
+    assert got == code, (name, out, err.getvalue())
+    return got, out if code == 0 else err.getvalue()
 
 
 class TestGoldenOutputs:

@@ -17,6 +17,21 @@ class TestPolynomialQuotient:
         r = polynomial_ring_mod_power("x", 2, 4)
         assert [r.graded_dimension(n) for n in range(0, 8)] == [1, 0, 1, 0, 1, 0, 1, 0]
 
+    def test_graded_dimensions_match_poincare_polynomial(self):
+        # Basis counts are the coefficients of prod_i (1 + t^d_i + ... + t^(d_i (power_i - 1))).
+        r = bundle_extension(
+            tensor_rings(polynomial_ring_mod_power("x", 2, 3), polynomial_ring_mod_power("y", 4, 2)), 3
+        )
+        poly = {0: 1}
+        for (_name, deg), (power, _tail) in zip(r.generators, r.rules):
+            step: dict = {}
+            for d, c in poly.items():
+                for e in range(power):
+                    step[d + e * deg] = step.get(d + e * deg, 0) + c
+            poly = step
+        assert dict(r.graded_dimensions()) == poly
+        assert [r.graded_dimension(n) for n in range(0, 14)] == [poly.get(n, 0) for n in range(0, 14)]
+
     def test_trivial_ring(self):
         r = trivial_ring()
         assert r.graded_dimension(0) == 1
