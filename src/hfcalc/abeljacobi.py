@@ -17,10 +17,15 @@ curves get more, see ``EllipticCurve``):
   when that brings it closer to a, and set w1 = pi / M(a, b),
   w2 = pi i / M(a, c).  Recomputing g2, g3 from the lattice via Eisenstein
   q-series must reproduce the inputs;
-* elliptic logarithm z = R_F(x - e1, x - e2, x - e3) (Carlson's symmetric
-  integral, by duplication), signed so that wp'(z) = y; one evaluation of
-  (wp, wp') at z must reproduce the point.  Branch points snap to the
-  matching half period;
+* elliptic logarithm from the same AGM (Cremona-Thongjunthug): with
+  (a, b) as above and c = sqrt(x - e3), iterate
+  (a, b, c) <- ((a + b)/2, sqrt(ab), (c + sqrt(c^2 - a^2 + b^2))/2), each
+  root on its optimal branch, until |a - b| <= 10^-(dps-3) |a|; one more c
+  step gives z = asin(M / c) / M with M = (a + b)/2.  z is signed so that
+  wp'(z) = y, and one evaluation of (wp, wp') at z must reproduce the
+  point.  A branch point (e_i, 0) snaps to a half period: the logarithm of
+  e_i, rounded to w1/2, w2/2 or (w1 + w2)/2 (2 coords within
+  10^-(digits/4) of a nonzero pair mod 2), where wp must be nearest e_i;
 * wp and wp' by Laurent series after lattice reduction and argument
   halving, followed by group-law doublings.  The coefficient table comes
   from the quadratic recurrence folded by symmetry (each product pair once),
@@ -48,6 +53,23 @@ MAX_DIGITS = 1000  # curve set-up grows about cubically: 0.36 s at 400 digits, 3
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
 
+def _agm_step(a, b):
+    """One optimal-branch AGM step: ((a + b)/2, sqrt(ab)) with the root sign
+    chosen so that |a' - b'| <= |a' + b'|, ties broken towards Im(b'/a') > 0."""
+    am = (a + b) / 2
+    gm = mp.sqrt(a * b)
+    if abs(am - gm) > abs(am + gm):
+        gm = -gm
+    elif abs(am - gm) == abs(am + gm) and mp.im(gm / am) < 0:
+        gm = -gm
+    return am, gm
+
+
+def _nearer(a, b):
+    """b or -b, whichever lies closer to a (b on a tie)."""
+    return -b if abs(a - b) > abs(a + b) else b
+
+
 def complex_agm(a, b):
     """Arithmetic-geometric mean over C with the optimal branch rule.
 
@@ -60,13 +82,7 @@ def complex_agm(a, b):
         return mp.zero
     tol = mpf(10) ** (-(mp.dps - 3))
     for _ in range(mp.dps * 4 + 40):
-        am = (a + b) / 2
-        gm = mp.sqrt(a * b)
-        if abs(am - gm) > abs(am + gm):
-            gm = -gm
-        elif abs(am - gm) == abs(am + gm) and mp.im(gm / am) < 0:
-            gm = -gm
-        a, b = am, gm
+        a, b = _agm_step(a, b)
         if abs(a - b) <= tol * abs(a):
             return (a + b) / 2
     raise CurveError("complex AGM failed to converge")
@@ -77,6 +93,9 @@ def carlson_rf(x, y, z):
 
     Duplication theorem with principal square roots, finished with the
     standard fifth-order Taylor expansion around the equal-argument point.
+    The curve's logarithm uses the AGM instead (``_agm_log``), which
+    converges quadratically; R_F(x - e1, x - e2, x - e3) is the same
+    logarithm up to sign and the lattice, an independent check of it.
     """
     x, y, z = mpc(x), mpc(y), mpc(z)
     if sum(1 for v in (x, y, z) if v == 0) > 1:
@@ -178,16 +197,29 @@ class Divisor:
 
 def _period_basis(e1, e2, e3):
     """Cremona-Thongjunthug periods (w1, w2) of the roots in this order."""
-    a, b, c = mp.sqrt(e1 - e3), mp.sqrt(e1 - e2), mp.sqrt(e2 - e3)
-    if abs(a - b) > abs(a + b):
-        b = -b
-    if abs(a - c) > abs(a + c):
-        c = -c
+    a = mp.sqrt(e1 - e3)
+    b, c = _nearer(a, mp.sqrt(e1 - e2)), _nearer(a, mp.sqrt(e2 - e3))
     w1 = mp.pi / complex_agm(a, b)
     w2 = mp.pi * 1j / complex_agm(a, c)
     if mp.im(w2 / w1) < 0:
         w2 = -w2
     return w1, w2
+
+
+def _agm_log(e1, e2, e3, x):
+    """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
+    and the lattice, for the roots in the order ``_period_basis`` takes.
+    The (a, b) sequence is the one whose mean M gives w1 = pi / M."""
+    a = mp.sqrt(e1 - e3)
+    b, c = _nearer(a, mp.sqrt(e1 - e2)), mp.sqrt(x - e3)
+    tol = mpf(10) ** (-(mp.dps - 3))
+    for _ in range(mp.dps * 4 + 40):
+        c = (c + _nearer(c, mp.sqrt(c * c - a * a + b * b))) / 2
+        if abs(a - b) <= tol * abs(a):
+            m = (a + b) / 2
+            return mp.asin(m / c) / m
+        a, b = _agm_step(a, b)
+    raise CurveError("AGM elliptic logarithm failed to converge")
 
 
 class EllipticCurve:
@@ -227,7 +259,6 @@ class EllipticCurve:
             self.tau = self.w2 / self.w1
             self._rho = self._shortest_vector()
             self._laurent = self._laurent_coefficients()
-            self._half_periods = self._match_half_periods()
 
     # -- lattice construction ---------------------------------------------------
 
@@ -286,17 +317,6 @@ class EllipticCurve:
                 acc += c[(k - 1) // 2] ** 2
             c[k] = 3 * acc / ((2 * k + 3) * (k - 2))
         return c
-
-    def _match_half_periods(self):
-        halves = [self.w1 / 2, self.w2 / 2, (self.w1 + self.w2) / 2]
-        assignment = {}
-        for h in halves:
-            x, _y = self.wp_pair_raw(h)
-            idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
-            assignment[idx] = h
-        if len(assignment) != 3:
-            raise CurveError("half periods do not separate the branch points")
-        return assignment
 
     # -- lattice bookkeeping ------------------------------------------------------
 
@@ -409,8 +429,8 @@ class EllipticCurve:
             if abs(y) <= tol * max(abs(x) ** mpf("1.5"), 1):
                 idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
                 if abs(self.roots[idx] - x) <= tol * scale * 10:
-                    return self.reduce_fundamental(self._half_periods[idx])
-            z = carlson_rf(x - e1, x - e2, x - e3)
+                    return self.reduce_fundamental(self._half_period(idx))
+            z = _agm_log(e1, e2, e3, x)
             p, pp = self.wp_pair_raw(z)
             if abs(pp - y) > abs(pp + y):
                 z, pp = -z, -pp
@@ -419,6 +439,32 @@ class EllipticCurve:
             if miss > tol * size:
                 raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss / size, 8)}")
             return self.reduce_fundamental(z)
+
+    def _half_period(self, idx: int):
+        """The half period at which wp takes the value roots[idx].
+
+        The AGM logarithm of the root itself keeps about half the working
+        digits, since asin(1 - eps) = pi/2 - sqrt(2 eps) + ...; a near-singular
+        curve, whose closest roots lie about 10^-(k/2) apart with k <= digits,
+        loses at most k/4 more.  So 2 coords(z) lies within about
+        10^-(digits/4 + 12) of a half-lattice point; it must round to a
+        nonzero pair mod 2 within 10^-(digits/4), and wp at the chosen half
+        period must be nearest to roots[idx].
+        """
+        a, b = self.coords(_agm_log(*self.roots, self.roots[idx]))
+        m, n = mp.nint(2 * a), mp.nint(2 * b)
+        off = max(abs(2 * a - m), abs(2 * b - n))
+        m, n = int(m) % 2, int(n) % 2
+        if (m, n) == (0, 0) or off > mpf(10) ** (-mpf(self.digits) / 4):
+            raise CurveError(
+                f"logarithm of branch point {idx + 1} is no half period: 2 coords round to {(m, n)} mod 2, off by {mp.nstr(off, 8)}"
+            )
+        # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
+        h = (m * self.w1 + n * self.w2) / 2
+        x, _y = self.wp_pair_raw(h)
+        if min(range(3), key=lambda i: abs(self.roots[i] - x)) != idx:
+            raise CurveError("half periods do not separate the branch points")
+        return h
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 

@@ -76,6 +76,8 @@ RANK_LEVEL = "rank-level"
 ANALYTIC = "analytic"
 LOG = "log"
 
+MAX_GRID_CELLS = 100_000  # about 9 us a cell: 301 x 301 cells take 0.9 s
+
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -287,7 +289,11 @@ def point_table(
     n_range: tuple[int, int],
     p_range: tuple[int, int],
 ) -> dict[tuple[int, int], GroupDescriptor]:
-    """Grid of E_D^n(p)(pt) over inclusive ranges of n and p."""
+    """Grid of E_D^n(p)(pt) over inclusive ranges of n and p, at most
+    MAX_GRID_CELLS cells."""
+    cells = max(0, n_range[1] - n_range[0] + 1) * max(0, p_range[1] - p_range[0] + 1)
+    if cells > MAX_GRID_CELLS:
+        raise EngineError(f"point table of {cells} cells exceeds the limit of {MAX_GRID_CELLS}")
     from hfcalc.spaces import point
 
     pt = point()

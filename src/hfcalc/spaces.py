@@ -32,6 +32,7 @@ KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -149,7 +150,9 @@ class KahlerModel:
         for n, g in self.betti.items():
             if n < 0 or n > 2 * d:
                 raise ModelError(f"{self.name}: Betti group in degree {n} outside [0, {2 * d}]")
+        hsums = Counter()
         for (s, t), v in self.hodge.items():
+            hsums[s + t] += v
             if v < 0:
                 raise ModelError(f"{self.name}: negative Hodge number h^{{{s},{t}}}")
             if not (0 <= s <= d and 0 <= t <= d):
@@ -159,7 +162,7 @@ class KahlerModel:
                     f"{self.name}: Hodge symmetry fails, h^{{{s},{t}}} = {v} != h^{{{t},{s}}} = {self.hodge.get((t, s), 0)}"
                 )
         for n in range(0, 2 * d + 1):
-            hsum = sum(v for (s, t), v in self.hodge.items() if s + t == n)
+            hsum = hsums[n]
             b = self.betti_rank(n)
             if hsum != b:
                 raise ModelError(

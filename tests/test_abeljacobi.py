@@ -12,7 +12,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -24,6 +24,16 @@ from hfcalc.errors import CurveError
 from hfcalc.spaces import curve
 
 TOL9 = mpf(10) ** -9
+
+
+# One curve of each shape: real with positive and with negative
+# discriminant, complex, and near-singular (|disc| / scale about 2e-12).
+SHAPES = {
+    "real_pos": (4, 0),
+    "real_neg": (-4, 2),
+    "complex": (mpc(3, 1), mpc(-1, 2)),
+    "near_singular": (3, mpf("1.000000000001")),
+}
 
 
 @pytest.fixture(scope="module")
@@ -220,9 +230,42 @@ class TestEllipticLog:
     def test_residual_miss_raises(self, monkeypatch):
         e = EllipticCurve(4, 0, digits=20)
         pt = e.point_from_x(mpf("2.5"), 1)
-        monkeypatch.setattr(abeljacobi, "carlson_rf", lambda *args: mpc("0.3", "0.2"))
+        monkeypatch.setattr(abeljacobi, "_agm_log", lambda *args: mpc("0.3", "0.2"))
         with pytest.raises(CurveError, match="misses the point"):
             e.elliptic_log(pt)
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_branch_points_snap_to_distinct_half_periods(self, g2, g3):
+        e = EllipticCurve(g2, g3, digits=30)
+        with mp.workdps(e._workdps):
+            halves = [e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]
+            found = []
+            for root in e.roots:
+                z = e.elliptic_log((root, 0))
+                found.append(min(range(3), key=lambda i: e.lattice_distance(z - halves[i])))
+                assert e.lattice_distance(z - halves[found[-1]]) <= mpf(10) ** (-(e._workdps - 5)) * abs(e.w1)
+                x, _y = e.wp_pair(z)
+                assert abs(x - root) <= mpf(10) ** (-(e.digits - 3)) * max(1, abs(root))
+            assert sorted(found) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "patch, match",
+        [
+            ("wp", "do not separate"),  # wp at the half period names another root
+            ("lattice", "no half period"),  # the logarithm lands on the lattice
+            ("generic", "no half period"),  # the logarithm lands far from every half period
+        ],
+    )
+    def test_half_period_snap_checked(self, monkeypatch, patch, match):
+        e = EllipticCurve(4, 0, digits=20)
+        branch = (e.roots[0], 0)
+        if patch == "wp":
+            monkeypatch.setattr(e, "wp_pair_raw", lambda z: (e.roots[1], mpc(0)))
+        else:
+            z = e.w1 if patch == "lattice" else mpf("0.3") * e.w1 + mpf("0.2") * e.w2
+            monkeypatch.setattr(abeljacobi, "_agm_log", lambda *args: z)
+        with pytest.raises(CurveError, match=match):
+            e.elliptic_log(branch)
 
 
 class TestAbelJacobi:
@@ -446,6 +489,27 @@ class TestRegressionFence:
     )
     def test_lattice_and_round_trip(self, invariants, digits, a, b):
         assert_lattice_and_round_trip(*invariants, digits, a, b)
+
+    @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        curve_invariants(),
+        st.sampled_from([20, 40, 100]),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+    )
+    def test_agm_log_matches_carlson(self, invariants, digits, a, b):
+        # Carlson's R_F integral is the independent oracle: both give the
+        # logarithm up to sign and the lattice.  At the half period
+        # (w1 + w2)/2 both keep only about half the working digits (the curve
+        # snaps branch points instead), so the point stays away from it.
+        assume(max(abs(a - 0.5), abs(b - 0.5)) > 0.01)
+        e = EllipticCurve(*invariants, digits=digits)
+        with mp.workdps(e._workdps):
+            x, _y = e.point_at(mpf(a) * e.w1 + mpf(b) * e.w2)
+            z = abeljacobi._agm_log(*e.roots, x)
+            zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
+            d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr))
+            assert d <= mpf(10) ** (-(digits - 3)) * abs(e.w1)
 
     @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(near_singular_at_cli_precision(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))

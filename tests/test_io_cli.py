@@ -345,6 +345,16 @@ class TestInputBoundary:
         assert "Traceback" not in err
         assert "1000 digits" in err
 
+    def test_point_table_hostile_grid_process(self):
+        start = time.monotonic()
+        code, err = run_cli_process(
+            "point-table", "--theory", "MU", "--n-range", "-1000..1000", "--p-range", "-1000..1000",
+        )
+        assert time.monotonic() - start < 2.0
+        assert code == 1
+        assert "Traceback" not in err
+        assert "100000" in err
+
     def test_aj_near_singular_curve(self, monkeypatch):
         # |disc| / scale is about 2e-53: the roots need extra precision to
         # converge, and points near the node need extra working digits.

@@ -76,6 +76,17 @@ class TestConstructors:
         with pytest.raises(ModelError):
             affine_space(-1)
 
+    def test_hodge_numbers_must_sum_to_betti_rank(self):
+        # h^{1,0} + h^{0,1} = 2 against b_1 = 4; degrees 0 and 2 agree.
+        with pytest.raises(ModelError, match="bad: Hodge numbers in degree 1 sum to 2, Betti rank is 4"):
+            KahlerModel.make(
+                name="bad",
+                dim=1,
+                betti={0: FgAbelianGroup(1), 1: FgAbelianGroup(4), 2: FgAbelianGroup(1)},
+                hodge={(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                hodge_class_rank={0: 1, 1: 1},
+            )
+
     def test_all_constructors_validate(self):
         for model in ALL_KAHLER:
             model.validate()
