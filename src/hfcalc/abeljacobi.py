@@ -17,15 +17,15 @@ curves get more, see ``EllipticCurve``):
   when that brings it closer to a, and set w1 = pi / M(a, b),
   w2 = pi i / M(a, c).  Recomputing g2, g3 from the lattice via Eisenstein
   q-series must reproduce the inputs;
-* elliptic logarithm from the same AGM (Cremona-Thongjunthug): with
-  (a, b) as above and c = sqrt(x - e3), iterate
-  (a, b, c) <- ((a + b)/2, sqrt(ab), (c + sqrt(c^2 - a^2 + b^2))/2), each
-  root on its optimal branch, until |a - b| <= 10^-(dps-3) |a|; one more c
-  step gives z = asin(M / c) / M with M = (a + b)/2.  z is signed so that
-  wp'(z) = y, and one evaluation of (wp, wp') at z must reproduce the
-  point.  A branch point (e_i, 0) snaps to a half period: the logarithm of
-  e_i, rounded to w1/2, w2/2 or (w1 + w2)/2 (2 coords within
-  10^-(digits/4) of a nonzero pair mod 2), where wp must be nearest e_i;
+* elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
+  keeps the pairs (a_n, b_n), n = 0..N, of M(a, b), N >= 1 the first index
+  with |a_N - b_N| <= 10^-(dps-3) |a_N|, and every logarithm walks them:
+  from c = sqrt(x - e3), c <- (c + sqrt(c^2 - a_n^2 + b_n^2))/2 (the root
+  nearer c) per pair, then z = asin(M / c) / M, M = (a_N + b_N)/2.  z is
+  signed so that wp'(z) = y, and one evaluation of (wp, wp') at z must
+  reproduce the point.  A branch point (e_i, 0) snaps to a half period:
+  the logarithm of e_i, rounded to w1/2, w2/2 or (w1 + w2)/2 (2 coords
+  within 10^-(digits/4) of a nonzero pair mod 2), where wp must be nearest e_i;
 * wp and wp' by Laurent series after lattice reduction and argument
   halving, followed by group-law doublings.  The coefficient table comes
   from the quadratic recurrence folded by symmetry (each product pair once),
@@ -53,21 +53,32 @@ MAX_DIGITS = 1000  # curve set-up grows about cubically: 0.36 s at 400 digits, 3
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
 
-def _agm_step(a, b):
-    """One optimal-branch AGM step: ((a + b)/2, sqrt(ab)) with the root sign
-    chosen so that |a' - b'| <= |a' + b'|, ties broken towards Im(b'/a') > 0."""
-    am = (a + b) / 2
-    gm = mp.sqrt(a * b)
-    if abs(am - gm) > abs(am + gm):
-        gm = -gm
-    elif abs(am - gm) == abs(am + gm) and mp.im(gm / am) < 0:
-        gm = -gm
-    return am, gm
+def _numbers(values, what):
+    """The values as mpc at the current precision; CurveError if mpc rejects one."""
+    try:
+        return tuple(mpc(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise CurveError(f"{what} must be numbers: {exc}")
 
 
 def _nearer(a, b):
     """b or -b, whichever lies closer to a (b on a tie)."""
     return -b if abs(a - b) > abs(a + b) else b
+
+
+def _agm_sequence(a, b):
+    """The AGM pairs (a_0, b_0), ..., (a_N, b_N) of ``complex_agm``, with N >= 1
+    the first index where |a_N - b_N| <= 10^-(dps-3) |a_N|."""
+    pairs = [(a, b)]
+    tol = mpf(10) ** (-(mp.dps - 3))
+    for _ in range(mp.dps * 4 + 40):
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+        if abs(a - b) > abs(a + b) or (abs(a - b) == abs(a + b) and mp.im(b / a) < 0):
+            b = -b
+        pairs.append((a, b))
+        if abs(a - b) <= tol * abs(a):
+            return pairs
+    raise CurveError("complex AGM failed to converge")
 
 
 def complex_agm(a, b):
@@ -80,12 +91,8 @@ def complex_agm(a, b):
     a, b = mpc(a), mpc(b)
     if a == 0 or b == 0:
         return mp.zero
-    tol = mpf(10) ** (-(mp.dps - 3))
-    for _ in range(mp.dps * 4 + 40):
-        a, b = _agm_step(a, b)
-        if abs(a - b) <= tol * abs(a):
-            return (a + b) / 2
-    raise CurveError("complex AGM failed to converge")
+    a, b = _agm_sequence(a, b)[-1]
+    return (a + b) / 2
 
 
 def carlson_rf(x, y, z):
@@ -196,30 +203,28 @@ class Divisor:
 
 
 def _period_basis(e1, e2, e3):
-    """Cremona-Thongjunthug periods (w1, w2) of the roots in this order."""
+    """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
+    the AGM pairs of (a, b) whose last mean M gives w1 = pi / M."""
     a = mp.sqrt(e1 - e3)
     b, c = _nearer(a, mp.sqrt(e1 - e2)), _nearer(a, mp.sqrt(e2 - e3))
-    w1 = mp.pi / complex_agm(a, b)
+    pairs = _agm_sequence(a, b)
+    an, bn = pairs[-1]
+    w1 = mp.pi / ((an + bn) / 2)
     w2 = mp.pi * 1j / complex_agm(a, c)
     if mp.im(w2 / w1) < 0:
         w2 = -w2
-    return w1, w2
+    return w1, w2, pairs
 
 
-def _agm_log(e1, e2, e3, x):
+def _agm_log(pairs, e3, x):
     """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
-    and the lattice, for the roots in the order ``_period_basis`` takes.
-    The (a, b) sequence is the one whose mean M gives w1 = pi / M."""
-    a = mp.sqrt(e1 - e3)
-    b, c = _nearer(a, mp.sqrt(e1 - e2)), mp.sqrt(x - e3)
-    tol = mpf(10) ** (-(mp.dps - 3))
-    for _ in range(mp.dps * 4 + 40):
+    and the lattice.  ``pairs`` come from ``_period_basis`` of the roots
+    e1, e2, e3: c starts at sqrt(x - e3) and takes one step per pair."""
+    c = mp.sqrt(x - e3)
+    for a, b in pairs:
         c = (c + _nearer(c, mp.sqrt(c * c - a * a + b * b))) / 2
-        if abs(a - b) <= tol * abs(a):
-            m = (a + b) / 2
-            return mp.asin(m / c) / m
-        a, b = _agm_step(a, b)
-    raise CurveError("AGM elliptic logarithm failed to converge")
+    m = (a + b) / 2  # the last pair's mean
+    return mp.asin(m / c) / m
 
 
 class EllipticCurve:
@@ -242,11 +247,7 @@ class EllipticCurve:
         self.digits = int(digits)
         self._workdps = self.digits + _GUARD_DIGITS
         with mp.workdps(self._workdps):
-            try:
-                self.g2 = mpc(g2)
-                self.g3 = mpc(g3)
-            except (TypeError, ValueError) as exc:
-                raise CurveError(f"curve coefficients must be numbers: {exc}")
+            self.g2, self.g3 = _numbers((g2, g3), "curve coefficients")
             disc = self.g2 ** 3 - 27 * self.g3 ** 2
             scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2, mpf(1))
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
@@ -255,7 +256,7 @@ class EllipticCurve:
             self._workdps += max(0, int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20)
         with mp.workdps(self._workdps):
             self.roots = self._sorted_roots()
-            self.w1, self.w2 = self._compute_periods()
+            self.w1, self.w2, self._agm_pairs = self._compute_periods()
             self.tau = self.w2 / self.w1
             self._rho = self._shortest_vector()
             self._laurent = self._laurent_coefficients()
@@ -273,7 +274,7 @@ class EllipticCurve:
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
     def _compute_periods(self):
-        w1, w2 = _period_basis(*self.roots)
+        w1, w2, pairs = _period_basis(*self.roots)
         g2r, g3r = lattice_invariants(w1, w2)
         err = max(
             abs(g2r - self.g2) / max(1, abs(self.g2)),
@@ -281,7 +282,7 @@ class EllipticCurve:
         )
         if err >= mpf(10) ** (-(self.digits - 3)):
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
-        return w1, w2
+        return w1, w2, pairs
 
     def _shortest_vector(self):
         r1, r2 = _reduce_tau(self.w1, self.w2)
@@ -392,15 +393,15 @@ class EllipticCurve:
         if pt is None:
             return mpf(0)
         with mp.workdps(self._workdps):
-            x, y = mpc(pt[0]), mpc(pt[1])
+            x, y = _numbers(pt, "point coordinates")
             lhs = y ** 2
             rhs = 4 * x ** 3 - self.g2 * x - self.g3
             scale = max(abs(lhs), abs(rhs), mpf(1))
             return abs(lhs - rhs) / scale
 
-    def require_on_curve(self, pt: Point, slack: int = 2) -> None:
+    def require_on_curve(self, pt: Point) -> None:
         res = self.on_curve_residual(pt)
-        if res > mpf(10) ** (-(self.digits - slack)):
+        if res > mpf(10) ** (-(self.digits - 2)):
             raise CurveError(f"point is not on the curve: residual {mp.nstr(res, 8)}")
 
     def point_from_x(self, x, sign: int = 1) -> Point:
@@ -419,10 +420,9 @@ class EllipticCurve:
         """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell."""
         if pt is None:
             return mpc(0)
-        self.require_on_curve(pt)
         with mp.workdps(self._workdps):
-            x, y = mpc(pt[0]), mpc(pt[1])
-            e1, e2, e3 = self.roots
+            x, y = pt = _numbers(pt, "point coordinates")
+            self.require_on_curve(pt)
             tol = mpf(10) ** (-(self.digits - 3))
             scale = max(abs(x), mpf(1))
             # Branch points map to half periods.
@@ -430,7 +430,7 @@ class EllipticCurve:
                 idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
                 if abs(self.roots[idx] - x) <= tol * scale * 10:
                     return self.reduce_fundamental(self._half_period(idx))
-            z = _agm_log(e1, e2, e3, x)
+            z = _agm_log(self._agm_pairs, self.roots[2], x)
             p, pp = self.wp_pair_raw(z)
             if abs(pp - y) > abs(pp + y):
                 z, pp = -z, -pp
@@ -451,7 +451,7 @@ class EllipticCurve:
         nonzero pair mod 2 within 10^-(digits/4), and wp at the chosen half
         period must be nearest to roots[idx].
         """
-        a, b = self.coords(_agm_log(*self.roots, self.roots[idx]))
+        a, b = self.coords(_agm_log(self._agm_pairs, self.roots[2], self.roots[idx]))
         m, n = mp.nint(2 * a), mp.nint(2 * b)
         off = max(abs(2 * a - m), abs(2 * b - n))
         m, n = int(m) % 2, int(n) % 2

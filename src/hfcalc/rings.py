@@ -205,8 +205,8 @@ def tensor_rings(a: RingModel, b: RingModel) -> RingModel:
     return RingModel(generators=gens, rules=rules)
 
 
-def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None, name: str = "xi") -> RingModel:
-    """Extend ``base`` by a degree-2 class subject to the Chern-class relation.
+def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None) -> RingModel:
+    """Extend ``base`` by a degree-2 class xi subject to the Chern-class relation.
 
     ``chern`` lists c_1, ..., c_r as elements of the base ring (missing or
     None means the trivial bundle, i.e. xi^r = 0).  The rule stored is
@@ -217,7 +217,7 @@ def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None, n
     """
     if r < 1:
         raise RingError("bundle rank must be >= 1")
-    names = _uniquify([n for n, _d in base.generators] + [name])
+    names = _uniquify([n for n, _d in base.generators] + ["xi"])
     gens = tuple((names[i], deg) for i, (_n, deg) in enumerate(base.generators)) + ((names[-1], 2),)
     nb = len(base.generators)
 

@@ -54,10 +54,6 @@ __all__ = [
     "as_quasiproj",
 ]
 
-KAHLER = "kahler"
-QUASIPROJ = "quasiprojective"
-
-
 @dataclass(frozen=True)
 class KahlerModel:
     """A compact Kahler manifold presented by cohomological data."""
@@ -68,8 +64,6 @@ class KahlerModel:
     hodge: dict  # (s, t) -> int
     hodge_class_rank: dict  # q -> int
     ring: Optional[RingModel] = None
-
-    kind = KAHLER
 
     @classmethod
     def make(cls, name, dim, betti, hodge, hodge_class_rank, ring=None) -> "KahlerModel":
@@ -202,8 +196,6 @@ class QuasiProjModel:
     lattice: dict  # (p, n) -> lattice rank inside F^p, same window
     hodge_class_rank: dict  # q -> int
     ring: Optional[RingModel] = None
-
-    kind = QUASIPROJ
 
     @classmethod
     def make(cls, name, betti, filt, lattice, hodge_class_rank=None, ring=None) -> "QuasiProjModel":

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from hfcalc import abeljacobi
-from hfcalc.abeljacobi import Divisor, EllipticCurve, _period_basis, lattice_invariants, periods
+from hfcalc.abeljacobi import Divisor, EllipticCurve, _period_basis, complex_agm, lattice_invariants, periods
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import jacobian
 from hfcalc.errors import CurveError
@@ -137,9 +137,21 @@ class TestPeriods:
         with mp.workdps(e._workdps):
             tol = mpf(10) ** (-(e.digits - 3))
             for order in itertools.permutations(e.roots):
-                g2r, g3r = lattice_invariants(*_period_basis(*order))
+                w1, w2, _pairs = _period_basis(*order)
+                g2r, g3r = lattice_invariants(w1, w2)
                 assert abs(g2r - e.g2) <= tol * max(1, abs(e.g2)), order
                 assert abs(g3r - e.g3) <= tol * max(1, abs(e.g3)), order
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_stored_agm_pairs_give_w1(self, g2, g3):
+        # The curve runs its (a, b) AGM once; the logarithm walks these pairs.
+        e = EllipticCurve(g2, g3, digits=30)
+        with mp.workdps(e._workdps):
+            (a0, b0), (an, bn) = e._agm_pairs[0], e._agm_pairs[-1]
+            m = (an + bn) / 2
+            assert e.w1 == mp.pi / m
+            assert complex_agm(a0, b0) == m
+            assert len(e._agm_pairs) >= 2
 
     def test_hostile_precision_rejected(self):
         with pytest.raises(CurveError, match="above 1000 digits"):
@@ -227,6 +239,24 @@ class TestEllipticLog:
                 d = min(e.lattice_distance(z_quad - z_fast), e.lattice_distance(z_quad + z_fast))
                 assert d < mpf(10) ** -25
 
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_walk_converges_quadratically(self, g2, g3):
+        # Walking only the pairs up to a gap r = |a_k - b_k| / |a_k| leaves an
+        # error of order r^2 against Carlson's R_F; a walk that skips the c step
+        # of its last pair is off by order r.
+        e = EllipticCurve(g2, g3, digits=30)
+        with mp.workdps(e._workdps):
+            floor = mpf(10) ** (-(e._workdps - 5))
+            for u, v in (("0.21", "0.37"), ("0.05", "0.9")):
+                x, _y = e.point_at(mpf(u) * e.w1 + mpf(v) * e.w2)
+                zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
+                for k in range(1, len(e._agm_pairs)):
+                    a, b = e._agm_pairs[k]
+                    r = abs(a - b) / abs(a)
+                    z = abeljacobi._agm_log(e._agm_pairs[: k + 1], e.roots[2], x)
+                    d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr)) / abs(e.w1)
+                    assert d <= r ** mpf("1.5") + floor, (u, v, k)
+
     def test_residual_miss_raises(self, monkeypatch):
         e = EllipticCurve(4, 0, digits=20)
         pt = e.point_from_x(mpf("2.5"), 1)
@@ -313,6 +343,11 @@ class TestAbelJacobi:
                 lhs = e.aj(d1 + d2)
                 rhs = e.aj(d1) + e.aj(d2)
                 assert e.lattice_distance(lhs - rhs) < TOL9
+
+    @pytest.mark.parametrize("bad", [("abc", "1"), ("1+2j", "3"), (None, "1")])
+    def test_non_numeric_point_is_curve_error(self, lemniscatic, bad):
+        with pytest.raises(CurveError, match="point coordinates must be numbers"):
+            lemniscatic.aj(Divisor.of([(bad, 1), (None, -1)]))
 
     def test_degree_rejected(self, lemniscatic):
         d = Divisor.of([(lemniscatic.point_from_x(mpf(2), 1), 1)])
@@ -506,7 +541,7 @@ class TestRegressionFence:
         e = EllipticCurve(*invariants, digits=digits)
         with mp.workdps(e._workdps):
             x, _y = e.point_at(mpf(a) * e.w1 + mpf(b) * e.w2)
-            z = abeljacobi._agm_log(*e.roots, x)
+            z = abeljacobi._agm_log(e._agm_pairs, e.roots[2], x)
             zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
             d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr))
             assert d <= mpf(10) ** (-(digits - 3)) * abs(e.w1)

@@ -180,6 +180,16 @@ class TestHfcGroup:
         assert d.exactness == EXACT
         assert (d.free_rank, d.circle_rank, d.real_rank) == (0, 6, 4)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: product() takes its lattice ranks from the cellular Hodge-Tate rule, "
+        "which misses the integral classes [pt] x alpha in F^1 H^3 of E^3; quasi_product of the "
+        "as_quasiproj factors gives 12. The one model core fixes this.",
+    )
+    def test_e_cubed_product_agrees_with_quasi_product(self):
+        e = curve(1)
+        assert hfc_group(product(product(e, e), e), HZ, 3, 1).free_rank == 12
+
 
 TORSION_MODEL = KahlerModel.make(
     name="torsion-surface",
