@@ -15,8 +15,9 @@ curves get more, see ``EllipticCurve``):
   (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
   a = sqrt(e1 - e3), b = sqrt(e1 - e2), c = sqrt(e2 - e3), negate b or c
   when that brings it closer to a, and set w1 = pi / M(a, b),
-  w2 = pi i / M(a, c).  Recomputing g2, g3 from the lattice via Eisenstein
-  q-series must reproduce the inputs;
+  w2 = pi i / M(a, c).  The theta constants of the SL_2(Z)-reduced basis,
+  computed once, give g2 and g3 of the lattice, which must reproduce the
+  inputs;
 * elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
   keeps the pairs (a_n, b_n), n = 0..N, of M(a, b), N >= 1 the first index
   with |a_N - b_N| <= 10^-(dps-3) |a_N|, and every logarithm walks them:
@@ -26,11 +27,8 @@ curves get more, see ``EllipticCurve``):
   reproduce the point.  A branch point (e_i, 0) snaps to a half period:
   the logarithm of e_i, rounded to w1/2, w2/2 or (w1 + w2)/2 (2 coords
   within 10^-(digits/4) of a nonzero pair mod 2), where wp must be nearest e_i;
-* wp and wp' by Laurent series after lattice reduction and argument
-  halving, followed by group-law doublings.  The coefficient table comes
-  from the quadratic recurrence folded by symmetry (each product pair once),
-  in real arithmetic when g2 and g3 are real; the series and its derivative
-  are summed together by one Horner pass in z^2.
+* wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
+  23.6(i)), about sqrt(digits) terms per evaluation and no table.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -38,6 +36,8 @@ normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,7 +48,7 @@ from hfcalc.errors import CurveError
 __all__ = ["EllipticCurve", "Divisor", "periods", "lattice_invariants", "complex_agm", "carlson_rf"]
 
 _GUARD_DIGITS = 25
-MAX_DIGITS = 1000  # curve set-up grows about cubically: 0.36 s at 400 digits, 3.3 s at 800
+MAX_DIGITS = 1000  # curve set-up: about 0.02 s at 400 digits, 0.07-0.11 s at 800
 
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
@@ -142,37 +142,65 @@ def _reduce_tau(w1, w2):
     raise CurveError("lattice basis reduction failed")
 
 
-def lattice_invariants(w1, w2):
-    """Weierstrass g2, g3 of the lattice Z w1 + Z w2 via Eisenstein q-series.
+def _theta(q4, v):
+    """Jacobi theta functions (theta1, ..., theta4)(v) of the nome q = q4^4
+    (DLMF 20.2(i)): sums of q^(m^2/4) sin(mv) (theta1, odd m) and
+    q^(m^2/4) cos(mv) (theta2 odd m, theta3 and theta4 even m).
 
-    Uses E4 and E6 on an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3)
-    and a few dozen terms give full working precision.
+    f((m + 1)v) = 2 cos(v) f(mv) - f((m - 1)v) keeps sin(mv) accurate as
+    v -> 0, where theta1 vanishes.  Term m is at most
+    exp(-L m^2/4 + m |Im v|), L = -log|q|, so summing to
+    m = 2 |Im v|/L + sqrt(4 dps log(10)/L + 1) leaves every later term
+    10^-dps under the largest of its parity.
     """
+    big_l = float(-4 * mp.log(abs(q4)))
+    terms = int(2 * abs(float(mp.im(v))) / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
+    c, s = mp.cos_sin(v)
+    two_c = 2 * c
+    c_prev, s_prev = mp.one, mp.zero  # cos and sin of (m - 1)v; c, s of mv
+    t, step, q2 = q4, q4 ** 3, q4 * q4  # t = q^(m^2/4), step = q^((2m + 1)/4)
+    cos_sums = [mp.zero] * 4  # sum of q^(m^2/4) cos(mv) over each class of m mod 4
+    sin_sums = [mp.zero] * 4
+    for m in range(1, terms + 1):
+        cos_sums[m % 4] += t * c
+        if m % 2:
+            sin_sums[m % 4] += t * s
+        t, step = t * step, step * q2
+        c_prev, c = c, two_c * c - c_prev
+        s_prev, s = s, two_c * s - s_prev
+    return (
+        2 * (sin_sums[1] - sin_sums[3]),
+        2 * (cos_sums[1] + cos_sums[3]),
+        1 + 2 * (cos_sums[0] + cos_sums[2]),
+        1 + 2 * (cos_sums[0] - cos_sums[2]),
+    )
+
+
+def _theta_lattice(r1, r2):
+    """For a reduced basis: k = pi / r1, q^(1/4) = exp(i pi tau / 4) with
+    tau = r2 / r1, (theta2, theta3, theta4) at 0, e3 = wp(r2 / 2), g2 and g3.
+
+    wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
+    and e3 = -k^2 (theta2^4 + theta3^4)/3 at the half periods (DLMF 23.6(i)),
+    so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.
+    """
+    k = mp.pi / r1
+    q4 = mp.expj(mp.pi * (r2 / r1) / 4)
+    _zero, t2, t3, t4 = _theta(q4, mp.zero)
+    s = k * k / 3
+    e1, e2, e3 = s * (t3 ** 4 + t4 ** 4), s * (t2 ** 4 - t4 ** 4), -s * (t2 ** 4 + t3 ** 4)
+    return k, q4, (t2, t3, t4), e3, 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
+
+
+def lattice_invariants(w1, w2):
+    """Weierstrass g2, g3 of the lattice Z w1 + Z w2 from the theta constants
+    of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2)."""
     w1, w2 = mpc(w1), mpc(w2)
     if mp.im(w2 / w1) < 0:
         w2 = -w2
     if mp.im(w2 / w1) == 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    r1, r2 = _reduce_tau(w1, w2)
-    tau = r2 / r1
-    q = mp.exp(2j * mp.pi * tau)
-    tol = mpf(10) ** (-(mp.dps + 10))
-    e4 = mp.one
-    e6 = mp.one
-    qn = mpc(1)
-    for n in range(1, mp.dps * 4 + 64):
-        qn *= q
-        frac = qn / (1 - qn)
-        t4 = 240 * n ** 3 * frac
-        t6 = 504 * n ** 5 * frac
-        e4 += t4
-        e6 -= t6
-        if abs(t4) < tol and abs(t6) < tol:
-            break
-    scale = 2 * mp.pi / r1
-    g2 = scale ** 4 * e4 / 12
-    g3 = scale ** 6 * e6 / 216
-    return g2, g3
+    return _theta_lattice(*_reduce_tau(w1, w2))[4:]
 
 
 @dataclass(frozen=True)
@@ -187,11 +215,15 @@ class Divisor:
         # curve's working precision at evaluation time (converting here
         # would round them to the ambient precision).
         out = []
-        for pt, mult in entries:
-            if pt is not None:
-                x, y = pt
-                pt = (x, y)
-            out.append((pt, int(mult)))
+        for entry in entries:
+            try:
+                pt, mult = entry
+                if pt is not None:
+                    x, y = pt
+                    pt = (x, y)
+                out.append((pt, operator.index(mult)))
+            except (TypeError, ValueError) as exc:
+                raise CurveError(f"divisor entry {entry!r} must be ((x, y) or None, integer multiplicity): {exc}")
         return cls(tuple(out))
 
     @property
@@ -200,6 +232,14 @@ class Divisor:
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return Divisor(self.entries + other.entries)
+
+
+def _coords(z, w1, w2):
+    """Real coordinates (a, b) with z = a w1 + b w2."""
+    det = mp.re(w1) * mp.im(w2) - mp.im(w1) * mp.re(w2)
+    a = (mp.re(z) * mp.im(w2) - mp.im(z) * mp.re(w2)) / det
+    b = (mp.re(w1) * mp.im(z) - mp.im(w1) * mp.re(z)) / det
+    return a, b
 
 
 def _period_basis(e1, e2, e3):
@@ -232,11 +272,11 @@ class EllipticCurve:
 
     The working precision is ``digits`` plus guard digits.  When |disc|
     falls k orders of magnitude short of scale = max(|g2|^3, |g3|^2, 1),
-    differences of nearly equal roots lose about k/2 digits, and points near
-    the node lose another k/2 in (wp, wp'), whose doubling step divides two
-    small numbers there, and in the logarithm, where dz = dx / y.  The guard
-    digits absorb k up to 20; beyond that the curve adds k - 20 working
-    digits.
+    differences of nearly equal roots lose about k/2 digits, and at points
+    near the node the logarithm loses about k/2 more, since dz = dx / y
+    there ((wp, wp') lose under one digit, measured for k up to 80).  The
+    guard digits absorb k up to 20; beyond that the curve adds k - 20
+    working digits.
     """
 
     def __init__(self, g2, g3, digits: int = 40):
@@ -258,8 +298,7 @@ class EllipticCurve:
             self.roots = self._sorted_roots()
             self.w1, self.w2, self._agm_pairs = self._compute_periods()
             self.tau = self.w2 / self.w1
-            self._rho = self._shortest_vector()
-            self._laurent = self._laurent_coefficients()
+            self._rho = abs(self._reduced[0])  # a reduced basis starts with a shortest vector
 
     # -- lattice construction ---------------------------------------------------
 
@@ -274,8 +313,10 @@ class EllipticCurve:
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
     def _compute_periods(self):
+        """Periods and AGM pairs, checked by the reduced basis's theta constants."""
         w1, w2, pairs = _period_basis(*self.roots)
-        g2r, g3r = lattice_invariants(w1, w2)
+        self._reduced = _reduce_tau(w1, w2)
+        self._k, self._q4, self._theta0, self._e3, g2r, g3r = _theta_lattice(*self._reduced)
         err = max(
             abs(g2r - self.g2) / max(1, abs(self.g2)),
             abs(g3r - self.g3) / max(1, abs(self.g3)),
@@ -284,51 +325,12 @@ class EllipticCurve:
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
         return w1, w2, pairs
 
-    def _shortest_vector(self):
-        r1, r2 = _reduce_tau(self.w1, self.w2)
-        candidates = [
-            abs(m * r1 + n * r2)
-            for m in (-1, 0, 1)
-            for n in (-1, 0, 1)
-            if (m, n) != (0, 0)
-        ]
-        return min(candidates)
-
-    def _laurent_coefficients(self):
-        # wp(z) = z^-2 + sum c_k z^{2k};  c_1 = g2/20, c_2 = g3/28, and the
-        # rest follow from the quadratic recursion induced by wp'' = 6 wp^2 - g2/2:
-        # c_k = 3 / ((2k + 3)(k - 2)) * sum_{m=1}^{k-2} c_m c_{k-1-m}.  The sum
-        # is symmetric in m <-> k-1-m, so each pair is taken once and doubled,
-        # plus the middle square when k - 1 is even.  Real g2, g3 give a real
-        # table, which is cheaper to build and to evaluate.
-        ratio = mpf("0.3")
-        terms = int(mp.dps * mp.log(10) / (2 * abs(mp.log(ratio)))) + 12
-        if mp.im(self.g2) == 0 and mp.im(self.g3) == 0:
-            g2, g3, zero = mp.re(self.g2), mp.re(self.g3), mpf(0)
-        else:
-            g2, g3, zero = self.g2, self.g3, mpc(0)
-        c = [zero] * (terms + 1)
-        if terms >= 1:
-            c[1] = g2 / 20
-        if terms >= 2:
-            c[2] = g3 / 28
-        for k in range(3, terms + 1):
-            acc = 2 * mp.fdot((c[m], c[k - 1 - m]) for m in range(1, k // 2))
-            if k % 2 == 1:
-                acc += c[(k - 1) // 2] ** 2
-            c[k] = 3 * acc / ((2 * k + 3) * (k - 2))
-        return c
-
     # -- lattice bookkeeping ------------------------------------------------------
 
     def coords(self, z) -> tuple:
         """Real coordinates (a, b) with z = a w1 + b w2."""
         with mp.workdps(self._workdps):
-            z = mpc(z)
-            det = mp.re(self.w1) * mp.im(self.w2) - mp.im(self.w1) * mp.re(self.w2)
-            a = (mp.re(z) * mp.im(self.w2) - mp.im(z) * mp.re(self.w2)) / det
-            b = (mp.re(self.w1) * mp.im(z) - mp.im(self.w1) * mp.re(z)) / det
-            return a, b
+            return _coords(mpc(z), self.w1, self.w2)
 
     def reduce_centered(self, z):
         with mp.workdps(self._workdps):
@@ -358,29 +360,25 @@ class EllipticCurve:
     # -- Weierstrass functions ------------------------------------------------------
 
     def wp_pair_raw(self, z) -> tuple:
-        """(wp(z), wp'(z)) without precision management; z must avoid L."""
-        z = self.reduce_centered(mpc(z))
+        """(wp(z), wp'(z)) without precision management; z must avoid L.
+
+        With v = k z and the theta constants theta2, theta3, theta4 at 0
+        (DLMF 23.6(i); wp' by theta1'(0) = theta2 theta3 theta4):
+        wp = k^2 [(theta2 theta3 theta4(v) / theta1(v))^2 - (theta2^4 + theta3^4)/3],
+        wp' = -2 k^3 (theta2 theta3 theta4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3.
+        Reducing z against (r1, r2) bounds |Im v| by -log|q|/2.
+        """
+        r1, r2 = self._reduced
+        z = mpc(z)
+        a, b = _coords(z, r1, r2)
+        z = z - mp.nint(a) * r1 - mp.nint(b) * r2
         if abs(z) < mpf(10) ** (-(self._workdps - 5)) * self._rho:
             raise CurveError("wp evaluated at a lattice point")
-        halvings = 0
-        target = self._rho * mpf("0.3")
-        while abs(z) > target:
-            z /= 2
-            halvings += 1
-        # wp = z^-2 + S(w) and wp' = -2 z^-3 + 2 z S'(w) with w = z^2 and
-        # S(w) = sum c_k w^k: one Horner pass gives S and S' together.
-        w = z * z
-        s, ds = mp.polyval(self._laurent[::-1], w, derivative=True)
-        inv = 1 / w
-        p = inv + s
-        pp = 2 * z * ds - 2 * inv / z
-        for _ in range(halvings):
-            if abs(pp) == 0:
-                raise CurveError("wp doubling passed through a branch point")
-            slope = (6 * p * p - self.g2 / 2) / pp
-            p2 = slope * slope / 4 - 2 * p
-            pp2 = -(slope * (p2 - p) + pp)
-            p, pp = p2, pp2
+        k, (t2, t3, t4) = self._k, self._theta0
+        th1, th2, th3, th4 = _theta(self._q4, k * z)
+        inv = 1 / th1
+        p = (k * t2 * t3 * th4 * inv) ** 2 + self._e3
+        pp = -2 * k * (k * t2 * t3 * t4) ** 2 * th2 * th3 * th4 * inv ** 3
         return p, pp
 
     def wp_pair(self, z) -> tuple:

@@ -1,9 +1,10 @@
 """Abel-Jacobi numerics.
 
 Oracles: adaptive quadrature for the real half-period and for the elliptic
-logarithm, Eisenstein-series round trips for the lattice, forward
-evaluation of (wp, wp') for the elliptic logarithm, and the group law for
-principal divisors (three points on a line sum to zero in C/L).
+logarithm, lattice-invariant round trips for the periods, the Laurent series
+of wp (plain O(K^2) recurrence) for (wp, wp'), forward evaluation of
+(wp, wp') for the elliptic logarithm, and the group law for principal
+divisors (three points on a line sum to zero in C/L).
 """
 
 import cmath
@@ -349,6 +350,15 @@ class TestAbelJacobi:
         with pytest.raises(CurveError, match="point coordinates must be numbers"):
             lemniscatic.aj(Divisor.of([(bad, 1), (None, -1)]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[((1, 2, 3), 1)], [((1, 2), "abc")], [(5, 1)], [None], [((1, 2), 1.5)]],
+        ids=["three_coordinates", "text_multiplicity", "point_not_a_pair", "entry_none", "float_multiplicity"],
+    )
+    def test_malformed_divisor_entry_is_curve_error(self, entries):
+        with pytest.raises(CurveError, match="divisor entry"):
+            Divisor.of(entries)
+
     def test_degree_rejected(self, lemniscatic):
         d = Divisor.of([(lemniscatic.point_from_x(mpf(2), 1), 1)])
         with pytest.raises(CurveError, match="degree 1"):
@@ -447,32 +457,48 @@ def reference_laurent(g2, g3, terms):
 
 def reference_wp_pair(c, z):
     """Termwise Laurent series of (wp, wp') near the origin."""
-    p = 1 / z ** 2 + sum(c[k] * z ** (2 * k) for k in range(1, len(c)))
-    pp = -2 / z ** 3 + sum(2 * k * c[k] * z ** (2 * k - 1) for k in range(1, len(c)))
+    p, pp, power = 1 / z ** 2, -2 / z ** 3, z  # power = z^(2k - 1)
+    for k in range(1, len(c)):
+        pp += 2 * k * c[k] * power
+        power *= z
+        p += c[k] * power
+        power *= z
     return p, pp
 
 
+def assert_wp_matches_laurent(e, radius="0.25"):
+    """(wp, wp') at |z| = radius * rho against the termwise Laurent series.
+
+    The series converges like radius^(2k) there (rho is the distance to the
+    nearest pole), so workdps / log10(radius^-2) terms and a margin reach the
+    working precision.
+    """
+    with mp.workdps(e._workdps):
+        tol = mpf(10) ** (-(e._workdps - 3))
+        radius = mpf(radius)
+        want = reference_laurent(e.g2, e.g3, int(e._workdps / -mp.log10(radius ** 2)) + 10)
+        for phase in (0, 1, 2.5, 4):
+            z = radius * e._rho * mp.expj(phase)
+            p, pp = e.wp_pair_raw(z)
+            rp, rpp = reference_wp_pair(want, z)
+            assert abs(p - rp) <= tol * abs(rp)
+            assert abs(pp - rpp) <= tol * abs(rpp)
+
+
 class TestLaurentTable:
+    """The theta-function (wp, wp') against the reference Laurent table."""
+
     @pytest.mark.parametrize("digits", [20, 40, 100])
     @pytest.mark.parametrize(
         "g2, g3", [(4, 0), (-3, 1), (0, 4), (mpc(1.5, 0.3), mpc(-2, 1)), (mpc(0, 2), 5)]
     )
     def test_table_and_wp_against_reference(self, g2, g3, digits):
-        e = EllipticCurve(g2, g3, digits=digits)
-        real = mp.im(e.g2) == 0 and mp.im(e.g3) == 0
-        with mp.workdps(e._workdps):
-            tol = mpf(10) ** (-(e._workdps - 3))
-            want = reference_laurent(e.g2, e.g3, len(e._laurent) - 1)
-            for got, ref in zip(e._laurent, want):
-                assert isinstance(got, mpf if real else mpc)
-                assert abs(got - ref) <= tol * max(1, abs(ref))
-            # Inside 0.3 rho the series is summed directly, with no doubling.
-            for phase in (0, 1, 2.5, 4):
-                z = mpf("0.25") * e._rho * mp.expj(phase)
-                p, pp = e.wp_pair_raw(z)
-                rp, rpp = reference_wp_pair(want, z)
-                assert abs(p - rp) <= tol * abs(rp)
-                assert abs(pp - rpp) <= tol * abs(rpp)
+        assert_wp_matches_laurent(EllipticCurve(g2, g3, digits=digits))
+
+    def test_wp_against_reference_at_400_digits(self):
+        # Nearer the pole the O(K^2) reference needs half the terms it needs
+        # at 0.25 rho; the theta series need as many as anywhere else.
+        assert_wp_matches_laurent(EllipticCurve(mpc(1.5, 0.3), mpc(-2, 1), digits=400), radius="0.05")
 
 
 @st.composite
@@ -512,6 +538,40 @@ def assert_lattice_and_round_trip(g2, g3, digits, a, b):
         z0 = mpf(a) * e.w1 + mpf(b) * e.w2
         z1 = e.aj(Divisor.of([(e.point_at(z0), 1), (None, -1)]))
         assert e.lattice_distance(z1 - z0) <= tol * abs(e.w1)
+
+
+class TestThetaWp:
+    @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        curve_invariants(),
+        st.sampled_from([20, 40, 100]),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+    )
+    def test_differential_equation_and_parity(self, invariants, digits, a, b):
+        e = EllipticCurve(*invariants, digits=digits)
+        with mp.workdps(e._workdps):
+            tol = mpf(10) ** (-(digits - 4))
+            z = mpf(a) * e.w1 + mpf(b) * e.w2
+            p, pp = e.wp_pair(z)
+            rhs = 4 * p ** 3 - e.g2 * p - e.g3
+            scale = max(1, abs(pp) ** 2, abs(4 * p ** 3), abs(e.g2 * p), abs(e.g3))
+            assert abs(pp ** 2 - rhs) <= tol * scale
+            pm, ppm = e.wp_pair(-z)
+            assert abs(pm - p) <= tol * max(1, abs(p))
+            assert abs(ppm + pp) <= tol * max(1, abs(pp))
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_half_periods_take_the_roots(self, g2, g3):
+        e = EllipticCurve(g2, g3, digits=30)
+        with mp.workdps(e._workdps):
+            found = []
+            for h in (e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2):
+                x, _y = e.wp_pair(h)
+                idx = min(range(3), key=lambda i: abs(e.roots[i] - x))
+                assert abs(x - e.roots[idx]) <= mpf(10) ** (-(e.digits - 3)) * max(1, abs(x))
+                found.append(idx)
+            assert sorted(found) == [0, 1, 2]
 
 
 class TestRegressionFence:
