@@ -10,6 +10,8 @@ Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
 curves get more, see ``EllipticCurve``):
 
+* roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice
+  the working precision, with no iteration;
 * periods by the arithmetic-geometric mean over C with the optimal-branch
   rule (|a - b| <= |a + b| at every step), after Cremona-Thongjunthug
   (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
@@ -24,9 +26,10 @@ curves get more, see ``EllipticCurve``):
   from c = sqrt(x - e3), c <- (c + sqrt(c^2 - a_n^2 + b_n^2))/2 (the root
   nearer c) per pair, then z = asin(M / c) / M, M = (a_N + b_N)/2.  z is
   signed so that wp'(z) = y, and one evaluation of (wp, wp') at z must
-  reproduce the point.  A branch point (e_i, 0) snaps to a half period:
-  the logarithm of e_i, rounded to w1/2, w2/2 or (w1 + w2)/2 (2 coords
-  within 10^-(digits/4) of a nonzero pair mod 2), where wp must be nearest e_i;
+  reproduce the point.  A branch point (e_i, 0) maps to its half period
+  w1/2, w2/2 or (w1 + w2)/2 without a logarithm: at set-up each root is
+  matched to the nearest of the theta values of wp at the reduced basis's
+  half periods (DLMF 23.6(i)), a match that must be one to one;
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
   23.6(i)), about sqrt(digits) terms per evaluation and no table.
 
@@ -48,17 +51,22 @@ from hfcalc.errors import CurveError
 __all__ = ["EllipticCurve", "Divisor", "periods", "lattice_invariants", "complex_agm", "carlson_rf"]
 
 _GUARD_DIGITS = 25
-MAX_DIGITS = 1000  # curve set-up: about 0.02 s at 400 digits, 0.07-0.11 s at 800
+MAX_DIGITS = 1000  # curve set-up: about 0.01-0.02 s at 400 digits, 0.05-0.07 s at 800
 
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
 
 def _numbers(values, what):
-    """The values as mpc at the current precision; CurveError if mpc rejects one."""
+    """The values as mpc at the current precision; CurveError if mpc rejects
+    one or a real or imaginary part is infinite or nan."""
     try:
-        return tuple(mpc(v) for v in values)
+        out = tuple(mpc(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise CurveError(f"{what} must be numbers: {exc}")
+    for v in out:
+        if not mp.isfinite(v):
+            raise CurveError(f"{what} must be finite numbers, got {mp.nstr(v)}")
+    return out
 
 
 def _nearer(a, b):
@@ -178,10 +186,11 @@ def _theta(q4, v):
 
 def _theta_lattice(r1, r2):
     """For a reduced basis: k = pi / r1, q^(1/4) = exp(i pi tau / 4) with
-    tau = r2 / r1, (theta2, theta3, theta4) at 0, e3 = wp(r2 / 2), g2 and g3.
+    tau = r2 / r1, (theta2, theta3, theta4) at 0, (e1, e2, e3) = wp at
+    (r1/2, (r1 + r2)/2, r2/2), g2 and g3.
 
     wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
-    and e3 = -k^2 (theta2^4 + theta3^4)/3 at the half periods (DLMF 23.6(i)),
+    and e3 = -k^2 (theta2^4 + theta3^4)/3 at those half periods (DLMF 23.6(i)),
     so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.
     """
     k = mp.pi / r1
@@ -189,7 +198,7 @@ def _theta_lattice(r1, r2):
     _zero, t2, t3, t4 = _theta(q4, mp.zero)
     s = k * k / 3
     e1, e2, e3 = s * (t3 ** 4 + t4 ** 4), s * (t2 ** 4 - t4 ** 4), -s * (t2 ** 4 + t3 ** 4)
-    return k, q4, (t2, t3, t4), e3, 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
+    return k, q4, (t2, t3, t4), (e1, e2, e3), 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
 
 
 def lattice_invariants(w1, w2):
@@ -242,6 +251,35 @@ def _coords(z, w1, w2):
     return a, b
 
 
+def _cubic_roots(g2, g3):
+    """The roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)).
+
+    x = u + g2 / (12 u) over the three cube roots u of
+    g3/8 +- sqrt(g3^2/64 - g2^3/1728), with the sign of larger modulus
+    (u = 0 only if g2 = g3 = 0).  Near a double root the roots differ by
+    about sqrt(disc), so twice the working precision keeps every working
+    digit while |disc| / scale >= 10^-digits.  Back at working precision,
+    parts below eps are chopped as ``polyroots`` chops them: a real root
+    comes out an mpf.
+    """
+    with mp.extraprec(mp.prec):
+        t, s = g3 / 8, mp.sqrt(g3 * g3 / 64 - g2 ** 3 / 1728)
+        u = mp.cbrt(t + s if abs(t + s) >= abs(t - s) else t - s)
+        omega = mpc(-0.5, mp.sqrt(3) / 2)
+        roots = [v + g2 / (12 * v) for v in (u, u * omega, u * omega.conjugate())]
+    out = []
+    for r in roots:
+        r = +r
+        if abs(r) < mp.eps:
+            r = mp.zero
+        elif abs(r.imag) < mp.eps:
+            r = r.real
+        elif abs(r.real) < mp.eps:
+            r = r.imag * 1j
+        out.append(r)
+    return out
+
+
 def _period_basis(e1, e2, e3):
     """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
     the AGM pairs of (a, b) whose last mean M gives w1 = pi / M."""
@@ -264,7 +302,12 @@ def _agm_log(pairs, e3, x):
     for a, b in pairs:
         c = (c + _nearer(c, mp.sqrt(c * c - a * a + b * b))) / 2
     m = (a + b) / 2  # the last pair's mean
-    return mp.asin(m / c) / m
+    u = m / c
+    # asin's error is absolute (about 10^-dps), so a small u (a point with
+    # large |x|) needs -mag(u) more bits to keep its relative accuracy.
+    with mp.extraprec(max(0, -mp.mag(u))):
+        s = mp.asin(u)
+    return s / m
 
 
 class EllipticCurve:
@@ -303,26 +346,34 @@ class EllipticCurve:
     # -- lattice construction ---------------------------------------------------
 
     def _sorted_roots(self):
-        try:
-            roots = mp.polyroots([mpc(4), mpc(0), -self.g2, -self.g3], maxsteps=200, extraprec=mp.prec)
-        except mp.NoConvergence:
-            raise CurveError("the roots of 4x^3 - g2 x - g3 did not converge at working precision")
+        roots = _cubic_roots(self.g2, self.g3)
         is_real = all(abs(mp.im(r)) < mpf(10) ** (-self.digits) * (1 + abs(r)) for r in roots)
         if is_real:
             roots = [mpc(mp.re(r)) for r in roots]
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
     def _compute_periods(self):
-        """Periods and AGM pairs, checked by the reduced basis's theta constants."""
+        """Periods and AGM pairs, checked by the reduced basis's theta constants,
+        and for each root the half period where wp takes it."""
         w1, w2, pairs = _period_basis(*self.roots)
-        self._reduced = _reduce_tau(w1, w2)
-        self._k, self._q4, self._theta0, self._e3, g2r, g3r = _theta_lattice(*self._reduced)
+        self._reduced = r1, r2 = _reduce_tau(w1, w2)
+        self._k, self._q4, self._theta0, theta_e, g2r, g3r = _theta_lattice(r1, r2)
+        self._e3 = theta_e[2]
         err = max(
             abs(g2r - self.g2) / max(1, abs(self.g2)),
             abs(g3r - self.g3) / max(1, abs(self.g3)),
         )
         if err >= mpf(10) ** (-(self.digits - 3)):
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
+        match = [min(range(3), key=lambda j: abs(root - theta_e[j])) for root in self.roots]
+        if sorted(match) != [0, 1, 2]:
+            raise CurveError("half periods do not separate the branch points")
+        doubled = (r1, r1 + r2, r2)  # twice the half periods where wp takes theta_e
+        self._half_periods = []
+        for j in match:
+            m, n = (int(mp.nint(c)) % 2 for c in _coords(doubled[j], w1, w2))
+            # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
+            self._half_periods.append((m * w1 + n * w2) / 2)
         return w1, w2, pairs
 
     # -- lattice bookkeeping ------------------------------------------------------
@@ -415,7 +466,13 @@ class EllipticCurve:
     # -- elliptic logarithm -----------------------------------------------------------
 
     def elliptic_log(self, pt: Point):
-        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell."""
+        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell.
+
+        z is about 1/sqrt(x) far from the origin, so a point with |x| beyond
+        about 10^(2 (workdps - 5)) / rho^2 lies within the pole's tolerance
+        and raises "wp evaluated at a lattice point" (at 40 digits x = 1e100
+        is fine, x = 1e300 is not).
+        """
         if pt is None:
             return mpc(0)
         with mp.workdps(self._workdps):
@@ -427,7 +484,7 @@ class EllipticCurve:
             if abs(y) <= tol * max(abs(x) ** mpf("1.5"), 1):
                 idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
                 if abs(self.roots[idx] - x) <= tol * scale * 10:
-                    return self.reduce_fundamental(self._half_period(idx))
+                    return self.reduce_fundamental(self._half_periods[idx])
             z = _agm_log(self._agm_pairs, self.roots[2], x)
             p, pp = self.wp_pair_raw(z)
             if abs(pp - y) > abs(pp + y):
@@ -437,32 +494,6 @@ class EllipticCurve:
             if miss > tol * size:
                 raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss / size, 8)}")
             return self.reduce_fundamental(z)
-
-    def _half_period(self, idx: int):
-        """The half period at which wp takes the value roots[idx].
-
-        The AGM logarithm of the root itself keeps about half the working
-        digits, since asin(1 - eps) = pi/2 - sqrt(2 eps) + ...; a near-singular
-        curve, whose closest roots lie about 10^-(k/2) apart with k <= digits,
-        loses at most k/4 more.  So 2 coords(z) lies within about
-        10^-(digits/4 + 12) of a half-lattice point; it must round to a
-        nonzero pair mod 2 within 10^-(digits/4), and wp at the chosen half
-        period must be nearest to roots[idx].
-        """
-        a, b = self.coords(_agm_log(self._agm_pairs, self.roots[2], self.roots[idx]))
-        m, n = mp.nint(2 * a), mp.nint(2 * b)
-        off = max(abs(2 * a - m), abs(2 * b - n))
-        m, n = int(m) % 2, int(n) % 2
-        if (m, n) == (0, 0) or off > mpf(10) ** (-mpf(self.digits) / 4):
-            raise CurveError(
-                f"logarithm of branch point {idx + 1} is no half period: 2 coords round to {(m, n)} mod 2, off by {mp.nstr(off, 8)}"
-            )
-        # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
-        h = (m * self.w1 + n * self.w2) / 2
-        x, _y = self.wp_pair_raw(h)
-        if min(range(3), key=lambda i: abs(self.roots[i] - x)) != idx:
-            raise CurveError("half periods do not separate the branch points")
-        return h
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 

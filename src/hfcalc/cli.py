@@ -227,7 +227,7 @@ def _cmd_check(args, out) -> int:
 def _parse_complex(text: str):
     try:
         return mpc(mp.mpmathify(text.strip()))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, AttributeError):  # mpmath: AttributeError on "2j+"
         raise ParseError(f"cannot parse complex number {text!r}")
 
 

@@ -1,10 +1,11 @@
 """Abel-Jacobi numerics.
 
-Oracles: adaptive quadrature for the real half-period and for the elliptic
-logarithm, lattice-invariant round trips for the periods, the Laurent series
-of wp (plain O(K^2) recurrence) for (wp, wp'), forward evaluation of
-(wp, wp') for the elliptic logarithm, and the group law for principal
-divisors (three points on a line sum to zero in C/L).
+Oracles: mpmath's Durand-Kerner ``polyroots`` for the roots, adaptive
+quadrature for the real half-period and for the elliptic logarithm,
+lattice-invariant round trips for the periods, the Laurent series of wp
+(plain O(K^2) recurrence) for (wp, wp'), forward evaluation of (wp, wp')
+for the elliptic logarithm, and the group law for principal divisors
+(three points on a line sum to zero in C/L).
 """
 
 import cmath
@@ -13,7 +14,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -158,12 +159,17 @@ class TestPeriods:
         with pytest.raises(CurveError, match="above 1000 digits"):
             EllipticCurve(4, 0, digits=abeljacobi.MAX_DIGITS + 1)
 
-    def test_root_finder_failure_is_curve_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise mp.NoConvergence("stub")
+    def test_theta_values_must_separate_the_roots(self, monkeypatch):
+        # wp at the reduced half periods names the half period of each root;
+        # two roots nearest one theta value leave a root without one.
+        theta_lattice = abeljacobi._theta_lattice
 
-        monkeypatch.setattr(mp, "polyroots", no_convergence)
-        with pytest.raises(CurveError, match="roots"):
+        def merged(r1, r2):
+            k, q4, thetas, (e1, _e2, e3), g2, g3 = theta_lattice(r1, r2)
+            return k, q4, thetas, (e1, e1, e3), g2, g3
+
+        monkeypatch.setattr(abeljacobi, "_theta_lattice", merged)
+        with pytest.raises(CurveError, match="do not separate"):
             EllipticCurve(4, 0, digits=20)
 
     def test_singular_curve_rejected(self):
@@ -279,24 +285,33 @@ class TestEllipticLog:
                 assert abs(x - root) <= mpf(10) ** (-(e.digits - 3)) * max(1, abs(root))
             assert sorted(found) == [0, 1, 2]
 
+    def test_points_far_from_the_origin(self):
+        # z is about 1/sqrt(x) there, so asin(M / c) works on a small argument
+        # and needs its relative accuracy; a 100-digit curve is the reference.
+        e, ref = EllipticCurve(4, 0, digits=40), EllipticCurve(4, 0, digits=100)
+        for x in ("1e70+1e69j", "1e100"):
+            with mp.workdps(ref._workdps):
+                pt = ref.point_from_x(mp.mpmathify(x), 1)
+                want = ref.elliptic_log(pt)
+            z = e.elliptic_log(pt)
+            with mp.workdps(e._workdps):
+                assert abs(z - want) <= mpf(10) ** -(e.digits - 3) * abs(want)
+        # |z| falls below the pole's tolerance 10^-(workdps - 5) rho.
+        with mp.workdps(e._workdps):
+            pt = e.point_from_x(mpf("1e300"), 1)
+        with pytest.raises(CurveError, match="lattice point"):
+            e.elliptic_log(pt)
+
     @pytest.mark.parametrize(
-        "patch, match",
-        [
-            ("wp", "do not separate"),  # wp at the half period names another root
-            ("lattice", "no half period"),  # the logarithm lands on the lattice
-            ("generic", "no half period"),  # the logarithm lands far from every half period
-        ],
+        "pt",
+        [(1, mpf("inf")), (mpc(1, "nan"), 0), (1e400, 2)],
+        ids=["y_inf", "x_imaginary_nan", "x_float_overflow"],
     )
-    def test_half_period_snap_checked(self, monkeypatch, patch, match):
-        e = EllipticCurve(4, 0, digits=20)
-        branch = (e.roots[0], 0)
-        if patch == "wp":
-            monkeypatch.setattr(e, "wp_pair_raw", lambda z: (e.roots[1], mpc(0)))
-        else:
-            z = e.w1 if patch == "lattice" else mpf("0.3") * e.w1 + mpf("0.2") * e.w2
-            monkeypatch.setattr(abeljacobi, "_agm_log", lambda *args: z)
-        with pytest.raises(CurveError, match=match):
-            e.elliptic_log(branch)
+    def test_non_finite_point_is_curve_error(self, lemniscatic, pt):
+        with pytest.raises(CurveError, match="must be finite"):
+            lemniscatic.elliptic_log(pt)
+        with pytest.raises(CurveError, match="must be finite"):
+            lemniscatic.aj(Divisor.of([(pt, 1), (None, -1)]))
 
 
 class TestAbelJacobi:
@@ -612,3 +627,36 @@ class TestRegressionFence:
         # Root differences lose about half the digits by which |disc| falls
         # short of its scale; the curve adds working digits to cover them.
         assert_lattice_and_round_trip(*curve_digits, a, b)
+
+
+@st.composite
+def root_cases(draw):
+    """(g2, g3, digits): a ``curve_invariants`` draw or a curve nearer the node."""
+    if draw(st.booleans()):
+        return draw(near_singular_at_cli_precision())
+    return (*draw(curve_invariants()), draw(st.sampled_from([20, 40, 100])))
+
+
+class TestCubicRoots:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(root_cases())
+    @example((4, 0, 20))  # an exact zero root and two real chops
+    @example((0, 1, 40))  # one real chop beside a conjugate pair
+    @example((0, mpc(0, -4), 40))  # x = i: the real part chopped
+    @example((mpc(0, 2), 5, 100))
+    def test_cardano_matches_polyroots(self, case):
+        # Durand-Kerner (mp.polyroots) at the precision the curve used to
+        # give it is the oracle: same roots, same chops, same types.
+        g2, g3, digits = case
+        e = EllipticCurve(g2, g3, digits=digits)
+        with mp.workdps(e._workdps):
+            got = abeljacobi._cubic_roots(e.g2, e.g3)
+            want = mp.polyroots([4, 0, -e.g2, -e.g3], maxsteps=200, extraprec=mp.prec)
+            tol = mpf(10) ** -(e._workdps - 2) * max(abs(w) for w in want)
+            match = [min(range(3), key=lambda i: abs(got[i] - w)) for w in want]
+            assert sorted(match) == [0, 1, 2]
+            for i, w in zip(match, want):
+                r = got[i]
+                assert abs(r - w) <= tol, (r, w)
+                assert type(r) is type(w), (r, w)
+                assert (r == 0) == (w == 0) and (mp.re(r) == 0) == (mp.re(w) == 0), (r, w)

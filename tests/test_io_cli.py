@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from hfcalc.abeljacobi import EllipticCurve
 from hfcalc.cli import run
@@ -373,12 +373,29 @@ class TestInputBoundary:
             z1 = mp.mpmathify(z["re"]) + 1j * mp.mpmathify(z["im"])
             assert e.lattice_distance(z1 - z0) <= mpf(10) ** -97 * abs(e.w1)
 
-    @pytest.mark.parametrize("value", ["1+2j", "abc", None, [1]], ids=repr)
+    @pytest.mark.parametrize("value", ["1+2j", "abc", None, [1], "nan", "inf", mpc(1, "-inf")], ids=repr)
     def test_curve_coefficient_rejected(self, value):
         with pytest.raises(CurveError):
             EllipticCurve(value, 0)
         with pytest.raises(CurveError):
             EllipticCurve(4, value)
+
+    @pytest.mark.parametrize(
+        "g2, g3, divisor",
+        [
+            ("1", "1", '[[["1", "inf"], 1], [null, -1]]'),  # on-curve residual inf/inf = nan
+            ("1", "1", "[[[1e400, 2], 1], [null, -1]]"),  # JSON reads 1e400 as inf
+            ("nan", "1", "[]"),
+            ("1", "inf", "[]"),
+            ("1", "2j+", "[]"),  # mpmath's parser fails with AttributeError here
+        ],
+        ids=["point_inf", "point_json_overflow", "g2_nan", "g3_inf", "g3_malformed"],
+    )
+    def test_aj_non_finite_input_process(self, g2, g3, divisor):
+        code, err = run_cli_process("aj", "--g2", g2, "--g3", g3, "--divisor", divisor)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "finite" in err or "cannot parse" in err
 
 
 NEAR_SINGULAR_G2 = (
