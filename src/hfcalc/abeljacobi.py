@@ -13,13 +13,16 @@ curves get more, see ``EllipticCurve``):
 * roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice
   the working precision, with no iteration;
 * periods by the arithmetic-geometric mean over C with the optimal-branch
-  rule (|a - b| <= |a + b| at every step), after Cremona-Thongjunthug
+  rule (|a - b| <= |a + b| at every step, tested without square roots as
+  Re(a conj(b)) >= 0), after Cremona-Thongjunthug
   (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
   a = sqrt(e1 - e3), b = sqrt(e1 - e2), c = sqrt(e2 - e3), negate b or c
   when that brings it closer to a, and set w1 = pi / M(a, b),
   w2 = pi i / M(a, c).  The theta constants of the SL_2(Z)-reduced basis,
   computed once, give g2 and g3 of the lattice, which must reproduce the
-  inputs;
+  inputs to 10^-(digits-3) s^4 and s^6, s = max(|g2|^(1/4), |g3|^(1/6)):
+  g2 and g3 have weights 4 and 6, so the check, like the singular-curve
+  test, reads the same on (l^4 g2, l^6 g3) for every scale l;
 * elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
   keeps the pairs (a_n, b_n), n = 0..N, of M(a, b), N >= 1 the first index
   with |a_N - b_N| <= 10^-(dps-3) |a_N|, and every logarithm walks them:
@@ -31,7 +34,10 @@ curves get more, see ``EllipticCurve``):
   matched to the nearest of the theta values of wp at the reduced basis's
   half periods (DLMF 23.6(i)), a match that must be one to one;
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
-  23.6(i)), about sqrt(digits) terms per evaluation and no table.
+  23.6(i)), about sqrt(digits) terms per evaluation and no table.  The
+  theta sums run in fixed point on Python integers, with guard bits that
+  follow from the terms' size bound (``_theta``), and convert back to mpc
+  once per evaluation.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -45,13 +51,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
 from hfcalc.errors import CurveError
 
 __all__ = ["EllipticCurve", "Divisor", "periods", "lattice_invariants", "complex_agm", "carlson_rf"]
 
 _GUARD_DIGITS = 25
-MAX_DIGITS = 1000  # curve set-up: about 0.01-0.02 s at 400 digits, 0.05-0.07 s at 800
+MAX_DIGITS = 1000  # curve set-up: about 0.01 s at 400 digits, 0.05 s at 800
 
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
 
@@ -70,8 +77,9 @@ def _numbers(values, what):
 
 
 def _nearer(a, b):
-    """b or -b, whichever lies closer to a (b on a tie)."""
-    return -b if abs(a - b) > abs(a + b) else b
+    """b or -b, whichever lies closer to a (b on a tie).  |a - b|^2 - |a + b|^2
+    = -4 Re(a conj(b)), so the sign test needs no square root."""
+    return -b if a.real * b.real + a.imag * b.imag < 0 else b
 
 
 def _agm_sequence(a, b):
@@ -81,7 +89,8 @@ def _agm_sequence(a, b):
     tol = mpf(10) ** (-(mp.dps - 3))
     for _ in range(mp.dps * 4 + 40):
         a, b = (a + b) / 2, mp.sqrt(a * b)
-        if abs(a - b) > abs(a + b) or (abs(a - b) == abs(a + b) and mp.im(b / a) < 0):
+        d = a.real * b.real + a.imag * b.imag  # Re(a conj(b)), as in _nearer
+        if d < 0 or (d == 0 and mp.im(b / a) < 0):
             b = -b
         pairs.append((a, b))
         if abs(a - b) <= tol * abs(a):
@@ -150,6 +159,11 @@ def _reduce_tau(w1, w2):
     raise CurveError("lattice basis reduction failed")
 
 
+def _fixed(x, wp):
+    """(Re x, Im x) as integers in units of 2^-wp; a zero part stays 0."""
+    return to_fixed(x.real._mpf_, wp), to_fixed(x.imag._mpf_, wp)
+
+
 def _theta(q4, v):
     """Jacobi theta functions (theta1, ..., theta4)(v) of the nome q = q4^4
     (DLMF 20.2(i)): sums of q^(m^2/4) sin(mv) (theta1, odd m) and
@@ -160,27 +174,61 @@ def _theta(q4, v):
     exp(-L m^2/4 + m |Im v|), L = -log|q|, so summing to
     m = 2 |Im v|/L + sqrt(4 dps log(10)/L + 1) leaves every later term
     10^-dps under the largest of its parity.
+
+    The sums run on Python integers in units of 2^-wp, wp = prec + guard,
+    each part of a complex number one integer.  Rounding there is absolute,
+    so the guard bits are 20, plus terms |Im v| / log 2 because |cos(mv)|
+    and |sin(mv)| reach exp(m |Im v|), plus -log2|v| and -log2|q4| (when
+    positive) because theta1(v) is about 2 q4 v and theta2(0) about 2 q4
+    and must keep their relative accuracy.  A zero part of q4, cos v or
+    sin v stays an exact 0, so real inputs give exactly real outputs.
     """
     big_l = float(-4 * mp.log(abs(q4)))
-    terms = int(2 * abs(float(mp.im(v))) / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
-    c, s = mp.cos_sin(v)
-    two_c = 2 * c
-    c_prev, s_prev = mp.one, mp.zero  # cos and sin of (m - 1)v; c, s of mv
-    t, step, q2 = q4, q4 ** 3, q4 * q4  # t = q^(m^2/4), step = q^((2m + 1)/4)
-    cos_sums = [mp.zero] * 4  # sum of q^(m^2/4) cos(mv) over each class of m mod 4
-    sin_sums = [mp.zero] * 4
+    im_v = abs(float(mp.im(v)))
+    terms = int(2 * im_v / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
+    guard = 20 + math.ceil(terms * im_v / math.log(2)) + max(0, -mp.mag(q4))
+    if v:
+        guard += max(0, -mp.mag(v))
+    wp = mp.prec + guard
+    with mp.extraprec(guard):
+        c, s = mp.cos_sin(v)
+    (tr, ti), (cr, ci), (sr, si) = (_fixed(x, wp) for x in (q4, c, s))
+    # t = q^(m^2/4), u = q^((2m + 1)/4), h = q^(1/2); cos and sin of mv
+    # (c, s) and of (m - 1)v (cp, sp); products shift once by wp.
+    hr, hi = (tr * tr >> wp) - (ti * ti >> wp), 2 * (tr * ti >> wp)
+    ur, ui = (hr * tr >> wp) - (hi * ti >> wp), (hr * ti >> wp) + (hi * tr >> wp)
+    two_cr, two_ci = 2 * cr, 2 * ci
+    cpr, cpi, spr, spi = 1 << wp, 0, 0, 0
+    # Sums of q^(m^2/4) cos(mv) and sin(mv) over each class of m mod 4, in
+    # units of 2^(-2 wp): the products t c and t s are not shifted.
+    cos_r, cos_i, sin_r, sin_i = [0] * 4, [0] * 4, [0] * 4, [0] * 4
     for m in range(1, terms + 1):
-        cos_sums[m % 4] += t * c
+        r = m % 4
+        cos_r[r] += tr * cr - ti * ci
+        cos_i[r] += tr * ci + ti * cr
         if m % 2:
-            sin_sums[m % 4] += t * s
-        t, step = t * step, step * q2
-        c_prev, c = c, two_c * c - c_prev
-        s_prev, s = s, two_c * s - s_prev
+            sin_r[r] += tr * sr - ti * si
+            sin_i[r] += tr * si + ti * sr
+        tr, ti = (tr * ur >> wp) - (ti * ui >> wp), (tr * ui >> wp) + (ti * ur >> wp)
+        ur, ui = (ur * hr >> wp) - (ui * hi >> wp), (ur * hi >> wp) + (ui * hr >> wp)
+        cpr, cpi, cr, ci = (
+            cr, ci, (two_cr * cr >> wp) - (two_ci * ci >> wp) - cpr, (two_cr * ci >> wp) + (two_ci * cr >> wp) - cpi
+        )
+        spr, spi, sr, si = (
+            sr, si, (two_cr * sr >> wp) - (two_ci * si >> wp) - spr, (two_cr * si >> wp) + (two_ci * sr >> wp) - spi
+        )
+    # Back to mpc once: theta = 2 (sums), or 1 + 2 (sums), in units of 2^(1 - 2 wp).
+    prec, rnd = mp._prec_rounding
+    half = 1 << (2 * wp - 1)
+
+    def out(re, im):
+        return mp.make_mpc((from_man_exp(re, 1 - 2 * wp, prec, rnd), from_man_exp(im, 1 - 2 * wp, prec, rnd)))
+
     return (
-        2 * (sin_sums[1] - sin_sums[3]),
-        2 * (cos_sums[1] + cos_sums[3]),
-        1 + 2 * (cos_sums[0] + cos_sums[2]),
-        1 + 2 * (cos_sums[0] - cos_sums[2]),
+        out(sin_r[1] - sin_r[3], sin_i[1] - sin_i[3]),
+        out(cos_r[1] + cos_r[3], cos_i[1] + cos_i[3]),
+        out(half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2]),
+        out(half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2]),
     )
 
 
@@ -314,7 +362,7 @@ class EllipticCurve:
     """y^2 = 4x^3 - g2 x - g3 with its period lattice and elliptic logarithm.
 
     The working precision is ``digits`` plus guard digits.  When |disc|
-    falls k orders of magnitude short of scale = max(|g2|^3, |g3|^2, 1),
+    falls k orders of magnitude short of scale = max(|g2|^3, |g3|^2),
     differences of nearly equal roots lose about k/2 digits, and at points
     near the node the logarithm loses about k/2 more, since dz = dx / y
     there ((wp, wp') lose under one digit, measured for k up to 80).  The
@@ -332,7 +380,7 @@ class EllipticCurve:
         with mp.workdps(self._workdps):
             self.g2, self.g3 = _numbers((g2, g3), "curve coefficients")
             disc = self.g2 ** 3 - 27 * self.g3 ** 2
-            scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2, mpf(1))
+            self._scale = scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2)
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
                 raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
             self.discriminant = disc
@@ -347,7 +395,8 @@ class EllipticCurve:
 
     def _sorted_roots(self):
         roots = _cubic_roots(self.g2, self.g3)
-        is_real = all(abs(mp.im(r)) < mpf(10) ** (-self.digits) * (1 + abs(r)) for r in roots)
+        size = max(abs(r) for r in roots)
+        is_real = all(abs(mp.im(r)) < mpf(10) ** (-self.digits) * size for r in roots)
         if is_real:
             roots = [mpc(mp.re(r)) for r in roots]
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
@@ -359,10 +408,8 @@ class EllipticCurve:
         self._reduced = r1, r2 = _reduce_tau(w1, w2)
         self._k, self._q4, self._theta0, theta_e, g2r, g3r = _theta_lattice(r1, r2)
         self._e3 = theta_e[2]
-        err = max(
-            abs(g2r - self.g2) / max(1, abs(self.g2)),
-            abs(g3r - self.g3) / max(1, abs(self.g3)),
-        )
+        # g2 and g3 have weights 4 and 6: measured on s^4 and s^6, s^12 = scale.
+        err = max(abs(g2r - self.g2) / mp.cbrt(self._scale), abs(g3r - self.g3) / mp.sqrt(self._scale))
         if err >= mpf(10) ** (-(self.digits - 3)):
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
         match = [min(range(3), key=lambda j: abs(root - theta_e[j])) for root in self.roots]
@@ -481,7 +528,7 @@ class EllipticCurve:
             tol = mpf(10) ** (-(self.digits - 3))
             scale = max(abs(x), mpf(1))
             # Branch points map to half periods.
-            if abs(y) <= tol * max(abs(x) ** mpf("1.5"), 1):
+            if abs(y) <= tol * scale * mp.sqrt(scale):  # tol max(|x|^1.5, 1)
                 idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
                 if abs(self.roots[idx] - x) <= tol * scale * 10:
                     return self.reduce_fundamental(self._half_periods[idx])

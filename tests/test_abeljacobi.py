@@ -516,6 +516,144 @@ class TestLaurentTable:
         assert_wp_matches_laurent(EllipticCurve(mpc(1.5, 0.3), mpc(-2, 1), digits=400), radius="0.05")
 
 
+def reference_theta(q4, v):
+    """The theta sums of ``_theta`` as a plain mpc loop at the current precision."""
+    big_l = float(-4 * mp.log(abs(q4)))
+    terms = int(2 * abs(float(mp.im(v))) / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
+    c, s = mp.cos_sin(v)
+    two_c = 2 * c
+    c_prev, s_prev = mp.one, mp.zero  # cos and sin of (m - 1)v; c, s of mv
+    t, step, q2 = q4, q4 ** 3, q4 * q4  # t = q^(m^2/4), step = q^((2m + 1)/4)
+    cos_sums = [mp.zero] * 4  # sum of q^(m^2/4) cos(mv) over each class of m mod 4
+    sin_sums = [mp.zero] * 4
+    for m in range(1, terms + 1):
+        cos_sums[m % 4] += t * c
+        if m % 2:
+            sin_sums[m % 4] += t * s
+        t, step = t * step, step * q2
+        c_prev, c = c, two_c * c - c_prev
+        s_prev, s = s, two_c * s - s_prev
+    return (
+        2 * (sin_sums[1] - sin_sums[3]),
+        2 * (cos_sums[1] + cos_sums[3]),
+        1 + 2 * (cos_sums[0] + cos_sums[2]),
+        1 + 2 * (cos_sums[0] - cos_sums[2]),
+    )
+
+
+@st.composite
+def theta_cases(draw):
+    """(dps, x, y, a, b, shrink): a reduced tau = x + iy with y up to 80 (|q|
+    down to about 1e-109, as for a curve whose |disc| / scale is about that
+    small), and v = pi (a + b tau) 10^-shrink with a, b in [-1/2, 1/2] (the
+    reduction bound |Im v| <= pi Im(tau) / 2) and shrink up to dps / 2."""
+    dps = draw(st.integers(20, abeljacobi.MAX_DIGITS + 25))
+    x = draw(st.floats(-0.5, 0.5))
+    y = draw(st.floats(math.sqrt(1 - x * x), 80))
+    a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    return dps, x, y, a, b, draw(st.integers(0, dps // 2))
+
+
+class TestThetaKernel:
+    """The fixed-point ``_theta`` against the plain mpc loop it replaced."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(theta_cases())
+    @example((1025, 0.0, 80.0, 0.5, 0.5, 0))  # largest |Im v| at the largest precision
+    @example((45, 0.5, math.sqrt(0.75), 0.25, 0.0, 22))  # corner of the domain, |v| = 1e-22
+    def test_kernel_matches_mpc_loop(self, case):
+        dps, x, y, a, b, shrink = case
+        # theta2, theta3, theta4 vanish at the half periods pi (a + b tau) with
+        # (a, b) = (1/2, 0), (1/2, 1/2), (0, 1/2): both sums are only absolutely
+        # accurate there, so relative errors are compared away from them.
+        if shrink == 0:
+            assume(min(abs(abs(a) - 0.5) + abs(b), abs(abs(a) - 0.5) + abs(abs(b) - 0.5), abs(a) + abs(abs(b) - 0.5)) > 1e-3)
+        with mp.workdps(dps):
+            tau = mpc(x, y)
+            q4 = mp.expj(mp.pi * tau / 4)
+            v = mp.pi * (a + b * tau) * mpf(10) ** -shrink
+            got = abeljacobi._theta(q4, v)
+            with mp.workdps(dps + 20):
+                want = reference_theta(q4, v)
+            for i, (g, w) in enumerate(zip(got, want)):
+                if w == 0:
+                    assert g == 0, i
+                else:
+                    assert abs(g - w) <= mpf(10) ** -(dps - 2) * abs(w), (i, g, w)
+
+    @pytest.mark.parametrize("dps", [20, 65, 1025])
+    def test_real_and_imaginary_inputs_keep_exact_zeros(self, dps):
+        # A real nome (tau on the imaginary axis): theta(real v) is real and
+        # theta(i y) is real but for theta1, which is purely imaginary.
+        with mp.workdps(dps):
+            q4 = mp.expj(mp.pi * mpc(0, "1.3") / 4)
+            assert q4.imag == 0
+            for v in (mp.zero, mpc("0.7", 0), mpf("1e-12"), mpc(0, "1.9"), mpc(0, "1e-12")):
+                got = abeljacobi._theta(q4, v)
+                want = reference_theta(q4, v)
+                if v.imag == 0:
+                    assert all(t.imag == 0 for t in got), v
+                else:
+                    assert got[0].real == 0 and all(t.imag == 0 for t in got[1:]), v
+                assert (got[0] == 0) == (v == 0)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= mpf(10) ** -(dps - 2) * abs(w)
+
+
+@st.composite
+def sign_cases(draw):
+    """(dps, a, b): complex a, b of any moduli, the angle between them drawn
+    near a right angle as often as away from it."""
+    dps = draw(st.integers(20, 125))
+    mags = [10 ** draw(st.floats(-8, 8)) for _ in range(2)]
+    phase = draw(st.floats(0, 2 * math.pi))
+    gap = draw(st.one_of(st.floats(0, math.pi), st.sampled_from([0.5, -0.5]).map(lambda h: math.pi * h)))
+    gap += draw(st.sampled_from([0, 1e-15, -1e-15, 1e-9]))
+    with mp.workdps(dps):
+        a = mags[0] * mp.expj(phase)
+        b = mags[1] * mp.expj(phase + gap)
+    return dps, a, b
+
+
+class TestSignTests:
+    """The sign tests compare Re(a conj(b)) with 0 instead of |a - b| with |a + b|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sign_cases())
+    def test_same_sign_as_the_moduli(self, case):
+        dps, a, b = case
+        # |a - b|^2 - |a + b|^2 = -4 Re(a conj(b)); the rounded moduli resolve
+        # that difference only when it clears eps (|a|^2 + |b|^2), which is
+        # |a| |b| up to a factor 2 when |a| and |b| are alike, as in the AGM.
+        with mp.workdps(dps):
+            margin = mpf(10) ** -(dps - 5)
+            if abs(mp.re(a * mp.conj(b))) > margin * (abs(a) ** 2 + abs(b) ** 2):
+                want = -b if abs(a - b) > abs(a + b) else b
+                assert abeljacobi._nearer(a, b) == want
+            # One AGM step from (a, b): the same rule on (a1, sqrt(a b)).
+            (a1, b1) = abeljacobi._agm_sequence(a, b)[1]
+            root = mp.sqrt(a * b)
+            assert a1 == (a + b) / 2 and b1 in (root, -root)
+            if abs(mp.re(a1 * mp.conj(root))) > margin * (abs(a1) ** 2 + abs(root) ** 2):
+                assert b1 == (-root if abs(a1 - root) > abs(a1 + root) else root)
+
+    def test_exact_ties(self):
+        for a, b in ((mpf(2), mpc(0, 3)), (mpc(1, 1), mpc(1, -1)), (mpc(0, -5), mpf("0.5"))):
+            assert abeljacobi._nearer(a, b) is b
+        # (-3, 1) steps to a1 = -1 and sqrt(-3) = i sqrt(3), a tie that the AGM
+        # breaks towards Im(b/a) > 0; from (3, -1), i sqrt(3) already has it.
+        assert abeljacobi._agm_sequence(mpf(-3), mpf(1))[1] == (-1, mpc(0, -mp.sqrt(3)))
+        assert abeljacobi._agm_sequence(mpf(3), mpf(-1))[1] == (1, mpc(0, mp.sqrt(3)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(20, 125), st.floats(-6, 6), st.floats(-6, 6))
+    def test_complex_agm_is_mp_agm_on_positive_reals(self, dps, x, y):
+        with mp.workdps(dps):
+            a, b = mpf(10) ** mpf(x), mpf(10) ** mpf(y)
+            want = mp.agm(a, b)
+            assert abs(complex_agm(a, b) - want) <= mpf(10) ** -(dps - 3) * want
+
+
 @st.composite
 def curve_invariants(draw):
     """(g2, g3) with |g2|, |g3| in 1e-3..1e4: real, complex or near-singular."""
@@ -543,6 +681,25 @@ def near_singular_at_cli_precision(draw):
         return g2, mp.sqrt(g2 ** 3 / 27) * (1 + mpf(10) ** -u), digits
 
 
+def assert_invariants_on_weights(e):
+    """lattice_invariants(w1, w2) reproduces (g2, g3) to 10^-(digits-3) of
+    s^4 and s^6, s = max(|g2|^(1/4), |g3|^(1/6)) the curve's scale."""
+    with mp.workdps(e._workdps):
+        tol = mpf(10) ** (-(e.digits - 3))
+        s = max(abs(e.g2) ** (mpf(1) / 4), abs(e.g3) ** (mpf(1) / 6))
+        g2r, g3r = lattice_invariants(e.w1, e.w2)
+        assert abs(g2r - e.g2) <= tol * s ** 4
+        assert abs(g3r - e.g3) <= tol * s ** 6
+
+
+def assert_round_trip(e, a, b):
+    """aj([point_at(z0)] - [O]) = z0 mod L for z0 = a w1 + b w2."""
+    with mp.workdps(e._workdps):
+        z0 = mpf(a) * e.w1 + mpf(b) * e.w2
+        z1 = e.aj(Divisor.of([(e.point_at(z0), 1), (None, -1)]))
+        assert e.lattice_distance(z1 - z0) <= mpf(10) ** (-(e.digits - 3)) * abs(e.w1)
+
+
 def assert_lattice_and_round_trip(g2, g3, digits, a, b):
     e = EllipticCurve(g2, g3, digits=digits)
     with mp.workdps(e._workdps):
@@ -550,9 +707,7 @@ def assert_lattice_and_round_trip(g2, g3, digits, a, b):
         g2r, g3r = lattice_invariants(e.w1, e.w2)
         assert abs(g2r - e.g2) <= tol * max(1, abs(e.g2))
         assert abs(g3r - e.g3) <= tol * max(1, abs(e.g3))
-        z0 = mpf(a) * e.w1 + mpf(b) * e.w2
-        z1 = e.aj(Divisor.of([(e.point_at(z0), 1), (None, -1)]))
-        assert e.lattice_distance(z1 - z0) <= tol * abs(e.w1)
+    assert_round_trip(e, a, b)
 
 
 class TestThetaWp:
@@ -627,6 +782,48 @@ class TestRegressionFence:
         # Root differences lose about half the digits by which |disc| falls
         # short of its scale; the curve adds working digits to cover them.
         assert_lattice_and_round_trip(*curve_digits, a, b)
+
+
+class TestCurveScale:
+    """Set-up thresholds are measured on the curve's weights, not on 1."""
+
+    @pytest.mark.parametrize(
+        "g2, g3, digits",
+        [(1e20, 1, 40), (1e40, 1, 40), (1, 1e100, 40), (mpc(0, 1e30), 1, 40), (1e-40, 1e-40, 40)],
+        ids=["g3_small_1e20", "g3_small_1e40", "g2_small", "imaginary_g2", "tiny_weights"],
+    )
+    def test_curves_far_from_unit_scale(self, g2, g3, digits):
+        # g3 << |g2|^(3/2) cancels in 4 e1 e2 e3, and (1e-40, 1e-40) has
+        # |disc| / |g3|^2 about 27: each is a valid curve on its own scale.
+        e = EllipticCurve(g2, g3, digits=digits)
+        assert_invariants_on_weights(e)
+        assert_round_trip(e, "0.31", "0.27")
+        with mp.workdps(e._workdps):
+            if mp.im(e.g2) == 0 and mp.im(e.g3) == 0:
+                # The real period 2 int_{e1}^inf dx / y, with x = e1 + t^2 and
+                # polyroots for the roots, lies in the lattice.
+                roots = mp.polyroots([4, 0, -mp.re(e.g2), -mp.re(e.g3)], maxsteps=200, extraprec=mp.prec)
+                e1 = max((r for r in roots if mp.im(r) == 0), key=mp.re)
+                d2, d3 = (e1 - r for r in roots if r is not e1)
+                half = mp.quad(lambda t: 1 / mp.sqrt((t * t + d2) * (t * t + d3)), [0, mp.sqrt(abs(d2)), mp.inf])
+                assert e.lattice_distance(2 * mp.re(half)) <= mpf(10) ** -(digits - 3) * abs(e.w1)
+
+    @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(curve_invariants(), st.sampled_from([20, 40, 100]), st.integers(-10, 10))
+    @example(invariants=(12, 4 * (1 + 1e-8)), digits=20, k=-10)  # near-singular, roots of size 1e-20
+    @example(invariants=(20.1 + 6.7j, -1.9 + 3.9j), digits=20, k=-10)  # complex roots of size 1e-20
+    def test_weight_scaling_law(self, invariants, digits, k):
+        # (g2, g3) -> (l^4 g2, l^6 g3) divides both periods by l; every
+        # threshold of the set-up is measured on the curve's own weights.
+        base = EllipticCurve(*invariants, digits=digits)
+        lam = mpf(10) ** k
+        with mp.workdps(base._workdps + 10):
+            g2, g3 = lam ** 4 * mpc(invariants[0]), lam ** 6 * mpc(invariants[1])
+        e = EllipticCurve(g2, g3, digits=digits)
+        with mp.workdps(e._workdps):
+            tol = mpf(10) ** -(digits - 3) * abs(base.w1)
+            assert abs(lam * e.w1 - base.w1) <= tol
+            assert abs(lam * e.w2 - base.w2) <= tol
 
 
 @st.composite

@@ -241,6 +241,9 @@ class TestCliCommands:
             "aj", "--g2", "3", "--g3", "1", "--divisor", "[]",
         )
         assert code == 1  # singular curve
+        code, out = run_cli("aj", "--g2", "1e20", "--g3", "1", "--divisor", "[]")
+        assert code == 0  # g3 << |g2|^(3/2): a valid curve, checked on its own scale
+        assert "w1 = (0.00003708149354602743836867700694387978453181 + 0.0j)" in out
         code, _ = run_cli(
             "compute", "--space", fixture("gm.json"), "--theory", "HZ",
             "--n", "1", "--p", "1", "--variant", "analytic",
