@@ -18,21 +18,33 @@ curves get more, see ``EllipticCurve``):
   (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
   a = sqrt(e1 - e3), b = sqrt(e1 - e2), c = sqrt(e2 - e3), negate b or c
   when that brings it closer to a, and set w1 = pi / M(a, b),
-  w2 = pi i / M(a, c).  The theta constants of the SL_2(Z)-reduced basis,
-  computed once, give g2 and g3 of the lattice, which must reproduce the
-  inputs to 10^-(digits-3) s^4 and s^6, s = max(|g2|^(1/4), |g3|^(1/6)):
-  g2 and g3 have weights 4 and 6, so the check, like the singular-curve
-  test, reads the same on (l^4 g2, l^6 g3) for every scale l;
+  w2 = pi i / M(a, c).  The AGM runs in fixed point on Python integers
+  (``_agm_sequence``), each part of a_n and b_n one integer in units of
+  2^(e - wp), e = max(mag a, mag b), with wp = prec + 30 + |mag a - mag b|
+  bits so that the smaller of a and b keeps its relative accuracy; square
+  roots are ``math.isqrt``, conversion and halving truncate towards 0, so a
+  conjugate pair steps to exactly real pairs, and the sign test and the stop
+  rule are exact integer comparisons.  The theta constants of the
+  SL_2(Z)-reduced basis, computed once, give g2 and g3 of the lattice, which
+  must reproduce the inputs to 10^-(digits-3) s^4 and s^6,
+  s = max(|g2|^(1/4), |g3|^(1/6)): g2 and g3 have weights 4 and 6, so the
+  check, like the singular-curve test, reads the same on (l^4 g2, l^6 g3)
+  for every scale l;
 * elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
-  keeps the pairs (a_n, b_n), n = 0..N, of M(a, b), N >= 1 the first index
-  with |a_N - b_N| <= 10^-(dps-3) |a_N|, and every logarithm walks them:
-  from c = sqrt(x - e3), c <- (c + sqrt(c^2 - a_n^2 + b_n^2))/2 (the root
-  nearer c) per pair, then z = asin(M / c) / M, M = (a_N + b_N)/2.  z is
-  signed so that wp'(z) = y, and one evaluation of (wp, wp') at z must
-  reproduce the point.  A branch point (e_i, 0) maps to its half period
-  w1/2, w2/2 or (w1 + w2)/2 without a logarithm: at set-up each root is
-  matched to the nearest of the theta values of wp at the reduced basis's
-  half periods (DLMF 23.6(i)), a match that must be one to one;
+  keeps d_n = a_n^2 - b_n^2, n = 1..N, of the pairs of M(a, b), N >= 1 the
+  first index with |a_N - b_N| <= 10^-(dps-3) |a_N|, and the mean
+  M = (a_N + b_N)/2, and every logarithm walks them: from c = sqrt(x - e3),
+  c <- (c + s)/2 with s the root of c^2 - a_n^2 + b_n^2 nearer c, per pair,
+  then z = asin(M / c) / M.  The step of pair 0 takes s = sqrt(x - e2) in
+  mpc, the same number by exact algebra, so a real point on a real curve
+  with e2 = conj(e3) gets an exactly real c; the other steps run on
+  integers in the AGM's units.  z is signed so that wp'(z) = y, and one
+  evaluation of (wp, wp') at z must reproduce the point to 10^-(digits-3)
+  of max(|x|, s^2) and max(|y|, s^3), x and y having weights 2 and 3.  A
+  branch point (e_i, 0) maps to its half period w1/2, w2/2 or (w1 + w2)/2
+  without a logarithm: at set-up each root is matched to the nearest of the
+  theta values of wp at the reduced basis's half periods (DLMF 23.6(i)), a
+  match that must be one to one;
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
   23.6(i)), about sqrt(digits) terms per evaluation and no table.  The
   theta sums run in fixed point on Python integers, with guard bits that
@@ -51,7 +63,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from hfcalc.errors import CurveError
 
@@ -82,20 +94,74 @@ def _nearer(a, b):
     return -b if a.real * b.real + a.imag * b.imag < 0 else b
 
 
+def _fixed(x, wp):
+    """(Re x, Im x) as integers in units of 2^-wp, truncated towards 0, so
+    that -x and conj(x) give exactly the negated parts; a zero part stays 0."""
+    return to_int(mpf_shift(x.real._mpf_, wp)), to_int(mpf_shift(x.imag._mpf_, wp))
+
+
+def _unfixed(re, im, exp):
+    """The mpc (re + i im) 2^exp, rounded once to the current precision."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
+
+
+def _half(n):
+    """n / 2 truncated towards 0, so that -n halves to exactly the negation."""
+    return (n + (n < 0)) >> 1
+
+
+def _csqrt(re, im):
+    """Principal square root of re + i im, integers in units of 2^(2k), as
+    integers in units of 2^k.  The part that carries at least half the
+    modulus is an isqrt, the other |im| over twice it, rounded to nearest;
+    so im = 0 gives an exact 0 part and (re, -im) exactly the conjugate."""
+    m = math.isqrt(re * re + im * im)
+    if re >= 0:
+        r = math.isqrt((m + re) >> 1)
+        if not r:
+            return 0, 0
+        q = (abs(im) + r) // (2 * r)
+        return r, (q if im >= 0 else -q)
+    t = math.isqrt((m - re) >> 1)
+    return (abs(im) + t) // (2 * t), (t if im >= 0 else -t)
+
+
 def _agm_sequence(a, b):
     """The AGM pairs (a_0, b_0), ..., (a_N, b_N) of ``complex_agm``, with N >= 1
-    the first index where |a_N - b_N| <= 10^-(dps-3) |a_N|."""
-    pairs = [(a, b)]
-    tol = mpf(10) ** (-(mp.dps - 3))
+    the first index where |a_N - b_N| <= 10^-(dps-3) |a_N|, as (unit, pairs):
+    each pair is the integers (Re a_n, Im a_n, Re b_n, Im b_n) in units of
+    2^unit.
+
+    Every a_n and b_n is at most 2^e, e = max(mag a, mag b), so unit =
+    e - wp with wp = prec + 30 + |mag a - mag b| guard bits: rounding is
+    absolute, and the smaller of a and b keeps its relative accuracy.
+    Conversion and halving truncate towards 0 and ``_csqrt`` is
+    conjugate-symmetric, so a conjugate pair b = conj(a) steps to exactly
+    real pairs.  The sign test and the stop rule are exact integer
+    comparisons.
+    """
+    mag_a, mag_b = mp.mag(a), mp.mag(b)
+    unit = max(mag_a, mag_b) - mp.prec - 30 - abs(mag_a - mag_b)
+    (ar, ai), (br, bi) = _fixed(a, -unit), _fixed(b, -unit)
+    pairs = [(ar, ai, br, bi)]
+    inv_tol2 = 10 ** (2 * (mp.dps - 3))
     for _ in range(mp.dps * 4 + 40):
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        d = a.real * b.real + a.imag * b.imag  # Re(a conj(b)), as in _nearer
-        if d < 0 or (d == 0 and mp.im(b / a) < 0):
-            b = -b
-        pairs.append((a, b))
-        if abs(a - b) <= tol * abs(a):
-            return pairs
+        (br, bi), ar, ai = _csqrt(ar * br - ai * bi, ar * bi + ai * br), _half(ar + br), _half(ai + bi)
+        d = ar * br + ai * bi  # Re(a conj(b)), as in _nearer
+        if d < 0 or (d == 0 and ar * bi - ai * br < 0):  # ties towards Im(b/a) > 0
+            br, bi = -br, -bi
+        pairs.append((ar, ai, br, bi))
+        dr, di = ar - br, ai - bi
+        if (dr * dr + di * di) * inv_tol2 <= ar * ar + ai * ai:
+            return unit, pairs
     raise CurveError("complex AGM failed to converge")
+
+
+def _agm_mean(unit, pair):
+    """(a_n + b_n)/2 of an integer pair of ``_agm_sequence``, rounded once."""
+    ar, ai, br, bi = pair
+    return _unfixed(ar + br, ai + bi, unit - 1)
 
 
 def complex_agm(a, b):
@@ -108,8 +174,15 @@ def complex_agm(a, b):
     a, b = mpc(a), mpc(b)
     if a == 0 or b == 0:
         return mp.zero
-    a, b = _agm_sequence(a, b)[-1]
-    return (a + b) / 2
+    unit, pairs = _agm_sequence(a, b)
+    return _agm_mean(unit, pairs[-1])
+
+
+def _log_walk(unit, pairs):
+    """What the elliptic logarithm keeps of the AGM ``pairs``: unit,
+    d_n = a_n^2 - b_n^2 for n = 1..N in units of 2^(2 unit), and the mean M."""
+    ds = [(ar * ar - ai * ai - br * br + bi * bi, 2 * (ar * ai - br * bi)) for ar, ai, br, bi in pairs[1:]]
+    return unit, ds, _agm_mean(unit, pairs[-1])
 
 
 def carlson_rf(x, y, z):
@@ -157,11 +230,6 @@ def _reduce_tau(w1, w2):
             continue
         return w1, w2
     raise CurveError("lattice basis reduction failed")
-
-
-def _fixed(x, wp):
-    """(Re x, Im x) as integers in units of 2^-wp; a zero part stays 0."""
-    return to_fixed(x.real._mpf_, wp), to_fixed(x.imag._mpf_, wp)
 
 
 def _theta(q4, v):
@@ -218,17 +286,12 @@ def _theta(q4, v):
             sr, si, (two_cr * sr >> wp) - (two_ci * si >> wp) - spr, (two_cr * si >> wp) + (two_ci * sr >> wp) - spi
         )
     # Back to mpc once: theta = 2 (sums), or 1 + 2 (sums), in units of 2^(1 - 2 wp).
-    prec, rnd = mp._prec_rounding
-    half = 1 << (2 * wp - 1)
-
-    def out(re, im):
-        return mp.make_mpc((from_man_exp(re, 1 - 2 * wp, prec, rnd), from_man_exp(im, 1 - 2 * wp, prec, rnd)))
-
+    half, exp = 1 << (2 * wp - 1), 1 - 2 * wp
     return (
-        out(sin_r[1] - sin_r[3], sin_i[1] - sin_i[3]),
-        out(cos_r[1] + cos_r[3], cos_i[1] + cos_i[3]),
-        out(half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2]),
-        out(half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2]),
+        _unfixed(sin_r[1] - sin_r[3], sin_i[1] - sin_i[3], exp),
+        _unfixed(cos_r[1] + cos_r[3], cos_i[1] + cos_i[3], exp),
+        _unfixed(half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2], exp),
+        _unfixed(half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2], exp),
     )
 
 
@@ -330,27 +393,37 @@ def _cubic_roots(g2, g3):
 
 def _period_basis(e1, e2, e3):
     """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
-    the AGM pairs of (a, b) whose last mean M gives w1 = pi / M."""
+    the ``_log_walk`` of the AGM of (a, b) whose mean M gives w1 = pi / M."""
     a = mp.sqrt(e1 - e3)
     b, c = _nearer(a, mp.sqrt(e1 - e2)), _nearer(a, mp.sqrt(e2 - e3))
-    pairs = _agm_sequence(a, b)
-    an, bn = pairs[-1]
-    w1 = mp.pi / ((an + bn) / 2)
+    walk = _log_walk(*_agm_sequence(a, b))
+    w1 = mp.pi / walk[2]  # the mean M
     w2 = mp.pi * 1j / complex_agm(a, c)
     if mp.im(w2 / w1) < 0:
         w2 = -w2
-    return w1, w2, pairs
+    return w1, w2, walk
 
 
-def _agm_log(pairs, e3, x):
+def _agm_log(walk, e2, e3, x):
     """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
-    and the lattice.  ``pairs`` come from ``_period_basis`` of the roots
-    e1, e2, e3: c starts at sqrt(x - e3) and takes one step per pair."""
+    and the lattice.  ``walk`` comes from ``_period_basis`` of the roots
+    e1, e2, e3: c starts at sqrt(x - e3) and takes one step
+    c <- (c + sqrt(c^2 - d_n))/2, the root nearer c, per pair.
+
+    The step of pair 0 is exact algebra in mpc: c^2 - a_0^2 + b_0^2 =
+    (x - e3) - (e1 - e3) + (e1 - e2) = x - e2, so a real x on a real curve
+    with e2 = conj(e3) gives c an exact 0 part.  The other steps run on
+    integers in the AGM's units."""
+    unit, ds, m = walk
     c = mp.sqrt(x - e3)
-    for a, b in pairs:
-        c = (c + _nearer(c, mp.sqrt(c * c - a * a + b * b))) / 2
-    m = (a + b) / 2  # the last pair's mean
-    u = m / c
+    c = (c + _nearer(c, mp.sqrt(x - e2))) / 2
+    cr, ci = _fixed(c, -unit)
+    for dr, di in ds:
+        sr, si = _csqrt(cr * cr - ci * ci - dr, 2 * cr * ci - di)
+        if cr * sr + ci * si < 0:  # the root nearer c, as in _nearer
+            sr, si = -sr, -si
+        cr, ci = _half(cr + sr), _half(ci + si)
+    u = m / _unfixed(cr, ci, unit)
     # asin's error is absolute (about 10^-dps), so a small u (a point with
     # large |x|) needs -mag(u) more bits to keep its relative accuracy.
     with mp.extraprec(max(0, -mp.mag(u))):
@@ -380,14 +453,18 @@ class EllipticCurve:
         with mp.workdps(self._workdps):
             self.g2, self.g3 = _numbers((g2, g3), "curve coefficients")
             disc = self.g2 ** 3 - 27 * self.g3 ** 2
-            self._scale = scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2)
+            scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2)
+            # The curve's size s = scale^(1/12) on the weights of x and y:
+            # g2 ~ s^4, g3 ~ s^6, x ~ s^2, y ~ s^3.
+            s = mp.root(scale, 12)
+            self._s2, self._s3 = s * s, s * s * s
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
                 raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
             self.discriminant = disc
             self._workdps += max(0, int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20)
         with mp.workdps(self._workdps):
             self.roots = self._sorted_roots()
-            self.w1, self.w2, self._agm_pairs = self._compute_periods()
+            self.w1, self.w2, self._walk = self._compute_periods()
             self.tau = self.w2 / self.w1
             self._rho = abs(self._reduced[0])  # a reduced basis starts with a shortest vector
 
@@ -402,14 +479,14 @@ class EllipticCurve:
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
     def _compute_periods(self):
-        """Periods and AGM pairs, checked by the reduced basis's theta constants,
-        and for each root the half period where wp takes it."""
-        w1, w2, pairs = _period_basis(*self.roots)
+        """Periods and the logarithm's AGM walk, checked by the reduced basis's
+        theta constants, and for each root the half period where wp takes it."""
+        w1, w2, walk = _period_basis(*self.roots)
         self._reduced = r1, r2 = _reduce_tau(w1, w2)
         self._k, self._q4, self._theta0, theta_e, g2r, g3r = _theta_lattice(r1, r2)
         self._e3 = theta_e[2]
-        # g2 and g3 have weights 4 and 6: measured on s^4 and s^6, s^12 = scale.
-        err = max(abs(g2r - self.g2) / mp.cbrt(self._scale), abs(g3r - self.g3) / mp.sqrt(self._scale))
+        # g2 and g3 have weights 4 and 6: measured on s^4 and s^6.
+        err = max(abs(g2r - self.g2) / self._s2 ** 2, abs(g3r - self.g3) / self._s3 ** 2)
         if err >= mpf(10) ** (-(self.digits - 3)):
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
         match = [min(range(3), key=lambda j: abs(root - theta_e[j])) for root in self.roots]
@@ -421,7 +498,7 @@ class EllipticCurve:
             m, n = (int(mp.nint(c)) % 2 for c in _coords(doubled[j], w1, w2))
             # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
             self._half_periods.append((m * w1 + n * w2) / 2)
-        return w1, w2, pairs
+        return w1, w2, walk
 
     # -- lattice bookkeeping ------------------------------------------------------
 
@@ -438,13 +515,19 @@ class EllipticCurve:
     def reduce_fundamental(self, z):
         """Representative with z = a w1 + b w2, a, b in [0, 1)."""
         with mp.workdps(self._workdps):
-            a, b = self.coords(z)
-            return (a - mp.floor(a)) * self.w1 + (b - mp.floor(b)) * self.w2
+            a, b = self.frac_coords(z)
+            return a * self.w1 + b * self.w2
 
     def frac_coords(self, z) -> tuple:
+        """(a, b) mod 1, in [0, 1), with z = a w1 + b w2.  Solving for a and b
+        rounds relative to the larger of them, so a coordinate within
+        10^-digits max(|a|, |b|) of an integer is that integer: guard-digit
+        noise reads 0, not 1e-127 or 1 - 1e-127, while a small z keeps its
+        small coordinates."""
         with mp.workdps(self._workdps):
             a, b = self.coords(z)
-            return a - mp.floor(a), b - mp.floor(b)
+            tol = mpf(10) ** -self.digits * max(abs(a), abs(b))
+            return tuple(mp.zero if abs(c - mp.nint(c)) <= tol else c - mp.floor(c) for c in (a, b))
 
     def lattice_distance(self, z) -> mpf:
         with mp.workdps(self._workdps):
@@ -492,8 +575,8 @@ class EllipticCurve:
             x, y = _numbers(pt, "point coordinates")
             lhs = y ** 2
             rhs = 4 * x ** 3 - self.g2 * x - self.g3
-            scale = max(abs(lhs), abs(rhs), mpf(1))
-            return abs(lhs - rhs) / scale
+            # Both sides have weight 6: measured on s^6, not on 1.
+            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), self._s3 * self._s3)
 
     def require_on_curve(self, pt: Point) -> None:
         res = self.on_curve_residual(pt)
@@ -526,20 +609,20 @@ class EllipticCurve:
             x, y = pt = _numbers(pt, "point coordinates")
             self.require_on_curve(pt)
             tol = mpf(10) ** (-(self.digits - 3))
-            scale = max(abs(x), mpf(1))
+            # x has weight 2 and y weight 3: sizes on the curve's s, not on 1.
+            size_x, size_y = max(abs(x), self._s2), max(abs(y), self._s3)
             # Branch points map to half periods.
-            if abs(y) <= tol * scale * mp.sqrt(scale):  # tol max(|x|^1.5, 1)
+            if abs(y) <= tol * size_x * mp.sqrt(size_x):
                 idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
-                if abs(self.roots[idx] - x) <= tol * scale * 10:
+                if abs(self.roots[idx] - x) <= tol * size_x * 10:
                     return self.reduce_fundamental(self._half_periods[idx])
-            z = _agm_log(self._agm_pairs, self.roots[2], x)
+            z = _agm_log(self._walk, self.roots[1], self.roots[2], x)
             p, pp = self.wp_pair_raw(z)
             if abs(pp - y) > abs(pp + y):
                 z, pp = -z, -pp
-            size = max(abs(x), abs(y), mpf(1))
-            miss = max(abs(p - x), abs(pp - y))
-            if miss > tol * size:
-                raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss / size, 8)}")
+            miss = max(abs(p - x) / size_x, abs(pp - y) / size_y)
+            if miss > tol:
+                raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss, 8)}")
             return self.reduce_fundamental(z)
 
     # -- Abel-Jacobi ------------------------------------------------------------------

@@ -76,6 +76,18 @@ def log_by_quadrature(e, x, y):
     return head + tail
 
 
+def curve_agm_start(e):
+    """(a, b) of the curve's AGM M(a, b), as ``_period_basis`` starts it."""
+    e1, e2, e3 = e.roots
+    a = mp.sqrt(e1 - e3)
+    return a, abeljacobi._nearer(a, mp.sqrt(e1 - e2))
+
+
+def agm_values(unit, pairs):
+    """The integer pairs of ``_agm_sequence`` as mpc pairs (a_n, b_n)."""
+    return [(abeljacobi._unfixed(ar, ai, unit), abeljacobi._unfixed(br, bi, unit)) for ar, ai, br, bi in pairs]
+
+
 def chord_third_point(curve_, p, q):
     """Third intersection of the line through p and q with the curve."""
     m = (q[1] - p[1]) / (q[0] - p[0])
@@ -146,14 +158,21 @@ class TestPeriods:
 
     @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
     def test_stored_agm_pairs_give_w1(self, g2, g3):
-        # The curve runs its (a, b) AGM once; the logarithm walks these pairs.
+        # The curve runs its (a, b) AGM once; the logarithm walks its pairs
+        # n = 1..N through d_n = a_n^2 - b_n^2, which the curve stores.
         e = EllipticCurve(g2, g3, digits=30)
         with mp.workdps(e._workdps):
-            (a0, b0), (an, bn) = e._agm_pairs[0], e._agm_pairs[-1]
-            m = (an + bn) / 2
+            a, b = curve_agm_start(e)
+            unit, pairs = abeljacobi._agm_sequence(a, b)
+            walk_unit, ds, m = e._walk
+            (an, bn), = agm_values(unit, pairs[-1:])
+            assert walk_unit == unit and m == (an + bn) / 2
             assert e.w1 == mp.pi / m
-            assert complex_agm(a0, b0) == m
-            assert len(e._agm_pairs) >= 2
+            assert complex_agm(a, b) == m
+            assert len(ds) == len(pairs) - 1 >= 1
+            for (dr, di), (an, bn) in zip(ds, agm_values(unit, pairs[1:])):
+                d = abeljacobi._unfixed(dr, di, 2 * unit)
+                assert abs(d - (an * an - bn * bn)) <= mpf(10) ** -(e._workdps - 3) * abs(an) ** 2
 
     def test_hostile_precision_rejected(self):
         with pytest.raises(CurveError, match="above 1000 digits"):
@@ -254,13 +273,15 @@ class TestEllipticLog:
         e = EllipticCurve(g2, g3, digits=30)
         with mp.workdps(e._workdps):
             floor = mpf(10) ** (-(e._workdps - 5))
+            unit, pairs = abeljacobi._agm_sequence(*curve_agm_start(e))
             for u, v in (("0.21", "0.37"), ("0.05", "0.9")):
                 x, _y = e.point_at(mpf(u) * e.w1 + mpf(v) * e.w2)
                 zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
-                for k in range(1, len(e._agm_pairs)):
-                    a, b = e._agm_pairs[k]
+                for k in range(1, len(pairs)):
+                    (a, b), = agm_values(unit, pairs[k : k + 1])
                     r = abs(a - b) / abs(a)
-                    z = abeljacobi._agm_log(e._agm_pairs[: k + 1], e.roots[2], x)
+                    walk = abeljacobi._log_walk(unit, pairs[: k + 1])
+                    z = abeljacobi._agm_log(walk, e.roots[1], e.roots[2], x)
                     d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr)) / abs(e.w1)
                     assert d <= r ** mpf("1.5") + floor, (u, v, k)
 
@@ -391,6 +412,23 @@ class TestAbelJacobi:
 
 
 class TestEdgeCases:
+    def test_coordinates_snap_to_integers(self):
+        # z lies on the imaginary axis with w2, so its coordinate a is 0; the
+        # computed a is guard-digit noise, about 3e-127, and prints as 0.
+        e = EllipticCurve(mpf("-0.858960721707243"), mpf("-9.917354271135034"), digits=100)
+        with mp.workdps(130):
+            x = mpf("-1.9771763063479823839961614257160494393829885810266")
+            y = mp.sqrt(4 * x ** 3 - e.g2 * x - e.g3)
+        z = e.aj(Divisor.of([((x, y), 1), (None, -1)]))
+        a, b = e.frac_coords(z)
+        assert a == 0 and z.real == 0 and 0 < b < 1
+        with mp.workdps(e._workdps):
+            # a = 1 - 1e-110 is 1, so 0 mod 1; a small z keeps its coordinates.
+            cases = ((mpf(1 - mpf("1e-110")) * e.w1 + e.w2 / 3, 0), (mpf("1e-90") * e.w1, mpf("1e-90")))
+            for z, want in cases:
+                a, _b = e.frac_coords(z)
+                assert abs(a - want) <= mpf(10) ** -(e._workdps - 2) * abs(want) if want else a == 0
+
     def test_near_two_torsion_recovery(self, lemniscatic):
         # wp' is tiny near half periods; the elliptic logarithm must still
         # invert the parametrization well inside the contract.
@@ -600,6 +638,112 @@ class TestThetaKernel:
                     assert abs(g - w) <= mpf(10) ** -(dps - 2) * abs(w)
 
 
+def reference_agm_sequence(a, b):
+    """The AGM pairs of ``_agm_sequence`` as the plain mpc loop it replaced."""
+    pairs = [(a, b)]
+    tol = mpf(10) ** (-(mp.dps - 3))
+    for _ in range(mp.dps * 4 + 40):
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+        d = a.real * b.real + a.imag * b.imag
+        if d < 0 or (d == 0 and mp.im(b / a) < 0):
+            b = -b
+        pairs.append((a, b))
+        if abs(a - b) <= tol * abs(a):
+            return pairs
+    raise AssertionError("reference AGM failed to converge")
+
+
+def reference_agm_log(pairs, e3, x):
+    """``_agm_log`` as the plain mpc walk it replaced: from c = sqrt(x - e3),
+    c <- (c + sqrt(c^2 - a_n^2 + b_n^2))/2 (the root nearer c) per pair."""
+    c = mp.sqrt(x - e3)
+    for a, b in pairs:
+        c = (c + abeljacobi._nearer(c, mp.sqrt(c * c - a * a + b * b))) / 2
+    m = (a + b) / 2
+    u = m / c
+    with mp.extraprec(max(0, -mp.mag(u))):
+        return mp.asin(u) / m
+
+
+@st.composite
+def agm_cases(draw):
+    """(dps, a, b, e1, x): |a| in 1e-8..1e8, |b| / |a| in 1e-12..1, the angle
+    between them under 0.45 pi (``_period_basis`` makes Re(a conj(b)) >= 0),
+    either of them the smaller; roots e1, e2 = e1 - b^2, e3 = e1 - a^2 and a
+    point x = e1 + t h^2, h the larger of a and b, with |t| in 0.1..1e12.  A
+    small ratio puts two roots close together, a curve near its node, where
+    the logarithm of points near the node is ill-conditioned (dz = dx / y),
+    so x keeps to the scale of h."""
+    dps = draw(st.integers(20, abeljacobi.MAX_DIGITS + 25))
+    angle = draw(st.floats(0, 2 * math.pi))
+    size, ratio = draw(st.floats(-8, 8)), draw(st.floats(-12, 0))
+    with mp.workdps(dps):
+        a = mpf(10) ** size * mp.expj(angle)
+        b = a * mpf(10) ** ratio * mp.expj(draw(st.floats(-0.45, 0.45)) * mp.pi)
+        if draw(st.booleans()):
+            a, b = b, a
+        h2 = max(abs(a), abs(b)) ** 2
+        e1 = h2 * mpc(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+        t = mpf(10) ** draw(st.floats(-1, 12)) * mp.expj(draw(st.floats(0, 2 * math.pi)))
+        return dps, a, b, e1, e1 + t * h2
+
+
+class TestAgmKernel:
+    """The fixed-point AGM and logarithm walk against the mpc loops they replaced."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(agm_cases())
+    @example((1025, mpc(1, 0), mpc("1e-12", "1e-13"), mpc("0.5", "0.3"), mpc(3, 2)))
+    @example((20, mpc("1e-12", 0), mpc(0, 1), mpc(2, 0), mpc("1e12", 1)))
+    def test_pairs_mean_and_log_match_mpc_loops(self, case):
+        dps, a, b, e1, x = case
+        with mp.workdps(dps):
+            e2, e3 = e1 - b * b, e1 - a * a
+            tol = mpf(10) ** -(dps - 3)
+            unit, pairs = abeljacobi._agm_sequence(a, b)
+            want = reference_agm_sequence(a, b)
+            assert len(pairs) == len(want)
+            for (ga, gb), (wa, wb) in zip(agm_values(unit, pairs), want):
+                assert abs(ga - wa) <= tol * abs(wa) and abs(gb - wb) <= tol * abs(wb)
+            walk = abeljacobi._log_walk(unit, pairs)
+            z, zr = abeljacobi._agm_log(walk, e2, e3, x), reference_agm_log(want, e3, x)
+            assert abs(z - zr) <= tol * max(abs(zr), 1 / abs(walk[2]))
+            with mp.workdps(dps + 10):
+                want = reference_agm_sequence(a, b)
+                m = (want[-1][0] + want[-1][1]) / 2
+            assert abs(walk[2] - m) <= tol * abs(m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(20, 400), st.floats(-8, 8), st.floats(0, 2 * math.pi), st.booleans())
+    @example(65, 0.0, math.pi / 4, True)
+    def test_conjugate_pair_steps_to_exact_axis(self, dps, size, angle, negate):
+        # b = conj(a) steps to exactly real pairs, b = -conj(a) to exactly
+        # imaginary ones: the integers of b are those of a, negated exactly.
+        with mp.workdps(dps):
+            a = mpf(10) ** size * mp.expj(angle)
+            b = -mp.conj(a) if negate else mp.conj(a)
+            _unit, pairs = abeljacobi._agm_sequence(a, b)
+            for ar, ai, br, bi in pairs[1:]:
+                assert (ar, br) == (0, 0) if negate else (ai, bi) == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2 ** 300), 2 ** 300), st.integers(-(2 ** 300), 2 ** 300))
+    @example(0, 0)
+    @example(-(4 ** 50), 0)
+    @example(4 ** 50, 0)
+    @example(1, 1)
+    def test_csqrt(self, re, im):
+        r, i = abeljacobi._csqrt(re, im)
+        assert r >= 0
+        if im:
+            assert abeljacobi._csqrt(re, -im) == (r, -i)
+        else:  # an exact 0 part: sqrt of a real is real, or i sqrt(-re)
+            assert i == 0 if re >= 0 else r == 0
+        # (r + i j)^2 = re + im j to the rounding of one unit of the root.
+        size = math.isqrt(abs(re) + abs(im)) + 1
+        assert abs(r * r - i * i - re) <= 4 * size and abs(2 * r * i - im) <= 4 * size
+
+
 @st.composite
 def sign_cases(draw):
     """(dps, a, b): complex a, b of any moduli, the angle between them drawn
@@ -630,20 +774,26 @@ class TestSignTests:
             if abs(mp.re(a * mp.conj(b))) > margin * (abs(a) ** 2 + abs(b) ** 2):
                 want = -b if abs(a - b) > abs(a + b) else b
                 assert abeljacobi._nearer(a, b) == want
-            # One AGM step from (a, b): the same rule on (a1, sqrt(a b)).
-            (a1, b1) = abeljacobi._agm_sequence(a, b)[1]
-            root = mp.sqrt(a * b)
-            assert a1 == (a + b) / 2 and b1 in (root, -root)
+            # One AGM step from (a, b): the same rule on (a1, sqrt(a b)).  The
+            # integer pair holds a1 and b1 to 2^unit, the AGM's rounding unit.
+            unit, pairs = abeljacobi._agm_sequence(a, b)
+            (a1, b1), = agm_values(unit, pairs[1:2])
+            root, ulp = mp.sqrt(a * b), mpf(2) ** (unit + 1)
+            assert abs(a1 - (a + b) / 2) <= ulp + mp.eps * abs(a1)
+            assert min(abs(b1 - root), abs(b1 + root)) <= ulp + mp.eps * abs(root)
             if abs(mp.re(a1 * mp.conj(root))) > margin * (abs(a1) ** 2 + abs(root) ** 2):
-                assert b1 == (-root if abs(a1 - root) > abs(a1 + root) else root)
+                want = -root if abs(a1 - root) > abs(a1 + root) else root
+                assert abs(b1 - want) < abs(b1 + want)
 
     def test_exact_ties(self):
         for a, b in ((mpf(2), mpc(0, 3)), (mpc(1, 1), mpc(1, -1)), (mpc(0, -5), mpf("0.5"))):
             assert abeljacobi._nearer(a, b) is b
         # (-3, 1) steps to a1 = -1 and sqrt(-3) = i sqrt(3), a tie that the AGM
         # breaks towards Im(b/a) > 0; from (3, -1), i sqrt(3) already has it.
-        assert abeljacobi._agm_sequence(mpf(-3), mpf(1))[1] == (-1, mpc(0, -mp.sqrt(3)))
-        assert abeljacobi._agm_sequence(mpf(3), mpf(-1))[1] == (1, mpc(0, mp.sqrt(3)))
+        # The integer pairs keep the exact 0 parts.
+        for a, b, sign in ((-3, 1, -1), (3, -1, 1)):
+            unit, pairs = abeljacobi._agm_sequence(mpf(a), mpf(b))
+            assert pairs[1] == (sign << -unit, 0, 0, sign * math.isqrt(3 << (-2 * unit)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(20, 125), st.floats(-6, 6), st.floats(-6, 6))
@@ -771,7 +921,7 @@ class TestRegressionFence:
         e = EllipticCurve(*invariants, digits=digits)
         with mp.workdps(e._workdps):
             x, _y = e.point_at(mpf(a) * e.w1 + mpf(b) * e.w2)
-            z = abeljacobi._agm_log(e._agm_pairs, e.roots[2], x)
+            z = abeljacobi._agm_log(e._walk, e.roots[1], e.roots[2], x)
             zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
             d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr))
             assert d <= mpf(10) ** (-(digits - 3)) * abs(e.w1)
@@ -824,6 +974,46 @@ class TestCurveScale:
             tol = mpf(10) ** -(digits - 3) * abs(base.w1)
             assert abs(lam * e.w1 - base.w1) <= tol
             assert abs(lam * e.w2 - base.w2) <= tol
+
+
+    @pytest.mark.parametrize("rel", ["1e-15", "1e-18"])
+    def test_off_curve_point_on_small_weights(self, rel):
+        # On (1e-40, 1e-40), s is about 2e-7: x = 3e-14 and y = 3e-21 are of
+        # the curve's size, and y (1 + rel) is off the curve by 2 rel.
+        e = EllipticCurve(1e-40, 1e-40, 40)
+        with mp.workdps(e._workdps):
+            x = mpf("3e-14")
+            y = mp.sqrt(4 * x ** 3 - e.g2 * x - e.g3)
+            assert e.on_curve_residual((x, y)) <= mpf(10) ** -(e._workdps - 3)
+            with pytest.raises(CurveError, match="point is not on the curve"):
+                e.elliptic_log((x, y * (1 + mpf(rel))))
+
+    def test_near_half_period_on_small_weights(self):
+        # |y| is tiny beside 1 but not beside s^3: the point is no branch point.
+        for g in (1, 1e-40):
+            e = EllipticCurve(g, g, 40)
+            with mp.workdps(e._workdps):
+                z0 = e.w1 / 2 + mpf("1e-18") * e.w1
+                z = e.elliptic_log(e.point_at(z0))
+                d = min(e.lattice_distance(z - z0), e.lattice_distance(z + z0))
+                assert d <= mpf(10) ** -(e.digits - 3) * abs(e.w1), g
+
+    @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(curve_invariants(), st.integers(-10, 10), st.floats(0.05, 0.45), st.floats(0.05, 0.95))
+    def test_residual_on_weights(self, invariants, k, a, b):
+        # (l^4 g2, l^6 g3, l^2 x, l^3 y) is the same point on the same curve:
+        # the residual of a point off by 1e-20 reads the same at every scale
+        # (a < 1/2 keeps z off the half periods, where y = 0).
+        base = EllipticCurve(*invariants, digits=40)
+        lam = mpf(10) ** k
+        with mp.workdps(base._workdps + 10):
+            x, y = base.point_at(mpf(a) * base.w1 + mpf(b) * base.w2)
+            y *= 1 + mpf("1e-20")
+            g2, g3 = lam ** 4 * mpc(invariants[0]), lam ** 6 * mpc(invariants[1])
+            scaled = (lam ** 2 * x, lam ** 3 * y)
+        e = EllipticCurve(g2, g3, digits=40)
+        r, r_scaled = base.on_curve_residual((x, y)), e.on_curve_residual(scaled)
+        assert r > mpf("1e-30") and abs(r_scaled - r) <= mpf("1e-10") * r
 
 
 @st.composite
