@@ -3,8 +3,11 @@
 Everything works on the Weierstrass model y^2 = 4x^3 - g2 x - g3 over C.
 The period lattice L = Z w1 + Z w2 realizes the Jacobian J^1 = C/L, the
 elliptic logarithm inverts the parametrization z -> (wp(z), wp'(z)), and
-the Abel-Jacobi map sends a degree-zero divisor to the lattice-reduced sum
-of the logarithms of its points.
+the Abel-Jacobi map sends a degree-zero divisor to the sum of the
+unreduced logarithms of its points, reduced into the fundamental cell once.
+Every modulus test compares squared moduli, as in |a - b|^2 - |a + b|^2 =
+-4 Re(a conj(b)), with thresholds squared once at set-up; a square root is
+taken only to print a failing residual.
 
 Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
@@ -41,10 +44,12 @@ curves get more, see ``EllipticCurve``):
   integers in the AGM's units.  z is signed so that wp'(z) = y, and one
   evaluation of (wp, wp') at z must reproduce the point to 10^-(digits-3)
   of max(|x|, s^2) and max(|y|, s^3), x and y having weights 2 and 3.  A
-  branch point (e_i, 0) maps to its half period w1/2, w2/2 or (w1 + w2)/2
-  without a logarithm: at set-up each root is matched to the nearest of the
-  theta values of wp at the reduced basis's half periods (DLMF 23.6(i)), a
-  match that must be one to one;
+  branch point (e_i, 0), y = 0 exactly, maps to its half period w1/2, w2/2
+  or (w1 + w2)/2 without a logarithm: at set-up each root is matched to the
+  nearest of the theta values of wp at the reduced basis's half periods
+  (DLMF 23.6(i)), a match that must be one to one.  Near a half period w_i
+  (x within a quarter of e_i's gap to the other roots), x - e_i comes from
+  y, and the logarithm is that of P + T_i, near O, plus w_i;
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
   23.6(i)), about sqrt(digits) terms per evaluation and no table.  The
   theta sums run in fixed point on Python integers, with guard bits that
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_shift, to_int
+from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, mpf_shift, to_int
 
 from hfcalc.errors import CurveError
 
@@ -92,6 +97,12 @@ def _nearer(a, b):
     """b or -b, whichever lies closer to a (b on a tie).  |a - b|^2 - |a + b|^2
     = -4 Re(a conj(b)), so the sign test needs no square root."""
     return -b if a.real * b.real + a.imag * b.imag < 0 else b
+
+
+def _abs2(z):
+    """|z|^2 of an mpf or mpc, rounded once: a modulus test without a square root."""
+    re, im = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im), *mp._prec_rounding))
 
 
 def _fixed(x, wp):
@@ -219,13 +230,14 @@ def carlson_rf(x, y, z):
 
 def _reduce_tau(w1, w2):
     """SL_2(Z)-reduce the basis so tau = w2/w1 is in the fundamental domain."""
+    inside2 = (1 - mpf(10) ** (-mp.dps)) ** 2  # |tau| < 1 - 10^-dps, squared
     for _ in range(10000):
         tau = w2 / w1
         shift = mp.nint(mp.re(tau))
         if shift != 0:
             w2 = w2 - shift * w1
             tau = w2 / w1
-        if abs(tau) < 1 - mpf(10) ** (-mp.dps):
+        if _abs2(tau) < inside2:
             w1, w2 = w2, -w1
             continue
         return w1, w2
@@ -367,7 +379,8 @@ def _cubic_roots(g2, g3):
 
     x = u + g2 / (12 u) over the three cube roots u of
     g3/8 +- sqrt(g3^2/64 - g2^3/1728), with the sign of larger modulus
-    (u = 0 only if g2 = g3 = 0).  Near a double root the roots differ by
+    (``_nearer``: |t + s| >= |t - s| exactly when Re(t conj(s)) >= 0; u = 0
+    only if g2 = g3 = 0).  Near a double root the roots differ by
     about sqrt(disc), so twice the working precision keeps every working
     digit while |disc| / scale >= 10^-digits.  Back at working precision,
     parts below eps are chopped as ``polyroots`` chops them: a real root
@@ -375,13 +388,13 @@ def _cubic_roots(g2, g3):
     """
     with mp.extraprec(mp.prec):
         t, s = g3 / 8, mp.sqrt(g3 * g3 / 64 - g2 ** 3 / 1728)
-        u = mp.cbrt(t + s if abs(t + s) >= abs(t - s) else t - s)
+        u = mp.cbrt(t + _nearer(t, s))
         omega = mpc(-0.5, mp.sqrt(3) / 2)
         roots = [v + g2 / (12 * v) for v in (u, u * omega, u * omega.conjugate())]
-    out = []
+    out, eps2 = [], mp.eps ** 2
     for r in roots:
         r = +r
-        if abs(r) < mp.eps:
+        if _abs2(r) < eps2:
             r = mp.zero
         elif abs(r.imag) < mp.eps:
             r = r.real
@@ -463,41 +476,61 @@ class EllipticCurve:
             self.discriminant = disc
             self._workdps += max(0, int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20)
         with mp.workdps(self._workdps):
+            # Every modulus test compares squares, so the thresholds 10^-k and
+            # the sizes s^k are squared here, once.
+            self._s4, self._s6 = self._s2 ** 2, self._s3 ** 2
+            self._s12 = self._s6 ** 2
+            self._tol2 = mpf(10) ** (6 - 2 * self.digits)  # 10^-(digits-3): results
+            self._res_tol2 = mpf(10) ** (4 - 2 * self.digits)  # 10^-(digits-2): on the curve
+            self._root_tol2 = mpf(10) ** (8 - 2 * self.digits)  # 10^-(digits-4): at a root
+            self._snap = mpf(10) ** -self.digits  # frac_coords
+            # Beyond |x| = 10^(workdps/2) s^2, wp(z) = z^-2 (1 + g2 z^4/20 + ...)
+            # gives z = x^(-1/2) at working precision.
+            self._far2 = mpf(10) ** self._workdps * self._s4
             self.roots = self._sorted_roots()
             self.w1, self.w2, self._walk = self._compute_periods()
             self.tau = self.w2 / self.w1
             self._rho = abs(self._reduced[0])  # a reduced basis starts with a shortest vector
+            self._pole2 = (mpf(10) ** (5 - self._workdps) * self._rho) ** 2
 
     # -- lattice construction ---------------------------------------------------
 
     def _sorted_roots(self):
         roots = _cubic_roots(self.g2, self.g3)
-        size = max(abs(r) for r in roots)
-        is_real = all(abs(mp.im(r)) < mpf(10) ** (-self.digits) * size for r in roots)
-        if is_real:
+        size2 = max(_abs2(r) for r in roots)
+        if all(mp.im(r) ** 2 < mpf(10) ** (-2 * self.digits) * size2 for r in roots):
             roots = [mpc(mp.re(r)) for r in roots]
         return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
 
     def _compute_periods(self):
         """Periods and the logarithm's AGM walk, checked by the reduced basis's
-        theta constants, and for each root the half period where wp takes it."""
+        theta constants; for each root the half period where wp takes it, and
+        what the translation by its branch point needs."""
         w1, w2, walk = _period_basis(*self.roots)
         self._reduced = r1, r2 = _reduce_tau(w1, w2)
         self._k, self._q4, self._theta0, theta_e, g2r, g3r = _theta_lattice(r1, r2)
         self._e3 = theta_e[2]
         # g2 and g3 have weights 4 and 6: measured on s^4 and s^6.
-        err = max(abs(g2r - self.g2) / self._s2 ** 2, abs(g3r - self.g3) / self._s3 ** 2)
-        if err >= mpf(10) ** (-(self.digits - 3)):
-            raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(err, 8)}")
-        match = [min(range(3), key=lambda j: abs(root - theta_e[j])) for root in self.roots]
+        err2 = max(_abs2(g2r - self.g2) / self._s4 ** 2, _abs2(g3r - self.g3) / self._s12)
+        if err2 >= self._tol2:
+            raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(mp.sqrt(err2), 8)}")
+        match = [min(range(3), key=lambda j: _abs2(root - theta_e[j])) for root in self.roots]
         if sorted(match) != [0, 1, 2]:
             raise CurveError("half periods do not separate the branch points")
-        doubled = (r1, r1 + r2, r2)  # twice the half periods where wp takes theta_e
-        self._half_periods = []
-        for j in match:
-            m, n = (int(mp.nint(c)) % 2 for c in _coords(doubled[j], w1, w2))
+        # Twice the half periods where wp takes theta_e are r1, r1 + r2 and r2,
+        # with integer coordinates in (w1, w2): two solves give all three.
+        (a1, b1), (a2, b2) = _coords(r1, w1, w2), _coords(r2, w1, w2)
+        doubled = ((a1, b1), (a1 + a2, b1 + b2), (a2, b2))
+        self._half_periods, self._branches = [], []
+        e = self.roots
+        for i, j in enumerate(match):
+            m, n = (int(mp.nint(c)) % 2 for c in doubled[j])
             # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
             self._half_periods.append((m * w1 + n * w2) / 2)
+            # The other two roots, (e_i - e_j)(e_i - e_k), and e_i's gap squared.
+            ej, ek = e[i - 1], e[i - 2]
+            gap2 = min(_abs2(e[i] - ej), _abs2(e[i] - ek))
+            self._branches.append((ej, ek, (e[i] - ej) * (e[i] - ek), gap2))
         return w1, w2, walk
 
     # -- lattice bookkeeping ------------------------------------------------------
@@ -526,7 +559,7 @@ class EllipticCurve:
         small coordinates."""
         with mp.workdps(self._workdps):
             a, b = self.coords(z)
-            tol = mpf(10) ** -self.digits * max(abs(a), abs(b))
+            tol = self._snap * max(abs(a), abs(b))
             return tuple(mp.zero if abs(c - mp.nint(c)) <= tol else c - mp.floor(c) for c in (a, b))
 
     def lattice_distance(self, z) -> mpf:
@@ -553,7 +586,7 @@ class EllipticCurve:
         z = mpc(z)
         a, b = _coords(z, r1, r2)
         z = z - mp.nint(a) * r1 - mp.nint(b) * r2
-        if abs(z) < mpf(10) ** (-(self._workdps - 5)) * self._rho:
+        if _abs2(z) < self._pole2:  # |z| < 10^-(workdps-5) rho
             raise CurveError("wp evaluated at a lattice point")
         k, (t2, t3, t4) = self._k, self._theta0
         th1, th2, th3, th4 = _theta(self._q4, k * z)
@@ -568,20 +601,29 @@ class EllipticCurve:
 
     # -- point and divisor utilities ---------------------------------------------
 
+    def _residual2(self, x, y):
+        """The squared on-curve residual of parsed coordinates.  Both sides
+        have weight 6: measured on s^6, not on 1."""
+        lhs = y ** 2
+        rhs = 4 * x ** 3 - self.g2 * x - self.g3
+        return _abs2(lhs - rhs) / max(_abs2(lhs), _abs2(rhs), self._s12)
+
+    def _require_on_curve(self, x, y) -> None:
+        res2 = self._residual2(x, y)
+        if res2 > self._res_tol2:
+            raise CurveError(f"point is not on the curve: residual {mp.nstr(mp.sqrt(res2), 8)}")
+
     def on_curve_residual(self, pt: Point) -> mpf:
+        """|y^2 - (4x^3 - g2 x - g3)| / max(|y^2|, |4x^3 - g2 x - g3|, s^6)."""
         if pt is None:
             return mpf(0)
         with mp.workdps(self._workdps):
-            x, y = _numbers(pt, "point coordinates")
-            lhs = y ** 2
-            rhs = 4 * x ** 3 - self.g2 * x - self.g3
-            # Both sides have weight 6: measured on s^6, not on 1.
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), self._s3 * self._s3)
+            return mp.sqrt(self._residual2(*_numbers(pt, "point coordinates")))
 
     def require_on_curve(self, pt: Point) -> None:
-        res = self.on_curve_residual(pt)
-        if res > mpf(10) ** (-(self.digits - 2)):
-            raise CurveError(f"point is not on the curve: residual {mp.nstr(res, 8)}")
+        if pt is not None:
+            with mp.workdps(self._workdps):
+                self._require_on_curve(*_numbers(pt, "point coordinates"))
 
     def point_from_x(self, x, sign: int = 1) -> Point:
         with mp.workdps(self._workdps):
@@ -595,8 +637,51 @@ class EllipticCurve:
 
     # -- elliptic logarithm -----------------------------------------------------------
 
+    def _log(self, pt):
+        """(z, exact): z with (wp(z), wp'(z)) = P, not reduced mod L, and
+        whether z is a branch point's stored half period (already in the
+        cell).  Runs at the working precision.
+
+        With e_i the root nearest x: a branch point (y = 0 exactly, x within
+        10^-(digits-4) max(|x|, s^2) of e_i) maps to its half period w_i.
+        Within a quarter of e_i's gap, x has lost to rounding what y keeps
+        (dz = dx / y), so d = x - e_i = y^2 / (4 (x - e_j)(x - e_k)) and
+        z = log(P + T_i) + w_i, where P + T_i has x' = e_i + (e_i - e_j)
+        (e_i - e_k) / d and lies near O.  The logarithm of x is x^(-1/2)
+        beyond |x| = 10^(workdps/2) s^2, where the AGM walk would run on
+        integers of about log2|x| bits, else ``_agm_log``.  z is signed so
+        that Re(wp'(z) conj(y)) >= 0, and (wp, wp') at z must reproduce x to
+        10^-(digits-3) max(|x|, s^2) and y to 10^-(digits-3) max(|y|, s^3).
+        """
+        x, y = _numbers(pt, "point coordinates")
+        self._require_on_curve(x, y)
+        e = self.roots
+        dist2 = [_abs2(x - r) for r in e]
+        i = min(range(3), key=dist2.__getitem__)
+        size_x2 = max(_abs2(x), self._s4)
+        if not y and dist2[i] <= self._root_tol2 * size_x2:
+            return self._half_periods[i], True
+        ej, ek, cross, gap2 = self._branches[i]
+        if y and 16 * dist2[i] < gap2:
+            d = y * y / (4 * (x - ej) * (x - ek))
+            x_log, shift = e[i] + cross / d, self._half_periods[i]
+        else:
+            x_log, shift = x, 0
+        if _abs2(x_log) > self._far2:
+            z = 1 / mp.sqrt(x_log) + shift
+        else:
+            z = _agm_log(self._walk, e[1], e[2], x_log) + shift
+        p, pp = self.wp_pair_raw(z)
+        if pp.real * y.real + pp.imag * y.imag < 0:  # |pp - y| > |pp + y|, as in _nearer
+            z, pp = -z, -pp
+        miss2 = max(_abs2(p - x) / size_x2, _abs2(pp - y) / max(_abs2(y), self._s6))
+        if miss2 > self._tol2:
+            raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(mp.sqrt(miss2), 8)}")
+        return z, False
+
     def elliptic_log(self, pt: Point):
-        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell.
+        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell
+        (see ``_log``); a branch point gives its stored half period as is.
 
         z is about 1/sqrt(x) far from the origin, so a point with |x| beyond
         about 10^(2 (workdps - 5)) / rho^2 lies within the pole's tolerance
@@ -606,37 +691,22 @@ class EllipticCurve:
         if pt is None:
             return mpc(0)
         with mp.workdps(self._workdps):
-            x, y = pt = _numbers(pt, "point coordinates")
-            self.require_on_curve(pt)
-            tol = mpf(10) ** (-(self.digits - 3))
-            # x has weight 2 and y weight 3: sizes on the curve's s, not on 1.
-            size_x, size_y = max(abs(x), self._s2), max(abs(y), self._s3)
-            # Branch points map to half periods.
-            if abs(y) <= tol * size_x * mp.sqrt(size_x):
-                idx = min(range(3), key=lambda i: abs(self.roots[i] - x))
-                if abs(self.roots[idx] - x) <= tol * size_x * 10:
-                    return self.reduce_fundamental(self._half_periods[idx])
-            z = _agm_log(self._walk, self.roots[1], self.roots[2], x)
-            p, pp = self.wp_pair_raw(z)
-            if abs(pp - y) > abs(pp + y):
-                z, pp = -z, -pp
-            miss = max(abs(p - x) / size_x, abs(pp - y) / size_y)
-            if miss > tol:
-                raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(miss, 8)}")
-            return self.reduce_fundamental(z)
+            z, exact = self._log(pt)
+            return z if exact else self.reduce_fundamental(z)
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 
     def aj(self, divisor: Divisor):
-        """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell)."""
+        """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell):
+        the sum of m z(P) over the unreduced logarithms z(P) of ``_log``,
+        reduced once."""
         if divisor.degree != 0:
             raise CurveError(f"divisor has degree {divisor.degree}, expected 0")
         with mp.workdps(self._workdps):
             total = mpc(0)
             for pt, mult in divisor.entries:
-                if mult == 0:
-                    continue
-                total += mult * self.elliptic_log(pt)
+                if mult and pt is not None:
+                    total += mult * self._log(pt)[0]
             return self.reduce_fundamental(total)
 
     def is_torsion(self, pt: Point, bound: int) -> Optional[int]:

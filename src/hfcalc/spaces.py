@@ -334,9 +334,14 @@ def curve(g: int) -> KahlerModel:
 def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] | None = None) -> KahlerModel:
     """Kunneth product of two torsion-free Kahler models.
 
-    The default hodge_class_rank table is the convolution of the factors'
-    tables (products of Hodge classes); override it when the product is
-    known to carry more.
+    The factors are independent: ``product(curve(1), curve(1))`` is the
+    product of two generic elliptic curves with independent moduli, not
+    E x E for one curve E.  With one shared tau the self-product carries
+    more integral classes: H^2 has rank 3 in F^1 on E x E (the diagonal
+    adds one), not 2.  The default hodge_class_rank table is the
+    convolution of the factors' tables (products of Hodge classes);
+    override it when the product is known to carry more.  The odd-degree
+    lattice ranks cannot be overridden.
     """
     for factor in (x, y):
         for n in sorted(factor.betti):

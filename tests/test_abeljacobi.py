@@ -916,7 +916,8 @@ class TestRegressionFence:
         # Carlson's R_F integral is the independent oracle: both give the
         # logarithm up to sign and the lattice.  At the half period
         # (w1 + w2)/2 both keep only about half the working digits (the curve
-        # snaps branch points instead), so the point stays away from it.
+        # translates points there through the branch point instead), so the
+        # point stays away from it.
         assume(max(abs(a - 0.5), abs(b - 0.5)) > 0.01)
         e = EllipticCurve(*invariants, digits=digits)
         with mp.workdps(e._workdps):
@@ -1047,3 +1048,234 @@ class TestCubicRoots:
                 assert abs(r - w) <= tol, (r, w)
                 assert type(r) is type(w), (r, w)
                 assert (r == 0) == (w == 0) and (mp.re(r) == 0) == (mp.re(w) == 0), (r, w)
+
+
+def residual_by_moduli(e, pt):
+    """The on-curve residual with moduli, the reference for the squared
+    comparisons: |y^2 - rhs| / max(|y^2|, |rhs|, s^6)."""
+    with mp.workdps(e._workdps):
+        x, y = mpc(pt[0]), mpc(pt[1])
+        lhs, rhs = y ** 2, 4 * x ** 3 - e.g2 * x - e.g3
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), e._s3 * e._s3)
+
+
+def miss_by_moduli(e, pt, z):
+    """The miss residual of z with moduli, the reference for the squared
+    comparisons: wp'(z) signed towards y, then
+    max(|wp - x| / max(|x|, s^2), |wp' - y| / max(|y|, s^3))."""
+    with mp.workdps(e._workdps):
+        x, y = mpc(pt[0]), mpc(pt[1])
+        p, pp = e.wp_pair(z)
+        if abs(pp - y) > abs(pp + y):
+            pp = -pp
+        return max(abs(p - x) / max(abs(x), e._s2), abs(pp - y) / max(abs(y), e._s3))
+
+
+@st.composite
+def log_points(draw):
+    """(curve, z0): a curve_invariants draw at 20, 40 or 100 digits and z0 in
+    the cell, either generic or at 10^-k w1 from a half period."""
+    e = EllipticCurve(*draw(curve_invariants()), digits=draw(st.sampled_from([20, 40, 100])))
+    with mp.workdps(e._workdps):
+        if draw(st.booleans()):
+            return e, mpf(draw(st.floats(0.05, 0.95))) * e.w1 + mpf(draw(st.floats(0.05, 0.95))) * e.w2
+        half = draw(st.sampled_from([e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]))
+        return e, half + draw(st.sampled_from([1, -1])) * mpf(10) ** -draw(st.integers(1, 30)) * e.w1
+
+
+def near_half_period_case():
+    """(curve, z0) with z0 = w2/2 + 10^-21 w1 at 20 digits: coordinates
+    (1e-21, 1/2), whose 1e-21 frac_coords takes as 0."""
+    e = EllipticCurve(4, 0, digits=20)
+    with mp.workdps(e._workdps):
+        return e, e.w2 / 2 + mpf(10) ** -21 * e.w1
+
+
+class TestLogContract:
+    """One reduction per aj, squared-modulus tests, thresholds kept."""
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(log_points())
+    def test_elliptic_log_in_the_fundamental_cell(self, case):
+        e, z0 = case
+        z = e.elliptic_log(e.point_at(z0))
+        with mp.workdps(e._workdps):
+            a, b = abeljacobi._coords(z, e.w1, e.w2)
+            tol = mpf(10) ** -(e._workdps - 5)
+            assert -tol <= a < 1 + tol and -tol <= b < 1 + tol
+            assert min(e.lattice_distance(z - z0), e.lattice_distance(z + z0)) <= mpf(10) ** -(e.digits - 3) * abs(e.w1)
+
+    @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(log_points(), st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.integers(-3, 3)),
+                                  min_size=1, max_size=3))
+    @example(case=near_half_period_case(), extra=[(0.5, 0.5, 1)])
+    def test_aj_is_the_reduced_sum_of_logarithms(self, case, extra):
+        # aj sums unreduced logarithms and reduces once; elliptic_log reduces
+        # each.  Both give the same point of C/L at digits: frac_coords takes
+        # a coordinate within 10^-digits of an integer as that integer, so a
+        # logarithm at 10^-21 w1 from a half period loses that part when
+        # reduced alone (near_half_period_case).
+        e, z0 = case
+        with mp.workdps(e._workdps):
+            entries = [(e.point_at(z0), 1), ((e.roots[0], 0), 2)]
+            entries += [(e.point_at(mpf(a) * e.w1 + mpf(b) * e.w2), m) for a, b, m in extra]
+            entries.append((None, -sum(m for _pt, m in entries)))
+            want = e.reduce_fundamental(sum(m * e.elliptic_log(pt) for pt, m in entries))
+            got = e.aj(Divisor.of(entries))
+            assert e.lattice_distance(got - want) <= mpf(10) ** -e.digits * abs(e.w1)
+
+    def test_one_frac_coords_per_aj(self, monkeypatch, lemniscatic):
+        e = lemniscatic
+        calls = []
+        frac_coords = EllipticCurve.frac_coords
+
+        def spy(self, z):
+            calls.append(z)
+            return frac_coords(self, z)
+
+        monkeypatch.setattr(EllipticCurve, "frac_coords", spy)
+        with mp.workdps(e._workdps):
+            p, q = e.point_from_x(mpf(2), 1), e.point_from_x(mpc(1, 3), -1)
+            near = e.point_at(e.w2 / 2 + mpf("1e-30") * e.w1)
+        e.aj(Divisor.of([(p, 2), (q, -1), ((e.roots[1], 0), 1), (near, 1), (None, -3)]))
+        assert len(calls) == 1
+        calls.clear()
+        e.elliptic_log((e.roots[1], 0))  # a stored half period: no reduction
+        assert calls == []
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(curve_invariants(), st.floats(0.05, 0.45), st.floats(0.05, 0.95), st.integers(-40, -1))
+    def test_on_curve_residual_matches_moduli(self, invariants, a, b, k):
+        e = EllipticCurve(*invariants, digits=40)
+        with mp.workdps(e._workdps):
+            x, y = e.point_at(mpf(a) * e.w1 + mpf(b) * e.w2)
+            for pt in ((x, y), (x, y * (1 + mpf(10) ** k)), (x * (1 + mpf(10) ** k), y)):
+                want, got = residual_by_moduli(e, pt), e.on_curve_residual(pt)
+                assert abs(got - want) <= mpf(10) ** -(e._workdps - 3) * want + mpf(10) ** -(2 * e._workdps)
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_on_curve_threshold_and_message(self, g2, g3):
+        # y (1 + delta) is off the curve by about 2 delta |y^2| / s^6: a point
+        # just above 10^-(digits-2) raises with the residual the moduli give,
+        # also from elliptic_log; one just below passes the check.
+        e = EllipticCurve(g2, g3, digits=30)
+        limit = mpf(10) ** -(e.digits - 2)
+        with mp.workdps(e._workdps):
+            x, y = e.point_at(mpf("0.3") * e.w1 + mpf("0.2") * e.w2)
+            for factor in ("1.01", "0.99"):
+                delta = mpf(factor) * limit / 2
+                for _ in range(3):  # y(1 + delta) gives residual r(delta); aim r at factor * limit
+                    delta *= mpf(factor) * limit / residual_by_moduli(e, (x, y * (1 + delta)))
+                pt = (x, y * (1 + delta))
+                res = residual_by_moduli(e, pt)
+                if res > limit:
+                    with pytest.raises(CurveError) as info:
+                        e.require_on_curve(pt)
+                    assert str(info.value) == f"point is not on the curve: residual {mp.nstr(res, 8)}"
+                    with pytest.raises(CurveError, match="point is not on the curve"):
+                        e.elliptic_log(pt)
+                else:
+                    e.require_on_curve(pt)
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_miss_threshold_and_message(self, monkeypatch, g2, g3):
+        # _agm_log patched to z + eps w1: the miss residual grows like eps; a
+        # miss just above 10^-(digits-3) raises with the residual the moduli
+        # give, one just below is returned.
+        e = EllipticCurve(g2, g3, digits=30)
+        limit = mpf(10) ** -(e.digits - 3)
+        agm_log = abeljacobi._agm_log
+        with mp.workdps(e._workdps):
+            z0 = mpf("0.3") * e.w1 + mpf("0.2") * e.w2
+            pt = e.point_at(z0)
+        for factor in ("1.05", "0.95"):
+            with mp.workdps(e._workdps):
+                eps = limit
+                for _ in range(3):
+                    eps *= mpf(factor) * limit / miss_by_moduli(e, pt, z0 + eps * e.w1)
+                wrong = z0 + eps * e.w1
+                res = miss_by_moduli(e, pt, wrong)
+            monkeypatch.setattr(abeljacobi, "_agm_log", lambda walk, e2, e3, x: wrong)
+            if res > limit:
+                with pytest.raises(CurveError) as info:
+                    e.elliptic_log(pt)
+                assert str(info.value) == f"elliptic logarithm misses the point: residual {mp.nstr(res, 8)}"
+            else:
+                with mp.workdps(e._workdps):
+                    assert e.lattice_distance(e.elliptic_log(pt) - wrong) <= mpf(10) ** -(e._workdps - 5) * abs(e.w1)
+            monkeypatch.setattr(abeljacobi, "_agm_log", agm_log)
+
+
+# (g2, g3) of the near-half-period sweep: real with positive discriminant,
+# complex, and tiny weights.
+SWEEP_CURVES = {"real_pos": (4, 0), "complex": (mpc(3, 1), mpc(-1, 2)), "tiny_weights": (1e-40, 1e-40)}
+
+
+class TestNearHalfPeriod:
+    """Points at 10^-k |w1| from a half period: x has lost about 2k digits,
+    y keeps them, and the logarithm translates through the branch point."""
+
+    @pytest.mark.parametrize("digits", [40, 100])
+    @pytest.mark.parametrize("g2, g3", SWEEP_CURVES.values(), ids=SWEEP_CURVES.keys())
+    def test_sweep_over_k(self, g2, g3, digits):
+        # Points from a curve at digits + 40; every answer within
+        # 10^-digits |w1| of z0.  From k = 29 on, the logarithm of x alone
+        # misses the point at both precisions; from k = workdps on, the
+        # distance lies below the working precision.
+        e, ref = EllipticCurve(g2, g3, digits), EllipticCurve(g2, g3, digits + 40)
+        ks = sorted({*range(29, 38), digits - 2, digits + 10, e._workdps - 1, e._workdps, e._workdps + 9})
+        for h in range(3):
+            for k in ks:
+                with mp.workdps(ref._workdps):
+                    z0 = (ref.w1 / 2, ref.w2 / 2, (ref.w1 + ref.w2) / 2)[h] + mpf(10) ** -k * ref.w1
+                    pt = ref.point_at(z0)
+                z = e.elliptic_log(pt)
+                with mp.workdps(ref._workdps):
+                    d = min(ref.lattice_distance(z - z0), ref.lattice_distance(z + z0))
+                    assert d <= mpf(10) ** -digits * abs(ref.w1), (h, k, mp.nstr(d, 5))
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(log_points(), st.integers(0, 2))
+    def test_translation_law(self, case, i):
+        # P + T_i = (e_i + C / (x - e_i), -C y / (x - e_i)^2), with
+        # C = (e_i - e_j)(e_i - e_k): z(P + T_i) = z(P) + w_i mod L, w_i the
+        # half period of the branch point T_i = (e_i, 0).  Near w_i, x - e_i
+        # keeps few digits, so both points come from a curve at digits + 40.
+        e, z0 = case
+        ref = EllipticCurve(e.g2, e.g3, e.digits + 40)
+        with mp.workdps(ref._workdps):
+            x, y = ref.point_at(z0)
+            ei, ej, ek = ref.roots[i], ref.roots[i - 1], ref.roots[i - 2]
+            assume(abs(x - ei) > mpf(10) ** -(ref._workdps - 10) * max(1, abs(ei)))
+            c = (ei - ej) * (ei - ek)
+            moved = (ei + c / (x - ei), -c * y / (x - ei) ** 2)
+        with mp.workdps(e._workdps):
+            w_i = e.elliptic_log((e.roots[i], 0))
+            d = e.lattice_distance(e.elliptic_log(moved) - e.elliptic_log((x, y)) - w_i)
+            assert d <= mpf(10) ** -(e.digits - 3) * abs(e.w1)
+
+    def test_far_points_take_the_inverse_square_root(self):
+        # Beyond |x| = 10^(workdps/2) s^2 the logarithm is x^(-1/2), which
+        # the AGM walk reproduces there; far beyond it the walk would run on
+        # integers of log2|x| bits, and the point or the translated point
+        # still answers at once.
+        e = EllipticCurve(4, 0, digits=40)
+        with mp.workdps(e._workdps):
+            x = mp.sqrt(e._far2) * mpc(3, 1)
+            z = abeljacobi._agm_log(e._walk, e.roots[1], e.roots[2], x)
+            assert min(abs(z - 1 / mp.sqrt(x)), abs(z + 1 / mp.sqrt(x))) <= mpf(10) ** -(e._workdps - 3) * abs(z)
+            far = e.point_from_x(mpf(10) ** 200000, 1)
+            tiny_y = (e.roots[0], mpf(10) ** -100000)
+        with pytest.raises(CurveError, match="lattice point"):
+            e.elliptic_log(far)
+        with mp.workdps(e._workdps):
+            assert e.lattice_distance(e.elliptic_log(tiny_y) - e.w1 / 2) <= mpf(10) ** -(e._workdps - 5)
+
+
+class TestIdentityCorpus:
+    def test_corpus_matches_golden(self):
+        # 150 curves at 20, 40 and 100 digits (tests/aj_identity.py).
+        from tests import aj_identity
+
+        diff = aj_identity.differences(aj_identity.corpus_lines(), aj_identity.GOLDEN.read_text())
+        assert diff == []
