@@ -31,9 +31,11 @@ from hfcalc.engine import (
     point_table,
     rational_splitting_check,
     transfer_normalization_check,
+    variant_for,
 )
 from hfcalc.errors import CalcError, ParseError
 from hfcalc.io import (
+    _int_arg,
     descriptor_to_json,
     emit_space,
     load_theory_argument,
@@ -41,7 +43,7 @@ from hfcalc.io import (
     parse_space_text,
     render_descriptor,
 )
-from hfcalc.spaces import KahlerModel, Model, QuasiProjModel
+from hfcalc.spaces import Model
 
 __all__ = ["main", "run"]
 
@@ -83,7 +85,7 @@ def _emit_json(obj, out) -> None:
 def _cmd_compute(args, out) -> int:
     model = _load_space(args.space)
     theory = load_theory_argument(args.theory)
-    variant = args.variant or ("analytic" if isinstance(model, KahlerModel) else "log")
+    variant = args.variant or variant_for(model)
     desc = hfc_group(model, theory, args.n, args.p, variant)
     if args.format == "json":
         _emit_json(
@@ -170,13 +172,6 @@ def _check_mv(args):
     return mv_consistency(x, u, v, w, load_theory_argument(args.theory), args.p), None, None
 
 
-def _check_a1(args):
-    model = _load_space(args.space)
-    if not isinstance(model, QuasiProjModel):
-        raise ParseError("check a1 needs a quasiprojective space")
-    return a1_invariance_check(model, load_theory_argument(args.theory), args.n, args.p)
-
-
 def _check_grothendieck(args):
     model = _load_space(args.space)
     chern = [parse_ring_element(_ring_of(model), c) for c in args.chern.split(";")] if args.chern else None
@@ -194,7 +189,10 @@ def _check_transfer(args):
 CHECKS = {
     "splitting": (("space",), lambda a: rational_splitting_check(_load_space(a.space), a.n, a.p)),
     "mv": (("space", "u", "v", "w", "theory"), _check_mv),
-    "a1": (("space", "theory"), _check_a1),
+    "a1": (
+        ("space", "theory"),
+        lambda a: a1_invariance_check(_load_space(a.space), load_theory_argument(a.theory), a.n, a.p),
+    ),
     "pbf": (
         ("space", "theory"),
         lambda a: pbf_check(_load_space(a.space), a.r, a.n, a.p, load_theory_argument(a.theory)),
@@ -232,6 +230,8 @@ def _parse_complex(text: str):
 
 
 def _parse_divisor(text: str) -> Divisor:
+    """The divisor of ``--divisor``, every coordinate parsed at the current
+    precision (the curve's working precision)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -246,13 +246,10 @@ def _parse_divisor(text: str) -> Divisor:
         if pt_raw == "inf" or pt_raw is None:
             pt = None
         elif isinstance(pt_raw, list) and len(pt_raw) == 2:
-            pt = (str(pt_raw[0]), str(pt_raw[1]))
+            pt = (_parse_complex(str(pt_raw[0])), _parse_complex(str(pt_raw[1])))
         else:
             raise ParseError(f"divisor point {pt_raw!r} must be [x, y] or \"inf\"")
-        try:
-            entries.append((pt, int(mult)))
-        except (TypeError, ValueError):
-            raise ParseError(f"divisor multiplicity {mult!r} is not an integer")
+        entries.append((pt, _int_arg(mult, "divisor multiplicity")))
     return Divisor.of(entries)
 
 
@@ -261,23 +258,13 @@ def _fmt_complex(value, digits: int) -> dict:
 
 
 def _cmd_aj(args, out) -> int:
-    raw = os.environ.get("HFCALC_AJ_PRECISION", "40")
-    try:
-        digits = int(raw)
-    except ValueError:
-        raise ParseError(f"HFCALC_AJ_PRECISION={raw!r} is not an integer number of digits")
+    digits = _int_arg(os.environ.get("HFCALC_AJ_PRECISION", "40"), "HFCALC_AJ_PRECISION")
     with mp.workdps(digits + 10):
         g2 = _parse_complex(args.g2)
         g3 = _parse_complex(args.g3)
     curve = EllipticCurve(g2, g3, digits)
-    divisor = _parse_divisor(args.divisor)
     with mp.workdps(curve._workdps):
-        divisor = Divisor.of(
-            [
-                (None if pt is None else (_parse_complex(pt[0]), _parse_complex(pt[1])), m)
-                for pt, m in divisor.entries
-            ]
-        )
+        divisor = _parse_divisor(args.divisor)
     z = curve.aj(divisor)
     a, b = curve.frac_coords(z)
     if args.format == "json":

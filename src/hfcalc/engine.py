@@ -60,6 +60,7 @@ __all__ = [
     "jacobian",
     "hodge_group",
     "hfc_group",
+    "variant_for",
     "point_table",
     "rational_splitting_check",
     "mv_consistency",
@@ -209,7 +210,8 @@ def hodge_group(model: KahlerModel, theory: CoefficientTheory, p: int) -> FgAbel
 # -- the main computation ------------------------------------------------------
 
 
-def _variant_for(model: Model) -> str:
+def variant_for(model: Model) -> str:
+    """The default variant: "analytic" on Kahler models, "log" otherwise."""
     return ANALYTIC if isinstance(model, KahlerModel) else LOG
 
 
@@ -224,11 +226,11 @@ def hfc_group(
     logarithmic variant) as a group descriptor.
 
     See the module docstring for the block calculus.  ``variant`` defaults
-    to "analytic" on Kahler models and "log" on quasi-projective ones; the
-    analytic variant refuses quasi-projective models.
+    to ``variant_for(model)``; the analytic variant refuses quasi-projective
+    models.
     """
     if variant is None:
-        variant = _variant_for(model)
+        variant = variant_for(model)
     if variant not in (ANALYTIC, LOG):
         raise EngineError(f"unknown variant {variant!r} (expected 'analytic' or 'log')")
     if variant == ANALYTIC and not isinstance(model, KahlerModel):
@@ -316,7 +318,7 @@ def rational_splitting_check(
     field-by-field."""
     muq = builtin_theory("MUQ")
     hq = builtin_theory("HQ")
-    variant = _variant_for(model)
+    variant = variant_for(model)
     lhs = hfc_group(model, muq, n, p, variant)
     top = model.max_degree
     # Beyond j_hi every summand is zero; j = 0 is always included so the
@@ -371,6 +373,8 @@ def a1_invariance_check(
 ) -> tuple[bool, GroupDescriptor, GroupDescriptor]:
     """E_log is A^1-invariant: crossing with the affine line (which leaves
     every table unchanged) must not move the descriptor."""
+    if not isinstance(x, QuasiProjModel):
+        raise EngineError("check a1 needs a quasiprojective space")
     lhs = hfc_group(x, theory, n, p, LOG)
     rhs = hfc_group(quasi_product(x, affine_space(1)), theory, n, p, LOG)
     return lhs == rhs, lhs, rhs
@@ -380,19 +384,17 @@ def pbf_check(
     model: Model, r: int, n: int, p: int, theory: CoefficientTheory
 ) -> tuple[bool, GroupDescriptor, GroupDescriptor]:
     """Projective bundle formula: E_D^n(p)(P(V)) = sum_{i<r} E_D^{n-2i}(p-i)(X)."""
-    variant = _variant_for(model)
+    variant = variant_for(model)
     bundle = projective_bundle(model, r)
     lhs = hfc_group(bundle, theory, n, p, variant)
     rhs = descriptor_sum(hfc_group(model, theory, n - 2 * i, p - i, variant) for i in range(r))
     return lhs == rhs, lhs, rhs
 
 
-def grothendieck_check(
-    model: Model, r: int, chern: list[Poly] | None = None, drop_terms: tuple[int, ...] = ()
-) -> bool:
-    """The alternating Chern-class sum sum_q (-1)^q c_q xi^{r-q} reduces to
-    zero in the bundle's ring presentation.  ``drop_terms`` omits the listed
-    q-indices (used to exercise the failure path)."""
+def grothendieck_check(model: Model, r: int, chern: list[Poly] | None = None) -> bool:
+    """The alternating Chern-class sum sum_q (-1)^q c_q xi^{r-q}, formed here
+    independently of the relation ``bundle_extension`` stores, reduces to
+    zero in the bundle's ring presentation."""
     if model.ring is None:
         raise RingError(f"{model.name} carries no ring presentation")
     bundle_ring = bundle_extension(model.ring, r, chern)
@@ -406,8 +408,6 @@ def grothendieck_check(
         classes.append({})
     total: Poly = {}
     for q in range(r + 1):
-        if q in drop_terms:
-            continue
         cq = classes[q]
         if not cq:
             continue
@@ -432,5 +432,5 @@ def transfer_normalization_check(model: Model, divisor_class: Poly) -> tuple[boo
         if deg != 2:
             raise RingError(f"divisor class must have degree 2, got {deg}")
     class_rank = 0 if model.ring.is_zero(reduced) else 1
-    group = hfc_group(model, builtin_theory("MU"), 2, 1, _variant_for(model))
+    group = hfc_group(model, builtin_theory("MU"), 2, 1, variant_for(model))
     return class_rank <= group.free_rank, class_rank, group.free_rank

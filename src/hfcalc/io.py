@@ -17,13 +17,14 @@ are re-validated after loading.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import replace
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, custom_theory
 from hfcalc.engine import GroupDescriptor
-from hfcalc.errors import CalcError, ParseError
+from hfcalc.errors import ParseError
 from hfcalc.rings import RingModel
 from hfcalc.spaces import (
     KahlerModel,
@@ -54,30 +55,47 @@ __all__ = [
 # -- helpers ---------------------------------------------------------------------
 
 
-def _intkey_table(raw: Any, what: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{what}: expected an object, got {type(raw).__name__}")
-    out = {}
-    for k, v in raw.items():
+def _int_arg(value: Any, what: str, key: Any = None) -> int:
+    """The one reader for an integer from outside the program: a JSON
+    integer, an integral number or a numeral string.  Anything else
+    (``"abc"``, ``null``, ``1.5``, ``true``) is a ParseError naming
+    ``what`` (and ``key``), never a silent truncation."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
         try:
-            out[int(k)] = v
-        except (TypeError, ValueError):
-            raise ParseError(f"{what}: key {k!r} is not an integer")
-    return out
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    where = what if key is None else f"{what}[{key}]"
+    raise ParseError(f"{where}: {value!r} is not an integer")
 
 
-def _pairkey_table(raw: Any, what: str) -> dict:
+def _items(raw: Any, what: str):
     if not isinstance(raw, dict):
         raise ParseError(f"{what}: expected an object, got {type(raw).__name__}")
+    return raw.items()
+
+
+def _int_table(raw: Any, what: str) -> dict:
+    return {_int_arg(k, what, k): _int_arg(v, what, k) for k, v in _items(raw, what)}
+
+
+def _pair_table(raw: Any, what: str) -> dict:
     out = {}
-    for k, v in raw.items():
+    for k, v in _items(raw, what):
         parts = str(k).split(",")
         if len(parts) != 2:
             raise ParseError(f"{what}: key {k!r} is not of the form 'a,b'")
-        try:
-            out[(int(parts[0]), int(parts[1]))] = int(v)
-        except ValueError:
-            raise ParseError(f"{what}: entry {k!r}: {v!r} is not integral")
+        out[(_int_arg(parts[0], what, k), _int_arg(parts[1], what, k))] = _int_arg(v, what, k)
     return out
 
 
@@ -96,9 +114,10 @@ def _ring_to_json(ring: RingModel) -> dict:
 
 def _ring_from_json(raw: Any) -> RingModel:
     try:
-        gens = tuple((str(n), int(d)) for n, d in raw["generators"])
+        what = "ring presentation"
+        gens = tuple((str(n), _int_arg(d, what)) for n, d in raw["generators"])
         rules = tuple(
-            (int(power), {tuple(int(e) for e in m): int(c) for m, c in tail})
+            (_int_arg(power, what), {tuple(_int_arg(e, what) for e in m): _int_arg(c, what) for m, c in tail})
             for power, tail in raw["rules"]
         )
         return RingModel(generators=gens, rules=rules)
@@ -119,7 +138,7 @@ def parse_ring_element(ring: RingModel, text: str) -> dict:
             if not factor:
                 continue
             if factor.lstrip("-").isdigit():
-                coeff *= int(factor)
+                coeff *= _int_arg(factor, "ring element coefficient")
                 continue
             name, _, power = factor.partition("^")
             neg = name.startswith("-")
@@ -128,7 +147,7 @@ def parse_ring_element(ring: RingModel, text: str) -> dict:
                 coeff = -coeff
             for i, (gname, _deg) in enumerate(ring.generators):
                 if gname == name:
-                    expo[i] += int(power) if power else 1
+                    expo[i] += _int_arg(power, "ring element exponent") if power else 1
                     break
             else:
                 raise ParseError(f"unknown generator {name!r} in ring element {text!r}")
@@ -147,20 +166,6 @@ _LEAVES = {
     "curve": (1, curve),
     "affine_space": (1, affine_space),
 }
-
-
-def _int_arg(value: Any, what: str) -> int:
-    """An integer constructor argument: a JSON integer, an integral number or
-    a numeral string; anything else (``"abc"``, ``null``, ``1.5``, ``true``)
-    is a ParseError rather than a silent truncation."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ParseError(f"{what}: argument {value!r} is not an integer")
 
 
 def _eval_expr(expr: Any) -> Model:
@@ -203,42 +208,32 @@ def parse_space(doc: Any) -> Model:
         return model
     if kind == "kahler":
         betti = {}
-        for n, entry in _intkey_table(doc.get("betti", {}), "betti").items():
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ParseError(f"betti[{n}]: expected [free_rank, [torsion...]]")
+        for k, entry in _items(doc.get("betti", {}), "betti"):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
+                raise ParseError(f"betti[{k}]: expected [free_rank, [torsion...]]")
             try:
-                betti[n] = FgAbelianGroup.of(int(entry[0]), [int(t) for t in entry[1]])
+                betti[_int_arg(k, "betti", k)] = FgAbelianGroup.of(
+                    _int_arg(entry[0], "betti", k), [_int_arg(t, "betti", k) for t in entry[1]]
+                )
             except ValueError as exc:
-                raise ParseError(f"betti[{n}]: {exc}")
-        ring = _ring_from_json(doc["ring"]) if doc.get("ring") else None
-        try:
-            return KahlerModel.make(
-                name=str(doc.get("name", "space")),
-                dim=int(doc.get("complex_dim", -1)),
-                betti=betti,
-                hodge=_pairkey_table(doc.get("hodge", {}), "hodge"),
-                hodge_class_rank=_intkey_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
-                ring=ring,
-            )
-        except CalcError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"kahler document: {exc}")
+                raise ParseError(f"betti[{k}]: {exc}")
+        return KahlerModel.make(
+            name=str(doc.get("name", "space")),
+            dim=_int_arg(doc.get("complex_dim", -1), "complex_dim"),
+            betti=betti,
+            hodge=_pair_table(doc.get("hodge", {}), "hodge"),
+            hodge_class_rank=_int_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
+            ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
+        )
     if kind == "quasiprojective":
-        ring = _ring_from_json(doc["ring"]) if doc.get("ring") else None
-        try:
-            return QuasiProjModel.make(
-                name=str(doc.get("name", "space")),
-                betti=_intkey_table(doc.get("betti_rank", {}), "betti_rank"),
-                filt=_pairkey_table(doc.get("filt_dim", {}), "filt_dim"),
-                lattice=_pairkey_table(doc.get("lattice_in_f", {}), "lattice_in_f"),
-                hodge_class_rank=_intkey_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
-                ring=ring,
-            )
-        except CalcError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"quasiprojective document: {exc}")
+        return QuasiProjModel.make(
+            name=str(doc.get("name", "space")),
+            betti=_int_table(doc.get("betti_rank", {}), "betti_rank"),
+            filt=_pair_table(doc.get("filt_dim", {}), "filt_dim"),
+            lattice=_pair_table(doc.get("lattice_in_f", {}), "lattice_in_f"),
+            hodge_class_rank=_int_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
+            ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
+        )
     raise ParseError(f"unknown space kind {kind!r} (expected kahler, quasiprojective or construct)")
 
 
@@ -281,18 +276,11 @@ def emit_space(model: Model) -> dict:
 def parse_theory(doc: Any) -> CoefficientTheory:
     if not isinstance(doc, dict):
         raise ParseError("theory document must be a JSON object")
-    ranks = _intkey_table(doc.get("ranks", {}), "ranks")
-    fieldname = doc.get("field", "integral")
-    try:
-        return custom_theory(
-            {j: int(r) for j, r in ranks.items()},
-            ring_field=str(fieldname),
-            name=str(doc.get("name", "custom")),
-        )
-    except CalcError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"theory document: {exc}")
+    return custom_theory(
+        _int_table(doc.get("ranks", {}), "ranks"),
+        ring_field=str(doc.get("field", "integral")),
+        name=str(doc.get("name", "custom")),
+    )
 
 
 def load_theory_argument(arg: str) -> CoefficientTheory:
@@ -325,12 +313,13 @@ def descriptor_to_json(d: GroupDescriptor) -> dict:
 
 def descriptor_from_json(raw: Any) -> GroupDescriptor:
     try:
+        ctd = raw["complex_torus_dim"]
         return GroupDescriptor(
-            free_rank=int(raw["free_rank"]),
-            torsion=tuple(int(t) for t in raw["torsion"]),
-            circle_rank=int(raw["circle_rank"]),
-            real_rank=int(raw["real_rank"]),
-            complex_torus_dim=None if raw["complex_torus_dim"] is None else int(raw["complex_torus_dim"]),
+            free_rank=_int_arg(raw["free_rank"], "free_rank"),
+            torsion=tuple(_int_arg(t, "torsion") for t in raw["torsion"]),
+            circle_rank=_int_arg(raw["circle_rank"], "circle_rank"),
+            real_rank=_int_arg(raw["real_rank"], "real_rank"),
+            complex_torus_dim=None if ctd is None else _int_arg(ctd, "complex_torus_dim"),
             exactness=str(raw["exactness"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -456,8 +456,11 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
     gr^a = F^a/F^{a+1}; the lattice table convolves the same way, which is
     the correct default whenever one factor is cohomologically trivial
     (the A^1-invariance use case) and a documented lower-bound heuristic
-    otherwise.
+    otherwise.  A compact factor must first be re-presented with
+    ``as_quasiproj``.
     """
+    if not (isinstance(x, QuasiProjModel) and isinstance(y, QuasiProjModel)):
+        raise ModelError("quasi_product takes quasi-projective models; re-present a compact factor with as_quasiproj")
 
     def gr(model: QuasiProjModel, a: int, n: int) -> int:
         return max(model.filtration_dim(a, n) - model.filtration_dim(a + 1, n), 0)

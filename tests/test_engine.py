@@ -8,9 +8,11 @@ coefficient table, rational splitting, bundle formula).
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
+import hfcalc.engine as engine
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import builtin_theory, custom_theory, mu_rank
 from hfcalc.engine import (
@@ -32,6 +34,7 @@ from hfcalc.engine import (
     transfer_normalization_check,
 )
 from hfcalc.errors import EngineError, ModelError, RingError
+from hfcalc.io import parse_ring_element
 from hfcalc.spaces import (
     KahlerModel,
     QuasiProjModel,
@@ -389,6 +392,11 @@ class TestA1Invariance:
             for n in range(0, 4):
                 assert a1_invariance_check(model, MU, n, 1)[0]
 
+    def test_compact_model_refused(self):
+        for model in (projective_space(1), curve(1)):
+            with pytest.raises(EngineError, match="check a1 needs a quasiprojective space"):
+                a1_invariance_check(model, HZ, 0, 0)
+
 
 class TestBundleFormula:
     def test_point_rank_two(self):
@@ -435,9 +443,26 @@ class TestGrothendieck:
         p1 = projective_space(1)
         assert grothendieck_check(p1, 2, chern=[p1.ring.gen("x"), None])
 
-    def test_detects_corruption(self):
-        p1 = projective_space(1)
-        assert not grothendieck_check(p1, 2, chern=[p1.ring.gen("x"), None], drop_terms=(1,))
+    def test_detects_corruption(self, monkeypatch):
+        # Flip the sign of the c_1 xi^(r-1) term of the relation that
+        # bundle_extension stores; the checker's own alternating sum is the
+        # independent reference and must no longer reduce to zero.
+        real = engine.bundle_extension
+
+        def flipped(base, rank, classes=None):
+            ring = real(base, rank, classes)
+            power, tail = ring.rules[-1]
+            rule = (power, {m: -c if m[-1] == rank - 1 else c for m, c in tail.items()})
+            return replace(ring, rules=ring.rules[:-1] + (rule,))
+
+        cases = [(1, 2, ["x", None]), (2, 2, ["x", "x^2"]), (2, 3, ["x", None, "x^3"])]
+        for n, r, chern in cases:
+            pn = projective_space(n)
+            classes = [None if c is None else parse_ring_element(pn.ring, c) for c in chern]
+            assert grothendieck_check(pn, r, classes)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "bundle_extension", flipped)
+                assert not grothendieck_check(pn, r, classes), (n, r, chern)
 
     def test_missing_ring(self):
         with pytest.raises(RingError, match="ring"):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
-from hfcalc.abeljacobi import EllipticCurve
+from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.cli import run
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import GroupDescriptor, hfc_group
@@ -302,6 +302,64 @@ NOT_AN_INTEGER = [
 ]
 
 
+def _edited(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the entry at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+ELLIPTIC_DOC = json.loads((FIXTURES / "elliptic_tables.json").read_text())
+P1_DOC = emit_space(projective_space(1))
+GM_DOC = emit_space(gm())
+AJ_TWO_TORSION = ["aj", "--g2", "4", "--g3", "0", "--divisor"]
+
+# Malformed integers from outside the program: id -> (space document or
+# None, theory document or None, argv before the file flags).  Each must
+# exit 1 with one line on stderr and no traceback.
+MALFORMED_INTEGERS = {
+    "hodge_1.5": (_edited(ELLIPTIC_DOC, ("hodge", "1,1"), 1.5), None, ["compute"]),
+    "complex_dim_1.7": (_edited(ELLIPTIC_DOC, ("complex_dim",), 1.7), None, ["compute"]),
+    "betti_rank_1.9": (_edited(ELLIPTIC_DOC, ("betti", "0"), [1.9, []]), None, ["compute"]),
+    "betti_torsion_1.5": (_edited(ELLIPTIC_DOC, ("betti", "1"), [2, [1.5]]), None, ["compute"]),
+    "hodge_class_rank_true": (_edited(ELLIPTIC_DOC, ("hodge_class_rank", "1"), True), None, ["compute"]),
+    "hodge_key_1.5": (_edited(ELLIPTIC_DOC, ("hodge", "1.5,1"), 1), None, ["compute"]),
+    "betti_rank_quasi_1.5": (_edited(GM_DOC, ("betti_rank", "1"), 1.5), None, ["compute"]),
+    "filt_dim_true": (_edited(GM_DOC, ("filt_dim", "1,1"), True), None, ["compute"]),
+    "ring_power_2.5": (_edited(P1_DOC, ("ring", "rules", 0, 0), 2.5), None, ["compute"]),
+    "ring_degree_null": (_edited(P1_DOC, ("ring", "generators", 0, 1), None), None, ["compute"]),
+    "theory_rank_1.5": (None, {"name": "t", "ranks": {"0": 1.5}}, ["compute"]),
+    "theory_rank_true": (None, {"name": "t", "ranks": {"1": True}}, ["compute"]),
+    "aj_multiplicity_1.5": (None, None, AJ_TWO_TORSION + ['[[["1", "0"], 1.5], ["inf", -1.5]]']),
+    "aj_multiplicity_true": (None, None, AJ_TWO_TORSION + ['[[["1", "0"], true], ["inf", -1]]']),
+    "aj_multiplicity_null": (None, None, AJ_TWO_TORSION + ['[[["1", "0"], null], ["inf", -1]]']),
+    "ring_element_exponent": (P1_DOC, None, ["check", "transfer", "--divisor-class", "x^abc"]),
+    "ring_element_coefficient": (P1_DOC, None, ["check", "transfer", "--divisor-class", "\u00b2*x"]),
+}
+# Betti entries of the wrong shape, run as processes.
+BETTI_SHAPES = {
+    "betti_[1,5]": [1, 5],
+    "betti_[null,[]]": [None, []],
+    "betti_[1]": [1],
+    "betti_1": 1,
+}
+
+
+def _malformed_argv(tmp_path, space, theory, argv) -> list:
+    space_path, theory_path = tmp_path / "space.json", tmp_path / "theory.json"
+    space_path.write_text(json.dumps(space if space is not None else ELLIPTIC_DOC))
+    theory_path.write_text(json.dumps(theory))
+    if argv[0] == "compute":
+        return argv + ["--space", str(space_path), "--theory", str(theory_path) if theory else "HZ",
+                       "--n", "0", "--p", "0"]
+    if argv[0] == "check":
+        return argv + ["--space", str(space_path)]
+    return argv
+
+
 class TestInputBoundary:
     """Malformed input ends in a CalcError with exit code 1, never a traceback."""
 
@@ -337,6 +395,66 @@ class TestInputBoundary:
         for expr in (["curve", 1.0], ["projective_space", "2"], ["projective_bundle", ["point"], 3.0]):
             parse_space({"kind": "construct", "expr": expr})
         assert parse_space({"kind": "construct", "expr": ["curve", 2.0]}).betti_rank(1) == 4
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INTEGERS))
+    def test_malformed_integer(self, name, tmp_path, capsys):
+        argv = _malformed_argv(tmp_path, *MALFORMED_INTEGERS[name])
+        code, _ = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("name", sorted(BETTI_SHAPES))
+    def test_betti_entry_shape_process(self, name, tmp_path):
+        space = _edited(ELLIPTIC_DOC, ("betti", "0"), BETTI_SHAPES[name])
+        code, err = run_cli_process(*_malformed_argv(tmp_path, space, None, ["compute"]))
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("betti[0]: "), err
+
+    def test_integral_table_values_accepted(self, tmp_path):
+        # Integral floats and numeral strings read as the integers they name,
+        # in every table, theory rank and divisor multiplicity.
+        def spelled(x, as_):
+            if isinstance(x, dict):
+                return {k: v if k in ("kind", "name") else spelled(v, as_) for k, v in x.items()}
+            if isinstance(x, list):
+                return [spelled(v, as_) for v in x]
+            return as_(x) if type(x) is int else x
+
+        models = (product(curve(1), curve(2)), projective_bundle(projective_space(1), 2), _torsion_bundle(),
+                  quasi_product(gm(), as_quasiproj(curve(2))))
+        for model in models:
+            doc = emit_space(model)
+            for as_ in (float, str):
+                assert emit_space(parse_space(spelled(doc, as_))) == doc
+        theory = tmp_path / "ku.json"
+        theory.write_text(json.dumps({"name": "KU-trunc", "ranks": {"0": "1", "1": 1.0}}))
+        assert load_theory_argument(str(theory)) == load_theory_argument(fixture("ku2.json"))
+        outs = {
+            run_cli(*AJ_TWO_TORSION, json.dumps([[["1", "0"], m], ["inf", n]]))
+            for m, n in ((1, -1), (1.0, -1.0), ("1", "-1"))
+        }
+        assert len(outs) == 1 and outs.pop()[0] == 0
+
+    def test_aj_zero_multiplicity_bad_coordinate(self):
+        # Every coordinate is parsed, even one whose multiplicity is 0.
+        code, _ = run_cli(*AJ_TWO_TORSION, '[[["1", "0"], 1], ["inf", -1], [["zz", "1"], 0]]')
+        assert code == 1
+
+    def test_aj_builds_one_divisor(self, monkeypatch):
+        calls = []
+        real = Divisor.of.__func__
+
+        def spy(cls, entries):
+            calls.append(entries)
+            return real(cls, entries)
+
+        monkeypatch.setattr(Divisor, "of", classmethod(spy))
+        code, _ = run_cli(*AJ_TWO_TORSION, '[[["1", "0"], 1], ["inf", -1]]')
+        assert code == 0
+        assert len(calls) == 1
 
     def test_aj_hostile_precision_process(self):
         start = time.monotonic()

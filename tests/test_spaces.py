@@ -192,6 +192,11 @@ class TestQuasiProj:
                 name="bad", betti={1: 1}, filt={}, lattice={(1, 1): 1}, hodge_class_rank={},
             )
 
+    def test_quasi_product_refuses_compact_factor(self):
+        for x, y in ((projective_space(1), gm()), (gm(), curve(1)), (point(), point())):
+            with pytest.raises(ModelError, match="as_quasiproj"):
+                quasi_product(x, y)
+
     def test_quasi_product_with_affine_is_identity(self):
         for model in (gm(), affine_space(2), as_quasiproj(projective_space(2))):
             prod = quasi_product(model, affine_space(1))
