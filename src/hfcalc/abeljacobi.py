@@ -7,7 +7,9 @@ the Abel-Jacobi map sends a degree-zero divisor to the sum of the
 unreduced logarithms of its points, reduced into the fundamental cell once.
 Every modulus test compares squared moduli, as in |a - b|^2 - |a + b|^2 =
 -4 Re(a conj(b)), with thresholds squared once at set-up; a square root is
-taken only to print a failing residual.
+taken only to print a failing residual.  A divisor whose only point other
+than O is a branch point, with multiplicity 1, maps to that point's stored
+half period with no reduction, as its elliptic logarithm does.
 
 Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
@@ -27,9 +29,11 @@ curves get more, see ``EllipticCurve``):
   bits so that the smaller of a and b keeps its relative accuracy; square
   roots are ``math.isqrt``, conversion and halving truncate towards 0, so a
   conjugate pair steps to exactly real pairs, and the sign test and the stop
-  rule are exact integer comparisons.  The theta constants of the
-  SL_2(Z)-reduced basis, computed once, give g2 and g3 of the lattice, which
-  must reproduce the inputs to 10^-(digits-3) s^4 and s^6,
+  rule are exact integer comparisons.  The SL_2(Z) reduction of the basis
+  tracks its integer matrix, whose rows give the coordinates of the reduced
+  basis in (w1, w2) and so the half period of each root with no solve.
+  The theta constants of the reduced basis, computed once, give g2 and g3
+  of the lattice, which must reproduce the inputs to 10^-(digits-3) s^4 and s^6,
   s = max(|g2|^(1/4), |g3|^(1/6)): g2 and g3 have weights 4 and 6, so the
   check, like the singular-curve test, reads the same on (l^4 g2, l^6 g3)
   for every scale l;
@@ -38,10 +42,12 @@ curves get more, see ``EllipticCurve``):
   first index with |a_N - b_N| <= 10^-(dps-3) |a_N|, and the mean
   M = (a_N + b_N)/2, and every logarithm walks them: from c = sqrt(x - e3),
   c <- (c + s)/2 with s the root of c^2 - a_n^2 + b_n^2 nearer c, per pair,
-  then z = asin(M / c) / M.  The step of pair 0 takes s = sqrt(x - e2) in
-  mpc, the same number by exact algebra, so a real point on a real curve
-  with e2 = conj(e3) gets an exactly real c; the other steps run on
-  integers in the AGM's units.  z is signed so that wp'(z) = y, and one
+  then z = asin(M / c) / M.  Every step runs on integers in the AGM's
+  units; the step of pair 0 (``_log_start``) takes s = sqrt(x - e2), the
+  same number by exact algebra, by ``_csqrt`` of x - e3 and x - e2, so a
+  real point on a real curve with e2 = conj(e3) gets a c with an exact 0
+  part.  Only x - e3, x - e2 and the final c cross between mpc and
+  integers.  z is signed so that wp'(z) = y, and one
   evaluation of (wp, wp') at z must reproduce the point to 10^-(digits-3)
   of max(|x|, s^2) and max(|y|, s^3), x and y having weights 2 and 3.  A
   branch point (e_i, 0), y = 0 exactly, maps to its half period w1/2, w2/2
@@ -53,8 +59,11 @@ curves get more, see ``EllipticCurve``):
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
   23.6(i)), about sqrt(digits) terms per evaluation and no table.  The
   theta sums run in fixed point on Python integers, with guard bits that
-  follow from the terms' size bound (``_theta``), and convert back to mpc
-  once per evaluation.
+  follow from the terms' size bound (``_theta_sums``); the term count needs
+  L = -4 log|q^(1/4)| = pi Im(tau), stored at set-up.  wp and wp' take the
+  ratios R = theta4/theta1 and S = theta2 theta3/theta1^2 on those
+  integers, convert only R and S to mpc, and finish as wp = K2 R^2 + e3,
+  wp' = K3 R S with K2 and K3 stored at set-up.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -229,29 +238,35 @@ def carlson_rf(x, y, z):
 
 
 def _reduce_tau(w1, w2):
-    """SL_2(Z)-reduce the basis so tau = w2/w1 is in the fundamental domain."""
+    """SL_2(Z)-reduce the basis so tau = w2/w1 is in the fundamental domain:
+    (r1, r2, (a, b, c, d)) with r1 = a w1 + b w2, r2 = c w1 + d w2 and
+    ad - bc = 1, the integers tracked through the steps."""
     inside2 = (1 - mpf(10) ** (-mp.dps)) ** 2  # |tau| < 1 - 10^-dps, squared
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10000):
         tau = w2 / w1
-        shift = mp.nint(mp.re(tau))
+        shift = int(mp.nint(tau.real))
         if shift != 0:
             w2 = w2 - shift * w1
+            c, d = c - shift * a, d - shift * b
             tau = w2 / w1
         if _abs2(tau) < inside2:
             w1, w2 = w2, -w1
+            a, b, c, d = c, d, -a, -b
             continue
-        return w1, w2
+        return w1, w2, (a, b, c, d)
     raise CurveError("lattice basis reduction failed")
 
 
-def _theta(q4, v):
+def _theta_sums(q4, big_l, v):
     """Jacobi theta functions (theta1, ..., theta4)(v) of the nome q = q4^4
-    (DLMF 20.2(i)): sums of q^(m^2/4) sin(mv) (theta1, odd m) and
-    q^(m^2/4) cos(mv) (theta2 odd m, theta3 and theta4 even m).
+    (DLMF 20.2(i)) as integers: ((re, im) of each, exp), theta_j =
+    (re + i im) 2^exp.  They are sums of q^(m^2/4) sin(mv) (theta1, odd m)
+    and q^(m^2/4) cos(mv) (theta2 odd m, theta3 and theta4 even m).
 
     f((m + 1)v) = 2 cos(v) f(mv) - f((m - 1)v) keeps sin(mv) accurate as
     v -> 0, where theta1 vanishes.  Term m is at most
-    exp(-L m^2/4 + m |Im v|), L = -log|q|, so summing to
+    exp(-L m^2/4 + m |Im v|), L = -4 log|q4| = pi Im(tau), so summing to
     m = 2 |Im v|/L + sqrt(4 dps log(10)/L + 1) leaves every later term
     10^-dps under the largest of its parity.
 
@@ -263,8 +278,7 @@ def _theta(q4, v):
     and must keep their relative accuracy.  A zero part of q4, cos v or
     sin v stays an exact 0, so real inputs give exactly real outputs.
     """
-    big_l = float(-4 * mp.log(abs(q4)))
-    im_v = abs(float(mp.im(v)))
+    im_v = abs(float(v.imag))
     terms = int(2 * im_v / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
     guard = 20 + math.ceil(terms * im_v / math.log(2)) + max(0, -mp.mag(q4))
     if v:
@@ -297,31 +311,38 @@ def _theta(q4, v):
         spr, spi, sr, si = (
             sr, si, (two_cr * sr >> wp) - (two_ci * si >> wp) - spr, (two_cr * si >> wp) + (two_ci * sr >> wp) - spi
         )
-    # Back to mpc once: theta = 2 (sums), or 1 + 2 (sums), in units of 2^(1 - 2 wp).
-    half, exp = 1 << (2 * wp - 1), 1 - 2 * wp
+    # theta = 2 (sums), or 1 + 2 (sums), in units of 2^(1 - 2 wp).
+    half = 1 << (2 * wp - 1)
     return (
-        _unfixed(sin_r[1] - sin_r[3], sin_i[1] - sin_i[3], exp),
-        _unfixed(cos_r[1] + cos_r[3], cos_i[1] + cos_i[3], exp),
-        _unfixed(half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2], exp),
-        _unfixed(half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2], exp),
-    )
+        (sin_r[1] - sin_r[3], sin_i[1] - sin_i[3]),
+        (cos_r[1] + cos_r[3], cos_i[1] + cos_i[3]),
+        (half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2]),
+        (half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2]),
+    ), 1 - 2 * wp
+
+
+def _theta(q4, big_l, v):
+    """The four theta values of ``_theta_sums`` as mpc, each rounded once."""
+    sums, exp = _theta_sums(q4, big_l, v)
+    return tuple(_unfixed(re, im, exp) for re, im in sums)
 
 
 def _theta_lattice(r1, r2):
     """For a reduced basis: k = pi / r1, q^(1/4) = exp(i pi tau / 4) with
-    tau = r2 / r1, (theta2, theta3, theta4) at 0, (e1, e2, e3) = wp at
+    tau = r2 / r1, L = -4 log|q^(1/4)| = pi Im(tau) as a float,
+    (theta2, theta3, theta4) at 0, (e1, e2, e3) = wp at
     (r1/2, (r1 + r2)/2, r2/2), g2 and g3.
 
     wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
     and e3 = -k^2 (theta2^4 + theta3^4)/3 at those half periods (DLMF 23.6(i)),
     so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.
     """
-    k = mp.pi / r1
-    q4 = mp.expj(mp.pi * (r2 / r1) / 4)
-    _zero, t2, t3, t4 = _theta(q4, mp.zero)
-    s = k * k / 3
-    e1, e2, e3 = s * (t3 ** 4 + t4 ** 4), s * (t2 ** 4 - t4 ** 4), -s * (t2 ** 4 + t3 ** 4)
-    return k, q4, (t2, t3, t4), (e1, e2, e3), 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
+    k, tau = mp.pi / r1, r2 / r1
+    q4, big_l = mp.expj(mp.pi * tau / 4), float(mp.pi * tau.imag)
+    _zero, t2, t3, t4 = _theta(q4, big_l, mp.zero)
+    s, p2, p3, p4 = k * k / 3, t2 ** 4, t3 ** 4, t4 ** 4
+    e1, e2, e3 = s * (p3 + p4), s * (p2 - p4), -s * (p2 + p3)
+    return k, q4, big_l, (t2, t3, t4), (e1, e2, e3), 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
 
 
 def lattice_invariants(w1, w2):
@@ -332,7 +353,7 @@ def lattice_invariants(w1, w2):
         w2 = -w2
     if mp.im(w2 / w1) == 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    return _theta_lattice(*_reduce_tau(w1, w2))[4:]
+    return _theta_lattice(*_reduce_tau(w1, w2)[:2])[5:]
 
 
 @dataclass(frozen=True)
@@ -368,9 +389,9 @@ class Divisor:
 
 def _coords(z, w1, w2):
     """Real coordinates (a, b) with z = a w1 + b w2."""
-    det = mp.re(w1) * mp.im(w2) - mp.im(w1) * mp.re(w2)
-    a = (mp.re(z) * mp.im(w2) - mp.im(z) * mp.re(w2)) / det
-    b = (mp.re(w1) * mp.im(z) - mp.im(w1) * mp.re(z)) / det
+    det = w1.real * w2.imag - w1.imag * w2.real
+    a = (z.real * w2.imag - z.imag * w2.real) / det
+    b = (w1.real * z.imag - w1.imag * z.real) / det
     return a, b
 
 
@@ -417,20 +438,32 @@ def _period_basis(e1, e2, e3):
     return w1, w2, walk
 
 
+def _log_start(unit, e2, e3, x):
+    """c after the step of pair 0 of the logarithm walk, as integers in
+    units of 2^unit: (sqrt(x - e3) + sqrt(x - e2))/2, the second root taken
+    nearer the first.  That is c <- (c + sqrt(c^2 - a_0^2 + b_0^2))/2 from
+    c = sqrt(x - e3) by exact algebra, (x - e3) - (e1 - e3) + (e1 - e2) =
+    x - e2, so the difference of nearly equal roots is never formed.
+
+    x - e3 and x - e2 convert to units of 2^(2 unit) and take ``_csqrt``;
+    rounding is absolute in the AGM's unit, and truncation and ``_csqrt``
+    are conjugate-symmetric, so a real x on a real curve with
+    e2 = conj(e3) gives c an exact 0 part."""
+    cr, ci = _csqrt(*_fixed(x - e3, -2 * unit))
+    sr, si = _csqrt(*_fixed(x - e2, -2 * unit))
+    if cr * sr + ci * si < 0:  # the root nearer c, as in _nearer
+        sr, si = -sr, -si
+    return _half(cr + sr), _half(ci + si)
+
+
 def _agm_log(walk, e2, e3, x):
     """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
     and the lattice.  ``walk`` comes from ``_period_basis`` of the roots
     e1, e2, e3: c starts at sqrt(x - e3) and takes one step
-    c <- (c + sqrt(c^2 - d_n))/2, the root nearer c, per pair.
-
-    The step of pair 0 is exact algebra in mpc: c^2 - a_0^2 + b_0^2 =
-    (x - e3) - (e1 - e3) + (e1 - e2) = x - e2, so a real x on a real curve
-    with e2 = conj(e3) gives c an exact 0 part.  The other steps run on
-    integers in the AGM's units."""
+    c <- (c + sqrt(c^2 - d_n))/2, the root nearer c, per pair, on integers
+    in the AGM's units (pair 0 by ``_log_start``)."""
     unit, ds, m = walk
-    c = mp.sqrt(x - e3)
-    c = (c + _nearer(c, mp.sqrt(x - e2))) / 2
-    cr, ci = _fixed(c, -unit)
+    cr, ci = _log_start(unit, e2, e3, x)
     for dr, di in ds:
         sr, si = _csqrt(cr * cr - ci * ci - dr, 2 * cr * ci - di)
         if cr * sr + ci * si < 0:  # the root nearer c, as in _nearer
@@ -474,7 +507,8 @@ class EllipticCurve:
             if abs(disc) <= scale * mpf(10) ** (-self.digits):
                 raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
             self.discriminant = disc
-            self._workdps += max(0, int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20)
+            if abs(disc) < scale * mpf(10) ** -20:  # near-singular: k > 20
+                self._workdps += int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20
         with mp.workdps(self._workdps):
             # Every modulus test compares squares, so the thresholds 10^-k and
             # the sizes s^k are squared here, once.
@@ -507,9 +541,13 @@ class EllipticCurve:
         theta constants; for each root the half period where wp takes it, and
         what the translation by its branch point needs."""
         w1, w2, walk = _period_basis(*self.roots)
-        self._reduced = r1, r2 = _reduce_tau(w1, w2)
-        self._k, self._q4, self._theta0, theta_e, g2r, g3r = _theta_lattice(r1, r2)
-        self._e3 = theta_e[2]
+        r1, r2, (a, b, c, d) = _reduce_tau(w1, w2)
+        self._reduced = r1, r2
+        k, self._q4, self._big_l, (t2, t3, t4), theta_e, g2r, g3r = _theta_lattice(r1, r2)
+        # The constants of wp_pair_raw: k, K2 = (k theta2 theta3)^2,
+        # K3 = -2 k (k theta2 theta3 theta4)^2 and e3.
+        kt23 = k * t2 * t3
+        self._k, self._k2, self._k3, self._e3 = k, kt23 ** 2, -2 * k * (kt23 * t4) ** 2, theta_e[2]
         # g2 and g3 have weights 4 and 6: measured on s^4 and s^6.
         err2 = max(_abs2(g2r - self.g2) / self._s4 ** 2, _abs2(g3r - self.g3) / self._s12)
         if err2 >= self._tol2:
@@ -518,13 +556,12 @@ class EllipticCurve:
         if sorted(match) != [0, 1, 2]:
             raise CurveError("half periods do not separate the branch points")
         # Twice the half periods where wp takes theta_e are r1, r1 + r2 and r2,
-        # with integer coordinates in (w1, w2): two solves give all three.
-        (a1, b1), (a2, b2) = _coords(r1, w1, w2), _coords(r2, w1, w2)
-        doubled = ((a1, b1), (a1 + a2, b1 + b2), (a2, b2))
+        # whose coordinates in (w1, w2) are the rows of the reduction matrix.
+        doubled = ((a, b), (a + c, b + d), (c, d))
         self._half_periods, self._branches = [], []
         e = self.roots
         for i, j in enumerate(match):
-            m, n = (int(mp.nint(c)) % 2 for c in doubled[j])
+            m, n = (v % 2 for v in doubled[j])
             # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
             self._half_periods.append((m * w1 + n * w2) / 2)
             # The other two roots, (e_i - e_j)(e_i - e_k), and e_i's gap squared.
@@ -580,7 +617,15 @@ class EllipticCurve:
         (DLMF 23.6(i); wp' by theta1'(0) = theta2 theta3 theta4):
         wp = k^2 [(theta2 theta3 theta4(v) / theta1(v))^2 - (theta2^4 + theta3^4)/3],
         wp' = -2 k^3 (theta2 theta3 theta4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3.
-        Reducing z against (r1, r2) bounds |Im v| by -log|q|/2.
+        So wp = K2 R^2 + e3 and wp' = K3 R S with the set-up constants
+        K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2 and
+        the ratios R = theta4(v) / theta1(v), S = theta2(v) theta3(v) / theta1(v)^2,
+        which are formed on the integer theta sums with prec + 20 fraction
+        bits and are the only numbers converted to mpc.  Their absolute
+        rounding costs wp under 2^-prec of s^2 and wp' under 2^-prec of s^3:
+        K2 and K3 carry |q| <= exp(-pi sqrt 3 / 2), and where R or S is large
+        it keeps its relative accuracy.  Reducing z against (r1, r2) bounds
+        |Im v| by L/2 = -2 log|q^(1/4)|.
         """
         r1, r2 = self._reduced
         z = mpc(z)
@@ -588,12 +633,17 @@ class EllipticCurve:
         z = z - mp.nint(a) * r1 - mp.nint(b) * r2
         if _abs2(z) < self._pole2:  # |z| < 10^-(workdps-5) rho
             raise CurveError("wp evaluated at a lattice point")
-        k, (t2, t3, t4) = self._k, self._theta0
-        th1, th2, th3, th4 = _theta(self._q4, k * z)
-        inv = 1 / th1
-        p = (k * t2 * t3 * th4 * inv) ** 2 + self._e3
-        pp = -2 * k * (k * t2 * t3 * t4) ** 2 * th2 * th3 * th4 * inv ** 3
-        return p, pp
+        ((t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i)), _exp = _theta_sums(self._q4, self._big_l, self._k * z)
+        bits = mp.prec + 20
+        # theta_j / theta1 = theta_j conj(theta1) / |theta1|^2; the units 2^exp cancel.
+        n1 = t1r * t1r + t1i * t1i
+        rr, ri = ((t4r * t1r + t4i * t1i) << bits) // n1, ((t4i * t1r - t4r * t1i) << bits) // n1
+        pr, pi = t2r * t3r - t2i * t3i, t2r * t3i + t2i * t3r  # theta2 theta3
+        cr, ci = t1r * t1r - t1i * t1i, -2 * t1r * t1i  # conj(theta1)^2
+        n2 = n1 * n1
+        sr, si = ((pr * cr - pi * ci) << bits) // n2, ((pr * ci + pi * cr) << bits) // n2
+        r, s = _unfixed(rr, ri, -bits), _unfixed(sr, si, -bits)
+        return self._k2 * r * r + self._e3, self._k3 * r * s
 
     def wp_pair(self, z) -> tuple:
         with mp.workdps(self._workdps):
@@ -696,18 +746,36 @@ class EllipticCurve:
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 
+    def _aj_sum(self, divisor: Divisor):
+        """(z, exact): the sum of m z(P) over the unreduced logarithms z(P) of
+        ``_log``, and whether z is a lone branch point's stored half period
+        (the divisor's only point other than O, with multiplicity 1).  Runs
+        at the working precision."""
+        if divisor.degree != 0:
+            raise CurveError(f"divisor has degree {divisor.degree}, expected 0")
+        terms = [(pt, mult) for pt, mult in divisor.entries if mult and pt is not None]
+        total, exact = mpc(0), False
+        for pt, mult in terms:
+            z, exact = self._log(pt)
+            total += mult * z
+        return total, exact and len(terms) == 1 and terms[0][1] == 1
+
     def aj(self, divisor: Divisor):
         """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell):
         the sum of m z(P) over the unreduced logarithms z(P) of ``_log``,
-        reduced once."""
-        if divisor.degree != 0:
-            raise CurveError(f"divisor has degree {divisor.degree}, expected 0")
+        reduced once.  A lone branch point (see ``_aj_sum``) gives its stored
+        half period as is, as ``elliptic_log`` does."""
         with mp.workdps(self._workdps):
-            total = mpc(0)
-            for pt, mult in divisor.entries:
-                if mult and pt is not None:
-                    total += mult * self._log(pt)[0]
-            return self.reduce_fundamental(total)
+            z, exact = self._aj_sum(divisor)
+            return z if exact else self.reduce_fundamental(z)
+
+    def _aj_coords(self, divisor: Divisor) -> tuple:
+        """(z, a, b): the value of ``aj`` and its coordinates (a, b) mod 1,
+        z = a w1 + b w2, from one ``frac_coords`` solve."""
+        with mp.workdps(self._workdps):
+            z, exact = self._aj_sum(divisor)
+            a, b = self.frac_coords(z)
+            return (z if exact else a * self.w1 + b * self.w2), a, b
 
     def is_torsion(self, pt: Point, bound: int) -> Optional[int]:
         """Least k <= bound with k * log(P) in the lattice, else None."""

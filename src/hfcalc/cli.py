@@ -265,8 +265,7 @@ def _cmd_aj(args, out) -> int:
     curve = EllipticCurve(g2, g3, digits)
     with mp.workdps(curve._workdps):
         divisor = _parse_divisor(args.divisor)
-    z = curve.aj(divisor)
-    a, b = curve.frac_coords(z)
+    z, a, b = curve._aj_coords(divisor)
     if args.format == "json":
         _emit_json(
             {

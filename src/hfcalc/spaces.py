@@ -266,10 +266,11 @@ class QuasiProjModel:
                     raise ModelError(
                         f"{self.name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {prev}"
                     )
+                # cur <= prev <= ... <= betti_rank(n), so cur is min(Betti, filtration).
                 lat = self.lattice_rank_in_filtration(p, n)
-                if lat < 0 or lat > min(self.betti_rank(n), cur):
+                if lat < 0 or lat > cur:
                     raise ModelError(
-                        f"{self.name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {min(self.betti_rank(n), cur)}"
+                        f"{self.name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
                     )
                 prev = cur
 

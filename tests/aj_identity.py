@@ -79,8 +79,9 @@ def _cell(e, z):
         return " ".join(f"0.{int(mp.nint(c * scale)) % scale:0{e.digits}d}" for c in e.frac_coords(z))
 
 
-def corpus_lines():
-    """The corpus, one string per line."""
+def corpus_lines(curves=None):
+    """The corpus, one string per line; each curve is also appended to
+    ``curves`` when a list is given."""
     rng = random.Random(SEED)
     lines = []
     for digits in DIGITS:
@@ -88,6 +89,8 @@ def corpus_lines():
             for n in range(count):
                 g2, g3 = _invariants(shape, digits, rng)
                 e = EllipticCurve(g2, g3, digits)
+                if curves is not None:
+                    curves.append(e)
                 with mp.workdps(digits + 30):
                     span = max(abs(g2) ** (mpf(1) / 2), abs(g3) ** (mpf(1) / 3))
                     p, q = (_point(g2, g3, mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) * span, rng) for _ in "pq")

@@ -12,6 +12,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -184,8 +185,8 @@ class TestPeriods:
         theta_lattice = abeljacobi._theta_lattice
 
         def merged(r1, r2):
-            k, q4, thetas, (e1, _e2, e3), g2, g3 = theta_lattice(r1, r2)
-            return k, q4, thetas, (e1, e1, e3), g2, g3
+            k, q4, big_l, thetas, (e1, _e2, e3), g2, g3 = theta_lattice(r1, r2)
+            return k, q4, big_l, thetas, (e1, e1, e3), g2, g3
 
         monkeypatch.setattr(abeljacobi, "_theta_lattice", merged)
         with pytest.raises(CurveError, match="do not separate"):
@@ -610,7 +611,7 @@ class TestThetaKernel:
             tau = mpc(x, y)
             q4 = mp.expj(mp.pi * tau / 4)
             v = mp.pi * (a + b * tau) * mpf(10) ** -shrink
-            got = abeljacobi._theta(q4, v)
+            got = abeljacobi._theta(q4, float(mp.pi * y), v)
             with mp.workdps(dps + 20):
                 want = reference_theta(q4, v)
             for i, (g, w) in enumerate(zip(got, want)):
@@ -627,7 +628,7 @@ class TestThetaKernel:
             q4 = mp.expj(mp.pi * mpc(0, "1.3") / 4)
             assert q4.imag == 0
             for v in (mp.zero, mpc("0.7", 0), mpf("1e-12"), mpc(0, "1.9"), mpc(0, "1e-12")):
-                got = abeljacobi._theta(q4, v)
+                got = abeljacobi._theta(q4, float(mp.pi * mpf("1.3")), v)
                 want = reference_theta(q4, v)
                 if v.imag == 0:
                     assert all(t.imag == 0 for t in got), v
@@ -1272,10 +1273,194 @@ class TestNearHalfPeriod:
             assert e.lattice_distance(e.elliptic_log(tiny_y) - e.w1 / 2) <= mpf(10) ** -(e._workdps - 5)
 
 
+def reference_log_start(e2, e3, x):
+    """``_log_start`` as the mpc step it replaced: c = sqrt(x - e3), then
+    c <- (c + s)/2 with s = sqrt(x - e2) taken nearer c."""
+    c = mp.sqrt(x - e3)
+    return (c + abeljacobi._nearer(c, mp.sqrt(x - e2))) / 2
+
+
+@st.composite
+def log_start_cases(draw):
+    """(dps, a, b, roots, x): a and b as in agm_cases with |a| in
+    1e-10..1e10, so the roots e1, e2 = e1 - b^2, e3 = e1 - a^2 have weights
+    from 1e-20 to 1e20; x either at a quarter of one root's gap from it, the
+    nearest a point gets before the logarithm translates it, or
+    x = e1 + t h^2, h the larger of a and b, with |t| from 0.1 up to the far
+    path's threshold 10^(dps/2)."""
+    dps = draw(st.integers(20, abeljacobi.MAX_DIGITS + 25))
+    size, ratio = draw(st.floats(-10, 10)), draw(st.floats(-12, 0))
+    i = draw(st.integers(0, 3))
+    with mp.workdps(dps):
+        a = mpf(10) ** size * mp.expj(draw(st.floats(0, 2 * math.pi)))
+        b = a * mpf(10) ** ratio * mp.expj(draw(st.floats(-0.45, 0.45)) * mp.pi)
+        if draw(st.booleans()):
+            a, b = b, a
+        h2 = max(abs(a), abs(b)) ** 2
+        e1 = h2 * mpc(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+        roots = (e1, e1 - b * b, e1 - a * a)
+        direction = mp.expj(draw(st.floats(0, 2 * math.pi)))
+        if i < 3:
+            gap = min(abs(roots[i] - r) for j, r in enumerate(roots) if j != i)
+            x = roots[i] + gap / 4 * direction
+        else:
+            x = e1 + mpf(10) ** draw(st.floats(-1, dps / 2)) * h2 * direction
+        return dps, a, b, roots, x
+
+
+def reference_wp_pair_theta(e, z):
+    """``wp_pair_raw`` as the mpc formula it replaced, on the plain mpc theta
+    loop: wp = k^2 [(theta2 theta3 theta4(v) / theta1(v))^2 - (theta2^4 + theta3^4)/3],
+    wp' = -2 k^3 (theta2 theta3 theta4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3."""
+    r1, r2 = e._reduced
+    a, b = abeljacobi._coords(z, r1, r2)
+    z = z - mp.nint(a) * r1 - mp.nint(b) * r2
+    k, q4 = mp.pi / r1, mp.expj(mp.pi * (r2 / r1) / 4)
+    _zero, t2, t3, t4 = reference_theta(q4, mp.zero)
+    th1, th2, th3, th4 = reference_theta(q4, k * z)
+    inv = 1 / th1
+    p = k * k * ((t2 * t3 * th4 * inv) ** 2 - (t2 ** 4 + t3 ** 4) / 3)
+    pp = -2 * k * (k * t2 * t3 * t4) ** 2 * th2 * th3 * th4 * inv ** 3
+    return p, pp
+
+
+class TestIntegerGlue:
+    """The integer step of pair 0, (wp, wp') from the integer theta sums, and
+    the facts the set-up derives once, against what they replaced."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(log_start_cases())
+    @example((1025, mpc(1, 0), mpc("1e-12", "1e-13"), (mpc(2, 1), mpc(2, 1) - mpc("1e-12", "1e-13") ** 2, mpc(1, 1)),
+              mpc("1e500", "1e500")))
+    @example((20, mpc("1e10", 0), mpc(0, "1e-2"), (mpc("1e20", 0), mpc("1e20", "1e-4"), mpc(0, 0)), mpc("2.5e19", 0)))
+    def test_log_start_matches_mpc_step(self, case):
+        # Both round absolutely in the AGM's unit 2^unit, apart from the
+        # relative rounding of x - e3 and x - e2 at the working precision.
+        dps, a, b, (_e1, e2, e3), x = case
+        with mp.workdps(dps):
+            unit, _pairs = abeljacobi._agm_sequence(a, b)
+            cr, ci = abeljacobi._log_start(unit, e2, e3, x)
+            bound = 2 - mp.prec
+        with mp.workdps(dps + 20):
+            want = reference_log_start(e2, e3, x)
+            got = abeljacobi._unfixed(cr, ci, unit)
+            assert abs(got - want) <= mpf(2) ** (unit + 3) + mpf(2) ** bound * abs(want), (got, want)
+
+    @pytest.mark.parametrize("digits", [10, 40, 100, 1000])
+    def test_log_start_on_a_real_curve_keeps_an_exact_zero_part(self, digits):
+        # e2 = conj(e3) and a real x: sqrt(x - e2) is exactly conj(sqrt(x - e3)),
+        # so c is exactly real, or exactly imaginary where Re(x - e3) < 0,
+        # as the mpc step gives it.
+        e = EllipticCurve(-4, 2, digits=digits)
+        e1, e2, e3 = e.roots
+        with mp.workdps(e._workdps):
+            assert e2 == mp.conj(e3) and e1.imag == 0
+            for x in (e1 + 1, e1 + mpf("1e-9"), e3.real - 1, mpf(10) ** 30, -mpf(10) ** 30, mpf(0)):
+                cr, ci = abeljacobi._log_start(e._walk[0], e2, e3, mpc(x))
+                want = reference_log_start(e2, e3, mpc(x))
+                assert (ci == 0, cr == 0) == (want.imag == 0, want.real == 0) and (ci == 0 or cr == 0), x
+                assert (ci == 0) == (x > e3.real)
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(curve_invariants(), st.sampled_from([20, 40, 100]), st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+           st.floats(0, 2 * math.pi))
+    @example((4, 0), 40, 0.3, 0.2, 1.0)
+    @example((1e-40, 1e-40), 20, 0.7, 0.6, 2.0)
+    @example((mpc(3, 1), mpc(-1, 2)), 100, 0.45, 0.55, 0.5)
+    def test_wp_pair_matches_mpc_formula(self, invariants, digits, a, b, phase):
+        # A generic z, z within 10^-(workdps-6) rho of the lattice point 0
+        # (ten times the pole's tolerance; near another lattice point the
+        # reduction's rounding would dominate), and the three half periods,
+        # where wp' = 0: wp to 10^-(workdps-3) of max(|wp|, s^2), wp' of
+        # max(|wp'|, s^3).
+        e = EllipticCurve(*invariants, digits=digits)
+        with mp.workdps(e._workdps):
+            tol = mpf(10) ** -(e._workdps - 3)
+            w1, w2 = e.w1, e.w2
+            near = mpf(10) ** -(e._workdps - 6) * e._rho * mp.expj(phase)
+            zs = [mpf(a) * w1 + mpf(b) * w2, near, -near, near * 1j, w1 / 2, w2 / 2, (w1 + w2) / 2]
+            for z in zs:
+                p, pp = e.wp_pair_raw(z)
+                with mp.workdps(e._workdps + 20):
+                    rp, rpp = reference_wp_pair_theta(e, z)
+                    assert abs(p - rp) <= tol * max(abs(rp), e._s2), z
+                    assert abs(pp - rpp) <= tol * max(abs(rpp), e._s3), z
+
+    @settings(max_examples=30, deadline=None)
+    @given(curve_invariants(), st.sampled_from([20, 40, 100]),
+           st.integers(-6, 6), st.integers(-6, 6))
+    def test_reduction_matrix(self, invariants, digits, q, r):
+        # Start from the basis M (w1, w2), M = ((1, q), (0, 1)) ((1, 0), (r, 1))
+        # in SL_2(Z), so that the reduction takes several steps: the matrix it
+        # returns is integral with determinant 1 and maps the basis it was
+        # given to (r1, r2).
+        e = EllipticCurve(*invariants, digits=digits)
+        with mp.workdps(e._workdps):
+            v1, v2 = (1 + q * r) * e.w1 + q * e.w2, r * e.w1 + e.w2
+            r1, r2, (a, b, c, d) = abeljacobi._reduce_tau(v1, v2)
+            assert all(type(x) is int for x in (a, b, c, d)) and a * d - b * c == 1
+            tol = mpf(10) ** -(e._workdps - 5) * (abs(v1) + abs(v2))
+            assert abs(a * v1 + b * v2 - r1) <= tol and abs(c * v1 + d * v2 - r2) <= tol
+            tau, slack = r2 / r1, mpf(10) ** -(e._workdps - 2)
+            assert abs(tau.real) <= mpf("0.5") + slack and abs(tau) >= 1 - slack
+
+    @pytest.mark.parametrize("g2, g3", [*SHAPES.values(), (3, "1.00000000000000000000000000000001")],
+                             ids=[*SHAPES.keys(), "near_singular_1e-32"])
+    def test_stored_nome_exponent(self, g2, g3):
+        # L = pi Im(tau), stored at set-up for the theta sums' term count.
+        e = EllipticCurve(g2, g3, digits=40)
+        with mp.workdps(e._workdps):
+            want = float(-4 * mp.log(abs(e._q4)))
+        assert type(e._big_l) is float
+        assert abs(e._big_l - want) <= 4 * sys.float_info.epsilon * want
+
+    @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
+    def test_lone_branch_point_is_not_reduced(self, monkeypatch, g2, g3):
+        # aj([T] - [O]) is the stored half period itself, with no solve; any
+        # other divisor through a branch point is reduced once.
+        e = EllipticCurve(g2, g3, digits=30)
+        calls = []
+        frac_coords, coords = EllipticCurve.frac_coords, abeljacobi._coords
+        monkeypatch.setattr(EllipticCurve, "frac_coords", lambda self, z: calls.append(z) or frac_coords(self, z))
+        monkeypatch.setattr(abeljacobi, "_coords", lambda *args: calls.append(args) or coords(*args))
+        for i, root in enumerate(e.roots):
+            for entries in ([((root, 0), 1), (None, -1)], [(None, -1), ((root, 0), 1)], [((root, 0), 1), (None, -1), (None, 0)]):
+                assert e.aj(Divisor.of(entries)) == e._half_periods[i]
+        assert calls == []
+        for entries in ([((e.roots[0], 0), -1), (None, 1)], [((e.roots[0], 0), 2), (None, -2)],
+                        [((e.roots[0], 0), 1), ((e.roots[1], 0), 1), (None, -2)]):
+            e.aj(Divisor.of(entries))
+            assert len([c for c in calls if not isinstance(c, tuple)]) == 1
+            calls.clear()
+
+
 class TestIdentityCorpus:
-    def test_corpus_matches_golden(self):
+    @pytest.fixture(scope="class")
+    def corpus(self):
         # 150 curves at 20, 40 and 100 digits (tests/aj_identity.py).
         from tests import aj_identity
 
-        diff = aj_identity.differences(aj_identity.corpus_lines(), aj_identity.GOLDEN.read_text())
-        assert diff == []
+        curves = []
+        return aj_identity, aj_identity.corpus_lines(curves), curves
+
+    def test_corpus_matches_golden(self, corpus):
+        aj_identity, lines, _curves = corpus
+        assert aj_identity.differences(lines, aj_identity.GOLDEN.read_text()) == []
+
+    def test_reduction_matrix_gives_the_solved_parities(self, corpus):
+        # The rows of the reduction matrix are the coordinates of r1 and r2
+        # in (w1, w2) that a 2x2 solve gives, rounded, and the half period
+        # they name for each root is a nonzero one where wp takes that root.
+        _aj_identity, _lines, curves = corpus
+        assert len(curves) == 150
+        for e in curves:
+            with mp.workdps(e._workdps):
+                r1, r2, (a, b, c, d) = abeljacobi._reduce_tau(e.w1, e.w2)
+                assert (r1, r2) == e._reduced
+                solved = [abeljacobi._coords(r, e.w1, e.w2) for r in (r1, r2)]
+                assert [[int(mp.nint(x)) for x in xy] for xy in solved] == [[a, b], [c, d]]
+                assert all(abs(x - mp.nint(x)) <= mpf(10) ** -(e._workdps - 5) for xy in solved for x in xy)
+                for root, half in zip(e.roots, e._half_periods):
+                    m, n = (int(mp.nint(x)) for x in e.coords(2 * half))
+                    assert [m % 2, n % 2] != [0, 0]
+                    assert abs(e.wp_pair(half)[0] - root) <= mpf(10) ** -(e.digits - 4) * max(abs(root), e._s2)

@@ -566,6 +566,25 @@ AJ_GOLDEN_COMMANDS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(AJ_GOLDEN_COMMANDS))
+def test_aj_solves_once(monkeypatch, name):
+    # The printed (a, b) are those of the one reduction, also for the
+    # two-torsion divisor, whose value aj returns unreduced.
+    calls = []
+    frac_coords = EllipticCurve.frac_coords
+
+    def spy(self, z):
+        calls.append(z)
+        return frac_coords(self, z)
+
+    digits, argv = AJ_GOLDEN_COMMANDS[name]
+    monkeypatch.setenv("HFCALC_AJ_PRECISION", str(digits))
+    monkeypatch.setattr(EllipticCurve, "frac_coords", spy)
+    code, _ = run_cli(*argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def _check_argvs() -> dict:
     """The six check kinds (plus a FAIL verdict), each in table and JSON form."""
     base = {

@@ -192,6 +192,18 @@ class TestQuasiProj:
                 name="bad", betti={1: 1}, filt={}, lattice={(1, 1): 1}, hodge_class_rank={},
             )
 
+    @pytest.mark.parametrize("betti, filt, lattice, message", [
+        ({1: 2}, {(1, 1): 1}, {(1, 1): 2}, "q: lattice rank 2 at (p=1, n=1) exceeds min(Betti, filtration) = 1"),
+        ({2: 3}, {(1, 2): 3, (2, 2): 1}, {(2, 2): 2}, "q: lattice rank 2 at (p=2, n=2) exceeds min(Betti, filtration) = 1"),
+        ({1: 2}, {}, {(1, 1): 1}, "q: lattice rank 1 at (p=1, n=1) exceeds min(Betti, filtration) = 0"),
+    ])
+    def test_lattice_bound_message(self, betti, filt, lattice, message):
+        # The bound is the filtration dimension, which the monotonicity check
+        # has already held under the Betti rank; the text still names both.
+        with pytest.raises(ModelError) as info:
+            QuasiProjModel.make(name="q", betti=betti, filt=filt, lattice=lattice)
+        assert str(info.value) == message
+
     def test_quasi_product_refuses_compact_factor(self):
         for x, y in ((projective_space(1), gm()), (gm(), curve(1)), (point(), point())):
             with pytest.raises(ModelError, match="as_quasiproj"):
