@@ -577,11 +577,6 @@ class EllipticCurve:
         with mp.workdps(self._workdps):
             return _coords(mpc(z), self.w1, self.w2)
 
-    def reduce_centered(self, z):
-        with mp.workdps(self._workdps):
-            a, b = self.coords(z)
-            return mpc(z) - mp.nint(a) * self.w1 - mp.nint(b) * self.w2
-
     def reduce_fundamental(self, z):
         """Representative with z = a w1 + b w2, a, b in [0, 1)."""
         with mp.workdps(self._workdps):
@@ -601,12 +596,9 @@ class EllipticCurve:
 
     def lattice_distance(self, z) -> mpf:
         with mp.workdps(self._workdps):
-            zc = self.reduce_centered(z)
-            best = abs(zc)
-            for m in (-1, 0, 1):
-                for n in (-1, 0, 1):
-                    best = min(best, abs(zc - m * self.w1 - n * self.w2))
-            return best
+            a, b = self.coords(z)
+            zc = mpc(z) - mp.nint(a) * self.w1 - mp.nint(b) * self.w2
+            return min(abs(zc - m * self.w1 - n * self.w2) for m in (-1, 0, 1) for n in (-1, 0, 1))
 
     # -- Weierstrass functions ------------------------------------------------------
 
@@ -726,6 +718,12 @@ class EllipticCurve:
             z, pp = -z, -pp
         miss2 = max(_abs2(p - x) / size_x2, _abs2(pp - y) / max(_abs2(y), self._s6))
         if miss2 > self._tol2:
+            # Where |y|^2 << s^6 the on-curve check lets through a y that is
+            # off the curve in this check's units: name it, not a miss.
+            yc = mp.sqrt(4 * x ** 3 - self.g2 * x - self.g3)
+            off2 = min(_abs2(y - yc), _abs2(y + yc)) / max(_abs2(y), self._s6)
+            if off2 > self._tol2:
+                raise CurveError(f"point is not on the curve: residual {mp.nstr(mp.sqrt(off2), 8)}")
             raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(mp.sqrt(miss2), 8)}")
         return z, False
 

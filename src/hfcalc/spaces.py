@@ -5,7 +5,8 @@ Two model kinds feed the engine:
 * :class:`KahlerModel` -- a compact Kahler manifold presented by its
   integral Betti groups, Hodge numbers h^{s,t} and the ranks of its groups
   of integral Hodge classes.  Filtration dimensions are derived:
-  dim F^p H^n = sum_{s >= p} h^{s, n-s}.
+  dim F^p H^n = sum_{s >= p} h^{s, n-s}, read from the Hodge numbers
+  indexed by degree once per model.
 
 * :class:`QuasiProjModel` -- a smooth quasi-projective variety presented by
   (torsion-free) Betti ranks together with explicit tables for
@@ -17,7 +18,9 @@ Products and projective bundles convolve tables: a product's Betti ranks,
 Hodge numbers and Hodge-class ranks are the convolutions of its factors'
 tables (Kunneth), and a rank-r bundle's are the base's convolved with
 1 + t + ... + t^(r-1) in the matching grading (the projective bundle
-formula).
+formula; a Kahler bundle direct-sums the base's Betti groups, torsion
+included).  One helper fills the ``filt`` and ``lattice`` windows of every
+quasi-projective result from a per-cell function.
 
 Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
@@ -32,8 +35,8 @@ KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from hfcalc.abelian import FgAbelianGroup
@@ -102,15 +105,18 @@ class KahlerModel:
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
 
+    @cached_property
+    def _levels(self) -> dict:
+        """The Hodge table by degree: n -> [(s, h^{s, n-s}), ...], nonzero, s increasing."""
+        levels: dict = {}
+        for (s, t), v in sorted(self.hodge.items()):
+            if v:
+                levels.setdefault(s + t, []).append((s, v))
+        return levels
+
     def filtration_dim(self, p: int, n: int) -> int:
         """dim F^p H^n(X; C) = sum_{s >= p} h^{s, n-s}."""
-        if n < 0 or n > 2 * self.dim:
-            return 0
-        return sum(v for (s, t), v in self.hodge.items() if s + t == n and s >= p)
-
-    def smallest_hodge_level(self, n: int) -> Optional[int]:
-        levels = [s for (s, t), v in self.hodge.items() if s + t == n and v != 0]
-        return min(levels) if levels else None
+        return sum(v for s, v in self._levels.get(n, ()) if s >= p)
 
     def lattice_rank_in_filtration(self, q: int, m: int) -> int:
         """Rank of the sublattice of H^m(X; Z) whose C-span lies in F^q H^m.
@@ -126,7 +132,7 @@ class KahlerModel:
         b = self.betti_rank(m)
         if b == 0:
             return 0
-        s_min = self.smallest_hodge_level(m)
+        s_min = self._levels[m][0][0]
         if m % 2 != 0:
             return b if q <= s_min else 0
         if q <= min(s_min, m // 2 - 1):
@@ -144,9 +150,9 @@ class KahlerModel:
         for n, g in self.betti.items():
             if n < 0 or n > 2 * d:
                 raise ModelError(f"{self.name}: Betti group in degree {n} outside [0, {2 * d}]")
-        hsums = Counter()
+        hsums: dict = {}
         for (s, t), v in self.hodge.items():
-            hsums[s + t] += v
+            hsums[s + t] = hsums.get(s + t, 0) + v
             if v < 0:
                 raise ModelError(f"{self.name}: negative Hodge number h^{{{s},{t}}}")
             if not (0 <= s <= d and 0 <= t <= d):
@@ -156,7 +162,7 @@ class KahlerModel:
                     f"{self.name}: Hodge symmetry fails, h^{{{s},{t}}} = {v} != h^{{{t},{s}}} = {self.hodge.get((t, s), 0)}"
                 )
         for n in range(0, 2 * d + 1):
-            hsum = hsums[n]
+            hsum = hsums.get(n, 0)
             b = self.betti_rank(n)
             if hsum != b:
                 raise ModelError(
@@ -292,6 +298,21 @@ def _convolve(a: Mapping, b: Mapping) -> dict:
     return out
 
 
+def _window_tables(degrees, cell) -> tuple[dict, dict]:
+    """Nonzero ``filt`` and ``lattice`` entries on the windows 1 <= p <= n of
+    ``degrees``, from cell(p, n) = (dim F^p H^n, lattice rank inside F^p)."""
+    filt = {}
+    lattice = {}
+    for n in degrees:
+        for p in range(1, n + 1):
+            f, lat = cell(p, n)
+            if f:
+                filt[(p, n)] = f
+            if lat:
+                lattice[(p, n)] = lat
+    return filt, lattice
+
+
 def point() -> KahlerModel:
     return KahlerModel.make(
         name="point",
@@ -377,30 +398,20 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
     hcr = _convolve(x.hodge_class_rank, {i: 1 for i in shifts})
     ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
     if isinstance(x, KahlerModel):
-        dim = x.dim + r - 1
         betti = {}
-        for n in range(0, 2 * dim + 1):
-            free = sum(x.betti_rank(n - 2 * i) for i in shifts)
-            tors: list[int] = []
-            for i in shifts:
-                tors.extend(x.betti_torsion(n - 2 * i))
-            if free or tors:
-                betti[n] = FgAbelianGroup.of(free, tors)
+        for i in shifts:
+            for n, g in x.betti.items():
+                k = n + 2 * i
+                betti[k] = betti[k].direct_sum(g) if k in betti else g
         return KahlerModel.make(
-            name=name, dim=dim, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
+            name=name, dim=x.dim + r - 1, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
     betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
-    filt = {}
-    lattice = {}
-    for n in betti_q:
-        for p in range(1, n + 1):
-            f = sum(x.filtration_dim(p - i, n - 2 * i) for i in shifts)
-            lat = sum(x.lattice_rank_in_filtration(p - i, n - 2 * i) for i in shifts)
-            if f:
-                filt[(p, n)] = f
-            if lat:
-                lattice[(p, n)] = lat
+    filt, lattice = _window_tables(betti_q, lambda p, n: (
+        sum(x.filtration_dim(p - i, n - 2 * i) for i in shifts),
+        sum(x.lattice_rank_in_filtration(p - i, n - 2 * i) for i in shifts),
+    ))
     return QuasiProjModel.make(
         name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
     )
@@ -434,16 +445,9 @@ def as_quasiproj(x: Model) -> QuasiProjModel:
     if x.has_torsion:
         raise ModelError(f"{x.name}: cannot re-present a torsion Betti table as quasi-projective data")
     betti = {n: x.betti_rank(n) for n in x.support_degrees()}
-    filt = {}
-    lattice = {}
-    for n in betti:
-        for p in range(1, n + 1):
-            f = x.filtration_dim(p, n)
-            lat = x.lattice_rank_in_filtration(p, n)
-            if f:
-                filt[(p, n)] = f
-            if lat:
-                lattice[(p, n)] = lat
+    filt, lattice = _window_tables(
+        betti, lambda p, n: (x.filtration_dim(p, n), x.lattice_rank_in_filtration(p, n))
+    )
     return QuasiProjModel.make(
         name=x.name, betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=dict(x.hodge_class_rank),
@@ -471,23 +475,19 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
             model.lattice_rank_in_filtration(a, n) - model.lattice_rank_in_filtration(a + 1, n), 0
         )
 
+    def cell(p: int, n: int) -> tuple[int, int]:
+        f = 0
+        lat = 0
+        for i in range(0, n + 1):
+            for a in range(0, i + 1):
+                for bb in range(0, (n - i) + 1):
+                    if a + bb >= p:
+                        f += gr(x, a, i) * gr(y, bb, n - i)
+                        lat += gr_lat(x, a, i) * gr_lat(y, bb, n - i)
+        return f, min(lat, f, betti[n])
+
     betti = _convolve(x.betti, y.betti)
-    filt = {}
-    lattice = {}
-    for n, b in betti.items():
-        for p in range(1, n + 1):
-            f = 0
-            lat = 0
-            for i in range(0, n + 1):
-                for a in range(0, i + 1):
-                    for bb in range(0, (n - i) + 1):
-                        if a + bb >= p:
-                            f += gr(x, a, i) * gr(y, bb, n - i)
-                            lat += gr_lat(x, a, i) * gr_lat(y, bb, n - i)
-            if f:
-                filt[(p, n)] = f
-            if lat:
-                lattice[(p, n)] = min(lat, f, b)
+    filt, lattice = _window_tables(betti, cell)
     return QuasiProjModel.make(
         name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank),

@@ -1206,6 +1206,22 @@ class TestLogContract:
                     assert e.lattice_distance(e.elliptic_log(pt) - wrong) <= mpf(10) ** -(e._workdps - 5) * abs(e.w1)
             monkeypatch.setattr(abeljacobi, "_agm_log", agm_log)
 
+    def test_small_y_off_the_curve_is_named(self):
+        # |y| is about 0.015 beside s^3 about 2.3: y (1 + 2.5e-25) passes the
+        # on-curve check (residual 2.2e-29 < 10^-28) but is off the curve by
+        # 1.7e-27 on y's weight, beyond the miss check's 10^-27.
+        e = EllipticCurve(3, "1.000000000001", 30)
+        with mp.workdps(e._workdps):
+            x, y = e.point_at(mpf("0.3") * e.w1 + mpf("0.2") * e.w2)
+            pt = (x, y * (1 + mpf("2.5e-25")))
+        assert e.on_curve_residual(pt) < mpf(10) ** -(e.digits - 2)
+        e.require_on_curve(pt)
+        with pytest.raises(CurveError) as info:
+            e.elliptic_log(pt)
+        assert str(info.value).startswith("point is not on the curve: residual 1.65")
+        with pytest.raises(CurveError, match="point is not on the curve"):
+            e.aj(Divisor.of([(pt, 1), (None, -1)]))
+
 
 # (g2, g3) of the near-half-period sweep: real with positive discriminant,
 # complex, and tiny weights.

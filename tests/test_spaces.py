@@ -1,9 +1,17 @@
 """Space models: constructors, invariants, filtration and lattice rules."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hfcalc.abelian import FgAbelianGroup
+from hfcalc.coefficients import builtin_theory
+from hfcalc.engine import e_rank, hfc_group
 from hfcalc.errors import ModelError
+from hfcalc.io import parse_space, parse_space_text
 from hfcalc.spaces import (
     KahlerModel,
     QuasiProjModel,
@@ -314,3 +322,319 @@ class TestValidation:
                 hodge={(0, 0): 1, (1, 1): 1},
                 hodge_class_rank={0: 1, 1: 2},
             )
+
+
+# -- reference constructors ------------------------------------------------------
+#
+# The quadratic code the constructors and accessors replaced, kept as oracles:
+# the whole-table Hodge scan, the smallest Hodge level, the Kahler bundle's
+# Betti loop over every degree and shift, and the three window loops.
+
+
+def reference_filtration_dim(model, p, n):
+    if n < 0 or n > 2 * model.dim:
+        return 0
+    return sum(v for (s, t), v in model.hodge.items() if s + t == n and s >= p)
+
+
+def reference_smallest_hodge_level(model, n):
+    levels = [s for (s, t), v in model.hodge.items() if s + t == n and v != 0]
+    return min(levels) if levels else None
+
+
+def reference_lattice_rank(model, q, m):
+    b = model.betti_rank(m)
+    if b == 0:
+        return 0
+    s_min = reference_smallest_hodge_level(model, m)
+    if m % 2 != 0:
+        return b if q <= s_min else 0
+    if q <= min(s_min, m // 2 - 1):
+        return b
+    if q <= m // 2:
+        return model.hcr(m // 2)
+    return 0
+
+
+def reference_convolve(a, b):
+    out = {}
+    for k, u in a.items():
+        for l, v in b.items():
+            key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[1])
+            out[key] = out.get(key, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_bundle_betti(x, r):
+    dim = x.dim + r - 1
+    betti = {}
+    for n in range(0, 2 * dim + 1):
+        free = sum(x.betti_rank(n - 2 * i) for i in range(r))
+        tors = []
+        for i in range(r):
+            tors.extend(x.betti_torsion(n - 2 * i))
+        if free or tors:
+            betti[n] = FgAbelianGroup.of(free, tors)
+    return betti
+
+
+def _nonzero(table):
+    return {k: v for k, v in table.items() if v}
+
+
+def reference_as_quasiproj_tables(x):
+    filt = {}
+    lattice = {}
+    for n in sorted(x.betti):
+        for p in range(1, n + 1):
+            filt[(p, n)] = reference_filtration_dim(x, p, n)
+            lattice[(p, n)] = reference_lattice_rank(x, p, n)
+    return _nonzero(filt), _nonzero(lattice)
+
+
+def reference_quasi_bundle_tables(x, r):
+    filt = {}
+    lattice = {}
+    for n in reference_convolve(x.betti, {2 * i: 1 for i in range(r)}):
+        for p in range(1, n + 1):
+            filt[(p, n)] = sum(x.filtration_dim(p - i, n - 2 * i) for i in range(r))
+            lattice[(p, n)] = sum(x.lattice_rank_in_filtration(p - i, n - 2 * i) for i in range(r))
+    return _nonzero(filt), _nonzero(lattice)
+
+
+def reference_quasi_product_tables(x, y):
+    def gr(model, a, n):
+        return max(model.filtration_dim(a, n) - model.filtration_dim(a + 1, n), 0)
+
+    def gr_lat(model, a, n):
+        return max(model.lattice_rank_in_filtration(a, n) - model.lattice_rank_in_filtration(a + 1, n), 0)
+
+    filt = {}
+    lattice = {}
+    for n, b in reference_convolve(x.betti, y.betti).items():
+        for p in range(1, n + 1):
+            f = 0
+            lat = 0
+            for i in range(0, n + 1):
+                for a in range(0, i + 1):
+                    for bb in range(0, (n - i) + 1):
+                        if a + bb >= p:
+                            f += gr(x, a, i) * gr(y, bb, n - i)
+                            lat += gr_lat(x, a, i) * gr_lat(y, bb, n - i)
+            filt[(p, n)] = f
+            lattice[(p, n)] = min(lat, f, b) if lat else 0
+    return _nonzero(filt), _nonzero(lattice)
+
+
+# -- constructor trees -------------------------------------------------------------
+
+
+def _torsion_fixture():
+    return parse_space_text((Path(__file__).parent / "fixtures" / "torsion.json").read_text())
+
+
+def _renamed_document():
+    return parse_space({"kind": "construct", "name": "renamed", "expr": ["product", ["projective_space", 1], ["curve", 1]]})
+
+
+def _swapped_curve():
+    # curve(1) with its degree index already built, then replaced by genus 2's
+    # tables: the index must be rebuilt, not carried over.
+    e, c2 = curve(1), curve(2)
+    assert e.filtration_dim(1, 1) == 1
+    model = replace(e, name="swapped", betti=c2.betti, hodge=c2.hodge)
+    model.validate()
+    return model
+
+
+KAHLER_LEAVES = {
+    "point": point,
+    "P0": lambda: projective_space(0),
+    "P1": lambda: projective_space(1),
+    "P2": lambda: projective_space(2),
+    "P3": lambda: projective_space(3),
+    "curve0": lambda: curve(0),
+    "curve1": lambda: curve(1),
+    "curve2": lambda: curve(2),
+    "renamed": _renamed_document,
+    "swapped": _swapped_curve,
+    "torsion": _torsion_fixture,
+}
+QUASI_LEAVES = {"gm": gm, "A0": lambda: affine_space(0), "A1": lambda: affine_space(1), "A2": lambda: affine_space(2)}
+# quasi_product factors: top degree at most 2, so a product has top degree 4.
+SMALL_QUASI = [("gm",), ("A1",), ("as_quasiproj", ("P1",)), ("as_quasiproj", ("curve1",)), ("as_quasiproj", ("point",))]
+
+
+def kahler_trees(depth, torsion_free=False):
+    names = sorted(k for k in KAHLER_LEAVES if not (torsion_free and k == "torsion"))
+    leaves = st.sampled_from(names).map(lambda k: (k,))
+    if depth == 0:
+        return leaves
+    return st.one_of(
+        leaves,
+        st.tuples(st.just("product"), kahler_trees(depth - 1, True), kahler_trees(depth - 1, True)),
+        st.tuples(st.just("bundle"), kahler_trees(depth - 1, torsion_free), st.integers(1, 4)),
+    )
+
+
+def quasi_trees(depth):
+    leaves = st.sampled_from(sorted(QUASI_LEAVES)).map(lambda k: (k,))
+    if depth == 0:
+        return leaves
+    return st.one_of(
+        leaves,
+        st.tuples(st.just("as_quasiproj"), kahler_trees(depth - 1, True)),
+        st.tuples(st.just("bundle"), quasi_trees(depth - 1), st.integers(1, 4)),
+        st.tuples(st.just("quasi_product"), st.sampled_from(SMALL_QUASI), st.sampled_from(SMALL_QUASI)),
+    )
+
+
+def check_accessors(model):
+    """A Kahler model's filtration and lattice accessors agree with the
+    reference scan (a quasi-projective model's read its stored tables)."""
+    if not isinstance(model, KahlerModel):
+        return
+    top = model.max_degree
+    for n in range(-1, top + 2):
+        for p in range(-1, top + 2):
+            assert model.filtration_dim(p, n) == reference_filtration_dim(model, p, n), (model.name, p, n)
+            assert model.lattice_rank_in_filtration(p, n) == reference_lattice_rank(model, p, n), (model.name, p, n)
+
+
+def build_checked(tree):
+    """The model of ``tree``, every node checked against the reference
+    constructors applied to the same children."""
+    head, args = tree[0], tree[1:]
+    if head in KAHLER_LEAVES:
+        model = KAHLER_LEAVES[head]()
+    elif head in QUASI_LEAVES:
+        model = QUASI_LEAVES[head]()
+    elif head == "product":
+        x, y = build_checked(args[0]), build_checked(args[1])
+        model = product(x, y)
+        assert model.betti == {n: FgAbelianGroup(r) for n, r in reference_convolve(
+            {n: g.free_rank for n, g in x.betti.items()}, {n: g.free_rank for n, g in y.betti.items()}).items()}
+        assert model.hodge == reference_convolve(x.hodge, y.hodge)
+    elif head == "bundle":
+        x, r = build_checked(args[0]), args[1]
+        model = projective_bundle(x, r)
+        if isinstance(x, KahlerModel):
+            assert model.betti == reference_bundle_betti(x, r)
+            assert model.hodge == reference_convolve(x.hodge, {(i, i): 1 for i in range(r)})
+        else:
+            assert model.betti == reference_convolve(x.betti, {2 * i: 1 for i in range(r)})
+            assert (model.filt, model.lattice) == reference_quasi_bundle_tables(x, r)
+    elif head == "as_quasiproj":
+        x = build_checked(args[0])
+        model = as_quasiproj(x)
+        assert model.betti == {n: g.free_rank for n, g in x.betti.items()}
+        assert (model.filt, model.lattice) == reference_as_quasiproj_tables(x)
+        assert model.hodge_class_rank == x.hodge_class_rank
+    elif head == "quasi_product":
+        x, y = build_checked(args[0]), build_checked(args[1])
+        model = quasi_product(x, y)
+        assert model.betti == reference_convolve(x.betti, y.betti)
+        assert (model.filt, model.lattice) == reference_quasi_product_tables(x, y)
+    else:
+        raise AssertionError(head)
+    check_accessors(model)
+    return model
+
+
+class TestReferenceConstructors:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(kahler_trees(2), quasi_trees(2)))
+    def test_trees_match_reference(self, tree):
+        build_checked(tree)
+
+    @pytest.mark.parametrize("name", sorted(KAHLER_LEAVES))
+    def test_every_kahler_leaf(self, name):
+        build_checked((name,))
+
+    def test_every_kind_of_node(self):
+        for tree in [
+            ("bundle", ("torsion",), 4),
+            ("bundle", ("bundle", ("swapped",), 2), 3),
+            ("product", ("renamed",), ("curve0",)),
+            ("as_quasiproj", ("product", ("curve2",), ("P2",))),
+            ("bundle", ("as_quasiproj", ("curve1",)), 4),
+            ("bundle", ("bundle", ("gm",), 2), 3),
+            ("quasi_product", ("as_quasiproj", ("curve1",)), ("gm",)),
+        ]:
+            build_checked(tree)
+
+
+# -- growth without the wall clock ---------------------------------------------------
+
+
+class CountingDict(dict):
+    """A dict that counts the entries read through it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+    def values(self):
+        for value in super().values():
+            self.reads += 1
+            yield value
+
+
+class TestGrowth:
+    def test_bundle_reads_base_betti_linearly_in_rank(self):
+        def reads(r):
+            p1 = projective_space(1)
+            base = replace(p1, betti=CountingDict(p1.betti))
+            projective_bundle(base, r)
+            return base.betti.reads
+
+        small, large = reads(100), reads(200)
+        assert small > 0
+        assert large <= 2.2 * small, (small, large)
+
+    def test_projective_space_mu_cell_reads_hodge_linearly(self):
+        mu = builtin_theory("MU")
+
+        def reads(d):
+            pd = projective_space(d)
+            model = replace(pd, hodge=CountingDict(pd.hodge))
+            assert hfc_group(model, mu, 0, 0) == hfc_group(pd, mu, 0, 0)
+            return model.hodge.reads
+
+        small, large = reads(100), reads(200)
+        assert 0 < small <= 3 * 101, small
+        assert large <= 2.2 * small, (small, large)
+
+    def test_rank_20000_bundle(self):
+        r = 20000
+        pb = projective_bundle(projective_space(1), r)
+        assert pb.dim == r
+        assert [pb.betti_rank(n) for n in (0, 1, 2, 2 * r - 2, 2 * r)] == [1, 0, 2, 2, 1]
+        assert sum(g.free_rank for g in pb.betti.values()) == 2 * r
+
+    def test_p2000_mu_cell(self):
+        mu = builtin_theory("MU")
+        p2000 = projective_space(2000)
+        d = hfc_group(p2000, mu, 0, 0)
+        assert d.free_rank == e_rank(p2000, mu, 0)
+        assert d.circle_rank == d.real_rank == 0
