@@ -18,10 +18,10 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from mpmath import mp, mpc
 
-from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.engine import (
     a1_invariance_check,
     grothendieck_check,
@@ -44,6 +44,12 @@ from hfcalc.io import (
     render_descriptor,
 )
 from hfcalc.spaces import Model
+
+# hfcalc.abeljacobi is imported on the aj path only (_cmd_aj, _parse_divisor),
+# so no other subcommand pays for loading, or without cached bytecode
+# compiling, it.
+if TYPE_CHECKING:
+    from hfcalc.abeljacobi import Divisor
 
 __all__ = ["main", "run"]
 
@@ -232,6 +238,8 @@ def _parse_complex(text: str):
 def _parse_divisor(text: str) -> Divisor:
     """The divisor of ``--divisor``, every coordinate parsed at the current
     precision (the curve's working precision)."""
+    from hfcalc.abeljacobi import Divisor
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -258,6 +266,8 @@ def _fmt_complex(value, digits: int) -> dict:
 
 
 def _cmd_aj(args, out) -> int:
+    from hfcalc.abeljacobi import EllipticCurve
+
     digits = _int_arg(os.environ.get("HFCALC_AJ_PRECISION", "40"), "HFCALC_AJ_PRECISION")
     with mp.workdps(digits + 10):
         g2 = _parse_complex(args.g2)

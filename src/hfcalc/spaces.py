@@ -36,7 +36,6 @@ KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Optional
 
 from hfcalc.abelian import FgAbelianGroup
@@ -68,6 +67,20 @@ class KahlerModel:
     hodge_class_rank: dict  # q -> int
     ring: Optional[RingModel] = None
 
+    def __post_init__(self):
+        # Derived data, built once per instance beside the fields (a
+        # dataclasses.replace copy is a new instance, so none of it goes
+        # stale).  object.__setattr__ keeps CPython's inline attribute values;
+        # functools.cached_property would materialise the instance __dict__,
+        # after which every attribute load on the model is about a third slower.
+        levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], nonzero, s increasing
+        for (s, t), v in sorted(self.hodge.items()):
+            if v:
+                levels.setdefault(s + t, []).append((s, v))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_support", tuple(sorted(self.betti)))
+        object.__setattr__(self, "has_torsion", any(g.torsion for g in self.betti.values()))
+
     @classmethod
     def make(cls, name, dim, betti, hodge, hodge_class_rank, ring=None) -> "KahlerModel":
         """Normalize (drop zero entries), build, and validate."""
@@ -89,30 +102,17 @@ class KahlerModel:
         return g.torsion if g is not None else ()
 
     @property
-    def has_torsion(self) -> bool:
-        return any(g.torsion for g in self.betti.values())
-
-    @property
     def max_degree(self) -> int:
         return 2 * self.dim
 
-    def support_degrees(self) -> list[int]:
-        return sorted(self.betti)
+    def support_degrees(self) -> tuple[int, ...]:
+        return self._support
 
     def hodge_number(self, s: int, t: int) -> int:
         return self.hodge.get((s, t), 0)
 
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
-
-    @cached_property
-    def _levels(self) -> dict:
-        """The Hodge table by degree: n -> [(s, h^{s, n-s}), ...], nonzero, s increasing."""
-        levels: dict = {}
-        for (s, t), v in sorted(self.hodge.items()):
-            if v:
-                levels.setdefault(s + t, []).append((s, v))
-        return levels
 
     def filtration_dim(self, p: int, n: int) -> int:
         """dim F^p H^n(X; C) = sum_{s >= p} h^{s, n-s}."""
@@ -203,6 +203,12 @@ class QuasiProjModel:
     hodge_class_rank: dict  # q -> int
     ring: Optional[RingModel] = None
 
+    has_torsion = False  # not a field: the Betti table is torsion-free
+
+    def __post_init__(self):
+        # As on KahlerModel: derived once, stored without an instance __dict__.
+        object.__setattr__(self, "_support", tuple(sorted(self.betti)))
+
     @classmethod
     def make(cls, name, betti, filt, lattice, hodge_class_rank=None, ring=None) -> "QuasiProjModel":
         b = {int(n): int(v) for n, v in betti.items() if v != 0}
@@ -220,15 +226,11 @@ class QuasiProjModel:
         return ()
 
     @property
-    def has_torsion(self) -> bool:
-        return False
-
-    @property
     def max_degree(self) -> int:
         return max(self.betti, default=0)
 
-    def support_degrees(self) -> list[int]:
-        return sorted(self.betti)
+    def support_degrees(self) -> tuple[int, ...]:
+        return self._support
 
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
@@ -407,11 +409,20 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
             name=name, dim=x.dim + r - 1, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
+    support = x.support_degrees()
+
+    def cell(p: int, n: int) -> tuple[int, int]:
+        # Shift i reaches base degree m = n - 2i: only the base's support counts.
+        f = lat = 0
+        for m in support:
+            i, odd = divmod(n - m, 2)
+            if not odd and 0 <= i < r:
+                f += x.filtration_dim(p - i, m)
+                lat += x.lattice_rank_in_filtration(p - i, m)
+        return f, lat
+
     betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
-    filt, lattice = _window_tables(betti_q, lambda p, n: (
-        sum(x.filtration_dim(p - i, n - 2 * i) for i in shifts),
-        sum(x.lattice_rank_in_filtration(p - i, n - 2 * i) for i in shifts),
-    ))
+    filt, lattice = _window_tables(betti_q, cell)
     return QuasiProjModel.make(
         name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
     )

@@ -241,6 +241,28 @@ class TestPointTable:
         assert table[(-2, 1)].is_zero
         assert table[(3, 1)].is_zero
 
+    @pytest.mark.parametrize("theory", [MU, MUQ, HZ, HQ, custom_theory({-2: 1, -1: 3, 0: 1, 2: 2})],
+                             ids=lambda t: t.name + str(t.table))
+    def test_matches_hfc_group(self, theory):
+        # Negative and positive n, n = 0 and every diagonal n = 2p in range.
+        table = point_table(theory, (-9, 9), (-5, 5))
+        pt = point()
+        assert table == {(n, p): hfc_group(pt, theory, n, p) for n in range(-9, 10) for p in range(-5, 6)}
+        assert list(table) == [(n, p) for n in range(-9, 10) for p in range(-5, 6)]
+
+    def test_one_descriptor_per_distinct_value(self, monkeypatch):
+        made = []
+        post_init = GroupDescriptor.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GroupDescriptor, "__post_init__", counting)
+        table = point_table(MU, (-40, 40), (-20, 20))
+        assert len(table) == 81 * 41
+        assert len(made) == len(set(table.values())) <= 61
+
     def test_hz_point_table_units(self):
         # H_D^1(pt; Z(p)) = C/Z = C* for every p >= 1
         for p in range(1, 4):

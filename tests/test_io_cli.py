@@ -585,6 +585,15 @@ def test_aj_solves_once(monkeypatch, name):
     assert len(calls) == 1
 
 
+def test_cli_import_leaves_abeljacobi_out():
+    # Only the aj subcommand loads the Abel-Jacobi module.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = "import sys, hfcalc.cli; print(sorted(m for m in sys.modules if m.startswith('hfcalc')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "hfcalc.cli" in proc.stdout and "hfcalc.abeljacobi" not in proc.stdout, proc.stdout
+
+
 def _check_argvs() -> dict:
     """The six check kinds (plus a FAIL verdict), each in table and JSON form."""
     base = {

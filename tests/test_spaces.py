@@ -1,6 +1,7 @@
 """Space models: constructors, invariants, filtration and lattice rules."""
 
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,24 @@ class TestReferenceConstructors:
             build_checked(tree)
 
 
+class TestDerivedData:
+    @pytest.mark.parametrize("cls", [KahlerModel, QuasiProjModel])
+    def test_no_cached_property(self, cls):
+        # A cached_property stores into the instance __dict__, and on CPython
+        # 3.11 a materialised __dict__ makes every later attribute load on
+        # that model about a third slower; derived data is set in __post_init__.
+        assert not [name for name, value in vars(cls).items() if isinstance(value, cached_property)]
+
+    def test_replace_rebuilds_derived_data(self):
+        e, c2 = curve(1), curve(2)
+        swapped = replace(e, betti=c2.betti, hodge=c2.hodge)
+        assert swapped.support_degrees() == (0, 1, 2)
+        assert swapped.filtration_dim(1, 1) == 2
+        torsion = _torsion_fixture()
+        assert torsion.has_torsion and not replace(torsion, betti=e.betti, hodge=e.hodge).has_torsion
+        assert replace(gm(), betti={0: 1, 3: 2}).support_degrees() == (0, 3)
+
+
 # -- growth without the wall clock ---------------------------------------------------
 
 
@@ -611,6 +630,18 @@ class TestGrowth:
         small, large = reads(100), reads(200)
         assert small > 0
         assert large <= 2.2 * small, (small, large)
+
+    def test_quasi_bundle_reads_base_betti_quadratically_in_rank(self):
+        # O(r^2) window cells, each reading only the base's support degrees.
+        def reads(r):
+            g = gm()
+            base = replace(g, betti=CountingDict(g.betti))
+            projective_bundle(base, r)
+            return base.betti.reads
+
+        small, large = reads(50), reads(100)
+        assert small > 0
+        assert large <= 4.5 * small, (small, large)
 
     def test_projective_space_mu_cell_reads_hodge_linearly(self):
         mu = builtin_theory("MU")
