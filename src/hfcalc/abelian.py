@@ -14,14 +14,15 @@ Conventions
   The product d1 * ... * dk equals the gcd of all k x k minors.
 * Torsion lists of :class:`FgAbelianGroup` are always stored in canonical
   divisibility-chain form with every factor >= 2, so structural equality of
-  groups is plain ``==`` on the dataclass.
+  groups is plain ``==`` on the value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
+
+from hfcalc._frozen import Frozen
 
 __all__ = [
     "IntMatrix",
@@ -35,42 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """An integer matrix stored densely in row-major order."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry list has length {len(self.entries)}, expected {self.rows * self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        ncols = len(rows[0]) if cols is None else cols
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry list has length {len(entries)}, expected {rows * cols}")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -227,30 +209,30 @@ def divisibility_chain(factors: Iterable[int]) -> list[int]:
     return [f for f in _chain_sweep(fs) if f > 1]
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Frozen):
     """A finitely generated abelian group Z^free_rank + Z/d1 + ... + Z/dk.
 
     The torsion tuple is always in canonical divisibility-chain form, so two
     values compare equal iff the groups are isomorphic.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = field(default=())
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for i, d in enumerate(self.torsion):
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError(f"torsion factor {d} < 2")
-            if i > 0 and d % self.torsion[i - 1] != 0:
-                raise ValueError(f"torsion list {self.torsion} is not a divisibility chain")
+            if i > 0 and d % torsion[i - 1] != 0:
+                raise ValueError(f"torsion list {torsion} is not a divisibility chain")
 
     @classmethod
     def of(cls, free_rank: int = 0, factors: Iterable[int] = ()) -> "FgAbelianGroup":
         """Build a group from an arbitrary list of cyclic orders (normalized)."""
-        return cls(free_rank, tuple(divisibility_chain(factors)))
+        return cls(free_rank, tuple(divisibility_chain(factors)) if factors else ())
 
     @property
     def is_trivial(self) -> bool:
@@ -258,6 +240,18 @@ class FgAbelianGroup:
 
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         return FgAbelianGroup.of(self.free_rank + other.free_rank, self.torsion + other.torsion)
+
+    def tensor(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
+        """self (x) other: Z (x) A = A and Z/a (x) Z/b = Z/gcd(a, b)."""
+        a, b = self.free_rank, other.free_rank
+        factors = self.torsion * b + other.torsion * a
+        factors += tuple(gcd(s, t) for s in self.torsion for t in other.torsion)
+        return FgAbelianGroup.of(a * b, factors)
+
+    def tor(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
+        """Tor(self, other): Z/gcd(a, b) for each pair of cyclic torsion
+        factors Z/a, Z/b; free summands contribute nothing."""
+        return FgAbelianGroup.of(0, (gcd(s, t) for s in self.torsion for t in other.torsion))
 
     def __str__(self) -> str:
         parts = []

@@ -73,15 +73,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, mpf_shift, to_int
 
+from hfcalc._frozen import Frozen
 from hfcalc.errors import CurveError
 
-__all__ = ["EllipticCurve", "Divisor", "periods", "lattice_invariants", "complex_agm", "carlson_rf"]
+__all__ = ["EllipticCurve", "Divisor", "lattice_invariants", "complex_agm", "carlson_rf"]
 
 _GUARD_DIGITS = 25
 MAX_DIGITS = 1000  # curve set-up: about 0.01 s at 400 digits, 0.05 s at 800
@@ -356,11 +356,13 @@ def lattice_invariants(w1, w2):
     return _theta_lattice(*_reduce_tau(w1, w2)[:2])[5:]
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Frozen):
     """A formal sum of curve points with integer multiplicities."""
 
-    entries: tuple  # ((point, multiplicity), ...)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple):  # ((point, multiplicity), ...)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def of(cls, entries: Sequence[tuple]) -> "Divisor":
@@ -655,24 +657,6 @@ class EllipticCurve:
         if res2 > self._res_tol2:
             raise CurveError(f"point is not on the curve: residual {mp.nstr(mp.sqrt(res2), 8)}")
 
-    def on_curve_residual(self, pt: Point) -> mpf:
-        """|y^2 - (4x^3 - g2 x - g3)| / max(|y^2|, |4x^3 - g2 x - g3|, s^6)."""
-        if pt is None:
-            return mpf(0)
-        with mp.workdps(self._workdps):
-            return mp.sqrt(self._residual2(*_numbers(pt, "point coordinates")))
-
-    def require_on_curve(self, pt: Point) -> None:
-        if pt is not None:
-            with mp.workdps(self._workdps):
-                self._require_on_curve(*_numbers(pt, "point coordinates"))
-
-    def point_from_x(self, x, sign: int = 1) -> Point:
-        with mp.workdps(self._workdps):
-            x = mpc(x)
-            y = mp.sqrt(4 * x ** 3 - self.g2 * x - self.g3)
-            return (x, sign * y)
-
     def point_at(self, z) -> Point:
         """Forward parametrization z -> (wp(z), wp'(z))."""
         return self.wp_pair(z)
@@ -774,21 +758,3 @@ class EllipticCurve:
             z, exact = self._aj_sum(divisor)
             a, b = self.frac_coords(z)
             return (z if exact else a * self.w1 + b * self.w2), a, b
-
-    def is_torsion(self, pt: Point, bound: int) -> Optional[int]:
-        """Least k <= bound with k * log(P) in the lattice, else None."""
-        if pt is None:
-            return 1
-        with mp.workdps(self._workdps):
-            z = self.elliptic_log(pt)
-            tol = abs(self.w1) * mpf(10) ** (-(self.digits - 10))
-            for k in range(1, bound + 1):
-                if self.lattice_distance(k * z) <= tol:
-                    return k
-            return None
-
-
-def periods(g2, g3, digits: int = 40) -> tuple:
-    """Period basis (w1, w2) of y^2 = 4x^3 - g2 x - g3, Im(w2/w1) > 0."""
-    curve = EllipticCurve(g2, g3, digits)
-    return curve.w1, curve.w2

@@ -17,9 +17,9 @@ Built-ins:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from hfcalc._frozen import Frozen
 from hfcalc.errors import TheoryError
 
 __all__ = ["CoefficientTheory", "mu_rank", "builtin_theory", "custom_theory", "partition_count"]
@@ -56,8 +56,7 @@ def mu_rank(j: int) -> int:
     return partition_count(j)
 
 
-@dataclass(frozen=True)
-class CoefficientTheory:
+class CoefficientTheory(Frozen):
     """A rationally even theory presented by the ranks of pi_{2j}E.
 
     ``kind`` selects the rank rule: ``"partition"`` uses partition numbers
@@ -66,16 +65,17 @@ class CoefficientTheory:
     finiteness of engine sums comes from the space, never from the theory.
     """
 
-    name: str
-    ring_field: str
-    kind: str
-    table: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("name", "ring_field", "kind", "table")
 
-    def __post_init__(self):
-        if self.ring_field not in (INTEGRAL, RATIONAL):
-            raise TheoryError(f"unknown ring field {self.ring_field!r}")
-        if self.kind not in ("partition", "finite"):
-            raise TheoryError(f"unknown theory kind {self.kind!r}")
+    def __init__(self, name: str, ring_field: str, kind: str, table: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ring_field", ring_field)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        if ring_field not in (INTEGRAL, RATIONAL):
+            raise TheoryError(f"unknown ring field {ring_field!r}")
+        if kind not in ("partition", "finite"):
+            raise TheoryError(f"unknown theory kind {kind!r}")
 
     def rank_at(self, j: int) -> int:
         if self.kind == "partition":
@@ -84,10 +84,6 @@ class CoefficientTheory:
             if jj == j:
                 return r
         return 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.ring_field == RATIONAL
 
     @property
     def is_ordinary_integral(self) -> bool:

@@ -39,9 +39,9 @@ exact sequence determines, never cocycle-level representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
+from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup, divisibility_chain
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, mu_rank
 from hfcalc.errors import EngineError, ModelError, RingError
@@ -85,8 +85,7 @@ LOG = "log"
 MAX_GRID_CELLS = 100_000  # about 1 us a cell: 301 x 301 MU cells take 0.09 s
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Frozen):
     """Lie-group isomorphism type of a Hodge filtered cohomology group.
 
     free_rank and torsion describe the discrete part, circle_rank counts
@@ -98,24 +97,28 @@ class GroupDescriptor:
     the rank bookkeeping is asserted.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
-    circle_rank: int = 0
-    real_rank: int = 0
-    complex_torus_dim: Optional[int] = None
-    exactness: str = EXACT
+    __slots__ = _fields = ("free_rank", "torsion", "circle_rank", "real_rank", "complex_torus_dim", "exactness")
 
-    def __post_init__(self):
-        if min(self.free_rank, self.circle_rank, self.real_rank) < 0:
+    def __init__(
+        self, free_rank: int = 0, torsion: tuple[int, ...] = (), circle_rank: int = 0, real_rank: int = 0,
+        complex_torus_dim: Optional[int] = None, exactness: str = EXACT,
+    ):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "circle_rank", circle_rank)
+        object.__setattr__(self, "real_rank", real_rank)
+        object.__setattr__(self, "complex_torus_dim", complex_torus_dim)
+        object.__setattr__(self, "exactness", exactness)
+        if min(free_rank, circle_rank, real_rank) < 0:
             raise EngineError("descriptor counts must be nonnegative")
-        for i, d in enumerate(self.torsion):
-            if d < 2 or (i > 0 and d % self.torsion[i - 1] != 0):
-                raise EngineError(f"torsion {self.torsion} is not a divisibility chain")
-        if self.complex_torus_dim is not None:
-            if self.circle_rank != 2 * self.complex_torus_dim or self.real_rank != 0:
+        for i, d in enumerate(torsion):
+            if d < 2 or (i > 0 and d % torsion[i - 1] != 0):
+                raise EngineError(f"torsion {torsion} is not a divisibility chain")
+        if complex_torus_dim is not None:
+            if circle_rank != 2 * complex_torus_dim or real_rank != 0:
                 raise EngineError("a complex torus of dim t is (R/Z)^(2t) as a real group")
-        if self.exactness not in (EXACT, RANK_LEVEL):
-            raise EngineError(f"unknown exactness flag {self.exactness!r}")
+        if exactness not in (EXACT, RANK_LEVEL):
+            raise EngineError(f"unknown exactness flag {exactness!r}")
 
     @property
     def is_zero(self) -> bool:
@@ -350,8 +353,8 @@ def rational_splitting_check(
     def copies(cell: GroupDescriptor, k: int) -> GroupDescriptor:
         # The direct sum of k copies of an HQ cell, which carries no torsion.
         ctd = cell.complex_torus_dim
-        return replace(
-            cell, free_rank=k * cell.free_rank, circle_rank=k * cell.circle_rank,
+        return cell.replace(
+            free_rank=k * cell.free_rank, circle_rank=k * cell.circle_rank,
             real_rank=k * cell.real_rank, complex_torus_dim=None if ctd is None else k * ctd,
         )
 

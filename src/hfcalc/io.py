@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import replace
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
@@ -204,7 +203,7 @@ def parse_space(doc: Any) -> Model:
         model = _eval_expr(doc.get("expr"))
         name = doc.get("name")
         if name:
-            model = replace(model, name=str(name))
+            model = model.replace(name=str(name))
         return model
     if kind == "kahler":
         betti = {}

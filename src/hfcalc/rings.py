@@ -21,10 +21,10 @@ carry no ring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Mapping
 
+from hfcalc._frozen import Frozen
 from hfcalc.errors import RingError
 
 __all__ = ["Poly", "RingModel", "polynomial_ring_mod_power", "tensor_rings", "bundle_extension"]
@@ -59,23 +59,23 @@ def poly_mul_raw(a: Poly, b: Poly) -> Poly:
     return _clean(out)
 
 
-@dataclass(frozen=True)
-class RingModel:
+class RingModel(Frozen):
     """Generators (name, even degree) plus a power rule per generator.
 
     ``rules[i] = (power, tail)`` encodes generators[i] ** power = tail.
     """
 
-    generators: tuple[tuple[str, int], ...]
-    rules: tuple[tuple[int, Poly], ...]
+    __slots__ = _fields = ("generators", "rules")
 
-    def __post_init__(self):
-        if len(self.generators) != len(self.rules):
+    def __init__(self, generators: tuple[tuple[str, int], ...], rules: tuple[tuple[int, Poly], ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rules", rules)
+        if len(generators) != len(rules):
             raise RingError("one rewriting rule required per generator")
-        for name, deg in self.generators:
+        for name, deg in generators:
             if deg <= 0 or deg % 2 != 0:
                 raise RingError(f"generator {name} must have positive even degree, got {deg}")
-        for power, _tail in self.rules:
+        for power, _tail in rules:
             if power < 1:
                 raise RingError("rule powers must be >= 1")
 
@@ -130,9 +130,6 @@ class RingModel:
             rest[i] -= power
             replaced = poly_mul_raw({tuple(rest): c}, tail) if tail else {}
             work = poly_add(work, replaced)
-
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return poly_add(a, b)
 
     def scale(self, a: Poly, k: int) -> Poly:
         return poly_scale(a, k)

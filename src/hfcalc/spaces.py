@@ -14,9 +14,10 @@ Two model kinds feed the engine:
   complex span lies in F^p.  Mixed Hodge weights are not modelled; the
   filtration tables are all the engine consumes.
 
-Products and projective bundles convolve tables: a product's Betti ranks,
-Hodge numbers and Hodge-class ranks are the convolutions of its factors'
-tables (Kunneth), and a rank-r bundle's are the base's convolved with
+Products and projective bundles convolve tables.  A product's Hodge
+numbers and Hodge-class ranks are the convolutions of its factors' tables,
+and its Betti groups follow the integral Kunneth formula (tensor products
+plus Tor).  A rank-r bundle's tables are the base's convolved with
 1 + t + ... + t^(r-1) in the matching grading (the projective bundle
 formula; a Kahler bundle direct-sums the base's Betti groups, torsion
 included).  One helper fills the ``filt`` and ``lattice`` windows of every
@@ -35,9 +36,9 @@ KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
+from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.errors import ModelError
 from hfcalc.rings import Poly, RingModel, bundle_extension, polynomial_ring_mod_power, tensor_rings, trivial_ring
@@ -56,30 +57,37 @@ __all__ = [
     "as_quasiproj",
 ]
 
-@dataclass(frozen=True)
-class KahlerModel:
+
+class KahlerModel(Frozen):
     """A compact Kahler manifold presented by cohomological data."""
 
-    name: str
-    dim: int
-    betti: dict  # n -> FgAbelianGroup
-    hodge: dict  # (s, t) -> int
-    hodge_class_rank: dict  # q -> int
-    ring: Optional[RingModel] = None
+    _fields = ("name", "dim", "betti", "hodge", "hodge_class_rank", "ring")
+    __slots__ = _fields + ("_levels", "_support", "has_torsion")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        betti: dict,  # n -> FgAbelianGroup
+        hodge: dict,  # (s, t) -> int
+        hodge_class_rank: dict,  # q -> int
+        ring: Optional[RingModel] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "hodge_class_rank", hodge_class_rank)
+        object.__setattr__(self, "ring", ring)
         # Derived data, built once per instance beside the fields (a
-        # dataclasses.replace copy is a new instance, so none of it goes
-        # stale).  object.__setattr__ keeps CPython's inline attribute values;
-        # functools.cached_property would materialise the instance __dict__,
-        # after which every attribute load on the model is about a third slower.
+        # ``replace`` copy is a new instance, so none of it goes stale).
         levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], nonzero, s increasing
-        for (s, t), v in sorted(self.hodge.items()):
+        for (s, t), v in sorted(hodge.items()):
             if v:
                 levels.setdefault(s + t, []).append((s, v))
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_support", tuple(sorted(self.betti)))
-        object.__setattr__(self, "has_torsion", any(g.torsion for g in self.betti.values()))
+        object.__setattr__(self, "_support", tuple(sorted(betti)))
+        object.__setattr__(self, "has_torsion", any(g.torsion for g in betti.values()))
 
     @classmethod
     def make(cls, name, dim, betti, hodge, hodge_class_rank, ring=None) -> "KahlerModel":
@@ -188,26 +196,34 @@ class KahlerModel:
                     )
 
 
-@dataclass(frozen=True)
-class QuasiProjModel:
+class QuasiProjModel(Frozen):
     """A smooth quasi-projective variety presented by filtration tables.
 
     ``filt`` and ``lattice`` store only the window 1 <= p <= n; outside it
     the values are forced: everything for p <= 0, zero for p > n.
     """
 
-    name: str
-    betti: dict  # n -> int (torsion-free)
-    filt: dict  # (p, n) -> dim F^p H^n, window 1 <= p <= n
-    lattice: dict  # (p, n) -> lattice rank inside F^p, same window
-    hodge_class_rank: dict  # q -> int
-    ring: Optional[RingModel] = None
+    _fields = ("name", "betti", "filt", "lattice", "hodge_class_rank", "ring")
+    __slots__ = _fields + ("_support",)
 
     has_torsion = False  # not a field: the Betti table is torsion-free
 
-    def __post_init__(self):
-        # As on KahlerModel: derived once, stored without an instance __dict__.
-        object.__setattr__(self, "_support", tuple(sorted(self.betti)))
+    def __init__(
+        self,
+        name: str,
+        betti: dict,  # n -> int (torsion-free)
+        filt: dict,  # (p, n) -> dim F^p H^n, window 1 <= p <= n
+        lattice: dict,  # (p, n) -> lattice rank inside F^p, same window
+        hodge_class_rank: dict,  # q -> int
+        ring: Optional[RingModel] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "filt", filt)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "hodge_class_rank", hodge_class_rank)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_support", tuple(sorted(betti)))  # derived, as on KahlerModel
 
     @classmethod
     def make(cls, name, betti, filt, lattice, hodge_class_rank=None, ring=None) -> "QuasiProjModel":
@@ -345,7 +361,7 @@ def curve(g: int) -> KahlerModel:
     if g < 0:
         raise ModelError("curve needs genus >= 0")
     if g == 0:
-        return replace(projective_space(1), name="curve(0)")
+        return projective_space(1).replace(name="curve(0)")
     return KahlerModel.make(
         name=f"curve({g})",
         dim=1,
@@ -356,7 +372,11 @@ def curve(g: int) -> KahlerModel:
 
 
 def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] | None = None) -> KahlerModel:
-    """Kunneth product of two torsion-free Kahler models.
+    """Kunneth product of two Kahler models.
+
+    The Betti groups follow the integral Kunneth formula,
+    H^n(X x Y) = sum_{i+j=n} H^i(X) (x) H^j(Y) + sum_{i+j=n+1} Tor(H^i(X), H^j(Y)),
+    so torsion in either factor carries over.
 
     The factors are independent: ``product(curve(1), curve(1))`` is the
     product of two generic elliptic curves with independent moduli, not
@@ -367,13 +387,17 @@ def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] 
     override it when the product is known to carry more.  The odd-degree
     lattice ranks cannot be overridden.
     """
-    for factor in (x, y):
-        for n in sorted(factor.betti):
-            if factor.betti_torsion(n):
-                raise ModelError(f"product factor {factor.name} has torsion in degree {n}")
+    # Free parts convolve their ranks; tensor and Tor add torsion only when
+    # a factor has some, so a torsion-free product costs one rank convolution.
     ranks = _convolve(
         {n: g.free_rank for n, g in x.betti.items()}, {n: g.free_rank for n, g in y.betti.items()}
     )
+    factors: dict = {}  # n -> torsion orders of H^n(X x Y)
+    if x.has_torsion or y.has_torsion:
+        for i, g in x.betti.items():
+            for j, h in y.betti.items():
+                factors.setdefault(i + j, []).extend(g.tensor(h).torsion)
+                factors.setdefault(i + j - 1, []).extend(g.tor(h).torsion)
     if hodge_class_rank is None:
         hodge_class_rank = _convolve(x.hodge_class_rank, y.hodge_class_rank)
     ring = None
@@ -381,7 +405,7 @@ def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] 
         ring = tensor_rings(x.ring, y.ring)
     return KahlerModel.make(
         name=f"{x.name} x {y.name}", dim=x.dim + y.dim,
-        betti={n: FgAbelianGroup(r) for n, r in ranks.items()},
+        betti={n: FgAbelianGroup.of(ranks.get(n, 0), factors.get(n, ())) for n in sorted(ranks.keys() | factors.keys())},
         hodge=_convolve(x.hodge, y.hodge), hodge_class_rank=hodge_class_rank, ring=ring,
     )
 

@@ -25,6 +25,15 @@ from hfcalc.abelian import (
 )
 
 
+def matrix_from_rows(rows):
+    """The IntMatrix of a non-empty, rectangular list of rows."""
+    return IntMatrix(len(rows), len(rows[0]), tuple(int(x) for r in rows for x in r))
+
+
+def identity_matrix(n):
+    return IntMatrix.diagonal([1] * n)
+
+
 def det(rows):
     n = len(rows)
     if n == 0:
@@ -82,14 +91,14 @@ def rational_rank(m: IntMatrix) -> int:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form(IntMatrix.identity(2)) == [1, 1]
+        assert smith_normal_form(identity_matrix(2)) == [1, 1]
 
     def test_zero_map(self):
         assert smith_normal_form(IntMatrix.zero(2, 2)) == []
 
     def test_2x2_example(self):
         # gcd of 1x1 minors is 2, |det| = 8, so the factors are [2, 4]
-        m = IntMatrix.from_rows([[2, 4], [6, 8]])
+        m = matrix_from_rows([[2, 4], [6, 8]])
         assert smith_normal_form(m) == [2, 4]
         assert snf_matches_minor_oracle(m)
 
@@ -98,7 +107,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix(3, 0, ())) == []
 
     def test_divisibility_chain_shape(self):
-        m = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+        m = matrix_from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         factors = smith_normal_form(m)
         assert factors == [1, 1, 30]
 
@@ -127,14 +136,14 @@ class TestCokernel:
         assert cokernel_of(m) == FgAbelianGroup.of(1, [2])
 
     def test_identity(self):
-        assert cokernel_of(IntMatrix.identity(3)) == FgAbelianGroup()
+        assert cokernel_of(identity_matrix(3)) == FgAbelianGroup()
 
     def test_zero_map_into_z2(self):
         assert cokernel_of(IntMatrix(2, 0, ())) == FgAbelianGroup(2)
 
     def test_free_rank_plus_rank_is_rows(self):
         for rows in ([[2, 4], [6, 8]], [[1, 2, 3], [2, 4, 6]], [[0, 0], [0, 7]]):
-            m = IntMatrix.from_rows(rows)
+            m = matrix_from_rows(rows)
             coker = cokernel_of(m)
             assert coker.free_rank + len(smith_normal_form(m)) == m.rows
 
@@ -149,7 +158,7 @@ class TestCokernel:
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            ours = smith_normal_form(IntMatrix.from_rows(data))
+            ours = smith_normal_form(matrix_from_rows(data))
             theirs = sympy_snf(sympy.Matrix(data), domain=sympy.ZZ)
             diag = [abs(int(theirs[i, i])) for i in range(min(rows, cols))]
             assert ours == [d for d in diag if d != 0]
@@ -157,13 +166,13 @@ class TestCokernel:
 
 class TestKernelRank:
     def test_identity(self):
-        assert kernel_rank(IntMatrix.identity(2)) == 0
+        assert kernel_rank(identity_matrix(2)) == 0
 
     def test_zero(self):
         assert kernel_rank(IntMatrix.zero(2, 3)) == 3
 
     def test_rank_one_example(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+        m = matrix_from_rows([[1, 2, 3], [2, 4, 6]])
         assert kernel_rank(m) == m.cols - rational_rank(m) == 2
 
     @settings(max_examples=80, deadline=None)
@@ -227,6 +236,24 @@ class TestFgAbelianGroup:
         for i in range(1, len(chain)):
             assert chain[i] % chain[i - 1] == 0
         assert crt_elementary_divisors(chain) == crt_elementary_divisors(factors)
+
+    def test_tensor_and_tor_examples(self):
+        z2, z4, z6 = (FgAbelianGroup.of(0, [d]) for d in (2, 4, 6))
+        assert z4.tensor(z6) == z4.tor(z6) == z2
+        assert FgAbelianGroup(2).tensor(FgAbelianGroup.of(1, [3])) == FgAbelianGroup.of(2, [3, 3])
+        assert FgAbelianGroup(3).tor(FgAbelianGroup.of(1, [3])) == FgAbelianGroup()
+
+    @settings(max_examples=60, deadline=None)
+    @given(*[st.builds(FgAbelianGroup.of, st.integers(0, 3), st.lists(st.integers(2, 30), max_size=3))] * 3)
+    def test_tensor_and_tor_laws(self, a, b, c):
+        # Z is the unit of (x) and Tor-acyclic; both functors are symmetric
+        # and additive, and (x) is associative.
+        unit, zero = FgAbelianGroup(1), FgAbelianGroup()
+        assert a.tensor(unit) == a and a.tor(unit) == zero
+        assert a.tensor(b) == b.tensor(a) and a.tor(b) == b.tor(a)
+        assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
+        assert a.tensor(direct_sum(b, c)) == direct_sum(a.tensor(b), a.tensor(c))
+        assert a.tor(direct_sum(b, c)) == direct_sum(a.tor(b), a.tor(c))
 
     def test_str(self):
         assert str(FgAbelianGroup.of(2, [2])) == "Z^2 + Z/2"

@@ -33,6 +33,7 @@ from hfcalc.spaces import (
 )
 
 from .test_abelian import snf_matches_minor_oracle
+from .test_abeljacobi import point_from_x
 from .test_coefficients import monomial_count
 from .test_engine import point_table_oracle
 from .test_io_cli import (
@@ -162,11 +163,11 @@ def test_criterion_8_abel_jacobi():
         worst = mpf(0)
         for i in range(50):
             if i % 2 == 0:
-                p = e.point_from_x(mpf(rng.uniform(1.1, 8.0)), 1)
+                p = point_from_x(e, mpf(rng.uniform(1.1, 8.0)), 1)
                 d = Divisor.of([(p, 1), ((p[0], -p[1]), 1), (None, -2)])
             else:
-                p = e.point_from_x(mpf(rng.uniform(1.1, 4.0)), 1)
-                q = e.point_from_x(mpf(rng.uniform(4.5, 9.0)), -1)
+                p = point_from_x(e, mpf(rng.uniform(1.1, 4.0)), 1)
+                q = point_from_x(e, mpf(rng.uniform(4.5, 9.0)), -1)
                 slope = (q[1] - p[1]) / (q[0] - p[0])
                 xr = slope * slope / 4 - p[0] - q[0]
                 r = (xr, slope * (xr - p[0]) + p[1])

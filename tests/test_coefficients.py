@@ -63,7 +63,7 @@ class TestBuiltins:
         hz = builtin_theory("HZ")
         assert hz.rank_at(0) == 1
         assert hz.rank_at(1) == 0
-        assert not hz.is_rational
+        assert hz.ring_field == "integral"
         assert hz.is_ordinary_integral
 
     def test_mu(self):
@@ -75,7 +75,7 @@ class TestBuiltins:
     def test_muq(self):
         muq = builtin_theory("MUQ")
         assert muq.rank_at(3) == 3
-        assert muq.is_rational
+        assert muq.ring_field == "rational"
 
     def test_unknown_name(self):
         with pytest.raises(TheoryError, match="KU"):

@@ -128,7 +128,7 @@ class TestSpaceDocuments:
 class TestTheoryDocuments:
     def test_builtin_names(self):
         assert load_theory_argument("MU").name == "MU"
-        assert load_theory_argument("HQ").is_rational
+        assert load_theory_argument("HQ").ring_field == "rational"
 
     def test_custom_file(self):
         theory = load_theory_argument(fixture("ku2.json"))
@@ -586,12 +586,18 @@ def test_aj_solves_once(monkeypatch, name):
 
 
 def test_cli_import_leaves_abeljacobi_out():
-    # Only the aj subcommand loads the Abel-Jacobi module.
+    # Only the aj subcommand loads the Abel-Jacobi module, and no hfcalc
+    # process pays for dataclasses and the inspect machinery it imports.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = "import sys, hfcalc.cli; print(sorted(m for m in sys.modules if m.startswith('hfcalc')))"
+    code = (
+        "import sys, hfcalc.cli; print(sorted(m for m in sys.modules if m.startswith('hfcalc')));"
+        " print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert "hfcalc.cli" in proc.stdout and "hfcalc.abeljacobi" not in proc.stdout, proc.stdout
+    hfcalc_modules, heavy = proc.stdout.splitlines()
+    assert "hfcalc.cli" in hfcalc_modules and "hfcalc.abeljacobi" not in hfcalc_modules, proc.stdout
+    assert heavy == "[]", proc.stdout
 
 
 def _check_argvs() -> dict:

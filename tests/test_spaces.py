@@ -1,6 +1,5 @@
 """Space models: constructors, invariants, filtration and lattice rules."""
 
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -127,7 +126,9 @@ class TestProduct:
         s = product(curve(1), curve(1), hodge_class_rank={0: 1, 1: 3, 2: 1})
         assert s.hcr(1) == 3
 
-    def test_torsion_factor_rejected(self):
+    def test_torsion_factor_kunneth(self):
+        # H^*(fake) = Z, 0, Z + Z/2.  Squared: Z/2 (x) Z/2 adds to degrees 2
+        # and 4, and Tor(H^2, H^2) = Z/2 lands in degree 3.
         torsion = KahlerModel.make(
             name="fake",
             dim=1,
@@ -135,8 +136,74 @@ class TestProduct:
             hodge={(0, 0): 1, (1, 1): 1},
             hodge_class_rank={0: 1, 1: 1},
         )
-        with pytest.raises(ModelError, match="fake.*degree 2"):
-            product(torsion, point())
+        assert product(torsion, point()).betti == torsion.betti
+        assert product(torsion, torsion).betti == {
+            0: FgAbelianGroup(1),
+            2: FgAbelianGroup.of(2, [2, 2]),
+            3: FgAbelianGroup.of(0, [2]),
+            4: FgAbelianGroup.of(1, [2, 2, 2]),
+        }
+
+
+def _torsion_surface():
+    """A surface-shaped table with torsion in two degrees: Z, 0, Z + Z/4, Z/6, Z."""
+    return KahlerModel.make(
+        name="tsurf",
+        dim=2,
+        betti={0: FgAbelianGroup(1), 2: FgAbelianGroup.of(1, [4]), 3: FgAbelianGroup.of(0, [6]), 4: FgAbelianGroup(1)},
+        hodge={(0, 0): 1, (1, 1): 1, (2, 2): 1},
+        hodge_class_rank={0: 1, 1: 1, 2: 1},
+    )
+
+
+def _mod_p_dims(model, p):
+    """dim H^n(X; F_p) = b_n + t_p(H^n) + t_p(H^(n+1)) (universal coefficients),
+    t_p counting the cyclic torsion factors of order divisible by p."""
+    def t(n):
+        return sum(1 for d in model.betti_torsion(n) if d % p == 0)
+
+    return {n: model.betti_rank(n) + t(n) + t(n + 1) for n in range(-1, model.max_degree + 1)}
+
+
+class TestKunnethWithTorsion:
+    # ROADMAP item 12: the integral Kunneth formula with its Tor term.
+    FACTORS = {"torsion": lambda: _torsion_fixture(), "tsurf": _torsion_surface}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FACTORS))
+    def test_product_with_projective_space_is_bundle(self, name, k):
+        x = self.FACTORS[name]()
+        prod, bundle = product(x, projective_space(k)), projective_bundle(x, k + 1)
+        assert prod.betti == bundle.betti
+        assert (prod.hodge, prod.hodge_class_rank) == (bundle.hodge, bundle.hodge_class_rank)
+        hz = builtin_theory("HZ")
+        top = prod.max_degree
+        for n in range(-1, top + 2):
+            for p in range(-1, top + 2):
+                assert hfc_group(prod, hz, n, p) == hfc_group(bundle, hz, n, p), (n, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("pair", [("torsion", "torsion"), ("torsion", "tsurf"), ("tsurf", "tsurf")])
+    def test_mod_p_universal_coefficients(self, pair, p):
+        # Over F_p the Kunneth formula has no Tor term, so the mod-p
+        # dimensions of X x Y are the convolution of the factors'.
+        x, y = (self.FACTORS[name]() for name in pair)
+        dx, dy = _mod_p_dims(x, p), _mod_p_dims(y, p)
+        want = {}
+        for i, a in dx.items():
+            for j, b in dy.items():
+                want[i + j] = want.get(i + j, 0) + a * b
+        got = _mod_p_dims(product(x, y), p)
+        assert {n: v for n, v in got.items() if v} == {n: v for n, v in want.items() if v}
+
+    def test_commutative(self):
+        x, y = _torsion_fixture(), _torsion_surface()
+        xy, yx = product(x, y), product(y, x)
+        assert (xy.betti, xy.hodge, xy.hodge_class_rank) == (yx.betti, yx.hodge, yx.hodge_class_rank)
+        hz = builtin_theory("HZ")
+        for n in range(-1, xy.max_degree + 2):
+            for p in range(-1, 4):
+                assert hfc_group(xy, hz, n, p) == hfc_group(yx, hz, n, p), (n, p)
 
 
 class TestProjectiveBundle:
@@ -443,7 +510,7 @@ def _swapped_curve():
     # tables: the index must be rebuilt, not carried over.
     e, c2 = curve(1), curve(2)
     assert e.filtration_dim(1, 1) == 1
-    model = replace(e, name="swapped", betti=c2.betti, hodge=c2.hodge)
+    model = e.replace(name="swapped", betti=c2.betti, hodge=c2.hodge)
     model.validate()
     return model
 
@@ -570,17 +637,17 @@ class TestDerivedData:
     def test_no_cached_property(self, cls):
         # A cached_property stores into the instance __dict__, and on CPython
         # 3.11 a materialised __dict__ makes every later attribute load on
-        # that model about a third slower; derived data is set in __post_init__.
+        # that model about a third slower; derived data is set in __init__.
         assert not [name for name, value in vars(cls).items() if isinstance(value, cached_property)]
 
     def test_replace_rebuilds_derived_data(self):
         e, c2 = curve(1), curve(2)
-        swapped = replace(e, betti=c2.betti, hodge=c2.hodge)
+        swapped = e.replace(betti=c2.betti, hodge=c2.hodge)
         assert swapped.support_degrees() == (0, 1, 2)
         assert swapped.filtration_dim(1, 1) == 2
         torsion = _torsion_fixture()
-        assert torsion.has_torsion and not replace(torsion, betti=e.betti, hodge=e.hodge).has_torsion
-        assert replace(gm(), betti={0: 1, 3: 2}).support_degrees() == (0, 3)
+        assert torsion.has_torsion and not torsion.replace(betti=e.betti, hodge=e.hodge).has_torsion
+        assert gm().replace(betti={0: 1, 3: 2}).support_degrees() == (0, 3)
 
 
 # -- growth without the wall clock ---------------------------------------------------
@@ -623,7 +690,7 @@ class TestGrowth:
     def test_bundle_reads_base_betti_linearly_in_rank(self):
         def reads(r):
             p1 = projective_space(1)
-            base = replace(p1, betti=CountingDict(p1.betti))
+            base = p1.replace(betti=CountingDict(p1.betti))
             projective_bundle(base, r)
             return base.betti.reads
 
@@ -635,7 +702,7 @@ class TestGrowth:
         # O(r^2) window cells, each reading only the base's support degrees.
         def reads(r):
             g = gm()
-            base = replace(g, betti=CountingDict(g.betti))
+            base = g.replace(betti=CountingDict(g.betti))
             projective_bundle(base, r)
             return base.betti.reads
 
@@ -648,7 +715,7 @@ class TestGrowth:
 
         def reads(d):
             pd = projective_space(d)
-            model = replace(pd, hodge=CountingDict(pd.hodge))
+            model = pd.replace(hodge=CountingDict(pd.hodge))
             assert hfc_group(model, mu, 0, 0) == hfc_group(pd, mu, 0, 0)
             return model.hodge.reads
 
