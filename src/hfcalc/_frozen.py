@@ -2,9 +2,11 @@
 
 A subclass names its fields in ``_fields`` (and in ``__slots__``, with any
 derived attributes), assigns them in ``__init__`` through
-``object.__setattr__`` and validates there.  Equality, hash and repr follow
-the field tuple, as on a frozen dataclass, without importing ``dataclasses``
-(which loads ``inspect`` and compiles generated methods in every process).
+``object.__setattr__`` and validates there: the one construction path,
+which ``replace``, ``copy`` and ``pickle`` take too.  Equality, hash and
+repr follow the field tuple, as on a frozen dataclass, without importing
+``dataclasses`` (which loads ``inspect`` and compiles generated methods in
+every process).
 """
 
 from __future__ import annotations

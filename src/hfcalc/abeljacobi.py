@@ -361,11 +361,7 @@ class Divisor(Frozen):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple):  # ((point, multiplicity), ...)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def of(cls, entries: Sequence[tuple]) -> "Divisor":
+    def __init__(self, entries: Sequence[tuple]):  # ((x, y) or None, multiplicity), ...
         # Coordinates are kept as given; they are coerced to mpc inside the
         # curve's working precision at evaluation time (converting here
         # would round them to the ambient precision).
@@ -379,7 +375,10 @@ class Divisor(Frozen):
                 out.append((pt, operator.index(mult)))
             except (TypeError, ValueError) as exc:
                 raise CurveError(f"divisor entry {entry!r} must be ((x, y) or None, integer multiplicity): {exc}")
-        return cls(tuple(out))
+        object.__setattr__(self, "entries", tuple(out))
+
+    # Kept because the benchmark still calls it; construct directly.
+    of = classmethod(lambda cls, entries: cls(entries))
 
     @property
     def degree(self) -> int:

@@ -258,7 +258,7 @@ def _parse_divisor(text: str) -> Divisor:
         else:
             raise ParseError(f"divisor point {pt_raw!r} must be [x, y] or \"inf\"")
         entries.append((pt, _int_arg(mult, "divisor multiplicity")))
-    return Divisor.of(entries)
+    return Divisor(entries)
 
 
 def _fmt_complex(value, digits: int) -> dict:

@@ -76,6 +76,11 @@ class CoefficientTheory(Frozen):
             raise TheoryError(f"unknown ring field {ring_field!r}")
         if kind not in ("partition", "finite"):
             raise TheoryError(f"unknown theory kind {kind!r}")
+        for j, r in table:
+            if r < 0:
+                raise TheoryError(f"negative rank {r} at degree {j}")
+        if len({j for j, _r in table}) != len(table):
+            raise TheoryError(f"a degree appears twice in {table}")
 
     def rank_at(self, j: int) -> int:
         if self.kind == "partition":
@@ -116,8 +121,5 @@ def builtin_theory(name: str) -> CoefficientTheory:
 
 def custom_theory(ranks: Mapping[int, int], ring_field: str = INTEGRAL, name: str = "custom") -> CoefficientTheory:
     """Instantiate a theory from a finite table j -> rank of pi_{2j}E."""
-    for j, r in ranks.items():
-        if r < 0:
-            raise TheoryError(f"negative rank {r} at degree {j}")
     table = tuple(sorted((int(j), int(r)) for j, r in ranks.items()))
     return CoefficientTheory(name=name, ring_field=ring_field, kind="finite", table=table)

@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup, divisibility_chain
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, mu_rank
-from hfcalc.errors import EngineError, ModelError, RingError
+from hfcalc.errors import EngineError, RingError
 from hfcalc.rings import Poly, bundle_extension
 from hfcalc.spaces import (
     KahlerModel,
@@ -199,15 +199,11 @@ def jacobian(model: KahlerModel, theory: CoefficientTheory, p: int) -> GroupDesc
 
     Its real dimension is the full odd-degree rank e_rank(X, E, 2p-1); by
     Hodge symmetry the filtered part is exactly half of it, so the complex
-    dimension is e_rank / 2.
+    dimension is e_rank / 2 (KahlerModel holds odd Betti ranks even).
     """
     if not isinstance(model, KahlerModel):
         raise EngineError("the generalized Jacobian is defined for compact Kahler models")
     e = e_rank(model, theory, 2 * p - 1)
-    if e % 2 != 0:
-        raise ModelError(
-            f"{model.name}: odd rank {e} in odd total degree {2 * p - 1} violates Hodge symmetry"
-        )
     return GroupDescriptor(circle_rank=e, complex_torus_dim=e // 2)
 
 

@@ -10,8 +10,8 @@ golden tests).  A space document is one of three kinds:
 * ``{"kind": "quasiprojective", ...}`` -- explicit Betti ranks plus
   filtration and lattice tables.
 
-Every field of both model kinds round-trips through emit/parse, and models
-are re-validated after loading.
+Every field of both model kinds round-trips through emit/parse, and each
+model's constructor checks it on loading.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def parse_space(doc: Any) -> Model:
                 )
             except ValueError as exc:
                 raise ParseError(f"betti[{k}]: {exc}")
-        return KahlerModel.make(
+        return KahlerModel(
             name=str(doc.get("name", "space")),
             dim=_int_arg(doc.get("complex_dim", -1), "complex_dim"),
             betti=betti,
@@ -225,7 +225,7 @@ def parse_space(doc: Any) -> Model:
             ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
         )
     if kind == "quasiprojective":
-        return QuasiProjModel.make(
+        return QuasiProjModel(
             name=str(doc.get("name", "space")),
             betti=_int_table(doc.get("betti_rank", {}), "betti_rank"),
             filt=_pair_table(doc.get("filt_dim", {}), "filt_dim"),

@@ -8,10 +8,12 @@ even degrees together with one rewriting rule per generator,
 which is the shape produced by all the constructors in this package:
 Z[x]/(x^{n+1}) for projective space, tensor products for products of
 spaces, and the Chern-class relation xi^r = c1 xi^{r-1} - c2 xi^{r-2} + ...
-for projective bundles.  Restricting relations to this triangular shape
-gives a terminating normal form without Groebner machinery, and makes the
-monomial basis (exponents below each rule's power) explicit, so graded
-dimensions can be compared against Betti ranks.
+for projective bundles.  The constructor holds every rule to this
+triangular shape -- tail monomials of the rule's degree, in earlier
+generators and below the power in its own -- so the rules form a Groebner
+basis (coprime leading monomials gen ** power) and rewriting terminates in
+a unique normal form; the monomial basis (exponents below each rule's
+power) is explicit, so graded dimensions can be compared against Betti ranks.
 
 Polynomials are dicts mapping exponent tuples to integer coefficients.
 Odd-degree generators are not supported; models with odd cohomology simply
@@ -72,12 +74,16 @@ class RingModel(Frozen):
         object.__setattr__(self, "rules", rules)
         if len(generators) != len(rules):
             raise RingError("one rewriting rule required per generator")
-        for name, deg in generators:
+        k = len(generators)
+        for i, ((name, deg), (power, tail)) in enumerate(zip(generators, rules)):
             if deg <= 0 or deg % 2 != 0:
                 raise RingError(f"generator {name} must have positive even degree, got {deg}")
-        for power, _tail in rules:
             if power < 1:
                 raise RingError("rule powers must be >= 1")
+            for m in tail:
+                if len(m) != k or min(m) < 0 or any(m[i + 1:]) or m[i] >= power or self.monomial_degree(m) != power * deg:
+                    raise RingError(f"rule {name}^{power}: tail monomial {m} needs {k} nonnegative exponents, none"
+                                    f" on a later generator, {name} below {power} and degree {power * deg}")
 
     # -- element constructors -------------------------------------------------
 

@@ -27,7 +27,9 @@ Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
 families).  The constructors install the defaults that are correct for
 them -- cellular spaces use h^{q,q}, products and bundles the convolution
--- and callers may override.
+-- and callers override any field with ``.replace``.  Each model class
+has one construction path, its ``__init__``: it drops zero entries, builds
+the derived data and refuses inconsistent tables with a ModelError.
 
 The position of the integral lattice relative to the Hodge filtration on a
 KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
@@ -58,6 +60,16 @@ __all__ = [
 ]
 
 
+def _nonzero(table: dict, keep=bool) -> dict:
+    """``table`` without the values ``keep`` refuses, copied only if it has some."""
+    return table if all(map(keep, table.values())) else {k: v for k, v in table.items() if keep(v)}
+
+
+def _first_difference(a: dict, b: dict) -> int:
+    """The smallest key where two tables of nonzero entries differ."""
+    return min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
+
+
 class KahlerModel(Frozen):
     """A compact Kahler manifold presented by cohomological data."""
 
@@ -73,31 +85,26 @@ class KahlerModel(Frozen):
         hodge_class_rank: dict,  # q -> int
         ring: Optional[RingModel] = None,
     ):
+        betti = _nonzero(betti, lambda g: not g.is_trivial)
+        hodge = _nonzero(hodge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "hodge_class_rank", hodge_class_rank)
+        object.__setattr__(self, "hodge_class_rank", _nonzero(hodge_class_rank))
         object.__setattr__(self, "ring", ring)
         # Derived data, built once per instance beside the fields (a
         # ``replace`` copy is a new instance, so none of it goes stale).
-        levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], nonzero, s increasing
+        levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], s increasing
         for (s, t), v in sorted(hodge.items()):
-            if v:
-                levels.setdefault(s + t, []).append((s, v))
+            levels.setdefault(s + t, []).append((s, v))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_support", tuple(sorted(betti)))
         object.__setattr__(self, "has_torsion", any(g.torsion for g in betti.values()))
+        self._check()
 
-    @classmethod
-    def make(cls, name, dim, betti, hodge, hodge_class_rank, ring=None) -> "KahlerModel":
-        """Normalize (drop zero entries), build, and validate."""
-        b = {int(n): g for n, g in betti.items() if not g.is_trivial}
-        h = {(int(s), int(t)): int(v) for (s, t), v in hodge.items() if v != 0}
-        hcr = {int(q): int(v) for q, v in hodge_class_rank.items() if v != 0}
-        model = cls(name=name, dim=int(dim), betti=b, hodge=h, hodge_class_rank=hcr, ring=ring)
-        model.validate()
-        return model
+    # The benchmark's probes still call make (ROADMAP item 1); construct directly.
+    make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
     # -- accessors shared with QuasiProjModel ---------------------------------
 
@@ -149,58 +156,61 @@ class KahlerModel(Frozen):
             return self.hcr(m // 2)
         return 0
 
-    # -- validation -------------------------------------------------------------
-
-    def validate(self) -> None:
-        d = self.dim
+    def _check(self) -> None:
+        """Refuse tables that no Kahler manifold has; Hodge numbers are read by degree."""
+        name, d = self.name, self.dim
         if d < 0:
-            raise ModelError(f"{self.name}: negative dimension")
+            raise ModelError(f"{name}: negative dimension")
+        ranks = {}  # the nonzero Betti ranks
         for n, g in self.betti.items():
-            if n < 0 or n > 2 * d:
-                raise ModelError(f"{self.name}: Betti group in degree {n} outside [0, {2 * d}]")
-        hsums: dict = {}
-        for (s, t), v in self.hodge.items():
-            hsums[s + t] = hsums.get(s + t, 0) + v
-            if v < 0:
-                raise ModelError(f"{self.name}: negative Hodge number h^{{{s},{t}}}")
-            if not (0 <= s <= d and 0 <= t <= d):
-                raise ModelError(f"{self.name}: h^{{{s},{t}}} nonzero outside [0, {d}]^2")
-            if self.hodge.get((t, s), 0) != v:
+            if not 0 <= n <= 2 * d:
+                raise ModelError(f"{name}: Betti group in degree {n} outside [0, {2 * d}]")
+            if g.free_rank:
+                ranks[n] = g.free_rank
+        hsums = {}
+        for n, row in self._levels.items():
+            if row != [(n - s, v) for s, v in reversed(row)]:
+                h = dict(row)
+                s = next(s for s, v in row if h.get(n - s, 0) != v)
                 raise ModelError(
-                    f"{self.name}: Hodge symmetry fails, h^{{{s},{t}}} = {v} != h^{{{t},{s}}} = {self.hodge.get((t, s), 0)}"
+                    f"{name}: Hodge symmetry fails, h^{{{s},{n - s}}} = {h[s]} != h^{{{n - s},{s}}} = {h.get(n - s, 0)}"
                 )
-        for n in range(0, 2 * d + 1):
-            hsum = hsums.get(n, 0)
-            b = self.betti_rank(n)
-            if hsum != b:
-                raise ModelError(
-                    f"{self.name}: Hodge numbers in degree {n} sum to {hsum}, Betti rank is {b}"
-                )
-            if n % 2 == 1 and b % 2 != 0:
-                raise ModelError(f"{self.name}: odd Betti rank {b} in odd degree {n}")
-            if self.betti_rank(2 * d - n) != b:
-                raise ModelError(
-                    f"{self.name}: Poincare duality fails between degrees {n} and {2 * d - n}"
-                )
+            s = row[0][0]  # the smallest s, and by symmetry n - s is the largest
+            if s < 0 or n - s > d:
+                raise ModelError(f"{name}: h^{{{s},{n - s}}} nonzero outside [0, {d}]^2")
+            values = [v for _s, v in row]
+            if min(values) < 0:
+                s = next(s for s, v in row if v < 0)
+                raise ModelError(f"{name}: negative Hodge number h^{{{s},{n - s}}}")
+            hsums[n] = sum(values)
+        # Symmetric Hodge numbers pair up in odd degrees, so these sums also
+        # hold every odd-degree Betti rank even.
+        if hsums != ranks:
+            n = _first_difference(hsums, ranks)
+            raise ModelError(f"{name}: Hodge numbers in degree {n} sum to {hsums.get(n, 0)}, Betti rank is {ranks.get(n, 0)}")
+        for n, b in ranks.items():
+            if ranks.get(2 * d - n) != b:
+                raise ModelError(f"{name}: Poincare duality fails between degrees {n} and {2 * d - n}")
         for q, v in self.hodge_class_rank.items():
-            if v < 0 or v > self.hodge_number(q, q):
-                raise ModelError(
-                    f"{self.name}: hodge_class_rank({q}) = {v} outside [0, h^{{{q},{q}}} = {self.hodge_number(q, q)}]"
-                )
+            row = self._levels.get(2 * q, ())
+            hqq = row[len(row) // 2][1] if len(row) % 2 else 0  # the middle of a symmetric row
+            if v < 0 or v > hqq:
+                raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, h^{{{q},{q}}} = {hqq}]")
         if self.ring is not None:
-            rdims = self.ring.graded_dimensions()
-            for n in range(0, 2 * d + 1):
-                if rdims[n] != self.betti_rank(n):
-                    raise ModelError(
-                        f"{self.name}: ring presentation has dimension {rdims[n]} in degree {n}, Betti rank is {self.betti_rank(n)}"
-                    )
+            rdims = dict(self.ring.graded_dimensions())
+            if rdims != ranks:
+                n = _first_difference(rdims, ranks)
+                raise ModelError(
+                    f"{name}: ring presentation has dimension {rdims.get(n, 0)} in degree {n}, Betti rank is {ranks.get(n, 0)}"
+                )
 
 
 class QuasiProjModel(Frozen):
     """A smooth quasi-projective variety presented by filtration tables.
 
-    ``filt`` and ``lattice`` store only the window 1 <= p <= n; outside it
-    the values are forced: everything for p <= 0, zero for p > n.
+    ``filt`` and ``lattice`` store only the window 1 <= p <= n of the
+    degrees with Betti rank; outside it the values are forced: everything
+    for p <= 0, zero for p > n.
     """
 
     _fields = ("name", "betti", "filt", "lattice", "hodge_class_rank", "ring")
@@ -214,26 +224,20 @@ class QuasiProjModel(Frozen):
         betti: dict,  # n -> int (torsion-free)
         filt: dict,  # (p, n) -> dim F^p H^n, window 1 <= p <= n
         lattice: dict,  # (p, n) -> lattice rank inside F^p, same window
-        hodge_class_rank: dict,  # q -> int
+        hodge_class_rank: Optional[dict] = None,  # q -> int
         ring: Optional[RingModel] = None,
     ):
+        betti = _nonzero(betti)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "filt", filt)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "hodge_class_rank", hodge_class_rank)
+        object.__setattr__(self, "filt", _nonzero(filt))
+        object.__setattr__(self, "lattice", _nonzero(lattice))
+        object.__setattr__(self, "hodge_class_rank", _nonzero(hodge_class_rank or {}))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_support", tuple(sorted(betti)))  # derived, as on KahlerModel
+        self._check()
 
-    @classmethod
-    def make(cls, name, betti, filt, lattice, hodge_class_rank=None, ring=None) -> "QuasiProjModel":
-        b = {int(n): int(v) for n, v in betti.items() if v != 0}
-        f = {(int(p), int(n)): int(v) for (p, n), v in filt.items() if v != 0}
-        lat = {(int(p), int(n)): int(v) for (p, n), v in lattice.items() if v != 0}
-        hcr = {int(q): int(v) for q, v in (hodge_class_rank or {}).items() if v != 0}
-        model = cls(name=name, betti=b, filt=f, lattice=lat, hodge_class_rank=hcr, ring=ring)
-        model.validate()
-        return model
+    make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # as on KahlerModel
 
     def betti_rank(self, n: int) -> int:
         return self.betti.get(n, 0)
@@ -251,50 +255,38 @@ class QuasiProjModel(Frozen):
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
 
+    # The constructor holds every entry inside the window, so a cell outside
+    # it finds none.
     def filtration_dim(self, p: int, n: int) -> int:
-        b = self.betti_rank(n)
-        if b == 0:
-            return 0
-        if p <= 0:
-            return b
-        if p > n:
-            return 0
-        return self.filt.get((p, n), 0)
+        return self.betti.get(n, 0) if p <= 0 else self.filt.get((p, n), 0)
 
     def lattice_rank_in_filtration(self, q: int, n: int) -> int:
-        b = self.betti_rank(n)
-        if b == 0:
-            return 0
-        if q <= 0:
-            return b
-        if q > n:
-            return 0
-        return self.lattice.get((q, n), 0)
+        return self.betti.get(n, 0) if q <= 0 else self.lattice.get((q, n), 0)
 
-    def validate(self) -> None:
-        for n, b in self.betti.items():
+    def _check(self) -> None:
+        name, betti = self.name, self.betti
+        for n, b in betti.items():
             if b < 0:
-                raise ModelError(f"{self.name}: negative Betti rank in degree {n}")
+                raise ModelError(f"{name}: negative Betti rank in degree {n}")
             if n < 0:
-                raise ModelError(f"{self.name}: cohomology in negative degree {n}")
-        for (p, n), v in list(self.filt.items()) + list(self.lattice.items()):
-            if not (1 <= p <= n):
-                raise ModelError(
-                    f"{self.name}: filtration entry at (p={p}, n={n}) outside the window 1 <= p <= n"
-                )
-        for n in self.betti:
-            prev = self.betti_rank(n)
-            for p in range(1, n + 2):
-                cur = self.filtration_dim(p, n)
-                if cur > prev:
+                raise ModelError(f"{name}: cohomology in negative degree {n}")
+        for table in (self.filt, self.lattice):
+            for p, n in table:
+                if not 1 <= p <= n or n not in betti:
                     raise ModelError(
-                        f"{self.name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {prev}"
+                        f"{name}: filtration entry at (p={p}, n={n}) outside the windows 1 <= p <= n of the degrees with Betti rank"
                     )
+        filt, lattice = self.filt, self.lattice
+        for n, prev in betti.items():
+            for p in range(1, n + 1):  # F^(n+1) H^n = 0 meets both bounds
+                cur = filt.get((p, n), 0)
+                if cur > prev:
+                    raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {prev}")
                 # cur <= prev <= ... <= betti_rank(n), so cur is min(Betti, filtration).
-                lat = self.lattice_rank_in_filtration(p, n)
+                lat = lattice.get((p, n), 0)
                 if lat < 0 or lat > cur:
                     raise ModelError(
-                        f"{self.name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
+                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
                     )
                 prev = cur
 
@@ -332,7 +324,7 @@ def _window_tables(degrees, cell) -> tuple[dict, dict]:
 
 
 def point() -> KahlerModel:
-    return KahlerModel.make(
+    return KahlerModel(
         name="point",
         dim=0,
         betti={0: FgAbelianGroup(1)},
@@ -346,7 +338,7 @@ def projective_space(n: int) -> KahlerModel:
     """P^n: one copy of Z in every even degree up to 2n, all of it algebraic."""
     if n < 0:
         raise ModelError("projective_space needs n >= 0")
-    return KahlerModel.make(
+    return KahlerModel(
         name=f"P{n}",
         dim=n,
         betti={2 * q: FgAbelianGroup(1) for q in range(n + 1)},
@@ -362,7 +354,7 @@ def curve(g: int) -> KahlerModel:
         raise ModelError("curve needs genus >= 0")
     if g == 0:
         return projective_space(1).replace(name="curve(0)")
-    return KahlerModel.make(
+    return KahlerModel(
         name=f"curve({g})",
         dim=1,
         betti={0: FgAbelianGroup(1), 1: FgAbelianGroup(2 * g), 2: FgAbelianGroup(1)},
@@ -371,7 +363,7 @@ def curve(g: int) -> KahlerModel:
     )
 
 
-def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] | None = None) -> KahlerModel:
+def product(x: KahlerModel, y: KahlerModel) -> KahlerModel:
     """Kunneth product of two Kahler models.
 
     The Betti groups follow the integral Kunneth formula,
@@ -382,10 +374,11 @@ def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] 
     product of two generic elliptic curves with independent moduli, not
     E x E for one curve E.  With one shared tau the self-product carries
     more integral classes: H^2 has rank 3 in F^1 on E x E (the diagonal
-    adds one), not 2.  The default hodge_class_rank table is the
-    convolution of the factors' tables (products of Hodge classes);
-    override it when the product is known to carry more.  The odd-degree
-    lattice ranks cannot be overridden.
+    adds one), not 2.  The hodge_class_rank table is the convolution of the
+    factors' tables (products of Hodge classes); when the product is known
+    to carry more, ``product(x, y).replace(hodge_class_rank=...)`` builds
+    that model, validated.  The odd-degree lattice ranks cannot be
+    overridden.
     """
     # Free parts convolve their ranks; tensor and Tor add torsion only when
     # a factor has some, so a torsion-free product costs one rank convolution.
@@ -398,15 +391,14 @@ def product(x: KahlerModel, y: KahlerModel, hodge_class_rank: Mapping[int, int] 
             for j, h in y.betti.items():
                 factors.setdefault(i + j, []).extend(g.tensor(h).torsion)
                 factors.setdefault(i + j - 1, []).extend(g.tor(h).torsion)
-    if hodge_class_rank is None:
-        hodge_class_rank = _convolve(x.hodge_class_rank, y.hodge_class_rank)
     ring = None
     if x.ring is not None and y.ring is not None:
         ring = tensor_rings(x.ring, y.ring)
-    return KahlerModel.make(
+    return KahlerModel(
         name=f"{x.name} x {y.name}", dim=x.dim + y.dim,
         betti={n: FgAbelianGroup.of(ranks.get(n, 0), factors.get(n, ())) for n in sorted(ranks.keys() | factors.keys())},
-        hodge=_convolve(x.hodge, y.hodge), hodge_class_rank=hodge_class_rank, ring=ring,
+        hodge=_convolve(x.hodge, y.hodge),
+        hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank), ring=ring,
     )
 
 
@@ -429,7 +421,7 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
             for n, g in x.betti.items():
                 k = n + 2 * i
                 betti[k] = betti[k].direct_sum(g) if k in betti else g
-        return KahlerModel.make(
+        return KahlerModel(
             name=name, dim=x.dim + r - 1, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
@@ -447,7 +439,7 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
 
     betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
     filt, lattice = _window_tables(betti_q, cell)
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
     )
 
@@ -456,7 +448,7 @@ def affine_space(n: int) -> QuasiProjModel:
     """A^n: cohomologically a point, with the filtration of weight zero."""
     if n < 0:
         raise ModelError("affine_space needs n >= 0")
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name=f"A{n}", betti={0: 1}, filt={}, lattice={}, hodge_class_rank={0: 1},
     )
 
@@ -464,7 +456,7 @@ def affine_space(n: int) -> QuasiProjModel:
 def gm() -> QuasiProjModel:
     """The multiplicative group C^*: H^1 is spanned by dz/z, which has
     filtration level one (the class carries a weight-2 mixed structure)."""
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name="Gm",
         betti={0: 1, 1: 1},
         filt={(1, 1): 1},
@@ -483,7 +475,7 @@ def as_quasiproj(x: Model) -> QuasiProjModel:
     filt, lattice = _window_tables(
         betti, lambda p, n: (x.filtration_dim(p, n), x.lattice_rank_in_filtration(p, n))
     )
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name=x.name, betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=dict(x.hodge_class_rank),
     )
@@ -523,7 +515,7 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
 
     betti = _convolve(x.betti, y.betti)
     filt, lattice = _window_tables(betti, cell)
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank),
     )

@@ -113,7 +113,7 @@ def test_criterion_5_a1_and_mayer_vietoris():
                     ok, lhs, rhs = a1_invariance_check(model, theory, n, p)
                     assert ok, (model.name, theory.name, n, p, lhs, rhs)
     assert mv_consistency(projective_space(1), affine_space(1), affine_space(1), gm(), HZ, 1)
-    corrupted = QuasiProjModel.make(
+    corrupted = QuasiProjModel(
         name="corrupted-gm", betti={0: 1, 1: 2}, filt={(1, 1): 1},
         lattice={(1, 1): 1}, hodge_class_rank={0: 1},
     )

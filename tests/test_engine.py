@@ -193,7 +193,7 @@ class TestHfcGroup:
         assert hfc_group(product(product(e, e), e), HZ, 3, 1).free_rank == 12
 
 
-TORSION_MODEL = KahlerModel.make(
+TORSION_MODEL = KahlerModel(
     name="torsion-surface",
     dim=1,
     betti={0: FgAbelianGroup(1), 2: FgAbelianGroup.of(1, [2])},
@@ -364,7 +364,7 @@ MV_THEORIES = [HZ, HQ, MU, MUQ, custom_theory({-1: 2, 0: 1, 3: 1}, name="custom"
 
 def corrupted_gm():
     """Gm with an extra H^1 class: chi drops by one, so Mayer-Vietoris fails."""
-    return QuasiProjModel.make(
+    return QuasiProjModel(
         name="bad-gm", betti={0: 1, 1: 2}, filt={(1, 1): 1},
         lattice={(1, 1): 1}, hodge_class_rank={0: 1},
     )
@@ -509,7 +509,7 @@ class TestTransfer:
     def test_no_room_for_the_class(self):
         # A quadric model whose declared Hodge classes above degree zero are
         # erased: the divisor class has nowhere to land.
-        s = product(projective_space(1), projective_space(1), hodge_class_rank={0: 1})
+        s = product(projective_space(1), projective_space(1)).replace(hodge_class_rank={0: 1})
         ok, class_rank, group_rank = transfer_normalization_check(s, s.ring.gen("x"))
         assert not ok and class_rank == 1 and group_rank == 0
 

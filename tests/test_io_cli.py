@@ -22,7 +22,7 @@ from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.cli import run
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import GroupDescriptor, hfc_group
-from hfcalc.errors import CurveError, ParseError
+from hfcalc.errors import CurveError, ModelError, ParseError, RingError
 from hfcalc.io import (
     descriptor_from_json,
     descriptor_to_json,
@@ -438,6 +438,37 @@ class TestInputBoundary:
         }
         assert len(outs) == 1 and outs.pop()[0] == 0
 
+    @pytest.mark.parametrize("tail", [[[[3], 1]], [[[], 1]]], ids=["x2-is-x3", "wrong-length"])
+    def test_ring_rule_refused(self, tail, tmp_path, capsys):
+        # x^2 = x^3 on P^1 loaded, then reducing x^2 never ended; the
+        # short monomial read as a constant.  Both are refused on loading.
+        doc = {
+            "kind": "kahler", "name": "evil", "complex_dim": 1,
+            "betti": {"0": [1, []], "2": [1, []]}, "hodge": {"0,0": 1, "1,1": 1},
+            "hodge_class_rank": {"0": 1, "1": 1},
+            "ring": {"generators": [["x", 2]], "rules": [[2, tail]]},
+        }
+        with pytest.raises(RingError, match="tail monomial"):
+            parse_space(doc)
+        path = tmp_path / "evil.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli("check", "transfer", "--space", str(path), "--divisor-class", "x^2")
+        assert code == 1
+        assert "tail monomial" in capsys.readouterr().err
+
+    def test_quasiprojective_entries_need_betti_rank(self, tmp_path, capsys):
+        doc = {
+            "kind": "quasiprojective", "betti_rank": {"0": 1},
+            "filt_dim": {"1,1": 1, "2,5": 3}, "lattice_in_f": {"1,1": 1},
+        }
+        with pytest.raises(ModelError, match=r"\(p=1, n=1\) outside the windows 1 <= p <= n of the degrees with Betti rank"):
+            parse_space(doc)
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli("emit-space", "--space", str(path))
+        assert code == 1
+        assert "degrees with Betti rank" in capsys.readouterr().err
+
     def test_aj_zero_multiplicity_bad_coordinate(self):
         # Every coordinate is parsed, even one whose multiplicity is 0.
         code, _ = run_cli(*AJ_TWO_TORSION, '[[["1", "0"], 1], ["inf", -1], [["zz", "1"], 0]]')
@@ -445,13 +476,13 @@ class TestInputBoundary:
 
     def test_aj_builds_one_divisor(self, monkeypatch):
         calls = []
-        real = Divisor.of.__func__
+        real = Divisor.__init__
 
-        def spy(cls, entries):
+        def spy(self, entries):
             calls.append(entries)
-            return real(cls, entries)
+            real(self, entries)
 
-        monkeypatch.setattr(Divisor, "of", classmethod(spy))
+        monkeypatch.setattr(Divisor, "__init__", spy)
         code, _ = run_cli(*AJ_TWO_TORSION, '[[["1", "0"], 1], ["inf", -1]]')
         assert code == 0
         assert len(calls) == 1

@@ -43,6 +43,27 @@ class TestPolynomialQuotient:
         with pytest.raises(RingError):
             RingModel(generators=(("a", 3),), rules=((2, {}),))
 
+    @pytest.mark.parametrize("gens, rules", [
+        ((("x", 2),), ((2, {(3,): 1}),)),  # x^2 = x^3 rewrote forever
+        ((("x", 2),), ((2, {(2,): 1}),)),  # its own power
+        ((("x", 2),), ((2, {(): 1}),)),  # wrong length, once read as a constant
+        ((("x", 2),), ((2, {(1,): 1}),)),  # degree 2, not 4
+        ((("x", 2), ("y", 2)), ((2, {(0, 2): 1}), (2, {}))),  # a later generator
+        ((("x", 2), ("y", 2)), ((3, {}), (1, {(2, -1): 1}))),  # a negative exponent
+    ], ids=["above-power", "at-power", "length", "degree", "later", "negative"])
+    def test_rule_must_be_triangular(self, gens, rules):
+        with pytest.raises(RingError, match="tail monomial"):
+            RingModel(generators=gens, rules=rules)
+
+    def test_constructor_rings_are_triangular(self):
+        # Tensor factors stay apart and the bundle class comes last, so the
+        # relation xi^2 = c1 xi - c2 over P^1 x P^1 passes.
+        base = tensor_rings(polynomial_ring_mod_power("x", 2, 2), polynomial_ring_mod_power("x", 2, 2))
+        x, y = base.gen("x"), base.gen("x_1")
+        r = bundle_extension(base, 2, [poly_add(x, y), base.mul(x, y)])
+        assert [power for power, _tail in r.rules] == [2, 2, 2]
+        assert dict(r.graded_dimensions()) == {0: 1, 2: 3, 4: 3, 6: 1}
+
 
 class TestTensor:
     def test_p1_times_p1(self):

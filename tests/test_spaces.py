@@ -48,7 +48,6 @@ class TestConstructors:
         assert pt.betti_rank(0) == 1
         assert pt.hodge_number(0, 0) == 1
         assert pt.hcr(0) == 1
-        pt.validate()
 
     def test_projective_space(self):
         p2 = projective_space(2)
@@ -87,7 +86,7 @@ class TestConstructors:
     def test_hodge_numbers_must_sum_to_betti_rank(self):
         # h^{1,0} + h^{0,1} = 2 against b_1 = 4; degrees 0 and 2 agree.
         with pytest.raises(ModelError, match="bad: Hodge numbers in degree 1 sum to 2, Betti rank is 4"):
-            KahlerModel.make(
+            KahlerModel(
                 name="bad",
                 dim=1,
                 betti={0: FgAbelianGroup(1), 1: FgAbelianGroup(4), 2: FgAbelianGroup(1)},
@@ -96,10 +95,9 @@ class TestConstructors:
             )
 
     def test_all_constructors_validate(self):
-        for model in ALL_KAHLER:
-            model.validate()
-        for model in (affine_space(0), affine_space(3), gm()):
-            model.validate()
+        # replace() rebuilds through the class's checking constructor.
+        for model in ALL_KAHLER + [affine_space(0), affine_space(3), gm()]:
+            assert model.replace() == model
 
 
 class TestProduct:
@@ -123,13 +121,13 @@ class TestProduct:
         assert s.hodge_class_rank == e.hodge_class_rank
 
     def test_hodge_class_override(self):
-        s = product(curve(1), curve(1), hodge_class_rank={0: 1, 1: 3, 2: 1})
+        s = product(curve(1), curve(1)).replace(hodge_class_rank={0: 1, 1: 3, 2: 1})
         assert s.hcr(1) == 3
 
     def test_torsion_factor_kunneth(self):
         # H^*(fake) = Z, 0, Z + Z/2.  Squared: Z/2 (x) Z/2 adds to degrees 2
         # and 4, and Tor(H^2, H^2) = Z/2 lands in degree 3.
-        torsion = KahlerModel.make(
+        torsion = KahlerModel(
             name="fake",
             dim=1,
             betti={0: FgAbelianGroup(1), 2: FgAbelianGroup.of(1, [2])},
@@ -147,7 +145,7 @@ class TestProduct:
 
 def _torsion_surface():
     """A surface-shaped table with torsion in two degrees: Z, 0, Z + Z/4, Z/6, Z."""
-    return KahlerModel.make(
+    return KahlerModel(
         name="tsurf",
         dim=2,
         betti={0: FgAbelianGroup(1), 2: FgAbelianGroup.of(1, [4]), 3: FgAbelianGroup.of(0, [6]), 4: FgAbelianGroup(1)},
@@ -238,7 +236,6 @@ class TestProjectiveBundle:
         assert isinstance(pb, QuasiProjModel)
         assert pb.betti_rank(2) == 1
         assert pb.filtration_dim(1, 2) == 1
-        pb.validate()
 
 
 class TestQuasiProj:
@@ -258,13 +255,13 @@ class TestQuasiProj:
 
     def test_monotonicity_violation(self):
         with pytest.raises(ModelError, match="exceeds"):
-            QuasiProjModel.make(
+            QuasiProjModel(
                 name="bad", betti={2: 1}, filt={(2, 2): 1}, lattice={}, hodge_class_rank={},
             )
 
     def test_lattice_bound_violation(self):
         with pytest.raises(ModelError, match="lattice"):
-            QuasiProjModel.make(
+            QuasiProjModel(
                 name="bad", betti={1: 1}, filt={}, lattice={(1, 1): 1}, hodge_class_rank={},
             )
 
@@ -277,7 +274,7 @@ class TestQuasiProj:
         # The bound is the filtration dimension, which the monotonicity check
         # has already held under the Betti rank; the text still names both.
         with pytest.raises(ModelError) as info:
-            QuasiProjModel.make(name="q", betti=betti, filt=filt, lattice=lattice)
+            QuasiProjModel(name="q", betti=betti, filt=filt, lattice=lattice)
         assert str(info.value) == message
 
     def test_quasi_product_refuses_compact_factor(self):
@@ -343,7 +340,7 @@ class TestLatticeRule:
 class TestValidation:
     def test_hodge_symmetry_named(self):
         with pytest.raises(ModelError, match=r"h\^\{1,0\}"):
-            KahlerModel.make(
+            KahlerModel(
                 name="asym",
                 dim=1,
                 betti={0: FgAbelianGroup(1), 1: FgAbelianGroup(2), 2: FgAbelianGroup(1)},
@@ -353,7 +350,7 @@ class TestValidation:
 
     def test_hodge_sum_mismatch(self):
         with pytest.raises(ModelError, match="degree 2"):
-            KahlerModel.make(
+            KahlerModel(
                 name="bad-sum",
                 dim=1,
                 betti={0: FgAbelianGroup(1), 2: FgAbelianGroup(1)},
@@ -363,7 +360,7 @@ class TestValidation:
 
     def test_poincare_duality(self):
         with pytest.raises(ModelError, match="Poincare"):
-            KahlerModel.make(
+            KahlerModel(
                 name="bad-pd",
                 dim=1,
                 betti={0: FgAbelianGroup(2), 2: FgAbelianGroup(1)},
@@ -372,8 +369,9 @@ class TestValidation:
             )
 
     def test_odd_rank_must_be_even(self):
-        with pytest.raises(ModelError, match="odd"):
-            KahlerModel.make(
+        # Symmetric Hodge numbers pair up in odd degree, so symmetry refuses b_1 = 3.
+        with pytest.raises(ModelError, match="bad-odd: Hodge symmetry fails"):
+            KahlerModel(
                 name="bad-odd",
                 dim=1,
                 betti={0: FgAbelianGroup(1), 1: FgAbelianGroup(3), 2: FgAbelianGroup(1)},
@@ -383,7 +381,7 @@ class TestValidation:
 
     def test_hodge_class_rank_bound(self):
         with pytest.raises(ModelError, match="hodge_class_rank"):
-            KahlerModel.make(
+            KahlerModel(
                 name="bad-hcr",
                 dim=1,
                 betti={0: FgAbelianGroup(1), 2: FgAbelianGroup(1)},
@@ -510,9 +508,7 @@ def _swapped_curve():
     # tables: the index must be rebuilt, not carried over.
     e, c2 = curve(1), curve(2)
     assert e.filtration_dim(1, 1) == 1
-    model = e.replace(name="swapped", betti=c2.betti, hodge=c2.hodge)
-    model.validate()
-    return model
+    return e.replace(name="swapped", betti=c2.betti, hodge=c2.hodge)
 
 
 KAHLER_LEAVES = {
@@ -647,7 +643,7 @@ class TestDerivedData:
         assert swapped.filtration_dim(1, 1) == 2
         torsion = _torsion_fixture()
         assert torsion.has_torsion and not torsion.replace(betti=e.betti, hodge=e.hodge).has_torsion
-        assert gm().replace(betti={0: 1, 3: 2}).support_degrees() == (0, 3)
+        assert gm().replace(betti={0: 1, 3: 2}, filt={}, lattice={}).support_degrees() == (0, 3)
 
 
 # -- growth without the wall clock ---------------------------------------------------
