@@ -17,49 +17,42 @@ The main entry points are:
 * :mod:`hfcalc.abeljacobi` -- period lattices, elliptic logarithms and the
   Abel-Jacobi map of degree-zero divisors;
 * :mod:`hfcalc.cli` -- the ``hfcalc`` command line tool.
+
+The package loads a submodule on first use (PEP 562): ``import hfcalc``
+imports nothing else, ``hfcalc.hfc_group`` loads the engine, and a process
+that only maps divisors loads ``hfcalc.abeljacobi`` without the model
+modules.
 """
 
-from hfcalc.abelian import FgAbelianGroup, IntMatrix, cokernel_of, kernel_rank, smith_normal_form
-from hfcalc.coefficients import CoefficientTheory, builtin_theory, custom_theory, mu_rank
-from hfcalc.engine import GroupDescriptor, e_rank, filtered_dim, hfc_group, hodge_group, jacobian, point_table
-from hfcalc.spaces import (
-    KahlerModel,
-    QuasiProjModel,
-    affine_space,
-    curve,
-    gm,
-    point,
-    product,
-    projective_bundle,
-    projective_space,
-)
+from importlib import import_module
 
-__all__ = [
-    "FgAbelianGroup",
-    "IntMatrix",
-    "smith_normal_form",
-    "cokernel_of",
-    "kernel_rank",
-    "CoefficientTheory",
-    "builtin_theory",
-    "custom_theory",
-    "mu_rank",
-    "KahlerModel",
-    "QuasiProjModel",
-    "point",
-    "projective_space",
-    "curve",
-    "product",
-    "projective_bundle",
-    "affine_space",
-    "gm",
-    "GroupDescriptor",
-    "e_rank",
-    "filtered_dim",
-    "jacobian",
-    "hodge_group",
-    "hfc_group",
-    "point_table",
-]
+# name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(("FgAbelianGroup", "IntMatrix", "smith_normal_form", "cokernel_of", "kernel_rank"), "abelian"),
+    **dict.fromkeys(("CoefficientTheory", "builtin_theory", "custom_theory", "mu_rank"), "coefficients"),
+    **dict.fromkeys(
+        ("KahlerModel", "QuasiProjModel", "point", "projective_space", "curve", "product", "projective_bundle",
+         "affine_space", "gm"),
+        "spaces",
+    ),
+    **dict.fromkeys(
+        ("GroupDescriptor", "e_rank", "filtered_dim", "jacobian", "hodge_group", "hfc_group", "point_table"), "engine"
+    ),
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module 'hfcalc' has no attribute {name!r}")
+    value = getattr(import_module(f"hfcalc.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

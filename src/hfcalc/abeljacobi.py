@@ -6,17 +6,23 @@ elliptic logarithm inverts the parametrization z -> (wp(z), wp'(z)), and
 the Abel-Jacobi map sends a degree-zero divisor to the sum of the
 unreduced logarithms of its points, reduced into the fundamental cell once.
 Every modulus test compares squared moduli, as in |a - b|^2 - |a + b|^2 =
--4 Re(a conj(b)), with thresholds squared once at set-up; a square root is
-taken only to print a failing residual.  A divisor whose only point other
-than O is a branch point, with multiplicity 1, maps to that point's stored
-half period with no reduction, as its elliptic logarithm does.
+-4 Re(a conj(b)), and the curve's checks do so on Python integers: with
+2^t a bound on the curve's size s = max(|g2|^(1/4), |g3|^(1/6)) (and on
+|x|^(1/2), |y|^(1/3) of the point at hand), a number of weight k is an
+integer in units of 2^(k t - W), W = prec + 16 bits, and a threshold
+10^-k enters as the integer 10^2k.  A square root is taken only to print a
+failing residual.  A divisor whose only point other than O is a branch
+point, with multiplicity 1, maps to that point's stored half period with
+no reduction, as its elliptic logarithm does.
 
 Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
 curves get more, see ``EllipticCurve``):
 
 * roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice
-  the working precision, with no iteration;
+  the working precision, on integers: ``_csqrt`` for its square root and
+  Newton's iteration for its cube root (``_ccbrt``) are its only loops; the
+  square roots of the period step are ``_csqrt`` too (``_sqrt``);
 * periods by the arithmetic-geometric mean over C with the optimal-branch
   rule (|a - b| <= |a + b| at every step, tested without square roots as
   Re(a conj(b)) >= 0), after Cremona-Thongjunthug
@@ -32,11 +38,12 @@ curves get more, see ``EllipticCurve``):
   rule are exact integer comparisons.  The SL_2(Z) reduction of the basis
   tracks its integer matrix, whose rows give the coordinates of the reduced
   basis in (w1, w2) and so the half period of each root with no solve.
-  The theta constants of the reduced basis, computed once, give g2 and g3
-  of the lattice, which must reproduce the inputs to 10^-(digits-3) s^4 and s^6,
-  s = max(|g2|^(1/4), |g3|^(1/6)): g2 and g3 have weights 4 and 6, so the
-  check, like the singular-curve test, reads the same on (l^4 g2, l^6 g3)
-  for every scale l;
+  The theta constants of the reduced basis, computed once by their own
+  sum at v = 0 (``_theta_constants``), give e1, e2, e3, g2 and g3 of the
+  lattice as integers, with k^2/3 the one number converted in; g2 and g3
+  must reproduce the inputs to 10^-(digits-3) s^4 and s^6: g2 and g3 have
+  weights 4 and 6, so the check, like the singular-curve test, reads the
+  same on (l^4 g2, l^6 g3) for every scale l;
 * elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
   keeps d_n = a_n^2 - b_n^2, n = 1..N, of the pairs of M(a, b), N >= 1 the
   first index with |a_N - b_N| <= 10^-(dps-3) |a_N|, and the mean
@@ -47,7 +54,10 @@ curves get more, see ``EllipticCurve``):
   same number by exact algebra, by ``_csqrt`` of x - e3 and x - e2, so a
   real point on a real curve with e2 = conj(e3) gets a c with an exact 0
   part.  Only x - e3, x - e2 and the final c cross between mpc and
-  integers.  z is signed so that wp'(z) = y, and one
+  integers.  Before the walk, the point's on-curve residual (exact on its
+  integer coordinates), the nearest root and the branch-point and
+  half-period tests run on integers, as do, after it, the sign of wp'(z)
+  and the miss check: z is signed so that wp'(z) = y, and one
   evaluation of (wp, wp') at z must reproduce the point to 10^-(digits-3)
   of max(|x|, s^2) and max(|y|, s^3), x and y having weights 2 and 3.  A
   branch point (e_i, 0), y = 0 exactly, maps to its half period w1/2, w2/2
@@ -62,8 +72,9 @@ curves get more, see ``EllipticCurve``):
   follow from the terms' size bound (``_theta_sums``); the term count needs
   L = -4 log|q^(1/4)| = pi Im(tau), stored at set-up.  wp and wp' take the
   ratios R = theta4/theta1 and S = theta2 theta3/theta1^2 on those
-  integers, convert only R and S to mpc, and finish as wp = K2 R^2 + e3,
-  wp' = K3 R S with K2 and K3 stored at set-up.
+  integers and finish there as wp = K2 R^2 + e3, wp' = K3 R S with K2, K3
+  and e3 stored at set-up as integers (``_wp_fixed``); ``wp_pair`` rounds
+  each once.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -76,8 +87,26 @@ import operator
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, mpf_shift, to_int
+from mpmath.libmp import fzero, mpf_add, mpf_mul
 
+from hfcalc._fixedpoint import (
+    _ZERO,
+    _agm_mean,
+    _agm_sequence,
+    _cmul,
+    _ccbrt,
+    _csqrt,
+    _dist2,
+    _fixed,
+    _fixed_rel,
+    _half,
+    _mag,
+    _sqrt,
+    _tdiv,
+    _theta_constants,
+    _theta_sums,
+    _unfixed,
+)
 from hfcalc._frozen import Frozen
 from hfcalc.errors import CurveError
 
@@ -112,76 +141,6 @@ def _abs2(z):
     """|z|^2 of an mpf or mpc, rounded once: a modulus test without a square root."""
     re, im = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
     return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im), *mp._prec_rounding))
-
-
-def _fixed(x, wp):
-    """(Re x, Im x) as integers in units of 2^-wp, truncated towards 0, so
-    that -x and conj(x) give exactly the negated parts; a zero part stays 0."""
-    return to_int(mpf_shift(x.real._mpf_, wp)), to_int(mpf_shift(x.imag._mpf_, wp))
-
-
-def _unfixed(re, im, exp):
-    """The mpc (re + i im) 2^exp, rounded once to the current precision."""
-    prec, rnd = mp._prec_rounding
-    return mp.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
-
-
-def _half(n):
-    """n / 2 truncated towards 0, so that -n halves to exactly the negation."""
-    return (n + (n < 0)) >> 1
-
-
-def _csqrt(re, im):
-    """Principal square root of re + i im, integers in units of 2^(2k), as
-    integers in units of 2^k.  The part that carries at least half the
-    modulus is an isqrt, the other |im| over twice it, rounded to nearest;
-    so im = 0 gives an exact 0 part and (re, -im) exactly the conjugate."""
-    m = math.isqrt(re * re + im * im)
-    if re >= 0:
-        r = math.isqrt((m + re) >> 1)
-        if not r:
-            return 0, 0
-        q = (abs(im) + r) // (2 * r)
-        return r, (q if im >= 0 else -q)
-    t = math.isqrt((m - re) >> 1)
-    return (abs(im) + t) // (2 * t), (t if im >= 0 else -t)
-
-
-def _agm_sequence(a, b):
-    """The AGM pairs (a_0, b_0), ..., (a_N, b_N) of ``complex_agm``, with N >= 1
-    the first index where |a_N - b_N| <= 10^-(dps-3) |a_N|, as (unit, pairs):
-    each pair is the integers (Re a_n, Im a_n, Re b_n, Im b_n) in units of
-    2^unit.
-
-    Every a_n and b_n is at most 2^e, e = max(mag a, mag b), so unit =
-    e - wp with wp = prec + 30 + |mag a - mag b| guard bits: rounding is
-    absolute, and the smaller of a and b keeps its relative accuracy.
-    Conversion and halving truncate towards 0 and ``_csqrt`` is
-    conjugate-symmetric, so a conjugate pair b = conj(a) steps to exactly
-    real pairs.  The sign test and the stop rule are exact integer
-    comparisons.
-    """
-    mag_a, mag_b = mp.mag(a), mp.mag(b)
-    unit = max(mag_a, mag_b) - mp.prec - 30 - abs(mag_a - mag_b)
-    (ar, ai), (br, bi) = _fixed(a, -unit), _fixed(b, -unit)
-    pairs = [(ar, ai, br, bi)]
-    inv_tol2 = 10 ** (2 * (mp.dps - 3))
-    for _ in range(mp.dps * 4 + 40):
-        (br, bi), ar, ai = _csqrt(ar * br - ai * bi, ar * bi + ai * br), _half(ar + br), _half(ai + bi)
-        d = ar * br + ai * bi  # Re(a conj(b)), as in _nearer
-        if d < 0 or (d == 0 and ar * bi - ai * br < 0):  # ties towards Im(b/a) > 0
-            br, bi = -br, -bi
-        pairs.append((ar, ai, br, bi))
-        dr, di = ar - br, ai - bi
-        if (dr * dr + di * di) * inv_tol2 <= ar * ar + ai * ai:
-            return unit, pairs
-    raise CurveError("complex AGM failed to converge")
-
-
-def _agm_mean(unit, pair):
-    """(a_n + b_n)/2 of an integer pair of ``_agm_sequence``, rounded once."""
-    ar, ai, br, bi = pair
-    return _unfixed(ar + br, ai + bi, unit - 1)
 
 
 def complex_agm(a, b):
@@ -258,91 +217,48 @@ def _reduce_tau(w1, w2):
     raise CurveError("lattice basis reduction failed")
 
 
-def _theta_sums(q4, big_l, v):
-    """Jacobi theta functions (theta1, ..., theta4)(v) of the nome q = q4^4
-    (DLMF 20.2(i)) as integers: ((re, im) of each, exp), theta_j =
-    (re + i im) 2^exp.  They are sums of q^(m^2/4) sin(mv) (theta1, odd m)
-    and q^(m^2/4) cos(mv) (theta2 odd m, theta3 and theta4 even m).
-
-    f((m + 1)v) = 2 cos(v) f(mv) - f((m - 1)v) keeps sin(mv) accurate as
-    v -> 0, where theta1 vanishes.  Term m is at most
-    exp(-L m^2/4 + m |Im v|), L = -4 log|q4| = pi Im(tau), so summing to
-    m = 2 |Im v|/L + sqrt(4 dps log(10)/L + 1) leaves every later term
-    10^-dps under the largest of its parity.
-
-    The sums run on Python integers in units of 2^-wp, wp = prec + guard,
-    each part of a complex number one integer.  Rounding there is absolute,
-    so the guard bits are 20, plus terms |Im v| / log 2 because |cos(mv)|
-    and |sin(mv)| reach exp(m |Im v|), plus -log2|v| and -log2|q4| (when
-    positive) because theta1(v) is about 2 q4 v and theta2(0) about 2 q4
-    and must keep their relative accuracy.  A zero part of q4, cos v or
-    sin v stays an exact 0, so real inputs give exactly real outputs.
-    """
-    im_v = abs(float(v.imag))
-    terms = int(2 * im_v / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
-    guard = 20 + math.ceil(terms * im_v / math.log(2)) + max(0, -mp.mag(q4))
-    if v:
-        guard += max(0, -mp.mag(v))
-    wp = mp.prec + guard
-    with mp.extraprec(guard):
-        c, s = mp.cos_sin(v)
-    (tr, ti), (cr, ci), (sr, si) = (_fixed(x, wp) for x in (q4, c, s))
-    # t = q^(m^2/4), u = q^((2m + 1)/4), h = q^(1/2); cos and sin of mv
-    # (c, s) and of (m - 1)v (cp, sp); products shift once by wp.
-    hr, hi = (tr * tr >> wp) - (ti * ti >> wp), 2 * (tr * ti >> wp)
-    ur, ui = (hr * tr >> wp) - (hi * ti >> wp), (hr * ti >> wp) + (hi * tr >> wp)
-    two_cr, two_ci = 2 * cr, 2 * ci
-    cpr, cpi, spr, spi = 1 << wp, 0, 0, 0
-    # Sums of q^(m^2/4) cos(mv) and sin(mv) over each class of m mod 4, in
-    # units of 2^(-2 wp): the products t c and t s are not shifted.
-    cos_r, cos_i, sin_r, sin_i = [0] * 4, [0] * 4, [0] * 4, [0] * 4
-    for m in range(1, terms + 1):
-        r = m % 4
-        cos_r[r] += tr * cr - ti * ci
-        cos_i[r] += tr * ci + ti * cr
-        if m % 2:
-            sin_r[r] += tr * sr - ti * si
-            sin_i[r] += tr * si + ti * sr
-        tr, ti = (tr * ur >> wp) - (ti * ui >> wp), (tr * ui >> wp) + (ti * ur >> wp)
-        ur, ui = (ur * hr >> wp) - (ui * hi >> wp), (ur * hi >> wp) + (ui * hr >> wp)
-        cpr, cpi, cr, ci = (
-            cr, ci, (two_cr * cr >> wp) - (two_ci * ci >> wp) - cpr, (two_cr * ci >> wp) + (two_ci * cr >> wp) - cpi
-        )
-        spr, spi, sr, si = (
-            sr, si, (two_cr * sr >> wp) - (two_ci * si >> wp) - spr, (two_cr * si >> wp) + (two_ci * sr >> wp) - spi
-        )
-    # theta = 2 (sums), or 1 + 2 (sums), in units of 2^(1 - 2 wp).
-    half = 1 << (2 * wp - 1)
-    return (
-        (sin_r[1] - sin_r[3], sin_i[1] - sin_i[3]),
-        (cos_r[1] + cos_r[3], cos_i[1] + cos_i[3]),
-        (half + cos_r[0] + cos_r[2], cos_i[0] + cos_i[2]),
-        (half + cos_r[0] - cos_r[2], cos_i[0] - cos_i[2]),
-    ), 1 - 2 * wp
+def _nstr_ratio(ratios):
+    """sqrt(max(num / den)) over the integer pairs (num, den), to 8 digits:
+    the residual a failed check prints."""
+    return mp.nstr(mp.sqrt(max(mpf(num) / den for num, den in ratios)), 8)
 
 
-def _theta(q4, big_l, v):
-    """The four theta values of ``_theta_sums`` as mpc, each rounded once."""
-    sums, exp = _theta_sums(q4, big_l, v)
-    return tuple(_unfixed(re, im, exp) for re, im in sums)
-
-
-def _theta_lattice(r1, r2):
+def _theta_lattice(r1, r2, t):
     """For a reduced basis: k = pi / r1, q^(1/4) = exp(i pi tau / 4) with
-    tau = r2 / r1, L = -4 log|q^(1/4)| = pi Im(tau) as a float,
-    (theta2, theta3, theta4) at 0, (e1, e2, e3) = wp at
-    (r1/2, (r1 + r2)/2, r2/2), g2 and g3.
+    tau = r2 / r1, L = -4 log|q^(1/4)| = pi Im(tau) as a float, the
+    constants K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2
+    of ``_wp_fixed`` with the theta constants at 0, and
+    (e1, e2, e3) = wp at (r1/2, (r1 + r2)/2, r2/2), g2 and g3 as integers
+    (re, im) in units of 2^(2t - W), 2^(4t - W) and 2^(6t - W),
+    W = ``_bits()``, 2^t a size of the lattice's weight 1.
 
     wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
     and e3 = -k^2 (theta2^4 + theta3^4)/3 at those half periods (DLMF 23.6(i)),
-    so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.
+    so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.  The fourth powers
+    and their sums are exact integers; k^2/3 is the one number converted in,
+    and the e_i are rounded once to their unit.
     """
     k, tau = mp.pi / r1, r2 / r1
     q4, big_l = mp.expj(mp.pi * tau / 4), float(mp.pi * tau.imag)
-    _zero, t2, t3, t4 = _theta(q4, big_l, mp.zero)
-    s, p2, p3, p4 = k * k / 3, t2 ** 4, t3 ** 4, t4 ** 4
-    e1, e2, e3 = s * (p3 + p4), s * (p2 - p4), -s * (p2 + p3)
-    return k, q4, big_l, (t2, t3, t4), (e1, e2, e3), 2 * (e1 * e1 + e2 * e2 + e3 * e3), 4 * e1 * e2 * e3
+    (t2, t3, t4), wp = _theta_constants(q4, big_l)
+    k2, t23 = k * k, _cmul(t2, t3)
+    c2 = _cmul(t23, t23)  # (theta2 theta3)^2 in units of 2^(-4 wp)
+    big_k2 = k2 * _unfixed(*c2, -4 * wp)
+    big_k3 = -2 * k * k2 * _unfixed(*_cmul(c2, _cmul(t4, t4)), -6 * wp)
+    p2, p3, p4 = (_cmul(_cmul(x, x), _cmul(x, x)) for x in (t2, t3, t4))
+    # e_i = (k^2/3) E_i 2^(-4 wp), with k^2/3 in units of 2^(2t - W).
+    bits = _bits()
+    s = _fixed(k2 / 3, bits - 2 * t)
+    sums = [a + b for a, b in zip(p3, p4)], [a - b for a, b in zip(p2, p4)], [-a - b for a, b in zip(p2, p3)]
+    e = [_cmul(s, v, 4 * wp) for v in sums]
+    g2 = [2 * (a + b + c) >> bits for a, b, c in zip(*(_cmul(v, v) for v in e))]  # units 2^(4t - W)
+    g3 = [4 * v >> 2 * bits for v in _cmul(_cmul(e[0], e[1]), e[2])]  # units 2^(6t - W)
+    return k, q4, big_l, big_k2, big_k3, e, g2, g3
+
+
+def _bits():
+    """W, the fraction bits of the integer checks at the current precision."""
+    return mp.prec + 16
 
 
 def lattice_invariants(w1, w2):
@@ -353,7 +269,11 @@ def lattice_invariants(w1, w2):
         w2 = -w2
     if mp.im(w2 / w1) == 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    return _theta_lattice(*_reduce_tau(w1, w2)[:2])[5:]
+    r1, r2, _matrix = _reduce_tau(w1, w2)
+    t = 2 - _mag(r1)  # |k| = pi / |r1| < 2^t
+    *_rest, g2, g3 = _theta_lattice(r1, r2, t)
+    bits = _bits()
+    return _unfixed(*g2, 4 * t - bits), _unfixed(*g3, 6 * t - bits)
 
 
 class Divisor(Frozen):
@@ -388,39 +308,72 @@ class Divisor(Frozen):
         return Divisor(self.entries + other.entries)
 
 
-def _coords(z, w1, w2):
-    """Real coordinates (a, b) with z = a w1 + b w2."""
-    det = w1.real * w2.imag - w1.imag * w2.real
-    a = (z.real * w2.imag - z.imag * w2.real) / det
-    b = (w1.real * z.imag - w1.imag * z.real) / det
-    return a, b
+def _dual(w1, w2):
+    """The rows of the inverse of the real 2x2 matrix of the basis (w1, w2),
+    so that ``_coords`` solves with four products and no division."""
+    inv = 1 / (w1.real * w2.imag - w1.imag * w2.real)
+    return w2.imag * inv, -w2.real * inv, -w1.imag * inv, w1.real * inv
 
 
-def _cubic_roots(g2, g3):
-    """The roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)).
+def _coords(z, dual):
+    """Real coordinates (a, b) with z = a w1 + b w2, ``dual`` = ``_dual(w1, w2)``."""
+    ar, ai, br, bi = dual
+    return z.real * ar + z.imag * ai, z.real * br + z.imag * bi
+
+
+def _cubic_roots(g2, g3, t):
+    """The roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)),
+    2^t a bound on the curve's size s.
 
     x = u + g2 / (12 u) over the three cube roots u of
-    g3/8 +- sqrt(g3^2/64 - g2^3/1728), with the sign of larger modulus
-    (``_nearer``: |t + s| >= |t - s| exactly when Re(t conj(s)) >= 0; u = 0
-    only if g2 = g3 = 0).  Near a double root the roots differ by
-    about sqrt(disc), so twice the working precision keeps every working
-    digit while |disc| / scale >= 10^-digits.  Back at working precision,
-    parts below eps are chopped as ``polyroots`` chops them: a real root
-    comes out an mpf.
+    v = (g3 +- sqrt(g3^2 - g2^3/27)) / 8, with the sign of larger modulus
+    (|a + b| >= |a - b| exactly when Re(a conj(b)) >= 0, as in ``_nearer``;
+    u = 0 only if g2 = g3 = 0).  With omega = exp(2 pi i / 3) and
+    q = g2 / (12 u), g2 / (12 u omega) = q conj(omega), so one division
+    serves all three.  Near a double root the roots differ by about
+    sqrt(disc), so B = 2 prec + 20 bits, twice the working precision, keep
+    every working digit while |disc| / scale >= 10^-digits.
+
+    Everything runs on integers, a weight-k number in units of 2^(k t - B):
+    g2^3 and 27 g3^2 exactly, the square root by ``_csqrt``, the cube root
+    by ``_ccbrt`` and every product and quotient truncated towards 0, so real
+    g2, g3 with one real root give it exactly real and the other two exactly
+    conjugate.  Each root is rounded once to working precision, where parts
+    below eps are chopped as ``polyroots`` chops them: a real root comes out
+    an mpf.
     """
-    with mp.extraprec(mp.prec):
-        t, s = g3 / 8, mp.sqrt(g3 * g3 / 64 - g2 ** 3 / 1728)
-        u = mp.cbrt(t + _nearer(t, s))
-        omega = mpc(-0.5, mp.sqrt(3) / 2)
-        roots = [v + g2 / (12 * v) for v in (u, u * omega, u * omega.conjugate())]
-    out, eps2 = [], mp.eps ** 2
-    for r in roots:
-        r = +r
+    b = 2 * mp.prec + 20
+    (g2r, g2i), (g3r, g3i) = _fixed(g2, b - 4 * t), _fixed(g3, b - 6 * t)
+    # 1728 (g3^2/64 - g2^3/1728) = 27 g3^2 - g2^3 in units of 2^(12t - 3B);
+    # the square root of its 1728th in units of 2^(6t - B - 10), and g3/8 there.
+    c2r, c2i = g2r * g2r - g2i * g2i, 2 * g2r * g2i
+    nr = (27 * (g3r * g3r - g3i * g3i) << b) - (c2r * g2r - c2i * g2i)
+    ni = (27 * 2 * g3r * g3i << b) - (c2r * g2i + c2i * g2r)
+    sr, si = _csqrt(_tdiv(nr, 1728 << b - 20), _tdiv(ni, 1728 << b - 20))
+    tr, ti = g3r << 7, g3i << 7
+    if tr * sr + ti * si < 0:
+        sr, si = -sr, -si
+    # v = g3/8 + s, in units of 2^(6t - 3B) for a root in units of 2^(2t - B).
+    ur, ui = _ccbrt(tr + sr << 2 * b - 10, ti + si << 2 * b - 10)
+    # q = g2 / (12 u) = (g2 << B) conj(u) / (12 |u|^2), units 2^(2t - B).
+    den = 12 * (ur * ur + ui * ui)
+    qr, qi = _tdiv((g2r * ur + g2i * ui) << b, den), _tdiv((g2i * ur - g2r * ui) << b, den)
+    # omega in units of 2^-B: (-1/2, sqrt(3)/2).
+    wr, wi = -(1 << b - 1), math.isqrt(3 << 2 * b) >> 1
+    roots = (
+        (ur + qr, ui + qi),
+        (_tdiv(ur * wr - ui * wi + qr * wr + qi * wi, 1 << b), _tdiv(ur * wi + ui * wr - qr * wi + qi * wr, 1 << b)),
+        (_tdiv(ur * wr + ui * wi + qr * wr - qi * wi, 1 << b), _tdiv(ui * wr - ur * wi + qr * wi + qi * wr, 1 << b)),
+    )
+    out, eps = [], mp.eps
+    eps2 = eps * eps
+    for re, im in roots:
+        r = _unfixed(re, im, 2 * t - b)
         if _abs2(r) < eps2:
             r = mp.zero
-        elif abs(r.imag) < mp.eps:
+        elif abs(r.imag) < eps:
             r = r.real
-        elif abs(r.real) < mp.eps:
+        elif abs(r.real) < eps:
             r = r.imag * 1j
         out.append(r)
     return out
@@ -429,12 +382,12 @@ def _cubic_roots(g2, g3):
 def _period_basis(e1, e2, e3):
     """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
     the ``_log_walk`` of the AGM of (a, b) whose mean M gives w1 = pi / M."""
-    a = mp.sqrt(e1 - e3)
-    b, c = _nearer(a, mp.sqrt(e1 - e2)), _nearer(a, mp.sqrt(e2 - e3))
+    a = _sqrt(e1 - e3)
+    b, c = _nearer(a, _sqrt(e1 - e2)), _nearer(a, _sqrt(e2 - e3))
     walk = _log_walk(*_agm_sequence(a, b))
     w1 = mp.pi / walk[2]  # the mean M
     w2 = mp.pi * 1j / complex_agm(a, c)
-    if mp.im(w2 / w1) < 0:
+    if w2.imag * w1.real < w2.real * w1.imag:  # Im(w2 conj(w1)) < 0: Im(w2 / w1) < 0
         w2 = -w2
     return w1, w2, walk
 
@@ -500,75 +453,85 @@ class EllipticCurve:
         with mp.workdps(self._workdps):
             self.g2, self.g3 = _numbers((g2, g3), "curve coefficients")
             disc = self.g2 ** 3 - 27 * self.g3 ** 2
-            scale = max(abs(self.g2) ** 3, abs(self.g3) ** 2)
-            # The curve's size s = scale^(1/12) on the weights of x and y:
-            # g2 ~ s^4, g3 ~ s^6, x ~ s^2, y ~ s^3.
-            s = mp.root(scale, 12)
-            self._s2, self._s3 = s * s, s * s * s
-            if abs(disc) <= scale * mpf(10) ** (-self.digits):
+            # scale = max(|g2|^3, |g3|^2) = s^12, squared like every modulus.
+            # The curve's size s on the weights of x and y: g2 ~ s^4,
+            # g3 ~ s^6, x ~ s^2, y ~ s^3.
+            disc2, scale2 = _abs2(disc), max(_abs2(self.g2) ** 3, _abs2(self.g3) ** 2)
+            if disc2 * 10 ** (2 * self.digits) <= scale2:
                 raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
             self.discriminant = disc
-            if abs(disc) < scale * mpf(10) ** -20:  # near-singular: k > 20
-                self._workdps += int(mp.ceil(-mp.log10(abs(disc) / scale))) - 20
+            if disc2 * 10 ** 40 < scale2:  # near-singular: k > 20
+                self._workdps += int(mp.ceil(-mp.log10(disc2 / scale2) / 2)) - 20
         with mp.workdps(self._workdps):
-            # Every modulus test compares squares, so the thresholds 10^-k and
-            # the sizes s^k are squared here, once.
-            self._s4, self._s6 = self._s2 ** 2, self._s3 ** 2
-            self._s12 = self._s6 ** 2
-            self._tol2 = mpf(10) ** (6 - 2 * self.digits)  # 10^-(digits-3): results
-            self._res_tol2 = mpf(10) ** (4 - 2 * self.digits)  # 10^-(digits-2): on the curve
-            self._root_tol2 = mpf(10) ** (8 - 2 * self.digits)  # 10^-(digits-4): at a root
+            # Every modulus test compares integer squares (see _log): the
+            # thresholds 10^-k enter as the integers 10^2k, the sizes s^k as
+            # integers in the units of the numbers they bound.
+            self._inv_tol2 = 10 ** (2 * self.digits - 6)  # 10^-(digits-3): results
+            self._inv_res_tol2 = 10 ** (2 * self.digits - 4)  # 10^-(digits-2): on the curve
+            self._inv_root_tol2 = 10 ** (2 * self.digits - 8)  # 10^-(digits-4): at a root
             self._snap = mpf(10) ** -self.digits  # frac_coords
+            bits = self._bits = _bits()
+            t = self._t = -(-_mag(scale2) // 24)  # s <= 2^t
+            s12 = math.isqrt(_fixed(scale2, 12 * bits - 24 * t)[0])  # units 2^(12t - 6W)
+            s4 = mp.cbrt(mp.sqrt(scale2))
+            # s^4, s^6 and s^12 against |x|^2, |y|^2 and the on-curve sides squared.
+            self._sizes = (_fixed(s4, 2 * bits - 4 * t)[0], math.isqrt(s12 >> (2 * bits)), s12)
+            self._g_fixed = _fixed(self.g2, bits - 4 * t), _fixed(self.g3, bits - 6 * t)
             # Beyond |x| = 10^(workdps/2) s^2, wp(z) = z^-2 (1 + g2 z^4/20 + ...)
             # gives z = x^(-1/2) at working precision.
-            self._far2 = mpf(10) ** self._workdps * self._s4
+            self._far2 = s4 * 10 ** self._workdps
             self.roots = self._sorted_roots()
             self.w1, self.w2, self._walk = self._compute_periods()
+            self._dual, self._dual_reduced = _dual(self.w1, self.w2), _dual(*self._reduced)
             self.tau = self.w2 / self.w1
-            self._rho = abs(self._reduced[0])  # a reduced basis starts with a shortest vector
-            self._pole2 = (mpf(10) ** (5 - self._workdps) * self._rho) ** 2
+            # |z| < 10^-(workdps-5) rho, rho = |r1|: a reduced basis starts with a shortest vector.
+            self._pole2 = _abs2(self._reduced[0]) * mpf(10) ** (10 - 2 * self._workdps)
 
     # -- lattice construction ---------------------------------------------------
 
     def _sorted_roots(self):
-        roots = _cubic_roots(self.g2, self.g3)
+        roots = _cubic_roots(self.g2, self.g3, self._t)
         size2 = max(_abs2(r) for r in roots)
-        if all(mp.im(r) ** 2 < mpf(10) ** (-2 * self.digits) * size2 for r in roots):
-            roots = [mpc(mp.re(r)) for r in roots]
-        return sorted(roots, key=lambda r: (-mp.re(r), -mp.im(r)))
+        tens = mpf(10 ** (2 * self.digits))
+        if all(r.imag ** 2 * tens < size2 for r in roots):
+            roots = [mpc(r.real) for r in roots]
+        return sorted(roots, key=lambda r: (r.real, r.imag), reverse=True)
 
     def _compute_periods(self):
         """Periods and the logarithm's AGM walk, checked by the reduced basis's
         theta constants; for each root the half period where wp takes it, and
-        what the translation by its branch point needs."""
+        its fixed-point value and gap for ``_log``."""
         w1, w2, walk = _period_basis(*self.roots)
         r1, r2, (a, b, c, d) = _reduce_tau(w1, w2)
         self._reduced = r1, r2
-        k, self._q4, self._big_l, (t2, t3, t4), theta_e, g2r, g3r = _theta_lattice(r1, r2)
-        # The constants of wp_pair_raw: k, K2 = (k theta2 theta3)^2,
-        # K3 = -2 k (k theta2 theta3 theta4)^2 and e3.
-        kt23 = k * t2 * t3
-        self._k, self._k2, self._k3, self._e3 = k, kt23 ** 2, -2 * k * (kt23 * t4) ** 2, theta_e[2]
-        # g2 and g3 have weights 4 and 6: measured on s^4 and s^6.
-        err2 = max(_abs2(g2r - self.g2) / self._s4 ** 2, _abs2(g3r - self.g3) / self._s12)
-        if err2 >= self._tol2:
-            raise CurveError(f"period lattice does not reproduce (g2, g3); residual {mp.nstr(mp.sqrt(err2), 8)}")
-        match = [min(range(3), key=lambda j: _abs2(root - theta_e[j])) for root in self.roots]
+        bits, t = self._bits, self._t
+        self._k, self._q4, self._big_l, k2, k3, theta_e, g2r, g3r = _theta_lattice(r1, r2, t)
+        # K2 R^2 and K3 R S (R and S with W + 4 fraction bits each) shift
+        # right by these to the units of wp and wp'.
+        (k2, m2), (k3, m3) = _fixed_rel(k2, bits), _fixed_rel(k3, bits)
+        frac = 2 * (bits + 4)
+        self._wp_constants = (k2, 2 * t - bits + m2 + frac), (k3, 3 * t - bits + m3 + frac), theta_e[2]
+        # g2 and g3 have weights 4 and 6: measured on s^4 and s^6, in units
+        # of 2^(8t - 2W) and 2^(12t - 2W).
+        (g2f, g3f), (s4, _s6, s12) = self._g_fixed, self._sizes
+        errs = (_dist2(g2r, g2f), s4 * s4 >> (2 * bits)), (_dist2(g3r, g3f), s12 >> (4 * bits))
+        if any(num * self._inv_tol2 >= den for num, den in errs):
+            raise CurveError(f"period lattice does not reproduce (g2, g3); residual {_nstr_ratio(errs)}")
+        fixed = [_fixed(r, bits - 2 * t) for r in self.roots]
+        match = [min(range(3), key=lambda j: _dist2(r, theta_e[j])) for r in fixed]
         if sorted(match) != [0, 1, 2]:
             raise CurveError("half periods do not separate the branch points")
         # Twice the half periods where wp takes theta_e are r1, r1 + r2 and r2,
         # whose coordinates in (w1, w2) are the rows of the reduction matrix.
         doubled = ((a, b), (a + c, b + d), (c, d))
-        self._half_periods, self._branches = [], []
-        e = self.roots
-        for i, j in enumerate(match):
+        self._half_periods = []
+        for j in match:
             m, n = (v % 2 for v in doubled[j])
-            # Exact: 1 * w = w and w + 0 = w, so this is w1/2, w2/2 or (w1 + w2)/2.
-            self._half_periods.append((m * w1 + n * w2) / 2)
-            # The other two roots, (e_i - e_j)(e_i - e_k), and e_i's gap squared.
-            ej, ek = e[i - 1], e[i - 2]
-            gap2 = min(_abs2(e[i] - ej), _abs2(e[i] - ek))
-            self._branches.append((ej, ek, (e[i] - ej) * (e[i] - ek), gap2))
+            # Exact: w1/2, w2/2 or (w1 + w2)/2.
+            self._half_periods.append(((w1 if m else 0) + (w2 if n else 0)) * mpf(0.5))
+        # Each root in units of 2^(2t - W), and its gap to the other two squared.
+        self._roots_fixed = fixed
+        self._gaps = [min(_dist2(r, fixed[i - 1]), _dist2(r, fixed[i - 2])) for i, r in enumerate(fixed)]
         return w1, w2, walk
 
     # -- lattice bookkeeping ------------------------------------------------------
@@ -576,7 +539,7 @@ class EllipticCurve:
     def coords(self, z) -> tuple:
         """Real coordinates (a, b) with z = a w1 + b w2."""
         with mp.workdps(self._workdps):
-            return _coords(mpc(z), self.w1, self.w2)
+            return _coords(mpc(z), self._dual)
 
     def reduce_fundamental(self, z):
         """Representative with z = a w1 + b w2, a, b in [0, 1)."""
@@ -605,6 +568,14 @@ class EllipticCurve:
 
     def wp_pair_raw(self, z) -> tuple:
         """(wp(z), wp'(z)) without precision management; z must avoid L.
+        The integers of ``_wp_fixed``, each rounded once."""
+        (pr, pi), (qr, qi) = self._wp_fixed(z)
+        t, bits = self._t, self._bits
+        return _unfixed(pr, pi, 2 * t - bits), _unfixed(qr, qi, 3 * t - bits)
+
+    def _wp_fixed(self, z) -> tuple:
+        """(wp(z), wp'(z)) as integers (re, im) in units of 2^(2t - W) and
+        2^(3t - W), 2^t the curve's size bound, as ``_log`` reads them.
 
         With v = k z and the theta constants theta2, theta3, theta4 at 0
         (DLMF 23.6(i); wp' by theta1'(0) = theta2 theta3 theta4):
@@ -613,30 +584,33 @@ class EllipticCurve:
         So wp = K2 R^2 + e3 and wp' = K3 R S with the set-up constants
         K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2 and
         the ratios R = theta4(v) / theta1(v), S = theta2(v) theta3(v) / theta1(v)^2,
-        which are formed on the integer theta sums with prec + 20 fraction
-        bits and are the only numbers converted to mpc.  Their absolute
-        rounding costs wp under 2^-prec of s^2 and wp' under 2^-prec of s^3:
-        K2 and K3 carry |q| <= exp(-pi sqrt 3 / 2), and where R or S is large
-        it keeps its relative accuracy.  Reducing z against (r1, r2) bounds
-        |Im v| by L/2 = -2 log|q^(1/4)|.
+        formed on the integer theta sums with W + 4 fraction bits.  K2
+        and K3 are integers with W bits of their own (``_fixed_rel``), so
+        the products keep their relative accuracy however small |q| makes
+        them; e3 is in the unit of wp.  Rounding to the unit of the result
+        costs wp under 2^-W of s^2 and wp' under 2^-W of s^3, and where R or
+        S is large the result keeps its relative accuracy.  Reducing z
+        against (r1, r2) bounds |Im v| by L/2 = -2 log|q^(1/4)|.
         """
         r1, r2 = self._reduced
         z = mpc(z)
-        a, b = _coords(z, r1, r2)
-        z = z - mp.nint(a) * r1 - mp.nint(b) * r2
+        a, b = (int(mp.nint(c)) for c in _coords(z, self._dual_reduced))
+        if a or b:
+            z = z - a * r1 - b * r2
         if _abs2(z) < self._pole2:  # |z| < 10^-(workdps-5) rho
             raise CurveError("wp evaluated at a lattice point")
         ((t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i)), _exp = _theta_sums(self._q4, self._big_l, self._k * z)
-        bits = mp.prec + 20
+        bits = self._bits + 4
         # theta_j / theta1 = theta_j conj(theta1) / |theta1|^2; the units 2^exp cancel.
         n1 = t1r * t1r + t1i * t1i
         rr, ri = ((t4r * t1r + t4i * t1i) << bits) // n1, ((t4i * t1r - t4r * t1i) << bits) // n1
         pr, pi = t2r * t3r - t2i * t3i, t2r * t3i + t2i * t3r  # theta2 theta3
         cr, ci = t1r * t1r - t1i * t1i, -2 * t1r * t1i  # conj(theta1)^2
         n2 = n1 * n1
-        sr, si = ((pr * cr - pi * ci) << bits) // n2, ((pr * ci + pi * cr) << bits) // n2
-        r, s = _unfixed(rr, ri, -bits), _unfixed(sr, si, -bits)
-        return self._k2 * r * r + self._e3, self._k3 * r * s
+        s = ((pr * cr - pi * ci) << bits) // n2, ((pr * ci + pi * cr) << bits) // n2
+        (k2, shift2), (k3, shift3), e3 = self._wp_constants
+        wp = _cmul(k2, _cmul((rr, ri), (rr, ri)), shift2)
+        return (wp[0] + e3[0], wp[1] + e3[1]), _cmul(k3, _cmul((rr, ri), s), shift3)
 
     def wp_pair(self, z) -> tuple:
         with mp.workdps(self._workdps):
@@ -644,17 +618,38 @@ class EllipticCurve:
 
     # -- point and divisor utilities ---------------------------------------------
 
-    def _residual2(self, x, y):
-        """The squared on-curve residual of parsed coordinates.  Both sides
-        have weight 6: measured on s^6, not on 1."""
-        lhs = y ** 2
-        rhs = 4 * x ** 3 - self.g2 * x - self.g3
-        return _abs2(lhs - rhs) / max(_abs2(lhs), _abs2(rhs), self._s12)
+    def _fixed_point(self, x, y) -> tuple:
+        """(t, X, Y) of parsed coordinates: 2^t bounds s, |x|^(1/2) and
+        |y|^(1/3), and X, Y are x and y as integers (re, im) in units of
+        2^(2t - W) and 2^(3t - W), so each carries W bits below its weight's
+        size."""
+        bits, t = self._bits, self._t
+        for v, k in ((x, 2), (y, 3)):
+            if v:
+                t = max(t, -(-_mag(v) // k))
+        return t, _fixed(x, bits - 2 * t), _fixed(y, bits - 3 * t)
 
-    def _require_on_curve(self, x, y) -> None:
-        res2 = self._residual2(x, y)
-        if res2 > self._res_tol2:
-            raise CurveError(f"point is not on the curve: residual {mp.nstr(mp.sqrt(res2), 8)}")
+    def _require_on_curve(self, x, y) -> tuple:
+        """``_fixed_point`` after the on-curve check, exact on its integers:
+        |y^2 - (4x^3 - g2 x - g3)|^2 against 10^-2(digits-2) times the largest
+        of |y^2|^2, |4x^3 - g2 x - g3|^2 and s^12 (both sides have weight 6),
+        all in units of 2^(12t - 6W)."""
+        t, big_x, big_y = self._fixed_point(x, y)
+        num, den = self._residual2(t - self._t, big_x, big_y)
+        if num * self._inv_res_tol2 > den:
+            raise CurveError(f"point is not on the curve: residual {_nstr_ratio([(num, den)])}")
+        return t, big_x, big_y
+
+    def _residual2(self, dt, big_x, big_y) -> tuple:
+        """(num, den) of the squared on-curve residual of ``_require_on_curve``,
+        dt = t - (the curve's t), with 4x^3, g2 x, g3 and y^2 exact in units
+        of 2^(6t - 3W)."""
+        bits = self._bits
+        g2, g3 = ([v >> k * dt for v in g] for k, g in zip((4, 6), self._g_fixed))
+        x3, g2x = _cmul(_cmul(big_x, big_x), big_x), _cmul(g2, big_x)
+        rhs = [4 * a - (b << bits) - (c << 2 * bits) for a, b, c in zip(x3, g2x, g3)]
+        lhs = [v << bits for v in _cmul(big_y, big_y)]
+        return _dist2(lhs, rhs), max(_dist2(lhs, _ZERO), _dist2(rhs, _ZERO), self._sizes[2] >> 12 * dt)
 
     def point_at(self, z) -> Point:
         """Forward parametrization z -> (wp(z), wp'(z))."""
@@ -679,35 +674,40 @@ class EllipticCurve:
         10^-(digits-3) max(|x|, s^2) and y to 10^-(digits-3) max(|y|, s^3).
         """
         x, y = _numbers(pt, "point coordinates")
-        self._require_on_curve(x, y)
-        e = self.roots
-        dist2 = [_abs2(x - r) for r in e]
+        t, big_x, big_y = self._require_on_curve(x, y)
+        # Squares in units of 2^(4t - 2W) for x and 2^(6t - 2W) for y
+        # (_fixed_point); the curve's integers, in its own t, shift by dt.
+        bits, dt = self._bits, t - self._t
+        s4, s6, _s12 = (v >> k * dt for k, v in zip((4, 6, 12), self._sizes))
+        dist2 = [_dist2(big_x, [v >> 2 * dt for v in r]) for r in self._roots_fixed]
         i = min(range(3), key=dist2.__getitem__)
-        size_x2 = max(_abs2(x), self._s4)
-        if not y and dist2[i] <= self._root_tol2 * size_x2:
+        size_x2 = max(_dist2(big_x, _ZERO), s4)
+        if not y and dist2[i] * self._inv_root_tol2 <= size_x2:
             return self._half_periods[i], True
-        ej, ek, cross, gap2 = self._branches[i]
-        if y and 16 * dist2[i] < gap2:
+        e = self.roots
+        if y and 16 * dist2[i] < self._gaps[i] >> 4 * dt:
+            ej, ek = e[i - 1], e[i - 2]
             d = y * y / (4 * (x - ej) * (x - ek))
-            x_log, shift = e[i] + cross / d, self._half_periods[i]
+            x_log, shift = e[i] + (e[i] - ej) * (e[i] - ek) / d, self._half_periods[i]
         else:
             x_log, shift = x, 0
         if _abs2(x_log) > self._far2:
             z = 1 / mp.sqrt(x_log) + shift
         else:
             z = _agm_log(self._walk, e[1], e[2], x_log) + shift
-        p, pp = self.wp_pair_raw(z)
-        if pp.real * y.real + pp.imag * y.imag < 0:  # |pp - y| > |pp + y|, as in _nearer
-            z, pp = -z, -pp
-        miss2 = max(_abs2(p - x) / size_x2, _abs2(pp - y) / max(_abs2(y), self._s6))
-        if miss2 > self._tol2:
+        big_p, (ppr, ppi) = ([v >> k * dt for v in w] for k, w in zip((2, 3), self._wp_fixed(z)))
+        if ppr * big_y[0] + ppi * big_y[1] < 0:  # |pp - y| > |pp + y|, as in _nearer
+            z, ppr, ppi = -z, -ppr, -ppi
+        size_y2 = max(_dist2(big_y, _ZERO), s6)
+        misses = (_dist2(big_p, big_x), size_x2), (_dist2((ppr, ppi), big_y), size_y2)
+        if any(num * self._inv_tol2 > den for num, den in misses):
             # Where |y|^2 << s^6 the on-curve check lets through a y that is
             # off the curve in this check's units: name it, not a miss.
-            yc = mp.sqrt(4 * x ** 3 - self.g2 * x - self.g3)
-            off2 = min(_abs2(y - yc), _abs2(y + yc)) / max(_abs2(y), self._s6)
-            if off2 > self._tol2:
-                raise CurveError(f"point is not on the curve: residual {mp.nstr(mp.sqrt(off2), 8)}")
-            raise CurveError(f"elliptic logarithm misses the point: residual {mp.nstr(mp.sqrt(miss2), 8)}")
+            yr, yi = _fixed(mp.sqrt(4 * x ** 3 - self.g2 * x - self.g3), bits - 3 * t)
+            off = min(_dist2(big_y, (yr, yi)), _dist2(big_y, (-yr, -yi)))
+            if off * self._inv_tol2 > size_y2:
+                raise CurveError(f"point is not on the curve: residual {_nstr_ratio([(off, size_y2)])}")
+            raise CurveError(f"elliptic logarithm misses the point: residual {_nstr_ratio(misses)}")
         return z, False
 
     def elliptic_log(self, pt: Point):

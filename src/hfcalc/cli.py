@@ -22,39 +22,22 @@ from typing import TYPE_CHECKING
 
 from mpmath import mp, mpc
 
-from hfcalc.engine import (
-    a1_invariance_check,
-    grothendieck_check,
-    hfc_group,
-    mv_consistency,
-    pbf_check,
-    point_table,
-    rational_splitting_check,
-    transfer_normalization_check,
-    variant_for,
-)
-from hfcalc.errors import CalcError, ParseError
-from hfcalc.io import (
-    _int_arg,
-    descriptor_to_json,
-    emit_space,
-    load_theory_argument,
-    parse_ring_element,
-    parse_space_text,
-    render_descriptor,
-)
-from hfcalc.spaces import Model
+from hfcalc.errors import CalcError, ParseError, _int_arg
 
-# hfcalc.abeljacobi is imported on the aj path only (_cmd_aj, _parse_divisor),
-# so no other subcommand pays for loading, or without cached bytecode
-# compiling, it.
+# Each subcommand imports what it runs: hfcalc.abeljacobi on the aj path
+# only (_cmd_aj, _parse_divisor), and the model modules (engine, io, spaces
+# and what they load) on every other path, so no process pays for loading,
+# or without cached bytecode compiling, modules it does not use.
 if TYPE_CHECKING:
     from hfcalc.abeljacobi import Divisor
+    from hfcalc.spaces import Model
 
 __all__ = ["main", "run"]
 
 
 def _load_space(path: str) -> Model:
+    from hfcalc.io import parse_space_text
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -89,6 +72,9 @@ def _emit_json(obj, out) -> None:
 
 
 def _cmd_compute(args, out) -> int:
+    from hfcalc.engine import hfc_group, variant_for
+    from hfcalc.io import descriptor_to_json, load_theory_argument, render_descriptor
+
     model = _load_space(args.space)
     theory = load_theory_argument(args.theory)
     variant = args.variant or variant_for(model)
@@ -124,16 +110,21 @@ def _cmd_compute(args, out) -> int:
 
 
 def _cmd_point_table(args, out) -> int:
+    from hfcalc.engine import point_table
+    from hfcalc.io import descriptor_to_json, load_theory_argument, render_descriptor
+
     theory = load_theory_argument(args.theory)
     n_range = _parse_range(args.n_range)
     p_range = _parse_range(args.p_range)
     table = point_table(theory, n_range, p_range)
+    ns = range(n_range[0], n_range[1] + 1)
+    ps = range(p_range[0], p_range[1] + 1)
+    # point_table shares one descriptor per distinct value: format each once.
+    fmt = descriptor_to_json if args.format == "json" else (lambda desc: render_descriptor(desc, args.ascii))
+    distinct = {id(desc): desc for desc in table.values()}
+    text = {key: fmt(desc) for key, desc in distinct.items()}
     if args.format == "json":
-        cells = [
-            {"n": n, "p": p, "descriptor": descriptor_to_json(table[(n, p)])}
-            for n in range(n_range[0], n_range[1] + 1)
-            for p in range(p_range[0], p_range[1] + 1)
-        ]
+        cells = [{"n": n, "p": p, "descriptor": text[id(table[(n, p)])]} for n in ns for p in ps]
         _emit_json(
             {
                 "command": "point-table",
@@ -145,11 +136,7 @@ def _cmd_point_table(args, out) -> int:
             out,
         )
         return 0
-    ps = list(range(p_range[0], p_range[1] + 1))
-    ns = list(range(n_range[0], n_range[1] + 1))
-    grid = {
-        (n, p): render_descriptor(table[(n, p)], args.ascii) for n in ns for p in ps
-    }
+    grid = {(n, p): text[id(table[(n, p)])] for n in ns for p in ps}
     header = ["n \\ p"] + [str(p) for p in ps]
     widths = [len(header[0])] + [len(str(p)) for p in ps]
     for i, p in enumerate(ps):
@@ -173,18 +160,47 @@ def _ring_of(model: Model):
     return model.ring
 
 
+def _check_splitting(args):
+    from hfcalc.engine import rational_splitting_check
+
+    return rational_splitting_check(_load_space(args.space), args.n, args.p)
+
+
 def _check_mv(args):
+    from hfcalc.engine import mv_consistency
+    from hfcalc.io import load_theory_argument
+
     x, u, v, w = (_load_space(path) for path in (args.space, args.u, args.v, args.w))
     return mv_consistency(x, u, v, w, load_theory_argument(args.theory), args.p), None, None
 
 
+def _check_a1(args):
+    from hfcalc.engine import a1_invariance_check
+    from hfcalc.io import load_theory_argument
+
+    return a1_invariance_check(_load_space(args.space), load_theory_argument(args.theory), args.n, args.p)
+
+
+def _check_pbf(args):
+    from hfcalc.engine import pbf_check
+    from hfcalc.io import load_theory_argument
+
+    return pbf_check(_load_space(args.space), args.r, args.n, args.p, load_theory_argument(args.theory))
+
+
 def _check_grothendieck(args):
+    from hfcalc.engine import grothendieck_check
+    from hfcalc.io import parse_ring_element
+
     model = _load_space(args.space)
     chern = [parse_ring_element(_ring_of(model), c) for c in args.chern.split(";")] if args.chern else None
     return grothendieck_check(model, args.r, chern), None, None
 
 
 def _check_transfer(args):
+    from hfcalc.engine import transfer_normalization_check
+    from hfcalc.io import parse_ring_element
+
     model = _load_space(args.space)
     divisor_class = parse_ring_element(_ring_of(model), args.divisor_class)
     ok, class_rank, group_rank = transfer_normalization_check(model, divisor_class)
@@ -193,22 +209,18 @@ def _check_transfer(args):
 
 # kind -> (required flags, runner returning (ok, lhs, rhs[, extra])).
 CHECKS = {
-    "splitting": (("space",), lambda a: rational_splitting_check(_load_space(a.space), a.n, a.p)),
+    "splitting": (("space",), _check_splitting),
     "mv": (("space", "u", "v", "w", "theory"), _check_mv),
-    "a1": (
-        ("space", "theory"),
-        lambda a: a1_invariance_check(_load_space(a.space), load_theory_argument(a.theory), a.n, a.p),
-    ),
-    "pbf": (
-        ("space", "theory"),
-        lambda a: pbf_check(_load_space(a.space), a.r, a.n, a.p, load_theory_argument(a.theory)),
-    ),
+    "a1": (("space", "theory"), _check_a1),
+    "pbf": (("space", "theory"), _check_pbf),
     "grothendieck": (("space",), _check_grothendieck),
     "transfer": (("space", "divisor_class"), _check_transfer),
 }
 
 
 def _cmd_check(args, out) -> int:
+    from hfcalc.io import descriptor_to_json, render_descriptor
+
     ok, lhs, rhs, *rest = CHECKS[args.kind][1](args)
     extra = rest[0] if rest else {}
     sides = [(side, d) for side, d in (("lhs", lhs), ("rhs", rhs)) if d is not None]
@@ -311,6 +323,8 @@ def _cmd_aj(args, out) -> int:
 
 
 def _cmd_emit_space(args, out) -> int:
+    from hfcalc.io import emit_space
+
     model = _load_space(args.space)
     _emit_json(emit_space(model), out)
     return 0

@@ -2,8 +2,13 @@
 
 Every domain failure raised by the library derives from :class:`CalcError`,
 so callers (in particular the CLI) can distinguish "the mathematics refused"
-from genuine bugs.
+from genuine bugs.  It also holds ``_int_arg``, the one reader for an
+integer from outside the program, so that every command path (the ``aj``
+path too, which loads no model module) reads integers the same way.
 """
+
+import operator
+from typing import Any
 
 
 class CalcError(Exception):
@@ -32,3 +37,27 @@ class CurveError(CalcError):
 
 class ParseError(CalcError):
     """A space or theory document failed to parse or validate."""
+
+
+def _int_arg(value: Any, what: str, key: Any = None) -> int:
+    """The one reader for an integer from outside the program: a JSON
+    integer, an integral number or a numeral string.  Anything else
+    (``"abc"``, ``null``, ``1.5``, ``true``) is a ParseError naming
+    ``what`` (and ``key``), never a silent truncation."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    where = what if key is None else f"{what}[{key}]"
+    raise ParseError(f"{where}: {value!r} is not an integer")

@@ -17,13 +17,12 @@ model's constructor checks it on loading.
 from __future__ import annotations
 
 import json
-import operator
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, custom_theory
 from hfcalc.engine import GroupDescriptor
-from hfcalc.errors import ParseError
+from hfcalc.errors import ParseError, _int_arg
 from hfcalc.rings import RingModel
 from hfcalc.spaces import (
     KahlerModel,
@@ -52,30 +51,6 @@ __all__ = [
 
 
 # -- helpers ---------------------------------------------------------------------
-
-
-def _int_arg(value: Any, what: str, key: Any = None) -> int:
-    """The one reader for an integer from outside the program: a JSON
-    integer, an integral number or a numeral string.  Anything else
-    (``"abc"``, ``null``, ``1.5``, ``true``) is a ParseError naming
-    ``what`` (and ``key``), never a silent truncation."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-    elif not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    where = what if key is None else f"{what}[{key}]"
-    raise ParseError(f"{where}: {value!r} is not an integer")
 
 
 def _items(raw: Any, what: str):

@@ -278,6 +278,7 @@ class QuasiProjModel(Frozen):
                     )
         filt, lattice = self.filt, self.lattice
         for n, prev in betti.items():
+            prev_lat = prev  # the lattice inside F^0 H^n = H^n has full rank
             for p in range(1, n + 1):  # F^(n+1) H^n = 0 meets both bounds
                 cur = filt.get((p, n), 0)
                 if cur > prev:
@@ -288,7 +289,17 @@ class QuasiProjModel(Frozen):
                     raise ModelError(
                         f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
                     )
-                prev = cur
+                # The lattice inside F^p lies inside F^(p-1): non-increasing in p.
+                if lat > prev_lat:
+                    raise ModelError(
+                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {prev_lat} at (p={p - 1}, n={n})"
+                    )
+                prev, prev_lat = cur, lat
+        for q, v in self.hodge_class_rank.items():
+            # Hodge classes are lattice classes inside F^q H^2q, as h^{q,q} bounds them on KahlerModel.
+            bound = self.lattice_rank_in_filtration(q, 2 * q)
+            if v < 0 or v > bound:
+                raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, lattice rank in F^{q}H^{2 * q} = {bound}]")
 
 
 Model = KahlerModel | QuasiProjModel

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
+import hfcalc
 from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.cli import run
 from hfcalc.coefficients import builtin_theory
@@ -203,6 +205,39 @@ class TestCliCommands:
         )
         assert code == 0
         assert "T^2 + R^2" in out
+
+    def test_point_table_formats_each_descriptor_once(self, monkeypatch):
+        # A 61 x 31 MU grid: table and JSON output are those of formatting
+        # every cell on its own, and each distinct descriptor is formatted once.
+        from hfcalc import io as hio
+        from hfcalc.engine import point_table
+
+        argv = ["point-table", "--theory", "MU", "--n-range", "-30..30", "--p-range", "-15..15"]
+        table = point_table(builtin_theory("MU"), (-30, 30), (-15, 15))
+        ns, ps = range(-30, 31), range(-15, 16)
+        cells = {key: render_descriptor(desc, False) for key, desc in table.items()}
+        header = ["n \\ p"] + [str(p) for p in ps]
+        widths = [max(len("n \\ p"), *(len(str(n)) for n in ns))]
+        widths += [max(len(str(p)), *(len(cells[(n, p)]) for n in ns)) for p in ps]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+        for n in ns:
+            row = [str(n).ljust(widths[0])] + [cells[(n, p)].ljust(widths[i + 1]) for i, p in enumerate(ps)]
+            lines.append("  ".join(row).rstrip())
+        want_json = {
+            "command": "point-table", "theory": "MU", "n_range": [-30, 30], "p_range": [-15, 15],
+            "cells": [{"n": n, "p": p, "descriptor": descriptor_to_json(table[(n, p)])} for n in ns for p in ps],
+        }
+        calls = []
+        for name in ("render_descriptor", "descriptor_to_json"):
+            real = getattr(hio, name)
+            monkeypatch.setattr(hio, name, lambda desc, *rest, real=real: calls.append(desc) or real(desc, *rest))
+        distinct = len({id(desc) for desc in table.values()})
+        assert distinct < len(table)
+        assert run_cli(*argv) == (0, "\n".join(lines) + "\n")
+        assert len(calls) == distinct
+        calls.clear()
+        assert run_cli(*argv, "--format", "json") == (0, json.dumps(want_json, sort_keys=True, indent=2) + "\n")
+        assert len(calls) == distinct
 
     def test_check_commands(self):
         ok_runs = [
@@ -469,6 +504,28 @@ class TestInputBoundary:
         assert code == 1
         assert "degrees with Betti rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # The lattice inside F^2 H^2 must lie inside F^1 H^2; loaded, this
+            # answered HZ_D^2(1) = 0 but HZ_D^2(2) = Z.
+            ({"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"1,2": 1, "2,2": 1},
+              "lattice_in_f": {"2,2": 1}}, "lattice rank 1 at (p=2, n=2) exceeds the rank 0 at (p=1, n=2)"),
+            ({"kind": "quasiprojective", "betti_rank": {"0": 1}, "hodge_class_rank": {"0": -3}},
+             "hodge_class_rank(0) = -3 outside [0, lattice rank in F^0H^0 = 1]"),
+        ],
+        ids=["lattice-increasing-in-p", "negative-hodge-class-rank"],
+    )
+    def test_quasiprojective_tables_refused(self, doc, message, tmp_path, capsys):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            parse_space(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli("compute", "--space", str(path), "--theory", "HZ", "--n", "2", "--p", "1")
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and message in err, err
+
     def test_aj_zero_multiplicity_bad_coordinate(self):
         # Every coordinate is parsed, even one whose multiplicity is 0.
         code, _ = run_cli(*AJ_TWO_TORSION, '[[["1", "0"], 1], ["inf", -1], [["zz", "1"], 0]]')
@@ -616,6 +673,21 @@ def test_aj_solves_once(monkeypatch, name):
     assert len(calls) == 1
 
 
+def _hfcalc_imports(*argv: str) -> set:
+    """The hfcalc modules a ``python -X importtime`` process with ``argv`` imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.pop("HFCALC_AJ_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True,
+                          check=True)
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "hfcalc"}
+
+
+# What the Abel-Jacobi path may load: no engine, io, spaces, rings, abelian or coefficients.
+AJ_MODULES = {"hfcalc", "hfcalc._fixedpoint", "hfcalc._frozen", "hfcalc.errors", "hfcalc.abeljacobi"}
+
+
 def test_cli_import_leaves_abeljacobi_out():
     # Only the aj subcommand loads the Abel-Jacobi module, and no hfcalc
     # process pays for dataclasses and the inspect machinery it imports.
@@ -629,6 +701,31 @@ def test_cli_import_leaves_abeljacobi_out():
     hfcalc_modules, heavy = proc.stdout.splitlines()
     assert "hfcalc.cli" in hfcalc_modules and "hfcalc.abeljacobi" not in hfcalc_modules, proc.stdout
     assert heavy == "[]", proc.stdout
+    # The aj process and a bare import of the Abel-Jacobi module load none
+    # of the model modules.
+    # (-m runs hfcalc.cli as __main__, which importtime does not list.)
+    aj = _hfcalc_imports("-m", "hfcalc.cli", "aj", "--g2", "4", "--g3", "0", "--divisor", '[["inf", 0]]')
+    assert aj == AJ_MODULES, aj
+    assert _hfcalc_imports("-c", "import hfcalc.abeljacobi") == AJ_MODULES
+
+
+def test_package_names_resolve_on_first_use():
+    # hfcalc loads its submodules lazily: a star import and every name of
+    # __all__ still resolve, each to the object its submodule defines.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, hfcalc; before = sorted(m for m in sys.modules if m.startswith('hfcalc'));"
+        " ns = {}; exec('from hfcalc import *', ns);"
+        " import hfcalc.abelian, hfcalc.coefficients, hfcalc.engine, hfcalc.spaces;"
+        " homes = [sys.modules['hfcalc.' + hfcalc._HOME[n]] for n in hfcalc.__all__];"
+        " print(before); print(all(ns[n] is getattr(h, n) is getattr(hfcalc, n) for n, h in zip(hfcalc.__all__, homes)));"
+        " print(len(hfcalc.__all__), sorted(set(hfcalc.__all__) - set(dir(hfcalc))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["['hfcalc']", "True", "25 []"], proc.stdout
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        hfcalc.nope
 
 
 def _check_argvs() -> dict:
