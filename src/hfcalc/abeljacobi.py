@@ -6,75 +6,106 @@ elliptic logarithm inverts the parametrization z -> (wp(z), wp'(z)), and
 the Abel-Jacobi map sends a degree-zero divisor to the sum of the
 unreduced logarithms of its points, reduced into the fundamental cell once.
 Every modulus test compares squared moduli, as in |a - b|^2 - |a + b|^2 =
--4 Re(a conj(b)), and the curve's checks do so on Python integers: with
-2^t a bound on the curve's size s = max(|g2|^(1/4), |g3|^(1/6)) (and on
-|x|^(1/2), |y|^(1/3) of the point at hand), a number of weight k is an
-integer in units of 2^(k t - W), W = prec + 16 bits, and a threshold
-10^-k enters as the integer 10^2k.  A square root is taken only to print a
-failing residual.  A divisor whose only point other than O is a branch
-point, with multiplicity 1, maps to that point's stored half period with
-no reduction, as its elliptic logarithm does.
+-4 Re(a conj(b)), and on Python integers: with 2^t a bound on the curve's
+size s = max(|g2|^(1/4), |g3|^(1/6)) (and on |x|^(1/2), |y|^(1/3) of the
+point at hand), a number of weight k is an integer in units of 2^(k t - W),
+W = prec + 16 bits, and a threshold 10^-k enters as the integer 10^2k.  A
+square root is taken only to print a failing residual.  A divisor whose
+only point other than O is a branch point, with multiplicity 1, maps to
+that point's stored half period with no reduction, as its elliptic
+logarithm does.
+
+Numbers cross between mpmath and integers at the ends only, each into a
+unit its own size sets, so that parts or coefficients whose exponents lie
+far apart cost no more than others.  g2 and g3 enter once, as integers
+with 2 prec + 20 bits below bounds read off their exponents
+(``_curve_scale``), and the set-up runs on integers from there; it rounds
+each public number once: the roots, w1, w2, tau, the discriminant, the
+reduced basis and the half periods.  In ``aj`` the point coordinates enter
+once (x and y truncated to their units, y also with prec + 40 bits of its
+own where the logarithm translates through a branch point, ``_relative``),
+and the reduced z leaves once, an mpc at the working precision, with its
+coordinates (``_reduce``).  In between z is a triple (re, im, exp) of
+integers, (re + i im) 2^exp (``hfcalc._elementary``).  What depends on the
+working precision alone, 10^dps and 10^(2 (dps - 3)), and on first use pi,
+log 2 and exp(2 pi i / 3), is computed once per precision (``_constants``).
 
 Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
 curves get more, see ``EllipticCurve``):
 
-* roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice
-  the working precision, on integers: ``_csqrt`` for its square root and
-  Newton's iteration for its cube root (``_ccbrt``) are its only loops; the
-  square roots of the period step are ``_csqrt`` too (``_sqrt``);
+* the discriminant and scale^2 = max(|g2|^6, |g3|^4) exactly on the
+  integers of g2 and g3 (``_curve_scale``, ``_discriminant``); the roots
+  of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice the
+  working precision (``_cardano``): ``_csqrt`` for its square root and
+  Newton's iteration for its cube root (``_ccbrt``) are its only loops,
+  and parts below eps are chopped on the integers (``_chop``);
 * periods by the arithmetic-geometric mean over C with the optimal-branch
   rule (|a - b| <= |a + b| at every step, tested without square roots as
   Re(a conj(b)) >= 0), after Cremona-Thongjunthug
   (J. Number Theory 133, 2013): with the roots sorted e1, e2, e3, take
   a = sqrt(e1 - e3), b = sqrt(e1 - e2), c = sqrt(e2 - e3), negate b or c
   when that brings it closer to a, and set w1 = pi / M(a, b),
-  w2 = pi i / M(a, c).  The AGM runs in fixed point on Python integers
+  w2 = pi i / M(a, c).  The differences of the roots are exact, and their
+  square roots are ``_csqrt`` straight into each AGM's unit
+  (``_agm_roots``).  The AGM runs in fixed point on Python integers
   (``_agm_sequence``), each part of a_n and b_n one integer in units of
   2^(e - wp), e = max(mag a, mag b), with wp = prec + 30 + |mag a - mag b|
   bits so that the smaller of a and b keeps its relative accuracy; square
   roots are ``math.isqrt``, conversion and halving truncate towards 0, so a
   conjugate pair steps to exactly real pairs, and the sign test and the stop
   rule are exact integer comparisons.  The SL_2(Z) reduction of the basis
-  tracks its integer matrix, whose rows give the coordinates of the reduced
-  basis in (w1, w2) and so the half period of each root with no solve.
-  The theta constants of the reduced basis, computed once by their own
-  sum at v = 0 (``_theta_constants``), give e1, e2, e3, g2 and g3 of the
-  lattice as integers, with k^2/3 the one number converted in; g2 and g3
-  must reproduce the inputs to 10^-(digits-3) s^4 and s^6: g2 and g3 have
+  runs on the exact integers of w1 and w2 (``_reduce_basis``) and tracks
+  its integer matrix, whose rows give the coordinates of the reduced basis
+  in (w1, w2) and so the half period of each root with no solve.  The
+  nome q^(1/4) = exp(i pi tau / 4) is an integer exp, cos and sin
+  (``_nome``), and the theta constants of the reduced basis, computed once
+  by their own sum at v = 0 (``_theta_constants``), give e1, e2, e3, g2
+  and g3 of the lattice as integers (``_theta_lattice``); g2 and g3 must
+  reproduce the inputs to 10^-(digits-3) s^4 and s^6: g2 and g3 have
   weights 4 and 6, so the check, like the singular-curve test, reads the
   same on (l^4 g2, l^6 g3) for every scale l;
 * elliptic logarithm from the same AGM (Cremona-Thongjunthug): the curve
   keeps d_n = a_n^2 - b_n^2, n = 1..N, of the pairs of M(a, b), N >= 1 the
-  first index with |a_N - b_N| <= 10^-(dps-3) |a_N|, and the mean
-  M = (a_N + b_N)/2, and every logarithm walks them: from c = sqrt(x - e3),
+  first index with |a_N - b_N| <= 10^-(dps-3) |a_N|, and 2M = a_N + b_N,
+  and every logarithm walks them: from c = sqrt(x - e3),
   c <- (c + s)/2 with s the root of c^2 - a_n^2 + b_n^2 nearer c, per pair,
-  then z = asin(M / c) / M.  Every step runs on integers in the AGM's
-  units; the step of pair 0 (``_log_start``) takes s = sqrt(x - e2), the
-  same number by exact algebra, by ``_csqrt`` of x - e3 and x - e2, so a
-  real point on a real curve with e2 = conj(e3) gets a c with an exact 0
-  part.  Only x - e3, x - e2 and the final c cross between mpc and
-  integers.  Before the walk, the point's on-curve residual (exact on its
-  integer coordinates), the nearest root and the branch-point and
-  half-period tests run on integers, as do, after it, the sign of wp'(z)
-  and the miss check: z is signed so that wp'(z) = y, and one
-  evaluation of (wp, wp') at z must reproduce the point to 10^-(digits-3)
-  of max(|x|, s^2) and max(|y|, s^3), x and y having weights 2 and 3.  A
-  branch point (e_i, 0), y = 0 exactly, maps to its half period w1/2, w2/2
-  or (w1 + w2)/2 without a logarithm: at set-up each root is matched to the
-  nearest of the theta values of wp at the reduced basis's half periods
-  (DLMF 23.6(i)), a match that must be one to one.  Near a half period w_i
-  (x within a quarter of e_i's gap to the other roots), x - e_i comes from
-  y, and the logarithm is that of P + T_i, near O, plus w_i;
+  then z = asin(M / c) / M (``_agm_log``).  Every step runs on integers in
+  the AGM's units; the step of pair 0 (``_log_start``) takes
+  s = sqrt(x - e2), the same number by exact algebra, by ``_csqrt`` of
+  x - e3 and x - e2, so a real point on a real curve with e2 = conj(e3)
+  gets a c with an exact 0 part.  The arcsine is Halley's iteration on the
+  integer cos and sin from the float value (``_asin``).  Before the walk,
+  the point's on-curve residual (exact on its integer coordinates), the
+  nearest root and the branch-point and half-period tests run on
+  integers, as do, after it, the sign of wp'(z) and the miss check: z is
+  signed so that wp'(z) = y, and one evaluation of (wp, wp') at z must
+  reproduce the point to 10^-(digits-3) of max(|x|, s^2) and
+  max(|y|, s^3), x and y having weights 2 and 3.  A branch point (e_i, 0),
+  y = 0 exactly, maps to its half period w1/2, w2/2 or (w1 + w2)/2 without
+  a logarithm: at set-up each root is matched to the nearest of the theta
+  values of wp at the reduced basis's half periods (DLMF 23.6(i)), a match
+  that must be one to one.  Near a half period w_i (x within a quarter of
+  e_i's gap to the other roots), x - e_i comes from y, and the logarithm
+  is that of P + T_i, near O, plus w_i (``_translate``);
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
-  23.6(i)), about sqrt(digits) terms per evaluation and no table.  The
-  theta sums run in fixed point on Python integers, with guard bits that
-  follow from the terms' size bound (``_theta_sums``); the term count needs
+  23.6(i)), about sqrt(digits) terms per evaluation and no table.  z is
+  reduced against the reduced basis on exact integers (Cramer's rule with
+  the basis's determinant, the remainders taken mod 2 det where z's unit
+  lies above the basis's, ``_cell_nearest``), and v = k z, k = pi / r1,
+  takes an integer cos and sin (``_cos_sin``).  The theta sums run in
+  fixed point on Python integers, with guard bits that follow from the
+  terms' size bound (``_theta_sums``); the term count needs
   L = -4 log|q^(1/4)| = pi Im(tau), stored at set-up.  wp and wp' take the
   ratios R = theta4/theta1 and S = theta2 theta3/theta1^2 on those
   integers and finish there as wp = K2 R^2 + e3, wp' = K3 R S with K2, K3
   and e3 stored at set-up as integers (``_wp_fixed``); ``wp_pair`` rounds
-  each once.
+  each once;
+* the reduction into the fundamental cell solves z = a w1 + b w2 exactly,
+  a and b fractions of integers, so the snap of a coordinate to an integer
+  and the floor are exact (``_reduce``); a z so far above the basis that
+  every coordinate snaps costs no shift of its exponent's size, and one
+  over 2^16 bits below it loses the coordinates' bits below 2^-65536.
 
 Real curves with positive discriminant come out in the rectangular
 normalization (w1 real, w2 purely imaginary); in all cases Im(w2/w1) > 0.
@@ -87,25 +118,48 @@ import operator
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift
 
-from hfcalc._fixedpoint import (
-    _ZERO,
-    _agm_mean,
-    _agm_sequence,
-    _cmul,
+from hfcalc._elementary import (
     _ccbrt,
-    _csqrt,
+    _cmul,
+    _constants,
+    _exact,
+    _pi,
+    _scale,
+    _tshift,
+    _zadd,
+    _zdiv,
+    _zfix,
+    _zmag,
+    _zmul,
+    _zsqrt,
+)
+from hfcalc._fixedpoint import (
+    _agm_log,
+    _agm_mean,
+    _agm_roots,
+    _agm_sequence,
+    _bits,
+    _cardano,
+    _cell_coords,
+    _cell_nearest,
+    _cell_reduce,
+    _chop,
+    _curve_scale,
     _dist2,
     _fixed,
-    _fixed_rel,
-    _half,
+    _lattice,
+    _less,
+    _log_walk,
     _mag,
-    _sqrt,
-    _tdiv,
-    _theta_constants,
+    _reduce_basis,
+    _relative,
+    _theta_lattice,
     _theta_sums,
+    _translate,
     _unfixed,
+    _ZERO,
 )
 from hfcalc._frozen import Frozen
 from hfcalc.errors import CurveError
@@ -131,18 +185,6 @@ def _numbers(values, what):
     return out
 
 
-def _nearer(a, b):
-    """b or -b, whichever lies closer to a (b on a tie).  |a - b|^2 - |a + b|^2
-    = -4 Re(a conj(b)), so the sign test needs no square root."""
-    return -b if a.real * b.real + a.imag * b.imag < 0 else b
-
-
-def _abs2(z):
-    """|z|^2 of an mpf or mpc, rounded once: a modulus test without a square root."""
-    re, im = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
-    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im), *mp._prec_rounding))
-
-
 def complex_agm(a, b):
     """Arithmetic-geometric mean over C with the optimal branch rule.
 
@@ -155,13 +197,6 @@ def complex_agm(a, b):
         return mp.zero
     unit, pairs = _agm_sequence(a, b)
     return _agm_mean(unit, pairs[-1])
-
-
-def _log_walk(unit, pairs):
-    """What the elliptic logarithm keeps of the AGM ``pairs``: unit,
-    d_n = a_n^2 - b_n^2 for n = 1..N in units of 2^(2 unit), and the mean M."""
-    ds = [(ar * ar - ai * ai - br * br + bi * bi, 2 * (ar * ai - br * bi)) for ar, ai, br, bi in pairs[1:]]
-    return unit, ds, _agm_mean(unit, pairs[-1])
 
 
 def carlson_rf(x, y, z):
@@ -196,69 +231,10 @@ def carlson_rf(x, y, z):
     raise CurveError("R_F failed to converge")
 
 
-def _reduce_tau(w1, w2):
-    """SL_2(Z)-reduce the basis so tau = w2/w1 is in the fundamental domain:
-    (r1, r2, (a, b, c, d)) with r1 = a w1 + b w2, r2 = c w1 + d w2 and
-    ad - bc = 1, the integers tracked through the steps."""
-    inside2 = (1 - mpf(10) ** (-mp.dps)) ** 2  # |tau| < 1 - 10^-dps, squared
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(10000):
-        tau = w2 / w1
-        shift = int(mp.nint(tau.real))
-        if shift != 0:
-            w2 = w2 - shift * w1
-            c, d = c - shift * a, d - shift * b
-            tau = w2 / w1
-        if _abs2(tau) < inside2:
-            w1, w2 = w2, -w1
-            a, b, c, d = c, d, -a, -b
-            continue
-        return w1, w2, (a, b, c, d)
-    raise CurveError("lattice basis reduction failed")
-
-
 def _nstr_ratio(ratios):
     """sqrt(max(num / den)) over the integer pairs (num, den), to 8 digits:
     the residual a failed check prints."""
     return mp.nstr(mp.sqrt(max(mpf(num) / den for num, den in ratios)), 8)
-
-
-def _theta_lattice(r1, r2, t):
-    """For a reduced basis: k = pi / r1, q^(1/4) = exp(i pi tau / 4) with
-    tau = r2 / r1, L = -4 log|q^(1/4)| = pi Im(tau) as a float, the
-    constants K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2
-    of ``_wp_fixed`` with the theta constants at 0, and
-    (e1, e2, e3) = wp at (r1/2, (r1 + r2)/2, r2/2), g2 and g3 as integers
-    (re, im) in units of 2^(2t - W), 2^(4t - W) and 2^(6t - W),
-    W = ``_bits()``, 2^t a size of the lattice's weight 1.
-
-    wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
-    and e3 = -k^2 (theta2^4 + theta3^4)/3 at those half periods (DLMF 23.6(i)),
-    so g2 = 2 (e1^2 + e2^2 + e3^2) and g3 = 4 e1 e2 e3.  The fourth powers
-    and their sums are exact integers; k^2/3 is the one number converted in,
-    and the e_i are rounded once to their unit.
-    """
-    k, tau = mp.pi / r1, r2 / r1
-    q4, big_l = mp.expj(mp.pi * tau / 4), float(mp.pi * tau.imag)
-    (t2, t3, t4), wp = _theta_constants(q4, big_l)
-    k2, t23 = k * k, _cmul(t2, t3)
-    c2 = _cmul(t23, t23)  # (theta2 theta3)^2 in units of 2^(-4 wp)
-    big_k2 = k2 * _unfixed(*c2, -4 * wp)
-    big_k3 = -2 * k * k2 * _unfixed(*_cmul(c2, _cmul(t4, t4)), -6 * wp)
-    p2, p3, p4 = (_cmul(_cmul(x, x), _cmul(x, x)) for x in (t2, t3, t4))
-    # e_i = (k^2/3) E_i 2^(-4 wp), with k^2/3 in units of 2^(2t - W).
-    bits = _bits()
-    s = _fixed(k2 / 3, bits - 2 * t)
-    sums = [a + b for a, b in zip(p3, p4)], [a - b for a, b in zip(p2, p4)], [-a - b for a, b in zip(p2, p3)]
-    e = [_cmul(s, v, 4 * wp) for v in sums]
-    g2 = [2 * (a + b + c) >> bits for a, b, c in zip(*(_cmul(v, v) for v in e))]  # units 2^(4t - W)
-    g3 = [4 * v >> 2 * bits for v in _cmul(_cmul(e[0], e[1]), e[2])]  # units 2^(6t - W)
-    return k, q4, big_l, big_k2, big_k3, e, g2, g3
-
-
-def _bits():
-    """W, the fraction bits of the integer checks at the current precision."""
-    return mp.prec + 16
 
 
 def lattice_invariants(w1, w2):
@@ -269,9 +245,10 @@ def lattice_invariants(w1, w2):
         w2 = -w2
     if mp.im(w2 / w1) == 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    r1, r2, _matrix = _reduce_tau(w1, w2)
-    t = 2 - _mag(r1)  # |k| = pi / |r1| < 2^t
-    *_rest, g2, g3 = _theta_lattice(r1, r2, t)
+    v1, v2, unit = _lattice(_relative(w1), _relative(w2))
+    r1, r2, _matrix = _reduce_basis(v1, v2)
+    t = 2 - _zmag((*r1, unit))  # |k| = pi / |r1| < 2^t
+    *_rest, g2, g3 = _theta_lattice(r1, r2, unit, t)
     bits = _bits()
     return _unfixed(*g2, 4 * t - bits), _unfixed(*g3, 6 * t - bits)
 
@@ -308,127 +285,34 @@ class Divisor(Frozen):
         return Divisor(self.entries + other.entries)
 
 
-def _dual(w1, w2):
-    """The rows of the inverse of the real 2x2 matrix of the basis (w1, w2),
-    so that ``_coords`` solves with four products and no division."""
-    inv = 1 / (w1.real * w2.imag - w1.imag * w2.real)
-    return w2.imag * inv, -w2.real * inv, -w1.imag * inv, w1.real * inv
-
-
-def _coords(z, dual):
-    """Real coordinates (a, b) with z = a w1 + b w2, ``dual`` = ``_dual(w1, w2)``."""
-    ar, ai, br, bi = dual
-    return z.real * ar + z.imag * ai, z.real * br + z.imag * bi
-
-
-def _cubic_roots(g2, g3, t):
-    """The roots of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)),
-    2^t a bound on the curve's size s.
-
-    x = u + g2 / (12 u) over the three cube roots u of
-    v = (g3 +- sqrt(g3^2 - g2^3/27)) / 8, with the sign of larger modulus
-    (|a + b| >= |a - b| exactly when Re(a conj(b)) >= 0, as in ``_nearer``;
-    u = 0 only if g2 = g3 = 0).  With omega = exp(2 pi i / 3) and
-    q = g2 / (12 u), g2 / (12 u omega) = q conj(omega), so one division
-    serves all three.  Near a double root the roots differ by about
-    sqrt(disc), so B = 2 prec + 20 bits, twice the working precision, keep
-    every working digit while |disc| / scale >= 10^-digits.
-
-    Everything runs on integers, a weight-k number in units of 2^(k t - B):
-    g2^3 and 27 g3^2 exactly, the square root by ``_csqrt``, the cube root
-    by ``_ccbrt`` and every product and quotient truncated towards 0, so real
-    g2, g3 with one real root give it exactly real and the other two exactly
-    conjugate.  Each root is rounded once to working precision, where parts
-    below eps are chopped as ``polyroots`` chops them: a real root comes out
-    an mpf.
-    """
-    b = 2 * mp.prec + 20
-    (g2r, g2i), (g3r, g3i) = _fixed(g2, b - 4 * t), _fixed(g3, b - 6 * t)
-    # 1728 (g3^2/64 - g2^3/1728) = 27 g3^2 - g2^3 in units of 2^(12t - 3B);
-    # the square root of its 1728th in units of 2^(6t - B - 10), and g3/8 there.
-    c2r, c2i = g2r * g2r - g2i * g2i, 2 * g2r * g2i
-    nr = (27 * (g3r * g3r - g3i * g3i) << b) - (c2r * g2r - c2i * g2i)
-    ni = (27 * 2 * g3r * g3i << b) - (c2r * g2i + c2i * g2r)
-    sr, si = _csqrt(_tdiv(nr, 1728 << b - 20), _tdiv(ni, 1728 << b - 20))
-    tr, ti = g3r << 7, g3i << 7
-    if tr * sr + ti * si < 0:
-        sr, si = -sr, -si
-    # v = g3/8 + s, in units of 2^(6t - 3B) for a root in units of 2^(2t - B).
-    ur, ui = _ccbrt(tr + sr << 2 * b - 10, ti + si << 2 * b - 10)
-    # q = g2 / (12 u) = (g2 << B) conj(u) / (12 |u|^2), units 2^(2t - B).
-    den = 12 * (ur * ur + ui * ui)
-    qr, qi = _tdiv((g2r * ur + g2i * ui) << b, den), _tdiv((g2i * ur - g2r * ui) << b, den)
-    # omega in units of 2^-B: (-1/2, sqrt(3)/2).
-    wr, wi = -(1 << b - 1), math.isqrt(3 << 2 * b) >> 1
-    roots = (
-        (ur + qr, ui + qi),
-        (_tdiv(ur * wr - ui * wi + qr * wr + qi * wi, 1 << b), _tdiv(ur * wi + ui * wr - qr * wi + qi * wr, 1 << b)),
-        (_tdiv(ur * wr + ui * wi + qr * wr - qi * wi, 1 << b), _tdiv(ui * wr - ur * wi + qr * wi + qi * wr, 1 << b)),
-    )
-    out, eps = [], mp.eps
-    eps2 = eps * eps
-    for re, im in roots:
-        r = _unfixed(re, im, 2 * t - b)
-        if _abs2(r) < eps2:
-            r = mp.zero
-        elif abs(r.imag) < eps:
-            r = r.real
-        elif abs(r.real) < eps:
-            r = r.imag * 1j
-        out.append(r)
-    return out
+def _root_out(re, im, unit):
+    """A root of ``_chop`` rounded once to the working precision: an mpf if
+    real (0 included), else an mpc."""
+    if im:
+        return _unfixed(re, im, unit)
+    return mp.make_mpf(from_man_exp(re, unit, *mp._prec_rounding))
 
 
 def _period_basis(e1, e2, e3):
     """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
-    the ``_log_walk`` of the AGM of (a, b) whose mean M gives w1 = pi / M."""
-    a = _sqrt(e1 - e3)
-    b, c = _nearer(a, _sqrt(e1 - e2)), _nearer(a, _sqrt(e2 - e3))
-    walk = _log_walk(*_agm_sequence(a, b))
-    w1 = mp.pi / walk[2]  # the mean M
-    w2 = mp.pi * 1j / complex_agm(a, c)
+    the ``_log_walk`` of the AGM of (a, b) whose mean M gives w1 = pi / M:
+    the roots' exact integers, their differences exact, and the square
+    roots a, b, c in each AGM's unit (``_agm_roots``)."""
+    roots = [_exact(r) for r in (e1, e2, e3)]
+    unit = min(r[2] for r in roots)
+    (r1, i1), (r2, i2), (r3, i3) = ((r << e - unit, i << e - unit) for r, i, e in roots)
+    d13 = r1 - r3, i1 - i3
+    walk = _log_walk(*_agm_roots(d13, (r1 - r2, i1 - i2), unit))
+    unit, pairs = _agm_roots(d13, (r2 - r3, i2 - i3), unit)
+    ar, ai, br, bi = pairs[-1]
+    wp = mp.prec + 40
+    pi = _pi(wp)
+    # w1 = pi / M and w2 = pi i / M', M = (a_N + b_N)/2 in units of 2^walk[0].
+    w1 = _unfixed(*_zdiv((2 * pi, 0, -wp), (*walk[2], walk[0])))
+    w2 = _unfixed(*_zdiv((0, 2 * pi, -wp), (ar + br, ai + bi, unit)))
     if w2.imag * w1.real < w2.real * w1.imag:  # Im(w2 conj(w1)) < 0: Im(w2 / w1) < 0
         w2 = -w2
     return w1, w2, walk
-
-
-def _log_start(unit, e2, e3, x):
-    """c after the step of pair 0 of the logarithm walk, as integers in
-    units of 2^unit: (sqrt(x - e3) + sqrt(x - e2))/2, the second root taken
-    nearer the first.  That is c <- (c + sqrt(c^2 - a_0^2 + b_0^2))/2 from
-    c = sqrt(x - e3) by exact algebra, (x - e3) - (e1 - e3) + (e1 - e2) =
-    x - e2, so the difference of nearly equal roots is never formed.
-
-    x - e3 and x - e2 convert to units of 2^(2 unit) and take ``_csqrt``;
-    rounding is absolute in the AGM's unit, and truncation and ``_csqrt``
-    are conjugate-symmetric, so a real x on a real curve with
-    e2 = conj(e3) gives c an exact 0 part."""
-    cr, ci = _csqrt(*_fixed(x - e3, -2 * unit))
-    sr, si = _csqrt(*_fixed(x - e2, -2 * unit))
-    if cr * sr + ci * si < 0:  # the root nearer c, as in _nearer
-        sr, si = -sr, -si
-    return _half(cr + sr), _half(ci + si)
-
-
-def _agm_log(walk, e2, e3, x):
-    """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
-    and the lattice.  ``walk`` comes from ``_period_basis`` of the roots
-    e1, e2, e3: c starts at sqrt(x - e3) and takes one step
-    c <- (c + sqrt(c^2 - d_n))/2, the root nearer c, per pair, on integers
-    in the AGM's units (pair 0 by ``_log_start``)."""
-    unit, ds, m = walk
-    cr, ci = _log_start(unit, e2, e3, x)
-    for dr, di in ds:
-        sr, si = _csqrt(cr * cr - ci * ci - dr, 2 * cr * ci - di)
-        if cr * sr + ci * si < 0:  # the root nearer c, as in _nearer
-            sr, si = -sr, -si
-        cr, ci = _half(cr + sr), _half(ci + si)
-    u = m / _unfixed(cr, ci, unit)
-    # asin's error is absolute (about 10^-dps), so a small u (a point with
-    # large |x|) needs -mag(u) more bits to keep its relative accuracy.
-    with mp.extraprec(max(0, -mp.mag(u))):
-        s = mp.asin(u)
-    return s / m
 
 
 class EllipticCurve:
@@ -452,16 +336,18 @@ class EllipticCurve:
         self._workdps = self.digits + _GUARD_DIGITS
         with mp.workdps(self._workdps):
             self.g2, self.g3 = _numbers((g2, g3), "curve coefficients")
-            disc = self.g2 ** 3 - 27 * self.g3 ** 2
-            # scale = max(|g2|^3, |g3|^2) = s^12, squared like every modulus.
-            # The curve's size s on the weights of x and y: g2 ~ s^4,
-            # g3 ~ s^6, x ~ s^2, y ~ s^3.
-            disc2, scale2 = _abs2(disc), max(_abs2(self.g2) ** 3, _abs2(self.g3) ** 2)
+            # g2 and g3 enter once, as integers in units their exponents set
+            # (2^u bounds s), for disc and scale = max(|g2|^3, |g3|^2) = s^12,
+            # squared like every modulus.  The curve's size s on the weights
+            # of x and y: g2 ~ s^4, g3 ~ s^6, x ~ s^2, y ~ s^3.
+            b0 = 2 * mp.prec + 20
+            g, u, disc, (scale2, e) = _curve_scale(self.g2, self.g3, b0)
+            self.discriminant = _unfixed(*disc)
+            disc2 = _dist2(disc, _ZERO)  # in the unit of scale2, 2^e
             if disc2 * 10 ** (2 * self.digits) <= scale2:
-                raise CurveError(f"singular curve: discriminant {disc} vanishes at working precision")
-            self.discriminant = disc
+                raise CurveError(f"singular curve: discriminant {self.discriminant} vanishes at working precision")
             if disc2 * 10 ** 40 < scale2:  # near-singular: k > 20
-                self._workdps += int(mp.ceil(-mp.log10(disc2 / scale2) / 2)) - 20
+                self._workdps += int(mp.ceil(mp.log10(mpf(scale2) / disc2) / 2)) - 20
         with mp.workdps(self._workdps):
             # Every modulus test compares integer squares (see _log): the
             # thresholds 10^-k enter as the integers 10^2k, the sizes s^k as
@@ -469,46 +355,62 @@ class EllipticCurve:
             self._inv_tol2 = 10 ** (2 * self.digits - 6)  # 10^-(digits-3): results
             self._inv_res_tol2 = 10 ** (2 * self.digits - 4)  # 10^-(digits-2): on the curve
             self._inv_root_tol2 = 10 ** (2 * self.digits - 8)  # 10^-(digits-4): at a root
-            self._snap = mpf(10) ** -self.digits  # frac_coords
+            self._ten_digits = 10 ** self.digits  # frac_coords
             bits = self._bits = _bits()
-            t = self._t = -(-_mag(scale2) // 24)  # s <= 2^t
-            s12 = math.isqrt(_fixed(scale2, 12 * bits - 24 * t)[0])  # units 2^(12t - 6W)
-            s4 = mp.cbrt(mp.sqrt(scale2))
+            t = self._t = -(-(scale2.bit_length() + e) // 24)  # s <= 2^t
+            s12 = math.isqrt(_scale(scale2, e + 12 * bits - 24 * t))  # units 2^(12t - 6W)
             # s^4, s^6 and s^12 against |x|^2, |y|^2 and the on-curve sides squared.
-            self._sizes = (_fixed(s4, 2 * bits - 4 * t)[0], math.isqrt(s12 >> (2 * bits)), s12)
-            self._g_fixed = _fixed(self.g2, bits - 4 * t), _fixed(self.g3, bits - 6 * t)
+            self._sizes = (_ccbrt(s12, 0)[0], math.isqrt(s12 >> (2 * bits)), s12)
+            # g2 and g3 in units of 2^(4t - B) and 2^(6t - B), B = 2 prec + 20, for
+            # Cardano (t <= u, and B >= b0 on a near-singular curve: exact
+            # shifts), and truncated from there to 2^(4t - W) and 2^(6t - W).
+            b = 2 * mp.prec + 20
+            g = [(re << k * (u - t) + b - b0, im << k * (u - t) + b - b0) for (re, im), k in zip(g, (4, 6))]
+            self._g_fixed = tuple((_tshift(re, b - bits), _tshift(im, b - bits)) for re, im in g)
             # Beyond |x| = 10^(workdps/2) s^2, wp(z) = z^-2 (1 + g2 z^4/20 + ...)
-            # gives z = x^(-1/2) at working precision.
-            self._far2 = s4 * 10 ** self._workdps
-            self.roots = self._sorted_roots()
+            # gives z = x^(-1/2) at working precision: |x|^2 > s^4 10^workdps.
+            self._far2 = self._sizes[0] * _constants().ten_dps, 4 * t - 2 * bits
+            self.roots = self._sorted_roots(*g, b)
             self.w1, self.w2, self._walk = self._compute_periods()
-            self._dual, self._dual_reduced = _dual(self.w1, self.w2), _dual(*self._reduced)
-            self.tau = self.w2 / self.w1
-            # |z| < 10^-(workdps-5) rho, rho = |r1|: a reduced basis starts with a shortest vector.
-            self._pole2 = _abs2(self._reduced[0]) * mpf(10) ** (10 - 2 * self._workdps)
 
     # -- lattice construction ---------------------------------------------------
 
-    def _sorted_roots(self):
-        roots = _cubic_roots(self.g2, self.g3, self._t)
-        size2 = max(_abs2(r) for r in roots)
-        tens = mpf(10 ** (2 * self.digits))
-        if all(r.imag ** 2 * tens < size2 for r in roots):
-            roots = [mpc(r.real) for r in roots]
-        return sorted(roots, key=lambda r: (r.real, r.imag), reverse=True)
+    def _sorted_roots(self, g2, g3, b):
+        """The roots of ``_cardano`` on the integers, sorted by (Re, Im)
+        descending: all real (each an mpc) when every imaginary part lies
+        below 10^-digits of the largest root.  The rounded roots in units of
+        2^(2t - W) go to ``_roots_fixed``, so a branch point given as a
+        printed root is that root."""
+        unit = 2 * self._t - b
+        roots = _chop(_cardano(g2, g3, b), unit)
+        size2 = max(re * re + im * im for re, im in roots)
+        real = all(im * im * 10 ** (2 * self.digits) < size2 for _re, im in roots)
+        if real:
+            roots = [(re, 0) for re, _im in roots]
+        roots.sort(reverse=True)
+        out = [_root_out(*r, unit) for r in roots]
+        self._roots_fixed = [_fixed(r, self._bits - 2 * self._t) for r in out]
+        return [mpc(r) for r in out] if real else out
 
     def _compute_periods(self):
         """Periods and the logarithm's AGM walk, checked by the reduced basis's
         theta constants; for each root the half period where wp takes it, and
         its fixed-point value and gap for ``_log``."""
         w1, w2, walk = _period_basis(*self.roots)
-        r1, r2, (a, b, c, d) = _reduce_tau(w1, w2)
-        self._reduced = r1, r2
+        # The basis, its reduction and their Cramer determinants as exact
+        # integers, for the reductions of _wp_fixed and _reduce.
+        v1, v2, unit = _lattice(_exact(w1), _exact(w2))
+        r1, r2, (a, b, c, d) = _reduce_basis(v1, v2)
+        self.tau = _unfixed(*_zdiv((*v2, unit), (*v1, unit)))
+        self._reduced = _unfixed(*r1, unit), _unfixed(*r2, unit)
+        self._basis = [(x, y, unit, x[0] * y[1] - x[1] * y[0]) for x, y in ((v1, v2), (r1, r2))]
+        # |z| < 10^-(workdps-5) rho, rho = |r1|: a reduced basis starts with a shortest vector.
+        self._pole = _dist2(r1, _ZERO), _constants().inside[1] // 10 ** 10
         bits, t = self._bits, self._t
-        self._k, self._q4, self._big_l, k2, k3, theta_e, g2r, g3r = _theta_lattice(r1, r2, t)
+        self._k, self._q4, self._big_l, k2, k3, theta_e, g2r, g3r = _theta_lattice(r1, r2, unit, t)
         # K2 R^2 and K3 R S (R and S with W + 4 fraction bits each) shift
         # right by these to the units of wp and wp'.
-        (k2, m2), (k3, m3) = _fixed_rel(k2, bits), _fixed_rel(k3, bits)
+        (k2, m2), (k3, m3) = _zfix(k2, bits), _zfix(k3, bits)
         frac = 2 * (bits + 4)
         self._wp_constants = (k2, 2 * t - bits + m2 + frac), (k3, 3 * t - bits + m3 + frac), theta_e[2]
         # g2 and g3 have weights 4 and 6: measured on s^4 and s^6, in units
@@ -517,7 +419,7 @@ class EllipticCurve:
         errs = (_dist2(g2r, g2f), s4 * s4 >> (2 * bits)), (_dist2(g3r, g3f), s12 >> (4 * bits))
         if any(num * self._inv_tol2 >= den for num, den in errs):
             raise CurveError(f"period lattice does not reproduce (g2, g3); residual {_nstr_ratio(errs)}")
-        fixed = [_fixed(r, bits - 2 * t) for r in self.roots]
+        fixed = self._roots_fixed
         match = [min(range(3), key=lambda j: _dist2(r, theta_e[j])) for r in fixed]
         if sorted(match) != [0, 1, 2]:
             raise CurveError("half periods do not separate the branch points")
@@ -529,8 +431,8 @@ class EllipticCurve:
             m, n = (v % 2 for v in doubled[j])
             # Exact: w1/2, w2/2 or (w1 + w2)/2.
             self._half_periods.append(((w1 if m else 0) + (w2 if n else 0)) * mpf(0.5))
-        # Each root in units of 2^(2t - W), and its gap to the other two squared.
-        self._roots_fixed = fixed
+        self._half_exact = [_exact(h) for h in self._half_periods]
+        # Each root's gap to the other two squared, in units of 2^(4t - 2W).
         self._gaps = [min(_dist2(r, fixed[i - 1]), _dist2(r, fixed[i - 2])) for i, r in enumerate(fixed)]
         return w1, w2, walk
 
@@ -539,24 +441,30 @@ class EllipticCurve:
     def coords(self, z) -> tuple:
         """Real coordinates (a, b) with z = a w1 + b w2."""
         with mp.workdps(self._workdps):
-            return _coords(mpc(z), self._dual)
+            na, nb, k = _cell_coords(_relative(mpc(z)), *self._basis[0])
+            det, (prec, rnd) = self._basis[0][3], mp._prec_rounding
+            return tuple(mp.make_mpf(mpf_shift(from_rational(n, det, prec, rnd), k)) for n in (na, nb))
 
     def reduce_fundamental(self, z):
         """Representative with z = a w1 + b w2, a, b in [0, 1)."""
         with mp.workdps(self._workdps):
-            a, b = self.frac_coords(z)
-            return a * self.w1 + b * self.w2
+            return self._reduce(_relative(mpc(z)))[0]
 
     def frac_coords(self, z) -> tuple:
-        """(a, b) mod 1, in [0, 1), with z = a w1 + b w2.  Solving for a and b
-        rounds relative to the larger of them, so a coordinate within
+        """(a, b) mod 1, in [0, 1), with z = a w1 + b w2 (see ``_reduce``)."""
+        with mp.workdps(self._workdps):
+            return self._reduce(_relative(mpc(z)))[1:]
+
+    def _reduce(self, z) -> tuple:
+        """(z mod L, a, b) for a triple z, the one conversion out: z mod L
+        = a w1 + b w2 with (a, b) mod 1 in [0, 1).  a and b are exact
+        fractions of z's integers (``_cell_coords``), so a coordinate within
         10^-digits max(|a|, |b|) of an integer is that integer: guard-digit
         noise reads 0, not 1e-127 or 1 - 1e-127, while a small z keeps its
-        small coordinates."""
-        with mp.workdps(self._workdps):
-            a, b = self.coords(z)
-            tol = self._snap * max(abs(a), abs(b))
-            return tuple(mp.zero if abs(c - mp.nint(c)) <= tol else c - mp.floor(c) for c in (a, b))
+        small coordinates.  Each of z mod L, a and b is rounded once."""
+        z, na, nb, den = _cell_reduce(z, self._basis[0], self._ten_digits)
+        prec, rnd = mp._prec_rounding
+        return _unfixed(*z), *(mp.make_mpf(from_rational(n, den, prec, rnd)) for n in (na, nb))
 
     def lattice_distance(self, z) -> mpf:
         with mp.workdps(self._workdps):
@@ -569,13 +477,14 @@ class EllipticCurve:
     def wp_pair_raw(self, z) -> tuple:
         """(wp(z), wp'(z)) without precision management; z must avoid L.
         The integers of ``_wp_fixed``, each rounded once."""
-        (pr, pi), (qr, qi) = self._wp_fixed(z)
+        (pr, pi), (qr, qi) = self._wp_fixed(_relative(mpc(z)))
         t, bits = self._t, self._bits
         return _unfixed(pr, pi, 2 * t - bits), _unfixed(qr, qi, 3 * t - bits)
 
     def _wp_fixed(self, z) -> tuple:
-        """(wp(z), wp'(z)) as integers (re, im) in units of 2^(2t - W) and
-        2^(3t - W), 2^t the curve's size bound, as ``_log`` reads them.
+        """(wp(z), wp'(z)) of a triple z as integers (re, im) in units of
+        2^(2t - W) and 2^(3t - W), 2^t the curve's size bound, as ``_log``
+        reads them.
 
         With v = k z and the theta constants theta2, theta3, theta4 at 0
         (DLMF 23.6(i); wp' by theta1'(0) = theta2 theta3 theta4):
@@ -585,21 +494,22 @@ class EllipticCurve:
         K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2 and
         the ratios R = theta4(v) / theta1(v), S = theta2(v) theta3(v) / theta1(v)^2,
         formed on the integer theta sums with W + 4 fraction bits.  K2
-        and K3 are integers with W bits of their own (``_fixed_rel``), so
+        and K3 are integers with W bits of their own (``_zfix``), so
         the products keep their relative accuracy however small |q| makes
         them; e3 is in the unit of wp.  Rounding to the unit of the result
         costs wp under 2^-W of s^2 and wp' under 2^-W of s^3, and where R or
         S is large the result keeps its relative accuracy.  Reducing z
-        against (r1, r2) bounds |Im v| by L/2 = -2 log|q^(1/4)|.
+        against (r1, r2), exactly on the integers, bounds |Im v| by
+        L/2 = -2 log|q^(1/4)|.  A z with |z| < rho/4, rho = |r1|, has
+        coordinates under 1/2 in the reduced basis and is not reduced.
         """
-        r1, r2 = self._reduced
-        z = mpc(z)
-        a, b = (int(mp.nint(c)) for c in _coords(z, self._dual_reduced))
-        if a or b:
-            z = z - a * r1 - b * r2
-        if _abs2(z) < self._pole2:  # |z| < 10^-(workdps-5) rho
+        basis, (n1, ten2) = self._basis[1], self._pole
+        unit = basis[2]
+        if not _less(16 * _dist2(z, _ZERO), 2 * z[2], n1, 2 * unit):
+            z = _cell_nearest(z, basis)
+        if _less(_dist2(z, _ZERO) * ten2, 2 * z[2], n1, 2 * unit):  # |z| < 10^-(workdps-5) rho
             raise CurveError("wp evaluated at a lattice point")
-        ((t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i)), _exp = _theta_sums(self._q4, self._big_l, self._k * z)
+        ((t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i)), _exp = _theta_sums(self._q4, self._big_l, _zmul(self._k, z))
         bits = self._bits + 4
         # theta_j / theta1 = theta_j conj(theta1) / |theta1|^2; the units 2^exp cancel.
         n1 = t1r * t1r + t1i * t1i
@@ -658,9 +568,10 @@ class EllipticCurve:
     # -- elliptic logarithm -----------------------------------------------------------
 
     def _log(self, pt):
-        """(z, exact): z with (wp(z), wp'(z)) = P, not reduced mod L, and
-        whether z is a branch point's stored half period (already in the
-        cell).  Runs at the working precision.
+        """(z, branch): z with (wp(z), wp'(z)) = P, not reduced mod L, as a
+        triple of integers, and the index of the root whose stored half
+        period z is (already in the cell), else None.  Runs at the working
+        precision.
 
         With e_i the root nearest x: a branch point (y = 0 exactly, x within
         10^-(digits-4) max(|x|, s^2) of e_i) maps to its half period w_i.
@@ -679,25 +590,27 @@ class EllipticCurve:
         # (_fixed_point); the curve's integers, in its own t, shift by dt.
         bits, dt = self._bits, t - self._t
         s4, s6, _s12 = (v >> k * dt for k, v in zip((4, 6, 12), self._sizes))
-        dist2 = [_dist2(big_x, [v >> 2 * dt for v in r]) for r in self._roots_fixed]
+        roots = [(_tshift(r, 2 * dt), _tshift(i, 2 * dt)) for r, i in self._roots_fixed]
+        dist2 = [_dist2(big_x, r) for r in roots]
         i = min(range(3), key=dist2.__getitem__)
         size_x2 = max(_dist2(big_x, _ZERO), s4)
         if not y and dist2[i] * self._inv_root_tol2 <= size_x2:
-            return self._half_periods[i], True
-        e = self.roots
+            return self._half_exact[i], i
+        unit = 2 * t - bits  # of x and the roots
         if y and 16 * dist2[i] < self._gaps[i] >> 4 * dt:
-            ej, ek = e[i - 1], e[i - 2]
-            d = y * y / (4 * (x - ej) * (x - ek))
-            x_log, shift = e[i] + (e[i] - ej) * (e[i] - ek) / d, self._half_periods[i]
+            x_log = _translate(big_x, roots[i], roots[i - 1], roots[i - 2], _relative(y), unit)
+            shift = self._half_exact[i]
         else:
-            x_log, shift = x, 0
-        if _abs2(x_log) > self._far2:
-            z = 1 / mp.sqrt(x_log) + shift
+            x_log, shift = (*big_x, unit), None
+        if _less(*self._far2, _dist2(x_log, _ZERO), 2 * x_log[2]):
+            z = _zdiv((1, 0, 0), _zsqrt(x_log))
         else:
-            z = _agm_log(self._walk, e[1], e[2], x_log) + shift
+            z = _agm_log(self._walk, *(_zadd(x_log, (*roots[j], unit), -1) for j in (2, 1)))
+        if shift:
+            z = _zadd(z, shift)
         big_p, (ppr, ppi) = ([v >> k * dt for v in w] for k, w in zip((2, 3), self._wp_fixed(z)))
-        if ppr * big_y[0] + ppi * big_y[1] < 0:  # |pp - y| > |pp + y|, as in _nearer
-            z, ppr, ppi = -z, -ppr, -ppi
+        if ppr * big_y[0] + ppi * big_y[1] < 0:  # |pp - y| > |pp + y|: Re(pp conj(y)) < 0
+            z, ppr, ppi = (-z[0], -z[1], z[2]), -ppr, -ppi
         size_y2 = max(_dist2(big_y, _ZERO), s6)
         misses = (_dist2(big_p, big_x), size_x2), (_dist2((ppr, ppi), big_y), size_y2)
         if any(num * self._inv_tol2 > den for num, den in misses):
@@ -708,7 +621,7 @@ class EllipticCurve:
             if off * self._inv_tol2 > size_y2:
                 raise CurveError(f"point is not on the curve: residual {_nstr_ratio([(off, size_y2)])}")
             raise CurveError(f"elliptic logarithm misses the point: residual {_nstr_ratio(misses)}")
-        return z, False
+        return z, None
 
     def elliptic_log(self, pt: Point):
         """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell
@@ -722,24 +635,26 @@ class EllipticCurve:
         if pt is None:
             return mpc(0)
         with mp.workdps(self._workdps):
-            z, exact = self._log(pt)
-            return z if exact else self.reduce_fundamental(z)
+            z, branch = self._log(pt)
+            return self._reduce(z)[0] if branch is None else self._half_periods[branch]
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 
     def _aj_sum(self, divisor: Divisor):
-        """(z, exact): the sum of m z(P) over the unreduced logarithms z(P) of
-        ``_log``, and whether z is a lone branch point's stored half period
-        (the divisor's only point other than O, with multiplicity 1).  Runs
-        at the working precision."""
+        """(z, branch): the sum of m z(P) over the unreduced logarithms z(P)
+        of ``_log``, a triple of integers, and None; or, for a lone branch
+        point (the divisor's only point other than O, with multiplicity 1),
+        its half period's triple and the index of its root.  Runs at the
+        working precision."""
         if divisor.degree != 0:
             raise CurveError(f"divisor has degree {divisor.degree}, expected 0")
         terms = [(pt, mult) for pt, mult in divisor.entries if mult and pt is not None]
-        total, exact = mpc(0), False
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self._log(terms[0][0])
+        total = 0, 0, 0
         for pt, mult in terms:
-            z, exact = self._log(pt)
-            total += mult * z
-        return total, exact and len(terms) == 1 and terms[0][1] == 1
+            total = _zadd(total, self._log(pt)[0], mult)
+        return total, None
 
     def aj(self, divisor: Divisor):
         """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell):
@@ -747,13 +662,13 @@ class EllipticCurve:
         reduced once.  A lone branch point (see ``_aj_sum``) gives its stored
         half period as is, as ``elliptic_log`` does."""
         with mp.workdps(self._workdps):
-            z, exact = self._aj_sum(divisor)
-            return z if exact else self.reduce_fundamental(z)
+            z, branch = self._aj_sum(divisor)
+            return self._reduce(z)[0] if branch is None else self._half_periods[branch]
 
     def _aj_coords(self, divisor: Divisor) -> tuple:
         """(z, a, b): the value of ``aj`` and its coordinates (a, b) mod 1,
-        z = a w1 + b w2, from one ``frac_coords`` solve."""
+        z = a w1 + b w2, from one reduction (``_reduce``)."""
         with mp.workdps(self._workdps):
-            z, exact = self._aj_sum(divisor)
-            a, b = self.frac_coords(z)
-            return (z if exact else a * self.w1 + b * self.w2), a, b
+            z, branch = self._aj_sum(divisor)
+            out = self._reduce(z)
+            return out if branch is None else (self._half_periods[branch], *out[1:])

@@ -17,6 +17,7 @@ model's constructor checks it on loading.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
@@ -48,6 +49,43 @@ __all__ = [
     "render_descriptor",
     "parse_ring_element",
 ]
+
+
+# -- size limits -------------------------------------------------------------------
+#
+# A document is checked against these before the model or theory it
+# describes is built, so a hostile size ends in a ParseError (exit 1), not
+# in minutes of CPU time.  Dimension does not bound the work: a product
+# convolves its factors' tables, entry by entry, and a model's check
+# enumerates its ring's basis, so 128 nested products of curves (dimension
+# 128) convolve 2.9 million entry pairs (2.4 s) and P(P^300 x P^300, 300)
+# enumerates 27 million monomials (37 s).  MAX_TABLE_TERMS bounds those
+# counts summed over the document's products and bundles.  A projective
+# bundle over a quasi-projective base grows with about the fourth power of
+# its top degree (P(P(Gm, 60), 60), top degree 237: 0.6 s; P(P(Gm, 200),
+# 200): 34 s).
+
+MAX_DIM = 1000  # complex dimension of a Kahler model, of P^n and of A^n
+MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
+MAX_THEORY_DEGREE = 1000  # |j| of a theory document's rank table
+MAX_TABLE_TERMS = 10 ** 6  # entry pairs and ring monomials a document's models cost
+
+
+def _within(what: str, size: int, limit: int) -> None:
+    if size > limit:
+        raise ParseError(f"{what} {size} exceeds the limit of {limit}")
+
+
+def _ring_basis(ring: RingModel | None) -> int:
+    """The basis monomials of a ring, which its model's check enumerates."""
+    return math.prod(power for power, _tail in ring.rules) if ring is not None else 0
+
+
+def _tables(model: Model) -> tuple:
+    """A model's tables, as a product or bundle combines them."""
+    if isinstance(model, KahlerModel):
+        return model.betti, model.hodge, model.hodge_class_rank
+    return model.betti, model.filt, model.lattice, model.hodge_class_rank
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -94,9 +132,11 @@ def _ring_from_json(raw: Any) -> RingModel:
             (_int_arg(power, what), {tuple(_int_arg(e, what) for e in m): _int_arg(c, what) for m, c in tail})
             for power, tail in raw["rules"]
         )
-        return RingModel(generators=gens, rules=rules)
+        ring = RingModel(generators=gens, rules=rules)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"ring presentation: {exc}")
+    _within("ring basis", _ring_basis(ring), MAX_TABLE_TERMS)
+    return ring
 
 
 def parse_ring_element(ring: RingModel, text: str) -> dict:
@@ -142,7 +182,12 @@ _LEAVES = {
 }
 
 
-def _eval_expr(expr: Any) -> Model:
+def _eval_expr(expr: Any) -> tuple[Model, int]:
+    """The model of a constructor expression, and the table terms its
+    products and bundles cost: for a product the sum over its factors'
+    tables of len(x table) * len(y table), plus the product of their ring
+    bases; for a rank-r bundle r times the base's table entries and ring
+    basis."""
     if not isinstance(expr, list) or not expr or not isinstance(expr[0], str):
         raise ParseError(f"constructor expression must be a list starting with a name: {expr!r}")
     head, *args = expr
@@ -150,19 +195,35 @@ def _eval_expr(expr: Any) -> Model:
         arity, fn = _LEAVES[head]
         if len(args) != arity:
             raise ParseError(f"{head} takes {arity} argument(s), got {len(args)}")
-        return fn(*(_int_arg(a, head) for a in args))
+        args = [_int_arg(a, head) for a in args]
+        if head in ("projective_space", "affine_space"):  # a curve's genus sets no table's size
+            _within(f"{head} dimension", args[0], MAX_DIM)
+        return fn(*args), 0
     if head == "product":
         if len(args) != 2:
             raise ParseError("product takes two sub-expressions")
-        x, y = _eval_expr(args[0]), _eval_expr(args[1])
+        (x, terms_x), (y, terms_y) = _eval_expr(args[0]), _eval_expr(args[1])
         if not (isinstance(x, KahlerModel) and isinstance(y, KahlerModel)):
             raise ParseError("product requires two kahler models")
-        return product(x, y)
+        _within("product dimension", x.dim + y.dim, MAX_DIM)
+        pairs = sum(len(a) * len(b) for a, b in zip(_tables(x), _tables(y)))
+        terms = terms_x + terms_y + pairs + _ring_basis(x.ring) * _ring_basis(y.ring)
+        _within("table terms", terms, MAX_TABLE_TERMS)
+        return product(x, y), terms
     if head == "projective_bundle":
         if len(args) != 2:
             raise ParseError("projective_bundle takes a base expression and a rank")
-        base = _eval_expr(args[0])
-        return projective_bundle(base, _int_arg(args[1], "projective_bundle rank"))
+        base, terms = _eval_expr(args[0])
+        r = _int_arg(args[1], "projective_bundle rank")
+        # The rank's limit is that of the bundle it gives: P(V) has
+        # dimension dim X + r - 1 and top degree that of X plus 2(r - 1).
+        if isinstance(base, KahlerModel):
+            _within("projective_bundle dimension", base.dim + r - 1, MAX_DIM)
+        else:
+            _within("projective_bundle top degree", base.max_degree + 2 * (r - 1), MAX_QUASI_DEGREE)
+        terms += r * (sum(map(len, _tables(base))) + _ring_basis(base.ring))
+        _within("table terms", terms, MAX_TABLE_TERMS)
+        return projective_bundle(base, r), terms
     raise ParseError(f"unknown constructor {head!r}")
 
 
@@ -175,12 +236,14 @@ def parse_space(doc: Any) -> Model:
         raise ParseError("space document must be a JSON object")
     kind = doc.get("kind")
     if kind == "construct":
-        model = _eval_expr(doc.get("expr"))
+        model, _terms = _eval_expr(doc.get("expr"))
         name = doc.get("name")
         if name:
             model = model.replace(name=str(name))
         return model
     if kind == "kahler":
+        dim = _int_arg(doc.get("complex_dim", -1), "complex_dim")
+        _within("complex_dim", dim, MAX_DIM)
         betti = {}
         for k, entry in _items(doc.get("betti", {}), "betti"):
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
@@ -193,19 +256,25 @@ def parse_space(doc: Any) -> Model:
                 raise ParseError(f"betti[{k}]: {exc}")
         return KahlerModel(
             name=str(doc.get("name", "space")),
-            dim=_int_arg(doc.get("complex_dim", -1), "complex_dim"),
+            dim=dim,
             betti=betti,
             hodge=_pair_table(doc.get("hodge", {}), "hodge"),
             hodge_class_rank=_int_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
             ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
         )
     if kind == "quasiprojective":
+        betti = _int_table(doc.get("betti_rank", {}), "betti_rank")
+        filt = _pair_table(doc.get("filt_dim", {}), "filt_dim")
+        lattice = _pair_table(doc.get("lattice_in_f", {}), "lattice_in_f")
+        hcr = _int_table(doc.get("hodge_class_rank", {}), "hodge_class_rank")
+        degrees = [*betti, *(n for _p, n in filt), *(n for _p, n in lattice), *(2 * q for q in hcr)]
+        _within("quasi-projective degree", max(degrees, default=0), MAX_QUASI_DEGREE)
         return QuasiProjModel(
             name=str(doc.get("name", "space")),
-            betti=_int_table(doc.get("betti_rank", {}), "betti_rank"),
-            filt=_pair_table(doc.get("filt_dim", {}), "filt_dim"),
-            lattice=_pair_table(doc.get("lattice_in_f", {}), "lattice_in_f"),
-            hodge_class_rank=_int_table(doc.get("hodge_class_rank", {}), "hodge_class_rank"),
+            betti=betti,
+            filt=filt,
+            lattice=lattice,
+            hodge_class_rank=hcr,
             ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
         )
     raise ParseError(f"unknown space kind {kind!r} (expected kahler, quasiprojective or construct)")
@@ -250,8 +319,10 @@ def emit_space(model: Model) -> dict:
 def parse_theory(doc: Any) -> CoefficientTheory:
     if not isinstance(doc, dict):
         raise ParseError("theory document must be a JSON object")
+    ranks = _int_table(doc.get("ranks", {}), "ranks")
+    _within("theory degree", max((abs(j) for j in ranks), default=0), MAX_THEORY_DEGREE)
     return custom_theory(
-        _int_table(doc.get("ranks", {}), "ranks"),
+        ranks,
         ring_field=str(doc.get("field", "integral")),
         name=str(doc.get("name", "custom")),
     )

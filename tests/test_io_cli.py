@@ -607,6 +607,155 @@ class TestInputBoundary:
         assert "finite" in err or "cannot parse" in err
 
 
+# y on y^2 = 4x^3 - 4x at x = 1 + 10^-30, within 10^-30 of the root 1:
+# the logarithm translates through the branch point (1, 0) and reads y.
+NEAR_ROOT_X = "1.000000000000000000000000000001"
+NEAR_ROOT_Y = "2.82842712474619009760337744842156323254184295060911286880001e-15"
+
+
+class TestExponentsFarApart:
+    """Coefficients and coordinates enter as integers sized by their own
+    magnitude, so exponents 10^8 apart cost what any others do; integers
+    spanning that gap would hold hundreds of millions of bits."""
+
+    @pytest.mark.parametrize(
+        "g2, g3, divisor, code",
+        [
+            ("1e100000000", "1e-100000000", "[]", 0),
+            ("1+1e-100000000j", "0", "[]", 0),
+            ("4", "0", json.dumps([[[NEAR_ROOT_X, NEAR_ROOT_Y + "+1e-100000000j"], 1], ["inf", -1]]), 0),
+            ("4", "0", '[[["1e1000000000", "2e1500000000"], 1], ["inf", -1]]', 1),
+        ],
+        ids=["coefficients", "coefficient_parts", "y_parts_near_a_root", "x_past_the_pole_tolerance"],
+    )
+    def test_aj_process(self, g2, g3, divisor, code):
+        start = time.perf_counter()
+        got, err = run_cli_process("aj", "--g2", g2, "--g3", g3, "--divisor", divisor)
+        assert time.perf_counter() - start < 10
+        assert got == code and "Traceback" not in err, err
+        if code:
+            assert "wp evaluated at a lattice point" in err
+
+    def test_aj_value_keeps_the_dominant_parts(self):
+        # A part 10^8 orders below its number's size truncates to 0.
+        def value(y):
+            divisor = json.dumps([[[NEAR_ROOT_X, y], 1], ["inf", -1]])
+            code, out = run_cli("aj", "--g2", "4", "--g3", "0", "--divisor", divisor, "--format", "json")
+            assert code == 0
+            return json.loads(out)
+
+        assert value(NEAR_ROOT_Y + "+1e-100000000j") == value(NEAR_ROOT_Y)
+
+
+def curve_products(k: int) -> list:
+    """A balanced tree of products of k elliptic curves, dimension k."""
+    return ["curve", 1] if k == 1 else ["product", curve_products(k // 2), curve_products(k - k // 2)]
+
+
+# Documents just past a size limit (hfcalc.io), each with the message of its
+# one stderr line, and the same documents at the limit.
+QUASI_TOP = {"kind": "quasiprojective", "betti_rank": {"0": 1, "240": 1}, "hodge_class_rank": {}}
+# Z[h_1, ..., h_21]/(h_i^2): 2^21 basis monomials, which the model's check would enumerate.
+WIDE_RING = {"generators": [[f"h{i}", 2] for i in range(21)], "rules": [[2, []] for _i in range(21)]}
+OVER_LIMIT = {
+    "projective_space": ({"kind": "construct", "expr": ["projective_space", 1001]}, "projective_space dimension 1001"),
+    "affine_space": ({"kind": "construct", "expr": ["affine_space", 1001]}, "affine_space dimension 1001"),
+    "product": (
+        {"kind": "construct", "expr": ["product", ["projective_space", 600], ["projective_space", 401]]},
+        "product dimension 1001",
+    ),
+    "kahler_bundle": (
+        {"kind": "construct", "expr": ["projective_bundle", ["curve", 80], 1001]},
+        "projective_bundle dimension 1001",
+    ),
+    "quasi_bundle": ({"kind": "construct", "expr": ["projective_bundle", ["gm"], 121]}, "projective_bundle top degree 241"),
+    "nested_quasi_bundle": (
+        {"kind": "construct", "expr": ["projective_bundle", ["projective_bundle", ["gm"], 100], 100]},
+        "projective_bundle top degree 397",
+    ),
+    "kahler_tables": (_edited(ELLIPTIC_DOC, ("complex_dim",), 1001), "complex_dim 1001"),
+    "quasi_tables": (_edited(QUASI_TOP, ("betti_rank", "242"), 1), "quasi-projective degree 242"),
+    "quasi_hodge_class": (_edited(QUASI_TOP, ("hodge_class_rank", "121"), 0), "quasi-projective degree 242"),
+    # Dimension 128 and 64: the tables and rings, not the dimension, cost.
+    "curve_products": ({"kind": "construct", "expr": curve_products(128)}, "table terms"),
+    "product_rings": (
+        {"kind": "construct", "expr": ["product", ["projective_space", 500], ["projective_space", 500]]},
+        "table terms 1004004",
+    ),
+    "bundle_ring": (
+        {"kind": "construct",
+         "expr": ["projective_bundle", ["product", ["projective_space", 100], ["projective_space", 100]], 99]},
+        "table terms 1110400",
+    ),
+    "kahler_ring": (_edited(ELLIPTIC_DOC, ("ring",), WIDE_RING), "ring basis 2097152"),
+}
+AT_LIMIT = {
+    "projective_space": ["projective_space", 1000],
+    "product": ["product", ["projective_space", 999], ["projective_space", 1]],
+    "product_rings": ["product", ["projective_space", 400], ["projective_space", 400]],
+    "curve_products": curve_products(48),
+    "kahler_bundle": ["projective_bundle", ["curve", 80], 1000],
+    "quasi_bundle": ["projective_bundle", ["gm"], 120],
+}
+
+
+class TestSizeLimits:
+    """Hostile sizes end in one line on stderr and exit 1, before the model
+    is built; every size the tests, fixtures and benchmark use is admitted."""
+
+    @pytest.mark.parametrize("name", sorted(OVER_LIMIT))
+    def test_space_over_the_limit(self, name, tmp_path, capsys):
+        doc, message = OVER_LIMIT[name]
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli("compute", "--space", str(path), "--theory", "HZ", "--n", "0", "--p", "0")
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert message in err and "exceeds the limit" in err
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_space(doc)
+
+    @pytest.mark.parametrize("name", ["nested_quasi_bundle", "curve_products", "bundle_ring"])
+    def test_space_over_the_limit_process(self, name, tmp_path):
+        # P(P(Gm, 100), 100) itself would take seconds, 128 curves' products
+        # 8 s and P(P^100 x P^100, 99) a second: the process exits first.
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(OVER_LIMIT[name][0]))
+        start = time.perf_counter()
+        code, err = run_cli_process("compute", "--space", str(path), "--theory", "HZ", "--n", "0", "--p", "0")
+        assert (code, err.count("\n")) == (1, 1) and "Traceback" not in err, err
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("name", sorted(AT_LIMIT))
+    def test_space_at_the_limit(self, name):
+        parse_space({"kind": "construct", "expr": AT_LIMIT[name]})
+
+    def test_quasi_tables_at_the_limit(self):
+        assert parse_space(QUASI_TOP).max_degree == 240
+
+    def test_theory_degree(self, tmp_path, capsys):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"name": "far", "ranks": {"0": 1, "-1001": 1}}))
+        code, _ = run_cli("compute", "--space", fixture("p1.json"), "--theory", str(path), "--n", "0", "--p", "0")
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert "theory degree 1001 exceeds the limit of 1000" in err
+        path.write_text(json.dumps({"name": "far", "ranks": {"0": 1, "1000": 1, "-1000": 1}}))
+        assert load_theory_argument(str(path)).name == "far"
+
+    def test_benchmark_sizes_admitted(self):
+        # The largest documents the benchmark parses: P^400, genus 80,
+        # P^40 x P^20, rank-30 bundles, and explicit tables of P^200 and of
+        # P^40 x P^2 as a quasi-projective model.
+        for expr in (["projective_space", 400], ["curve", 80], ["product", ["projective_space", 40], ["projective_space", 20]],
+                     ["projective_bundle", ["gm"], 30], ["projective_bundle", ["affine_space", 5], 30],
+                     ["projective_bundle", ["product", ["curve", 6], ["curve", 6]], 24]):
+            parse_space({"kind": "construct", "expr": expr})
+        assert parse_space(emit_space(projective_space(200))).dim == 200
+        quasi = as_quasiproj(product(projective_space(40), projective_space(2)))
+        assert parse_space(emit_space(quasi)).max_degree == 84
+
+
 NEAR_SINGULAR_G2 = (
     "0.0006552104316479137105725722909456306360986429534871701577081338685915219699484879356532474048435688018798828125"
 )
@@ -659,15 +808,15 @@ def test_aj_solves_once(monkeypatch, name):
     # The printed (a, b) are those of the one reduction, also for the
     # two-torsion divisor, whose value aj returns unreduced.
     calls = []
-    frac_coords = EllipticCurve.frac_coords
+    reduce = EllipticCurve._reduce
 
     def spy(self, z):
         calls.append(z)
-        return frac_coords(self, z)
+        return reduce(self, z)
 
     digits, argv = AJ_GOLDEN_COMMANDS[name]
     monkeypatch.setenv("HFCALC_AJ_PRECISION", str(digits))
-    monkeypatch.setattr(EllipticCurve, "frac_coords", spy)
+    monkeypatch.setattr(EllipticCurve, "_reduce", spy)
     code, _ = run_cli(*argv)
     assert code == 0
     assert len(calls) == 1
@@ -685,7 +834,7 @@ def _hfcalc_imports(*argv: str) -> set:
 
 
 # What the Abel-Jacobi path may load: no engine, io, spaces, rings, abelian or coefficients.
-AJ_MODULES = {"hfcalc", "hfcalc._fixedpoint", "hfcalc._frozen", "hfcalc.errors", "hfcalc.abeljacobi"}
+AJ_MODULES = {"hfcalc", "hfcalc._elementary", "hfcalc._fixedpoint", "hfcalc._frozen", "hfcalc.errors", "hfcalc.abeljacobi"}
 
 
 def test_cli_import_leaves_abeljacobi_out():
