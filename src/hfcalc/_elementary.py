@@ -8,18 +8,20 @@ integers and a zero part stays an exact 0.  Beside the square and cube
 roots there are exp, cos and sin (Taylor series after halving, then
 squaring or doubling) and the arcsine (Halley's iteration on cos and sin
 from the float value), with pi and log 2 as integers computed once per
-working precision, on first use (``_constants``).  ``hfcalc._fixedpoint`` builds the
-curve's kernels on them; the two are separate modules so that neither
-compilation, which a process without cached bytecode pays once, is large.
+bit count, on first use, and the reductions of a triple to the nearest
+lattice point and into the fundamental cell on the exact integers of the
+basis.  Nothing here reads mpmath: each function is one of its integer
+arguments, the working precision among them as ``prec``, bits.
+``hfcalc._fixedpoint`` builds the curve's kernels on them; the two are
+separate modules so that neither compilation, which a process without
+cached bytecode pays once, is large.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-
-from mpmath import mp
-from mpmath.libmp import fzero
 
 from hfcalc.errors import CurveError
 
@@ -118,11 +120,29 @@ def _ccbrt(re, im):
     raise CurveError("complex cube root failed to converge")
 
 
-# -- constants of one working precision ----------------------------------------
+def _dist2(a, b):
+    """|a - b|^2 of two complex integers (re, im)."""
+    dr, di = a[0] - b[0], a[1] - b[1]
+    return dr * dr + di * di
 
-_CONSTANTS = {}  # mp.prec -> _Constants
-_MAX_PRECISIONS = 64  # entries kept; library callers may use any precision
 
+_ZERO = (0, 0)
+
+
+def _less(m, me, n, ne):
+    """m 2^me < n 2^ne for integers m, n >= 0, exactly.  Unequal bit
+    lengths of the two numbers decide without aligning them, so a wide gap
+    between the exponents costs no shift of that many bits."""
+    if not (m and n):
+        return m < n
+    a, b = m.bit_length() + me, n.bit_length() + ne
+    if a != b:
+        return a < b
+    e = min(me, ne)
+    return m << me - e < n << ne - e
+
+
+# -- pi and log 2 ----------------------------------------------------------------
 
 def _acot(n, g, alternating):
     """The integer sum over k of (-1)^k (if ``alternating``) / ((2k + 1) n^(2k + 1))
@@ -144,61 +164,23 @@ def _pi_ln2(p):
     return (16 * _acot(5, q, True) - 4 * _acot(239, q, True)) >> g, 2 * _acot(3, q, False) >> g
 
 
-class _Constants:
-    """What depends on mp.prec alone, computed once per precision: the
-    powers of ten that thresholds at this precision compare with, 10^dps,
-    10^(2 (dps - 3)) (the AGM's stop rule) and the lattice reduction's
-    |tau|^2 < (1 - 10^-dps)^2 as the integer pair ((10^dps - 1)^2, 10^(2 dps));
-    and, on first use, pi and log 2 as integers in units of 2^-bits,
-    bits = 2 prec + 40 (``_pi_ln2``), and omega = exp(2 pi i / 3) in
-    Cardano's units of 2^-(2 prec + 20)."""
-
-    __slots__ = ("bits", "ten_dps", "inv_tol2", "inside", "_pi_ln2", "_omega")
-
-    def __init__(self, prec):
-        self.bits = 2 * prec + 40
-        self._pi_ln2 = self._omega = None
-        self.ten_dps = ten = 10 ** mp.dps
-        self.inv_tol2 = 10 ** (2 * (mp.dps - 3))
-        self.inside = (ten - 1) ** 2, ten * ten
-
-    def pi_ln2(self):
-        """(pi, log 2) in units of 2^-bits."""
-        if self._pi_ln2 is None:
-            self._pi_ln2 = _pi_ln2(self.bits)
-        return self._pi_ln2
-
-    def omega(self):
-        """exp(2 pi i / 3) as integers (re, im) in units of 2^-(2 prec + 20)."""
-        if self._omega is None:
-            b = self.bits - 20
-            self._omega = -(1 << b - 1), math.isqrt(3 << 2 * b) >> 1
-        return self._omega
+# A curve's precisions are few (working dps <= 2 MAX_DIGITS + 25), but
+# complex_agm and lattice_invariants run at their caller's: the memo keeps
+# the last 64 bit counts.
+_pi_ln2_memo = functools.lru_cache(maxsize=64)(_pi_ln2)
 
 
-def _constants():
-    """The ``_Constants`` of the current precision.  A curve's precisions
-    are few (working dps <= 2 MAX_DIGITS + 25), but ``complex_agm`` and
-    ``lattice_invariants`` run at their caller's, so the table empties when
-    it holds ``_MAX_PRECISIONS`` of them."""
-    c = _CONSTANTS.get(mp.prec)
-    if c is None:
-        if len(_CONSTANTS) >= _MAX_PRECISIONS:
-            _CONSTANTS.clear()
-        c = _CONSTANTS[mp.prec] = _Constants(mp.prec)
-    return c
+def _ln2(p, prec):
+    """log 2 as an integer in units of 2^-p, within a unit: the memo's
+    2 prec + 40 bits truncated, or the series itself beyond them."""
+    bits = 2 * prec + 40
+    return _pi_ln2_memo(bits)[1] >> bits - p if p <= bits else _pi_ln2(p)[1]
 
 
-def _ln2(p):
-    """log 2 as an integer in units of 2^-p, within a unit."""
-    c = _constants()
-    return c.pi_ln2()[1] >> c.bits - p if p <= c.bits else _pi_ln2(p)[1]
-
-
-def _pi(p):
-    """pi as an integer in units of 2^-p, within a unit."""
-    c = _constants()
-    return c.pi_ln2()[0] >> c.bits - p if p <= c.bits else _pi_ln2(p)[0]
+def _pi(p, prec):
+    """pi as an integer in units of 2^-p, within a unit, as ``_ln2``."""
+    bits = 2 * prec + 40
+    return _pi_ln2_memo(bits)[0] >> bits - p if p <= bits else _pi_ln2(p)[0]
 
 
 # -- elementary functions ------------------------------------------------------
@@ -227,18 +209,18 @@ def _exp_small(x, p):
     return s >> r + 10
 
 
-def _exp_pair(x, wp):
+def _exp_pair(x, wp, prec):
     """(exp(x), exp(-x)) for a real x, an integer in units of 2^-wp, in those
-    units (absolute, however large exp(|x|) is).  |x| = m log 2 + y with
-    |y| <= log 2 / 2; exp(y) carries m + log2(m) + 12 extra bits so that
-    2^m exp(y) and 2^-m / exp(y) both keep every unit.  Negating x swaps the
-    pair exactly, and x = 0 gives (2^wp, 2^wp)."""
+    units (absolute, however large exp(|x|) is), log 2 from ``prec``'s memo.
+    |x| = m log 2 + y with |y| <= log 2 / 2; exp(y) carries m + log2(m) + 12
+    extra bits so that 2^m exp(y) and 2^-m / exp(y) both keep every unit.
+    Negating x swaps the pair exactly, and x = 0 gives (2^wp, 2^wp)."""
     if not x:
         return 1 << wp, 1 << wp
-    ln2 = _ln2(wp + 4)
+    ln2 = _ln2(wp + 4, prec)
     m = ((abs(x) << 5) + ln2) // (2 * ln2)  # the integer nearest |x| / log 2
     p = wp + m + 12 + m.bit_length()
-    e = _exp_small((abs(x) << p - wp) - m * _ln2(p), p)  # exp(|x| - m log 2), units 2^-p
+    e = _exp_small((abs(x) << p - wp) - m * _ln2(p, prec), p)  # exp(|x| - m log 2), units 2^-p
     big, small = e >> p - wp - m, (1 << 2 * p) // e >> p - wp + m
     return (big, small) if x > 0 else (small, big)
 
@@ -270,7 +252,7 @@ def _cos_sin_real(x, p):
     return (c, s) if x > 0 else (c, -s)
 
 
-def _cos_sin(vr, vi, wp):
+def _cos_sin(vr, vi, wp, prec):
     """(cos v, sin v) for v = (vr + i vi) 2^-wp, |vr| <= 4, as integers
     (re, im) in units of 2^-wp, within a few units times cosh(Im v), their
     size (the theta sums' guard bits pay for it): cos v = cos a cosh b -
@@ -279,12 +261,12 @@ def _cos_sin(vr, vi, wp):
     conjugated or negated parts, a real v exactly real cos and sin, and an
     imaginary v an exactly real cos and imaginary sin."""
     c, s = _cos_sin_real(vr, wp)
-    ep, en = _exp_pair(vi, wp)
+    ep, en = _exp_pair(vi, wp, prec)
     ch, sh = _half(ep + en), _half(ep - en)
     return (_tshift(c * ch, wp), -_tshift(s * sh, wp)), (_tshift(s * ch, wp), _tshift(c * sh, wp))
 
 
-def _halley_asin(ur, ui, wp):
+def _halley_asin(ur, ui, wp, prec):
     """asin(u) for u = (ur + i ui) 2^-wp away from the branch points +-1
     (|1 - u^2| >= 1/4), as integers in units of 2^-wp: Halley's step for
     f(v) = sin v - u, v <- v - 2 f f' / (2 f'^2 - f f''), from the float
@@ -298,7 +280,7 @@ def _halley_asin(ur, ui, wp):
     for q in reversed(precs):
         vr, vi, p = vr << q - p, vi << q - p, q
         g = p + 12
-        (cr, ci), (sr, si) = _cos_sin(vr << 12, vi << 12, g)
+        (cr, ci), (sr, si) = _cos_sin(vr << 12, vi << 12, g, prec)
         fr, fi = sr - _scale(ur, g - wp), si - _scale(ui, g - wp)
         # 2 f f' over 2 f'^2 - f f'' = 2 cos^2 + f sin, all in units of 2^-2g.
         num = 2 * (fr * cr - fi * ci), 2 * (fr * ci + fi * cr)
@@ -308,9 +290,9 @@ def _halley_asin(ur, ui, wp):
     return vr, vi
 
 
-def _asin(ur, ui, wp):
+def _asin(ur, ui, wp, prec):
     """The principal arcsine of u = (ur + i ui) 2^-wp as integers (re, im)
-    in units of 2^-wp, within a few units, for |u| < 2^1000 (the float
+    in units of 2^-wp, within a few units (pi from ``prec``'s memo), for |u| < 2^1000 (the float
     start's range); on the cuts, real u with |u| > 1, mpmath's values
     pi/2 - i acosh(u) for u > 1 and -pi/2 + i acosh(-u) for u < -1.  For
     |Re u| > 1/2, near the branch points +-1, it takes asin(u) =
@@ -322,13 +304,13 @@ def _asin(ur, ui, wp):
     if max(abs(ur), abs(ui)).bit_length() > wp + 1000:
         raise CurveError("arcsine argument beyond 2^1000")
     if 2 * abs(ur) <= one:
-        return _halley_asin(ur, ui, wp)
+        return _halley_asin(ur, ui, wp, prec)
     sign = 1 if ur > 0 else -1
     # (1 - u)/2 for u > 0 and (1 + u)/2 for u < 0, in units of 2^-(2 wp - 1)
     hr, hi = (one - sign * ur) << wp, -sign * ui << wp
     wr, wi = _csqrt(_half(hr), _half(hi))
-    ar, ai = _halley_asin(wr, wi, wp)
-    half_pi = _pi(wp) >> 1
+    ar, ai = _halley_asin(wr, wi, wp, prec)
+    half_pi = _pi(wp, prec) >> 1
     return sign * (half_pi - 2 * ar), sign * -2 * ai
 
 
@@ -339,16 +321,6 @@ def _asin(ur, ui, wp):
 # a triple carries about ``_ZBITS`` bits beyond the working precision.
 
 _ZBITS = 40
-
-
-def _exact(x):
-    """The mpc or mpf x as a triple (re, im, exp), exactly: exp is the
-    smaller exponent of its nonzero parts, read off mpmath's
-    (sign, mantissa, exponent, bit count) tuples."""
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-    exp = min((e for _s, man, e, _bc in parts if man), default=0)
-    re, im = ((-man if sign else man) << e - exp if man else 0 for sign, man, e, _bc in parts)
-    return re, im, exp
 
 
 def _float(n, exp):
@@ -363,7 +335,7 @@ def _zmag(z):
     return max(abs(re).bit_length(), abs(im).bit_length()) + exp if re or im else -(1 << 62)
 
 
-def _zadd(a, b, m=1):
+def _zadd(a, b, prec, m=1):
     """a + m b of two triples, aligned to the smaller exponent, or to
     prec + ``_ZBITS`` bits below the larger term if that is coarser, so
     that a term far below the other does not blow up the integers."""
@@ -371,7 +343,7 @@ def _zadd(a, b, m=1):
         return m * b[0], m * b[1], b[2]
     if not (b[0] or b[1]):
         return a
-    exp = max(min(a[2], b[2]), max(_zmag(a), _zmag(b)) - mp.prec - _ZBITS)
+    exp = max(min(a[2], b[2]), max(_zmag(a), _zmag(b)) - prec - _ZBITS)
     return (
         _scale(a[0], a[2] - exp) + m * _scale(b[0], b[2] - exp),
         _scale(a[1], a[2] - exp) + m * _scale(b[1], b[2] - exp),
@@ -385,17 +357,17 @@ def _zmul(a, b):
     return re, im, a[2] + b[2]
 
 
-def _zdiv(a, b):
+def _zdiv(a, b, prec):
     """a / b of two triples, with prec + ``_ZBITS`` bits (b nonzero)."""
-    shift = mp.prec + _ZBITS + max(0, _zmag((*b[:2], 0)) - _zmag((*a[:2], 0))) + 2
+    shift = prec + _ZBITS + max(0, _zmag((*b[:2], 0)) - _zmag((*a[:2], 0))) + 2
     re, im = _cdiv(a[:2], b[:2], shift)
     return re, im, a[2] - b[2] - shift
 
 
-def _zsqrt(z):
+def _zsqrt(z, prec):
     """The principal square root of a nonzero triple, with prec + ``_ZBITS`` bits."""
     re, im, exp = z
-    shift = 2 * (mp.prec + _ZBITS) - _zmag((re, im, 0)) + 2
+    shift = 2 * (prec + _ZBITS) - _zmag((re, im, 0)) + 2
     shift += (exp - shift) % 2  # an even exponent
     r, i = _csqrt(_scale(re, shift), _scale(im, shift))
     return r, i, (exp - shift) >> 1
@@ -406,3 +378,65 @@ def _zfix(z, bits):
     and wp: relative accuracy whatever its size (0 gives (0, 0) and 0)."""
     wp = bits - _zmag(z) if z[0] or z[1] else 0
     return (_scale(z[0], z[2] + wp), _scale(z[1], z[2] + wp)), wp
+
+
+def _align(*zs):
+    """The triples as integer pairs in one unit, exactly, and the unit."""
+    unit = min(z[2] for z in zs)
+    return (*((re << exp - unit, im << exp - unit) for re, im, exp in zs), unit)
+
+
+# -- reductions modulo a lattice basis ----------------------------------------
+
+def _cell_coords(z, w1, w2, unit, det):
+    """Real coordinates (a, b) of a triple z = a w1 + b w2 for the basis of
+    integer pairs (w1, w2) in units of 2^unit, with det = Im(conj(w1) w2) > 0,
+    by Cramer's rule: (num_a, num_b, k) with a = num_a 2^k / det exactly.
+    The power 2^k, k = exp(z) - unit, is the caller's: a z far above or
+    below the basis would need |k| bits to apply it."""
+    zr, zi, ze = z
+    return zr * w2[1] - zi * w2[0], w1[0] * zi - w1[1] * zr, ze - unit
+
+
+def _cell_nearest(z, basis):
+    """z minus its nearest lattice point by coordinates (each rounded to the
+    nearest integer, ties to even), exactly, for a triple z and ``basis`` =
+    (w1, w2, unit, det) of ``_cell_coords``, in z's unit or the basis's if
+    finer: the coordinates' remainders r_a, r_b give (r_a w1 + r_b w2) / det.
+    For k > 0 the numerators are taken mod 2 det first, an even shift that
+    keeps the ties' parity, so a z far coarser than the basis costs no k-bit
+    shift; for k < 0 the caller bounds -k."""
+    w1, w2, unit, det = basis
+    na, nb, k = _cell_coords(z, w1, w2, unit, det)
+    if k > 0:
+        m = pow(2, k, 2 * det)
+        na, nb, den = na * m % (2 * det), nb * m % (2 * det), det
+    else:
+        den = det << -k
+    na, nb = na - _nint(na, den) * den, nb - _nint(nb, den) * den
+    return (na * w1[0] + nb * w2[0]) // det, (na * w1[1] + nb * w2[1]) // det, min(z[2], unit)
+
+
+_FAR = 1 << 16  # bits of a z's coordinates below 1 that the reduction keeps
+
+
+def _cell_reduce(z, basis, ten_digits, bits):
+    """(z mod L, num_a, num_b, den) for a triple z and ``basis`` = (w1, w2,
+    unit, det) of ``_cell_coords``: the coordinates (a, b) mod 1 in [0, 1),
+    a = num_a / den, each 0 where it lies within max(|a|, |b|) / ten_digits
+    of an integer, and z mod L = a w1 + b w2 as a triple with ``bits`` to spare.
+    Where max(|a|, |b|) > ten_digits, both are 0 with no k-bit shift; a z
+    more than ``_FAR`` bits below the basis's unit loses its coordinates'
+    bits below 2^-_FAR first (below 10^-19728 of the lattice)."""
+    w1, w2, unit, det = basis
+    na, nb, k = _cell_coords(z, w1, w2, unit, det)
+    if k > 0 and max(abs(na), abs(nb)).bit_length() + k > (ten_digits * det).bit_length():
+        return (0, 0, unit), 0, 0, det
+    if k < -_FAR:
+        na, nb, k = _tshift(na, -k - _FAR), _tshift(nb, -k - _FAR), -_FAR
+    na, nb, den = (na << k, nb << k, det) if k >= 0 else (na, nb, det << -k)
+    tol = max(abs(na), abs(nb))
+    na, nb = (0 if abs(n - _nint(n, den) * den) * ten_digits <= tol else n % den for n in (na, nb))
+    shift = bits + max(0, den.bit_length() - max(na.bit_length(), nb.bit_length()))
+    re, im = (_tdiv(na * u + nb * v << shift, den) for u, v in zip(w1, w2))
+    return (re, im, unit - shift), na, nb, den

@@ -1,21 +1,22 @@
-"""Fixed-point kernels of the Abel-Jacobi map, on Python integers.
+"""Fixed-point kernels of the Abel-Jacobi map, on Python integers alone.
 
 A complex number is a pair of integers (re, im) in units of 2^e, or a
 triple (re, im, exp) with an exponent of its own (``hfcalc._elementary``).
-Conversion from mpc (``_fixed``) and halving truncate towards 0, and the
-square root is symmetric, so -x and conj(x) give exactly the negated or
-conjugated integers and a zero part stays an exact 0: real inputs give
-exactly real results.  Rounding is absolute in the unit, so each caller
-picks the unit from a bound on the numbers it holds, and a number from
-outside enters in a unit its own size sets (``_relative``, ``_curve_scale``).
-The kernels are the curve's: the discriminant and Cardano's roots
-(``_curve_scale``, ``_discriminant``, ``_cardano``), the complex AGM
-sequence (``_agm_sequence``), the lattice reduction and the nome
-(``_reduce_basis``, ``_nome``), the Jacobi theta sums at v
-(``_theta_sums``) and at 0 (``_theta_constants``), the logarithm's walk
-and arcsine (``_agm_log``) and the reductions to the nearest lattice point
-(``_cell_nearest``) and into the cell (``_cell_reduce``);
-``hfcalc.abeljacobi`` builds the curve on them.
+Halving and division truncate towards 0, and the square root is
+symmetric, so -x and conj(x) give exactly the negated or conjugated
+integers and a zero part stays an exact 0: real inputs give exactly real
+results.  Rounding is absolute in the unit, so each caller picks the unit
+from a bound on the numbers it holds.  Nothing here reads mpmath: each
+kernel is a function of its integer arguments, the working precision
+among them as ``prec``, bits, and ``dps``, decimal digits, where a term
+count or a tolerance needs them; ``hfcalc.abeljacobi`` converts between
+mpc and integers and passes them down.  The kernels are the curve's: the
+discriminant and Cardano's roots (``_discriminant``, ``_cardano``), the
+complex AGM sequence and the periods (``_agm_pairs``, ``_periods``), the
+lattice reduction and the nome (``_reduce_basis``, ``_nome``), the Jacobi
+theta sums at v (``_theta_sums``) and at 0 (``_theta_constants``), wp and
+wp' from them (``_wp_thetas``), the on-curve residual (``_residual2``) and
+the logarithm's walk and arcsine (``_agm_log``).
 They and the elementary functions are modules of their own so that no
 one module's compilation, which each process without cached bytecode pays
 once, grows with all of them.
@@ -25,18 +26,15 @@ from __future__ import annotations
 
 import math
 
-from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_shift, to_int
-
 from hfcalc._elementary import (
     _asin,
     _ccbrt,
     _cdiv,
     _cmul,
-    _constants,
     _cos_sin,
     _cos_sin_real,
     _csqrt,
+    _dist2,
     _exp_small,
     _float,
     _half,
@@ -49,80 +47,44 @@ from hfcalc._elementary import (
     _zadd,
     _ZBITS,
     _zdiv,
+    _ZERO,
     _zmag,
     _zmul,
 )
 from hfcalc.errors import CurveError
 
 
-def _fixed(x, wp):
-    """(Re x, Im x) as integers in units of 2^-wp, truncated towards 0, so
-    that -x and conj(x) give exactly the negated parts; a zero part stays 0."""
-    return to_int(mpf_shift(x.real._mpf_, wp)), to_int(mpf_shift(x.imag._mpf_, wp))
+def _agm_unit(mag_a, mag_b, prec):
+    """The AGM's unit 2^(e - wp) for |a| < 2^mag_a and |b| < 2^mag_b: every
+    a_n and b_n is at most 2^e, e = max(mag_a, mag_b), and wp = prec + 30 +
+    |mag_a - mag_b| bits keep the smaller one's relative accuracy."""
+    return max(mag_a, mag_b) - prec - 30 - abs(mag_a - mag_b)
 
 
-def _unfixed(re, im, exp):
-    """The mpc (re + i im) 2^exp, rounded once to the current precision."""
-    prec, rnd = mp._prec_rounding
-    return mp.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
-
-
-def _mag(x):
-    """An integer e with |x| < 2^e for a nonzero mpf or mpc x (mpmath's
-    ``mag``, read off the parts' exponents and bit counts)."""
-    return max(exp + bc for _sign, man, exp, bc in (x.real._mpf_, x.imag._mpf_) if man)
-
-
-def _dist2(a, b):
-    """|a - b|^2 of two complex integers (re, im)."""
-    dr, di = a[0] - b[0], a[1] - b[1]
-    return dr * dr + di * di
-
-
-_ZERO = (0, 0)
-
-
-def _agm_sequence(a, b):
-    """The AGM pairs (a_0, b_0), ..., (a_N, b_N) of ``complex_agm``, with N >= 1
-    the first index where |a_N - b_N| <= 10^-(dps-3) |a_N|, as (unit, pairs):
-    each pair is the integers (Re a_n, Im a_n, Re b_n, Im b_n) in units of
-    2^unit.
-
-    Every a_n and b_n is at most 2^e, e = max(mag a, mag b), so unit =
-    e - wp with wp = prec + 30 + |mag a - mag b| guard bits: rounding is
-    absolute, and the smaller of a and b keeps its relative accuracy.
-    Conversion and halving truncate towards 0 and ``_csqrt`` is
-    conjugate-symmetric, so a conjugate pair b = conj(a) steps to exactly
-    real pairs.  The sign test and the stop rule are exact integer
-    comparisons.
-    """
-    unit = _agm_unit(mp.mag(a), mp.mag(b))
-    return unit, _agm_pairs(*_fixed(a, -unit), *_fixed(b, -unit))
-
-
-def _agm_unit(mag_a, mag_b):
-    """The unit of ``_agm_sequence`` for |a| < 2^mag_a and |b| < 2^mag_b."""
-    return max(mag_a, mag_b) - mp.prec - 30 - abs(mag_a - mag_b)
-
-
-def _agm_roots(da, db, unit):
-    """``_agm_sequence`` of a = sqrt(da) and b = +-sqrt(db), b taken nearer a
+def _agm_roots(da, db, unit, prec, dps):
+    """``_agm_pairs`` of a = sqrt(da) and b = +-sqrt(db), b taken nearer a
     (b on a tie: Re(a conj(b)) >= 0), for integer pairs da, db in units of
     2^unit: (unit, pairs).  The square roots are ``_csqrt`` straight into
     the AGM's unit, |sqrt(d)| < 2^((mag d + 1) // 2) bounding their size."""
     mag_a, mag_b = ((_zmag((*d, unit)) + 2) >> 1 for d in (da, db))
-    agm = _agm_unit(mag_a, mag_b)
+    agm = _agm_unit(mag_a, mag_b, prec)
     (ar, ai), (br, bi) = (_csqrt(*(_scale(v, unit - 2 * agm) for v in d)) for d in (da, db))
     if ar * br + ai * bi < 0:
         br, bi = -br, -bi
-    return agm, _agm_pairs(ar, ai, br, bi)
+    return agm, _agm_pairs(ar, ai, br, bi, dps)
 
 
-def _agm_pairs(ar, ai, br, bi):
-    """The pairs of ``_agm_sequence`` from the integers of (a_0, b_0)."""
+def _agm_pairs(ar, ai, br, bi, dps):
+    """The AGM pairs (a_0, b_0), ..., (a_N, b_N) of ``complex_agm`` from the
+    integers of (a_0, b_0) in the unit of ``_agm_unit``, with N >= 1 the
+    first index where |a_N - b_N| <= 10^-(dps-3) |a_N|: each pair is the
+    integers (Re a_n, Im a_n, Re b_n, Im b_n) in that unit.  Halving
+    truncates towards 0 and ``_csqrt`` is conjugate-symmetric, so a
+    conjugate pair b = conj(a) steps to exactly real pairs.  The sign test
+    and the stop rule are exact integer comparisons."""
     pairs = [(ar, ai, br, bi)]
-    inv_tol2 = _constants().inv_tol2
-    for _ in range(mp.dps * 4 + 40):
+    inv_tol2 = 10 ** (2 * (dps - 3))
+    for _ in range(dps * 4 + 40):
         (br, bi), ar, ai = _csqrt(ar * br - ai * bi, ar * bi + ai * br), _half(ar + br), _half(ai + bi)
         d = ar * br + ai * bi  # Re(a conj(b)) = (|a + b|^2 - |a - b|^2) / 4
         if d < 0 or (d == 0 and ar * bi - ai * br < 0):  # ties towards Im(b/a) > 0
@@ -134,13 +96,7 @@ def _agm_pairs(ar, ai, br, bi):
     raise CurveError("complex AGM failed to converge")
 
 
-def _agm_mean(unit, pair):
-    """(a_n + b_n)/2 of an integer pair of ``_agm_sequence``, rounded once."""
-    ar, ai, br, bi = pair
-    return _unfixed(ar + br, ai + bi, unit - 1)
-
-
-def _theta_sums(q4, big_l, v):
+def _theta_sums(q4, big_l, v, prec, dps):
     """Jacobi theta functions (theta1, ..., theta4)(v) of the nome q = q4^4
     (DLMF 20.2(i)) as integers: ((re, im) of each, exp), theta_j =
     (re + i im) 2^exp.  They are sums of q^(m^2/4) sin(mv) (theta1, odd m)
@@ -164,12 +120,12 @@ def _theta_sums(q4, big_l, v):
     """
     vr, vi, ve = v
     im_v = abs(_float(vi, ve))
-    terms = int(2 * im_v / big_l + math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
+    terms = int(2 * im_v / big_l + math.sqrt(4 * dps * math.log(10) / big_l + 1))
     guard = 20 + math.ceil(terms * im_v / math.log(2)) + max(0, -_zmag(q4))
     if vr or vi:
         guard += max(0, -_zmag(v))
-    wp = mp.prec + guard
-    (cr, ci), (sr, si) = _cos_sin(_scale(vr, ve + wp), _scale(vi, ve + wp), wp)
+    wp = prec + guard
+    (cr, ci), (sr, si) = _cos_sin(_scale(vr, ve + wp), _scale(vi, ve + wp), wp, prec)
     tr, ti = _scale(q4[0], q4[2] + wp), _scale(q4[1], q4[2] + wp)
     # t = q^(m^2/4), u = q^((2m + 1)/4), h = q^(1/2); cos and sin of mv
     # (c, s) and of (m - 1)v (cp, sp); products shift once by wp.
@@ -205,7 +161,7 @@ def _theta_sums(q4, big_l, v):
     ), 1 - 2 * wp
 
 
-def _theta_constants(q4, big_l):
+def _theta_constants(q4, big_l, prec, dps):
     """(theta2, theta3, theta4) at v = 0 of the nome q = q4^4, q4 a triple, as integers
     (re, im) in units of 2^-wp, and wp.
 
@@ -215,8 +171,8 @@ def _theta_constants(q4, big_l):
     -log2|q4| (when positive), because theta2 is about 2 q4 and must keep
     its relative accuracy.  A real q4 gives exactly real constants.
     """
-    terms = int(math.sqrt(4 * mp.dps * math.log(10) / big_l + 1))
-    wp = mp.prec + 20 + max(0, -_zmag(q4))
+    terms = int(math.sqrt(4 * dps * math.log(10) / big_l + 1))
+    wp = prec + 20 + max(0, -_zmag(q4))
     # t = q^(m^2/4), u = q^((2m + 1)/4), h = q^(1/2), as in _theta_sums.
     tr, ti = _scale(q4[0], q4[2] + wp), _scale(q4[1], q4[2] + wp)
     hr, hi = _cmul((tr, ti), (tr, ti), wp)
@@ -232,13 +188,14 @@ def _theta_constants(q4, big_l):
     return ((2 * (r1 + r3), 2 * (i1 + i3)), (one + 2 * (r0 + r2), 2 * (i0 + i2)), (one + 2 * (r0 - r2), 2 * (i0 - i2))), wp
 
 
-def _reduce_basis(w1, w2):
+def _reduce_basis(w1, w2, dps):
     """SL_2(Z)-reduce the basis of integer pairs (w1, w2), one unit, so that
     tau = w2/w1 lies in the fundamental domain: (r1, r2, (a, b, c, d)) with
     r1 = a w1 + b w2, r2 = c w1 + d w2 and ad - bc = 1.  Each step shifts
     w2 by the integer nearest Re(tau) = Re(w2 conj(w1)) / |w1|^2 and swaps
     (w1, w2) -> (w2, -w1) while |tau| < 1 - 10^-dps, every test exact."""
-    inside, outside = _constants().inside  # |tau|^2 < inside / outside
+    ten = 10 ** dps
+    inside, outside = (ten - 1) ** 2, ten * ten  # |tau|^2 < inside / outside
     a, b, c, d = 1, 0, 0, 1
     for _ in range(10000):
         n1 = w1[0] * w1[0] + w1[1] * w1[1]
@@ -254,72 +211,25 @@ def _reduce_basis(w1, w2):
     raise CurveError("lattice basis reduction failed")
 
 
-def _nome(r1, r2):
+def _nome(r1, r2, prec):
     """For a reduced basis of integer pairs (one unit): q^(1/4) =
     exp(i pi tau / 4), tau = r2 / r1, as a triple with prec + ``_ZBITS``
     bits, and L = pi Im(tau) as a float.  q^(1/4) = exp(-y) (cos x + i sin x)
     with x + iy = pi tau / 4, exp(-y) = 2^-m exp(m log 2 - y); an
     imaginary tau (a rectangular lattice) gives an exactly real q^(1/4)."""
-    wp = mp.prec + _ZBITS
+    wp = prec + _ZBITS
     n1 = r1[0] * r1[0] + r1[1] * r1[1]
-    pi = _pi(wp)
+    pi = _pi(wp, prec)
     x = _tdiv(pi * (r2[0] * r1[0] + r2[1] * r1[1]), 4 * n1)  # units 2^-wp
     y = _tdiv(pi * (r2[1] * r1[0] - r2[0] * r1[1]), 4 * n1)
-    ln2 = _ln2(wp)
+    ln2 = _ln2(wp, prec)
     m = (2 * y + ln2) // (2 * ln2)
     e = _exp_small(m * ln2 - y, wp)
     c, s = _cos_sin_real(x, wp)
     return (e * c >> wp, _tshift(e * s, wp), -wp - m), 4 * _float(y, -wp)
 
 
-def _less(m, me, n, ne):
-    """m 2^me < n 2^ne for integers m, n >= 0, exactly.  Unequal bit
-    lengths of the two numbers decide without aligning them, so a wide gap
-    between the exponents costs no shift of that many bits."""
-    if not (m and n):
-        return m < n
-    a, b = m.bit_length() + me, n.bit_length() + ne
-    if a != b:
-        return a < b
-    e = min(me, ne)
-    return m << me - e < n << ne - e
-
-
-def _cell_coords(z, w1, w2, unit, det):
-    """Real coordinates (a, b) of a triple z = a w1 + b w2 for the basis of
-    integer pairs (w1, w2) in units of 2^unit, with det = Im(conj(w1) w2) > 0,
-    by Cramer's rule: (num_a, num_b, k) with a = num_a 2^k / det exactly.
-    The power 2^k, k = exp(z) - unit, is the caller's: a z far above or
-    below the basis would need |k| bits to apply it."""
-    zr, zi, ze = z
-    return zr * w2[1] - zi * w2[0], w1[0] * zi - w1[1] * zr, ze - unit
-
-
-def _cell_nearest(z, basis):
-    """z minus its nearest lattice point by coordinates (each rounded to the
-    nearest integer, ties to even), exactly, for a triple z and ``basis`` =
-    (w1, w2, unit, det) of ``_cell_coords``, in z's unit or the basis's if
-    finer: the coordinates' remainders r_a, r_b give (r_a w1 + r_b w2) / det.
-    For k > 0 the numerators are taken mod 2 det first, an even shift that
-    keeps the ties' parity, so a z far coarser than the basis costs no k-bit
-    shift; for k < 0 the caller bounds -k."""
-    w1, w2, unit, det = basis
-    na, nb, k = _cell_coords(z, w1, w2, unit, det)
-    if k > 0:
-        m = pow(2, k, 2 * det)
-        na, nb, den = na * m % (2 * det), nb * m % (2 * det), det
-    else:
-        den = det << -k
-    na, nb = na - _nint(na, den) * den, nb - _nint(nb, den) * den
-    return (na * w1[0] + nb * w2[0]) // det, (na * w1[1] + nb * w2[1]) // det, min(z[2], unit)
-
-
-def _bits():
-    """W, the fraction bits of the integer checks at the current precision."""
-    return mp.prec + 16
-
-
-def _theta_lattice(r1, r2, unit, t):
+def _theta_lattice(r1, r2, unit, t, prec, dps):
     """For a reduced basis of integer pairs in units of 2^unit: k = pi / r1
     and q^(1/4) = exp(i pi tau / 4), tau = r2 / r1, as triples (``_nome``),
     L = -4 log|q^(1/4)| = pi Im(tau) as a float, the constants
@@ -327,7 +237,7 @@ def _theta_lattice(r1, r2, unit, t):
     ``_wp_fixed`` as triples with the theta constants at 0, and
     (e1, e2, e3) = wp at (r1/2, (r1 + r2)/2, r2/2), g2 and g3 as integers
     (re, im) in units of 2^(2t - W), 2^(4t - W) and 2^(6t - W),
-    W = ``_bits()``, 2^t a size of the lattice's weight 1.
+    W = prec + 16, 2^t a size of the lattice's weight 1.
 
     wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
     and e3 = -k^2 (theta2^4 + theta3^4)/3 at those half periods (DLMF 23.6(i)),
@@ -335,10 +245,10 @@ def _theta_lattice(r1, r2, unit, t):
     and their sums are exact integers, and the e_i are rounded once to
     their unit.
     """
-    wp = mp.prec + 40
-    k = _zdiv((_pi(wp), 0, -wp), (*r1, unit))
-    q4, big_l = _nome(r1, r2)
-    (t2, t3, t4), wp = _theta_constants(q4, big_l)
+    wp = prec + 40
+    k = _zdiv((_pi(wp, prec), 0, -wp), (*r1, unit), prec)
+    q4, big_l = _nome(r1, r2, prec)
+    (t2, t3, t4), wp = _theta_constants(q4, big_l, prec, dps)
     k2, t23 = _zmul(k, k), _cmul(t2, t3)
     c2 = (*_cmul(t23, t23), -4 * wp)  # (theta2 theta3)^2
     big_k2 = _zmul(k2, c2)
@@ -346,13 +256,31 @@ def _theta_lattice(r1, r2, unit, t):
     big_k3 = -2 * big_k3[0], -2 * big_k3[1], big_k3[2]
     p2, p3, p4 = (_cmul(_cmul(x, x), _cmul(x, x)) for x in (t2, t3, t4))
     # e_i = (k^2/3) E_i 2^(-4 wp), with k^2/3 in units of 2^(2t - W).
-    bits = _bits()
+    bits = prec + 16
     s = [_tdiv(_scale(v, k2[2] + bits - 2 * t), 3) for v in k2[:2]]
     sums = [a + b for a, b in zip(p3, p4)], [a - b for a, b in zip(p2, p4)], [-a - b for a, b in zip(p2, p3)]
     e = [_cmul(s, v, 4 * wp) for v in sums]
     g2 = [2 * (a + b + c) >> bits for a, b, c in zip(*(_cmul(v, v) for v in e))]  # units 2^(4t - W)
     g3 = [4 * v >> 2 * bits for v in _cmul(_cmul(e[0], e[1]), e[2])]  # units 2^(6t - W)
     return k, q4, big_l, big_k2, big_k3, e, g2, g3
+
+
+def _wp_thetas(thetas, bits, k2, k3, e3):
+    """(wp, wp') = (K2 R^2 + e3, K3 R S) of ``_wp_fixed`` from the theta sums
+    (theta1, ..., theta4)(v), integer pairs in one unit, which cancels:
+    R = theta4 / theta1 and S = theta2 theta3 / theta1^2 with ``bits``
+    fraction bits, K2 and K3 as (integer, right shift to the result's unit)
+    and e3 in the unit of wp."""
+    (t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i) = thetas
+    # theta_j / theta1 = theta_j conj(theta1) / |theta1|^2.
+    n1 = t1r * t1r + t1i * t1i
+    rr, ri = ((t4r * t1r + t4i * t1i) << bits) // n1, ((t4i * t1r - t4r * t1i) << bits) // n1
+    pr, pi = t2r * t3r - t2i * t3i, t2r * t3i + t2i * t3r  # theta2 theta3
+    cr, ci = t1r * t1r - t1i * t1i, -2 * t1r * t1i  # conj(theta1)^2
+    n2 = n1 * n1
+    s = ((pr * cr - pi * ci) << bits) // n2, ((pr * ci + pi * cr) << bits) // n2
+    wp = _cmul(k2[0], _cmul((rr, ri), (rr, ri)), k2[1])
+    return (wp[0] + e3[0], wp[1] + e3[1]), _cmul(k3[0], _cmul((rr, ri), s), k3[1])
 
 
 def _log_walk(unit, pairs):
@@ -364,23 +292,22 @@ def _log_walk(unit, pairs):
     return unit, ds, (ar + br, ai + bi)
 
 
-def _relative(x):
-    """The mpc x as a triple with prec + ``_ZBITS`` bits below its size
-    (``_fixed``), 0 as (0, 0, 0): a part further below truncates towards 0,
-    so however far apart the parts' exponents lie, the integers stay that
-    size.  For a z or y handed in whole; ``_exact`` serves the curve's own
-    numbers, rounded from integers in one unit."""
-    if not x:
-        return 0, 0, 0
-    wp = mp.prec + _ZBITS - _mag(x)
-    return (*_fixed(x, wp), -wp)
-
-
-def _lattice(w1, w2):
-    """The basis of triples (w1, w2) as integer pairs in one unit, exactly, and the unit."""
-    (ar, ai, ae), (br, bi, be) = w1, w2
-    unit = min(ae, be)
-    return (ar << ae - unit, ai << ae - unit), (br << be - unit, bi << be - unit), unit
+def _periods(e1, e2, e3, unit, prec, dps):
+    """Cremona-Thongjunthug periods w1 = pi / M(a, b) and w2 = pi i / M(a, c)
+    as triples, a = sqrt(e1 - e3), b = +-sqrt(e1 - e2), c = +-sqrt(e2 - e3),
+    of the roots in this order as integer pairs in units of 2^unit, and the
+    ``_log_walk`` of the AGM of (a, b): the roots' differences are exact,
+    and the square roots are in each AGM's unit (``_agm_roots``)."""
+    (r1, i1), (r2, i2), (r3, i3) = e1, e2, e3
+    d13 = r1 - r3, i1 - i3
+    walk = _log_walk(*_agm_roots(d13, (r1 - r2, i1 - i2), unit, prec, dps))
+    unit, pairs = _agm_roots(d13, (r2 - r3, i2 - i3), unit, prec, dps)
+    ar, ai, br, bi = pairs[-1]
+    wp = prec + 40
+    pi = _pi(wp, prec)
+    # 2M = a_N + b_N in units of 2^walk[0], and 2M' likewise.
+    w1 = _zdiv((2 * pi, 0, -wp), (*walk[2], walk[0]), prec)
+    return w1, _zdiv((0, 2 * pi, -wp), (ar + br, ai + bi, unit), prec), walk
 
 
 def _log_start(unit, d3, d2):
@@ -401,7 +328,7 @@ def _log_start(unit, d3, d2):
     return _half(cr + sr), _half(ci + si)
 
 
-def _agm_log(walk, d3, d2):
+def _agm_log(walk, d3, d2, prec):
     """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
     and the lattice, as a triple, from the triples d3 = x - e3 and
     d2 = x - e2.  ``walk`` comes from ``_period_basis`` of the roots
@@ -418,44 +345,32 @@ def _agm_log(walk, d3, d2):
         cr, ci = _half(cr + sr), _half(ci + si)
     # asin's error is absolute, so a small u = M / c (a point with large |x|)
     # needs -log2|u| more bits to keep its relative accuracy.
-    wp = mp.prec + 20 + max(0, _zmag((cr, ci, 0)) - _zmag((*m2, 0)) + 2)
+    wp = prec + 20 + max(0, _zmag((cr, ci, 0)) - _zmag((*m2, 0)) + 2)
     u = _cdiv(m2, (cr, ci), wp - 1)  # (2M / c) / 2 in units of 2^-wp
-    return _zdiv((*_asin(*u, wp), -wp + 1), (*m2, unit))
+    return _zdiv((*_asin(*u, wp, prec), -wp + 1), (*m2, unit), prec)
 
 
-_FAR = 1 << 16  # bits of a z's coordinates below 1 that the reduction keeps
-
-
-def _cell_reduce(z, basis, ten_digits):
-    """(z mod L, num_a, num_b, den) for a triple z and ``basis`` = (w1, w2,
-    unit, det) of ``_cell_coords``: the coordinates (a, b) mod 1 in [0, 1),
-    a = num_a / den, each 0 where it lies within max(|a|, |b|) / ten_digits
-    of an integer, and z mod L = a w1 + b w2 as a triple with W bits to spare.
-    Where max(|a|, |b|) > ten_digits, both are 0 with no k-bit shift; a z
-    more than ``_FAR`` bits below the basis's unit loses its coordinates'
-    bits below 2^-_FAR first (below 10^-19728 of the lattice)."""
-    w1, w2, unit, det = basis
-    na, nb, k = _cell_coords(z, w1, w2, unit, det)
-    if k > 0 and max(abs(na), abs(nb)).bit_length() + k > (ten_digits * det).bit_length():
-        return (0, 0, unit), 0, 0, det
-    if k < -_FAR:
-        na, nb, k = _tshift(na, -k - _FAR), _tshift(nb, -k - _FAR), -_FAR
-    na, nb, den = (na << k, nb << k, det) if k >= 0 else (na, nb, det << -k)
-    tol = max(abs(na), abs(nb))
-    na, nb = (0 if abs(n - _nint(n, den) * den) * ten_digits <= tol else n % den for n in (na, nb))
-    shift = _bits() + max(0, den.bit_length() - max(na.bit_length(), nb.bit_length()))
-    re, im = (_tdiv(na * u + nb * v << shift, den) for u, v in zip(w1, w2))
-    return (re, im, unit - shift), na, nb, den
-
-
-def _translate(x, ei, ej, ek, y, unit):
+def _translate(x, ei, ej, ek, y, unit, prec):
     """x' = e_i + 4 (e_i - e_j)(e_i - e_k)(x - e_j)(x - e_k) / y^2, the x of
     P + T_i for P = (x, y), T_i = (e_i, 0), as a triple: x and the roots are
-    integer pairs in units of 2^unit, y a triple (``_relative``: a small y
-    keeps its digits), and every product is exact."""
+    integer pairs in units of 2^unit, y a triple with bits of its own (a
+    small y keeps its digits), and every product is exact."""
     num = _cmul(_cmul(*(((a[0] - b[0]) << 1, (a[1] - b[1]) << 1) for a, b in ((ei, ej), (ei, ek)))),
                 _cmul(*((x[0] - b[0], x[1] - b[1]) for b in (ej, ek))))
-    return _zadd((*ei, unit), _zdiv((*num, 4 * unit), _zmul(y, y)))
+    return _zadd((*ei, unit), _zdiv((*num, 4 * unit), _zmul(y, y), prec), prec)
+
+
+def _residual2(x, y, g, s12, dt, bits):
+    """(num, den) of the squared on-curve residual |y^2 - (4x^3 - g2 x - g3)|^2
+    against the largest of |y^2|^2, |4x^3 - g2 x - g3|^2 and s^12, all in
+    units of 2^(12t - 6W), W = ``bits``: x and y in units of 2^(2t - W) and
+    2^(3t - W), and the curve's g = (g2, g3) and s^12 in its own units, its
+    t being t - dt.  4x^3, g2 x, g3 and y^2 are exact in units of 2^(6t - 3W)."""
+    g2, g3 = ([v >> k * dt for v in c] for k, c in zip((4, 6), g))
+    x3, g2x = _cmul(_cmul(x, x), x), _cmul(g2, x)
+    rhs = [4 * a - (b << bits) - (c << 2 * bits) for a, b, c in zip(x3, g2x, g3)]
+    lhs = [v << bits for v in _cmul(y, y)]
+    return _dist2(lhs, rhs), max(_dist2(lhs, _ZERO), _dist2(rhs, _ZERO), s12 >> 12 * dt)
 
 
 def _discriminant(g2, g3, b):
@@ -467,21 +382,6 @@ def _discriminant(g2, g3, b):
         (c2r * g2r - c2i * g2i) - (27 * (g3r * g3r - g3i * g3i) << b),
         (c2r * g2i + c2i * g2r) - (27 * 2 * g3r * g3i << b),
     )
-
-
-def _curve_scale(g2, g3, b):
-    """The mpc g2 and g3 as integer pairs in units of 2^(4u - b) and
-    2^(6u - b), u with |g2| < 2^(4u) and |g3| < 2^(6u) read off their
-    exponents, and u; on those integers, the discriminant g2^3 - 27 g3^2 as
-    a triple and scale^2 = max(|g2|^6, |g3|^4) = s^24 as (n, exp), n 2^exp.
-    ``_fixed`` truncates a part further below the unit towards 0, so a wide
-    spread of exponents costs nothing; all are exact when every part lies
-    within b - prec bits of its coefficient's bound."""
-    u = max((-(-(_mag(g) + 1) // k) for g, k in ((g2, 4), (g3, 6)) if g), default=0)
-    g = _fixed(g2, b - 4 * u), _fixed(g3, b - 6 * u)
-    n2, n3 = (re * re + im * im for re, im in g)
-    scale2 = max(n2 * n2 * n2, n3 * n3 << 2 * b), 24 * u - 6 * b
-    return g, u, (*_discriminant(*g, b), 12 * u - 3 * b), scale2
 
 
 def _cardano(g2, g3, b):
@@ -514,7 +414,7 @@ def _cardano(g2, g3, b):
     # q = g2 / (12 u) = (g2 << B) conj(u) / (12 |u|^2), units 2^(2t - B).
     den = 12 * (ur * ur + ui * ui)
     qr, qi = _tdiv((g2r * ur + g2i * ui) << b, den), _tdiv((g2i * ur - g2r * ui) << b, den)
-    wr, wi = _constants().omega()  # exp(2 pi i / 3) in units of 2^-B
+    wr, wi = -(1 << b - 1), math.isqrt(3 << 2 * b) >> 1  # exp(2 pi i / 3) in units of 2^-B
     return [
         (ur + qr, ui + qi),
         (_tdiv(ur * wr - ui * wi + qr * wr + qi * wi, 1 << b), _tdiv(ur * wi + ui * wr - qr * wi + qi * wr, 1 << b)),
@@ -522,12 +422,12 @@ def _cardano(g2, g3, b):
     ]
 
 
-def _chop(roots, unit):
+def _chop(roots, unit, prec):
     """The integer roots (re, im) in units of 2^unit with parts below
     eps = 2^(1 - prec) set to 0 as ``polyroots`` chops them: (0, 0) when
     |r| < eps, else a part with |part| < eps.  Each root rounded once to
     the working precision is then a root of the curve (``_root_out``)."""
-    k = 2 * (1 - mp.prec - unit)  # |v|^2 < eps^2 <=> v^2 < 2^k in units of 2^(2 unit)
+    k = 2 * (1 - prec - unit)  # |v|^2 < eps^2 <=> v^2 < 2^k in units of 2^(2 unit)
     small = (lambda n2: n2 < 1 << k) if k >= 0 else (lambda n2: n2 == 0)
     out = []
     for re, im in roots:

@@ -26,9 +26,11 @@ once (x and y truncated to their units, y also with prec + 40 bits of its
 own where the logarithm translates through a branch point, ``_relative``),
 and the reduced z leaves once, an mpc at the working precision, with its
 coordinates (``_reduce``).  In between z is a triple (re, im, exp) of
-integers, (re + i im) 2^exp (``hfcalc._elementary``).  What depends on the
-working precision alone, 10^dps and 10^(2 (dps - 3)), and on first use pi,
-log 2 and exp(2 pi i / 3), is computed once per precision (``_constants``).
+integers, (re + i im) 2^exp (``hfcalc._elementary``).  Every mpc and
+every conversion lives here; the integer kernels (``hfcalc._fixedpoint``,
+``hfcalc._elementary``) read nothing of mpmath and take the working
+precision as arguments: the curve's, read once at set-up, or the caller's,
+read once by ``complex_agm`` and ``lattice_invariants``.
 
 Numerical scheme (all at a configurable working precision, default 40
 decimal digits, at most MAX_DIGITS, plus internal guard digits; near-singular
@@ -118,18 +120,22 @@ import operator
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_int
 
 from hfcalc._elementary import (
+    _align,
     _ccbrt,
-    _cmul,
-    _constants,
-    _exact,
-    _pi,
+    _cell_coords,
+    _cell_nearest,
+    _cell_reduce,
+    _dist2,
+    _less,
     _scale,
     _tshift,
     _zadd,
+    _ZBITS,
     _zdiv,
+    _ZERO,
     _zfix,
     _zmag,
     _zmul,
@@ -137,29 +143,18 @@ from hfcalc._elementary import (
 )
 from hfcalc._fixedpoint import (
     _agm_log,
-    _agm_mean,
-    _agm_roots,
-    _agm_sequence,
-    _bits,
+    _agm_pairs,
+    _agm_unit,
     _cardano,
-    _cell_coords,
-    _cell_nearest,
-    _cell_reduce,
     _chop,
-    _curve_scale,
-    _dist2,
-    _fixed,
-    _lattice,
-    _less,
-    _log_walk,
-    _mag,
+    _discriminant,
+    _periods,
     _reduce_basis,
-    _relative,
+    _residual2,
     _theta_lattice,
     _theta_sums,
     _translate,
-    _unfixed,
-    _ZERO,
+    _wp_thetas,
 )
 from hfcalc._frozen import Frozen
 from hfcalc.errors import CurveError
@@ -168,8 +163,77 @@ __all__ = ["EllipticCurve", "Divisor", "lattice_invariants", "complex_agm", "car
 
 _GUARD_DIGITS = 25
 MAX_DIGITS = 1000  # curve set-up: about 0.01 s at 400 digits, 0.05 s at 800
+MAX_AGM_GAP = 1 << 16  # bits between complex_agm's moduli: 0.8 s at the limit on one Intel Xeon core
+# lattice_invariants' reduced Im(tau); a curve's stays below (digits log 10
+# + log 1728) / (2 pi), about 368 at MAX_DIGITS, or it would read singular.
+MAX_IM_TAU = 10000
 
 Point = Optional[tuple]  # (x, y) affine, or None for the point at infinity
+
+
+# -- conversions between mpmath and integers ----------------------------------------
+
+
+def _fixed(x, wp):
+    """(Re x, Im x) as integers in units of 2^-wp, truncated towards 0, so
+    that -x and conj(x) give exactly the negated parts; a zero part stays 0."""
+    return to_int(mpf_shift(x.real._mpf_, wp)), to_int(mpf_shift(x.imag._mpf_, wp))
+
+
+def _unfixed(re, im, exp):
+    """The mpc (re + i im) 2^exp, rounded once to the current precision."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
+
+
+def _mag(x):
+    """An integer e with |x| < 2^e for a nonzero mpf or mpc x (mpmath's
+    ``mag``, read off the parts' exponents and bit counts)."""
+    return max(exp + bc for _sign, man, exp, bc in (x.real._mpf_, x.imag._mpf_) if man)
+
+
+def _exact(x):
+    """The mpc or mpf x as a triple (re, im, exp), exactly: exp is the
+    smaller exponent of its nonzero parts, read off mpmath's
+    (sign, mantissa, exponent, bit count) tuples."""
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    exp = min((e for _s, man, e, _bc in parts if man), default=0)
+    re, im = ((-man if sign else man) << e - exp if man else 0 for sign, man, e, _bc in parts)
+    return re, im, exp
+
+
+def _relative(x, prec):
+    """The mpc x as a triple with prec + ``_ZBITS`` bits below its size
+    (``_fixed``), 0 as (0, 0, 0): a part further below truncates towards 0,
+    so however far apart the parts' exponents lie, the integers stay that
+    size.  For a z or y handed in whole; ``_exact`` serves the curve's own
+    numbers, rounded from integers in one unit."""
+    if not x:
+        return 0, 0, 0
+    wp = prec + _ZBITS - _mag(x)
+    return (*_fixed(x, wp), -wp)
+
+
+def _curve_scale(g2, g3, b):
+    """The mpc g2 and g3 as integer pairs in units of 2^(4u - b) and
+    2^(6u - b), u with |g2| < 2^(4u) and |g3| < 2^(6u) read off their
+    exponents, and u; on those integers, the discriminant g2^3 - 27 g3^2 as
+    a triple and scale^2 = max(|g2|^6, |g3|^4) = s^24 as (n, exp), n 2^exp.
+    ``_fixed`` truncates a part further below the unit towards 0, so a wide
+    spread of exponents costs nothing; all are exact when every part lies
+    within b - prec bits of its coefficient's bound."""
+    u = max((-(-(_mag(g) + 1) // k) for g, k in ((g2, 4), (g3, 6)) if g), default=0)
+    g = _fixed(g2, b - 4 * u), _fixed(g3, b - 6 * u)
+    n2, n3 = (re * re + im * im for re, im in g)
+    scale2 = max(n2 * n2 * n2, n3 * n3 << 2 * b), 24 * u - 6 * b
+    return g, u, (*_discriminant(*g, b), 12 * u - 3 * b), scale2
+
+
+def _agm_sequence(a, b, prec, dps):
+    """(unit, pairs) of ``_agm_pairs`` for the nonzero mpc a and b, each
+    truncated to the unit of ``_agm_unit``."""
+    unit = _agm_unit(mp.mag(a), mp.mag(b), prec)
+    return unit, _agm_pairs(*_fixed(a, -unit), *_fixed(b, -unit), dps)
 
 
 def _numbers(values, what):
@@ -190,13 +254,17 @@ def complex_agm(a, b):
 
     At every step the square root sign is chosen so that
     |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|, ties broken towards
-    Im(b/a) > 0.  Converges quadratically away from b = -a.
+    Im(b/a) > 0.  Converges quadratically away from b = -a.  Non-finite
+    input and moduli more than 2^MAX_AGM_GAP apart raise CurveError.
     """
-    a, b = mpc(a), mpc(b)
+    a, b = _numbers((a, b), "AGM arguments")
     if a == 0 or b == 0:
         return mp.zero
-    unit, pairs = _agm_sequence(a, b)
-    return _agm_mean(unit, pairs[-1])
+    if abs(mp.mag(a) - mp.mag(b)) > MAX_AGM_GAP:  # guard bits of _agm_unit
+        raise CurveError(f"AGM arguments more than 2^{MAX_AGM_GAP} apart in modulus")
+    unit, pairs = _agm_sequence(a, b, mp.prec, mp.dps)
+    ar, ai, br, bi = pairs[-1]
+    return _unfixed(ar + br, ai + bi, unit - 1)  # (a_N + b_N)/2
 
 
 def carlson_rf(x, y, z):
@@ -239,17 +307,29 @@ def _nstr_ratio(ratios):
 
 def lattice_invariants(w1, w2):
     """Weierstrass g2, g3 of the lattice Z w1 + Z w2 from the theta constants
-    of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2)."""
-    w1, w2 = mpc(w1), mpc(w2)
-    if mp.im(w2 / w1) < 0:
-        w2 = -w2
-    if mp.im(w2 / w1) == 0:
+    of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2).
+    Non-finite input, dependent periods and a reduced Im(tau) above
+    ``MAX_IM_TAU`` raise CurveError before the theta sums."""
+    w1, w2 = _numbers((w1, w2), "lattice periods")
+    im_tau = mp.im(w2 / w1) if w1 and w2 else 0
+    if im_tau < 0:
+        w2, im_tau = -w2, -im_tau
+    if im_tau == 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    v1, v2, unit = _lattice(_relative(w1), _relative(w2))
-    r1, r2, _matrix = _reduce_basis(v1, v2)
+    # The reduced Im(tau) is the area over the shortest vector squared, at
+    # least the area over min(|w1|, |w2|)^2.
+    if im_tau * max(1, abs(w1 / w2)) ** 2 > MAX_IM_TAU:
+        raise CurveError(f"lattice too elongated: reduced Im(tau) above {MAX_IM_TAU}")
+    prec, dps = mp.prec, mp.dps
+    v1, v2, unit = _align(_relative(w1, prec), _relative(w2, prec))
+    if v1[0] * v2[1] - v1[1] * v2[0] <= 0:
+        raise CurveError("degenerate lattice: periods are R-linearly dependent at working precision")
+    r1, r2, _matrix = _reduce_basis(v1, v2, dps)
+    if r1[0] * r2[1] - r1[1] * r2[0] > MAX_IM_TAU * _dist2(r1, _ZERO):
+        raise CurveError(f"lattice too elongated: reduced Im(tau) above {MAX_IM_TAU}")
     t = 2 - _zmag((*r1, unit))  # |k| = pi / |r1| < 2^t
-    *_rest, g2, g3 = _theta_lattice(r1, r2, unit, t)
-    bits = _bits()
+    *_rest, g2, g3 = _theta_lattice(r1, r2, unit, t, prec, dps)
+    bits = prec + 16
     return _unfixed(*g2, 4 * t - bits), _unfixed(*g3, 6 * t - bits)
 
 
@@ -288,28 +368,17 @@ class Divisor(Frozen):
 def _root_out(re, im, unit):
     """A root of ``_chop`` rounded once to the working precision: an mpf if
     real (0 included), else an mpc."""
-    if im:
-        return _unfixed(re, im, unit)
-    return mp.make_mpf(from_man_exp(re, unit, *mp._prec_rounding))
+    root = _unfixed(re, im, unit)
+    return root if im else root.real
 
 
-def _period_basis(e1, e2, e3):
-    """Cremona-Thongjunthug periods (w1, w2) of the roots in this order, and
-    the ``_log_walk`` of the AGM of (a, b) whose mean M gives w1 = pi / M:
-    the roots' exact integers, their differences exact, and the square
-    roots a, b, c in each AGM's unit (``_agm_roots``)."""
-    roots = [_exact(r) for r in (e1, e2, e3)]
-    unit = min(r[2] for r in roots)
-    (r1, i1), (r2, i2), (r3, i3) = ((r << e - unit, i << e - unit) for r, i, e in roots)
-    d13 = r1 - r3, i1 - i3
-    walk = _log_walk(*_agm_roots(d13, (r1 - r2, i1 - i2), unit))
-    unit, pairs = _agm_roots(d13, (r2 - r3, i2 - i3), unit)
-    ar, ai, br, bi = pairs[-1]
-    wp = mp.prec + 40
-    pi = _pi(wp)
-    # w1 = pi / M and w2 = pi i / M', M = (a_N + b_N)/2 in units of 2^walk[0].
-    w1 = _unfixed(*_zdiv((2 * pi, 0, -wp), (*walk[2], walk[0])))
-    w2 = _unfixed(*_zdiv((0, 2 * pi, -wp), (ar + br, ai + bi, unit)))
+def _period_basis(roots, prec, dps):
+    """``_periods`` of the roots e1, e2, e3 in this order, on their exact
+    integers, with w1 and w2 each rounded once and w2 signed so that
+    Im(w2 / w1) > 0."""
+    *roots, unit = _align(*(_exact(r) for r in roots))
+    w1, w2, walk = _periods(*roots, unit, prec, dps)
+    w1, w2 = _unfixed(*w1), _unfixed(*w2)
     if w2.imag * w1.real < w2.real * w1.imag:  # Im(w2 conj(w1)) < 0: Im(w2 / w1) < 0
         w2 = -w2
     return w1, w2, walk
@@ -324,7 +393,8 @@ class EllipticCurve:
     near the node the logarithm loses about k/2 more, since dz = dx / y
     there ((wp, wp') lose under one digit, measured for k up to 80).  The
     guard digits absorb k up to 20; beyond that the curve adds k - 20
-    working digits.
+    working digits.  The integer kernels take the working precision as
+    arguments, ``_prec`` bits and ``_workdps`` digits, read once at set-up.
     """
 
     def __init__(self, g2, g3, digits: int = 40):
@@ -349,6 +419,7 @@ class EllipticCurve:
             if disc2 * 10 ** 40 < scale2:  # near-singular: k > 20
                 self._workdps += int(mp.ceil(mp.log10(mpf(scale2) / disc2) / 2)) - 20
         with mp.workdps(self._workdps):
+            prec = self._prec = mp.prec
             # Every modulus test compares integer squares (see _log): the
             # thresholds 10^-k enter as the integers 10^2k, the sizes s^k as
             # integers in the units of the numbers they bound.
@@ -356,7 +427,7 @@ class EllipticCurve:
             self._inv_res_tol2 = 10 ** (2 * self.digits - 4)  # 10^-(digits-2): on the curve
             self._inv_root_tol2 = 10 ** (2 * self.digits - 8)  # 10^-(digits-4): at a root
             self._ten_digits = 10 ** self.digits  # frac_coords
-            bits = self._bits = _bits()
+            bits = self._bits = prec + 16  # W
             t = self._t = -(-(scale2.bit_length() + e) // 24)  # s <= 2^t
             s12 = math.isqrt(_scale(scale2, e + 12 * bits - 24 * t))  # units 2^(12t - 6W)
             # s^4, s^6 and s^12 against |x|^2, |y|^2 and the on-curve sides squared.
@@ -364,12 +435,12 @@ class EllipticCurve:
             # g2 and g3 in units of 2^(4t - B) and 2^(6t - B), B = 2 prec + 20, for
             # Cardano (t <= u, and B >= b0 on a near-singular curve: exact
             # shifts), and truncated from there to 2^(4t - W) and 2^(6t - W).
-            b = 2 * mp.prec + 20
+            b = 2 * prec + 20
             g = [(re << k * (u - t) + b - b0, im << k * (u - t) + b - b0) for (re, im), k in zip(g, (4, 6))]
             self._g_fixed = tuple((_tshift(re, b - bits), _tshift(im, b - bits)) for re, im in g)
             # Beyond |x| = 10^(workdps/2) s^2, wp(z) = z^-2 (1 + g2 z^4/20 + ...)
             # gives z = x^(-1/2) at working precision: |x|^2 > s^4 10^workdps.
-            self._far2 = self._sizes[0] * _constants().ten_dps, 4 * t - 2 * bits
+            self._far2 = self._sizes[0] * 10 ** self._workdps, 4 * t - 2 * bits
             self.roots = self._sorted_roots(*g, b)
             self.w1, self.w2, self._walk = self._compute_periods()
 
@@ -382,7 +453,7 @@ class EllipticCurve:
         2^(2t - W) go to ``_roots_fixed``, so a branch point given as a
         printed root is that root."""
         unit = 2 * self._t - b
-        roots = _chop(_cardano(g2, g3, b), unit)
+        roots = _chop(_cardano(g2, g3, b), unit, self._prec)
         size2 = max(re * re + im * im for re, im in roots)
         real = all(im * im * 10 ** (2 * self.digits) < size2 for _re, im in roots)
         if real:
@@ -396,23 +467,24 @@ class EllipticCurve:
         """Periods and the logarithm's AGM walk, checked by the reduced basis's
         theta constants; for each root the half period where wp takes it, and
         its fixed-point value and gap for ``_log``."""
-        w1, w2, walk = _period_basis(*self.roots)
+        prec, dps = self._prec, self._workdps
+        w1, w2, walk = _period_basis(self.roots, prec, dps)
         # The basis, its reduction and their Cramer determinants as exact
         # integers, for the reductions of _wp_fixed and _reduce.
-        v1, v2, unit = _lattice(_exact(w1), _exact(w2))
-        r1, r2, (a, b, c, d) = _reduce_basis(v1, v2)
-        self.tau = _unfixed(*_zdiv((*v2, unit), (*v1, unit)))
+        v1, v2, unit = _align(_exact(w1), _exact(w2))
+        r1, r2, (a, b, c, d) = _reduce_basis(v1, v2, dps)
+        self.tau = _unfixed(*_zdiv((*v2, unit), (*v1, unit), prec))
         self._reduced = _unfixed(*r1, unit), _unfixed(*r2, unit)
         self._basis = [(x, y, unit, x[0] * y[1] - x[1] * y[0]) for x, y in ((v1, v2), (r1, r2))]
         # |z| < 10^-(workdps-5) rho, rho = |r1|: a reduced basis starts with a shortest vector.
-        self._pole = _dist2(r1, _ZERO), _constants().inside[1] // 10 ** 10
+        self._pole = _dist2(r1, _ZERO), 10 ** (2 * dps - 10)
         bits, t = self._bits, self._t
-        self._k, self._q4, self._big_l, k2, k3, theta_e, g2r, g3r = _theta_lattice(r1, r2, unit, t)
+        self._k, self._q4, self._big_l, k2, k3, theta_e, g2r, g3r = _theta_lattice(r1, r2, unit, t, prec, dps)
         # K2 R^2 and K3 R S (R and S with W + 4 fraction bits each) shift
         # right by these to the units of wp and wp'.
         (k2, m2), (k3, m3) = _zfix(k2, bits), _zfix(k3, bits)
         frac = 2 * (bits + 4)
-        self._wp_constants = (k2, 2 * t - bits + m2 + frac), (k3, 3 * t - bits + m3 + frac), theta_e[2]
+        self._wp_constants = bits + 4, (k2, 2 * t - bits + m2 + frac), (k3, 3 * t - bits + m3 + frac), theta_e[2]
         # g2 and g3 have weights 4 and 6: measured on s^4 and s^6, in units
         # of 2^(8t - 2W) and 2^(12t - 2W).
         (g2f, g3f), (s4, _s6, s12) = self._g_fixed, self._sizes
@@ -441,19 +513,19 @@ class EllipticCurve:
     def coords(self, z) -> tuple:
         """Real coordinates (a, b) with z = a w1 + b w2."""
         with mp.workdps(self._workdps):
-            na, nb, k = _cell_coords(_relative(mpc(z)), *self._basis[0])
+            na, nb, k = _cell_coords(_relative(mpc(z), self._prec), *self._basis[0])
             det, (prec, rnd) = self._basis[0][3], mp._prec_rounding
             return tuple(mp.make_mpf(mpf_shift(from_rational(n, det, prec, rnd), k)) for n in (na, nb))
 
     def reduce_fundamental(self, z):
         """Representative with z = a w1 + b w2, a, b in [0, 1)."""
         with mp.workdps(self._workdps):
-            return self._reduce(_relative(mpc(z)))[0]
+            return self._reduce(_relative(mpc(z), self._prec))[0]
 
     def frac_coords(self, z) -> tuple:
         """(a, b) mod 1, in [0, 1), with z = a w1 + b w2 (see ``_reduce``)."""
         with mp.workdps(self._workdps):
-            return self._reduce(_relative(mpc(z)))[1:]
+            return self._reduce(_relative(mpc(z), self._prec))[1:]
 
     def _reduce(self, z) -> tuple:
         """(z mod L, a, b) for a triple z, the one conversion out: z mod L
@@ -462,7 +534,7 @@ class EllipticCurve:
         10^-digits max(|a|, |b|) of an integer is that integer: guard-digit
         noise reads 0, not 1e-127 or 1 - 1e-127, while a small z keeps its
         small coordinates.  Each of z mod L, a and b is rounded once."""
-        z, na, nb, den = _cell_reduce(z, self._basis[0], self._ten_digits)
+        z, na, nb, den = _cell_reduce(z, self._basis[0], self._ten_digits, self._bits)
         prec, rnd = mp._prec_rounding
         return _unfixed(*z), *(mp.make_mpf(from_rational(n, den, prec, rnd)) for n in (na, nb))
 
@@ -474,12 +546,13 @@ class EllipticCurve:
 
     # -- Weierstrass functions ------------------------------------------------------
 
-    def wp_pair_raw(self, z) -> tuple:
-        """(wp(z), wp'(z)) without precision management; z must avoid L.
-        The integers of ``_wp_fixed``, each rounded once."""
-        (pr, pi), (qr, qi) = self._wp_fixed(_relative(mpc(z)))
-        t, bits = self._t, self._bits
-        return _unfixed(pr, pi, 2 * t - bits), _unfixed(qr, qi, 3 * t - bits)
+    def wp_pair(self, z) -> tuple:
+        """(wp(z), wp'(z)); z must avoid L.  The integers of ``_wp_fixed``,
+        each rounded once."""
+        with mp.workdps(self._workdps):
+            (pr, pi), (qr, qi) = self._wp_fixed(_relative(mpc(z), self._prec))
+            t, bits = self._t, self._bits
+            return _unfixed(pr, pi, 2 * t - bits), _unfixed(qr, qi, 3 * t - bits)
 
     def _wp_fixed(self, z) -> tuple:
         """(wp(z), wp'(z)) of a triple z as integers (re, im) in units of
@@ -509,22 +582,8 @@ class EllipticCurve:
             z = _cell_nearest(z, basis)
         if _less(_dist2(z, _ZERO) * ten2, 2 * z[2], n1, 2 * unit):  # |z| < 10^-(workdps-5) rho
             raise CurveError("wp evaluated at a lattice point")
-        ((t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i)), _exp = _theta_sums(self._q4, self._big_l, _zmul(self._k, z))
-        bits = self._bits + 4
-        # theta_j / theta1 = theta_j conj(theta1) / |theta1|^2; the units 2^exp cancel.
-        n1 = t1r * t1r + t1i * t1i
-        rr, ri = ((t4r * t1r + t4i * t1i) << bits) // n1, ((t4i * t1r - t4r * t1i) << bits) // n1
-        pr, pi = t2r * t3r - t2i * t3i, t2r * t3i + t2i * t3r  # theta2 theta3
-        cr, ci = t1r * t1r - t1i * t1i, -2 * t1r * t1i  # conj(theta1)^2
-        n2 = n1 * n1
-        s = ((pr * cr - pi * ci) << bits) // n2, ((pr * ci + pi * cr) << bits) // n2
-        (k2, shift2), (k3, shift3), e3 = self._wp_constants
-        wp = _cmul(k2, _cmul((rr, ri), (rr, ri)), shift2)
-        return (wp[0] + e3[0], wp[1] + e3[1]), _cmul(k3, _cmul((rr, ri), s), shift3)
-
-    def wp_pair(self, z) -> tuple:
-        with mp.workdps(self._workdps):
-            return self.wp_pair_raw(z)
+        thetas, _exp = _theta_sums(self._q4, self._big_l, _zmul(self._k, z), self._prec, self._workdps)
+        return _wp_thetas(thetas, *self._wp_constants)
 
     # -- point and divisor utilities ---------------------------------------------
 
@@ -545,21 +604,10 @@ class EllipticCurve:
         of |y^2|^2, |4x^3 - g2 x - g3|^2 and s^12 (both sides have weight 6),
         all in units of 2^(12t - 6W)."""
         t, big_x, big_y = self._fixed_point(x, y)
-        num, den = self._residual2(t - self._t, big_x, big_y)
+        num, den = _residual2(big_x, big_y, self._g_fixed, self._sizes[2], t - self._t, self._bits)
         if num * self._inv_res_tol2 > den:
             raise CurveError(f"point is not on the curve: residual {_nstr_ratio([(num, den)])}")
         return t, big_x, big_y
-
-    def _residual2(self, dt, big_x, big_y) -> tuple:
-        """(num, den) of the squared on-curve residual of ``_require_on_curve``,
-        dt = t - (the curve's t), with 4x^3, g2 x, g3 and y^2 exact in units
-        of 2^(6t - 3W)."""
-        bits = self._bits
-        g2, g3 = ([v >> k * dt for v in g] for k, g in zip((4, 6), self._g_fixed))
-        x3, g2x = _cmul(_cmul(big_x, big_x), big_x), _cmul(g2, big_x)
-        rhs = [4 * a - (b << bits) - (c << 2 * bits) for a, b, c in zip(x3, g2x, g3)]
-        lhs = [v << bits for v in _cmul(big_y, big_y)]
-        return _dist2(lhs, rhs), max(_dist2(lhs, _ZERO), _dist2(rhs, _ZERO), self._sizes[2] >> 12 * dt)
 
     def point_at(self, z) -> Point:
         """Forward parametrization z -> (wp(z), wp'(z))."""
@@ -588,7 +636,7 @@ class EllipticCurve:
         t, big_x, big_y = self._require_on_curve(x, y)
         # Squares in units of 2^(4t - 2W) for x and 2^(6t - 2W) for y
         # (_fixed_point); the curve's integers, in its own t, shift by dt.
-        bits, dt = self._bits, t - self._t
+        bits, prec, dt = self._bits, self._prec, t - self._t
         s4, s6, _s12 = (v >> k * dt for k, v in zip((4, 6, 12), self._sizes))
         roots = [(_tshift(r, 2 * dt), _tshift(i, 2 * dt)) for r, i in self._roots_fixed]
         dist2 = [_dist2(big_x, r) for r in roots]
@@ -598,16 +646,16 @@ class EllipticCurve:
             return self._half_exact[i], i
         unit = 2 * t - bits  # of x and the roots
         if y and 16 * dist2[i] < self._gaps[i] >> 4 * dt:
-            x_log = _translate(big_x, roots[i], roots[i - 1], roots[i - 2], _relative(y), unit)
+            x_log = _translate(big_x, roots[i], roots[i - 1], roots[i - 2], _relative(y, prec), unit, prec)
             shift = self._half_exact[i]
         else:
             x_log, shift = (*big_x, unit), None
         if _less(*self._far2, _dist2(x_log, _ZERO), 2 * x_log[2]):
-            z = _zdiv((1, 0, 0), _zsqrt(x_log))
+            z = _zdiv((1, 0, 0), _zsqrt(x_log, prec), prec)
         else:
-            z = _agm_log(self._walk, *(_zadd(x_log, (*roots[j], unit), -1) for j in (2, 1)))
+            z = _agm_log(self._walk, *(_zadd(x_log, (*roots[j], unit), prec, -1) for j in (2, 1)), prec)
         if shift:
-            z = _zadd(z, shift)
+            z = _zadd(z, shift, prec)
         big_p, (ppr, ppi) = ([v >> k * dt for v in w] for k, w in zip((2, 3), self._wp_fixed(z)))
         if ppr * big_y[0] + ppi * big_y[1] < 0:  # |pp - y| > |pp + y|: Re(pp conj(y)) < 0
             z, ppr, ppi = (-z[0], -z[1], z[2]), -ppr, -ppi
@@ -653,7 +701,7 @@ class EllipticCurve:
             return self._log(terms[0][0])
         total = 0, 0, 0
         for pt, mult in terms:
-            total = _zadd(total, self._log(pt)[0], mult)
+            total = _zadd(total, self._log(pt)[0], self._prec, mult)
         return total, None
 
     def aj(self, divisor: Divisor):

@@ -23,7 +23,6 @@ carry no ring.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as iproduct
 from typing import Mapping
 
 from hfcalc._frozen import Frozen
@@ -156,9 +155,16 @@ class RingModel(Frozen):
 
     def graded_dimensions(self) -> Counter:
         """degree -> number of basis monomials (exponents below each rule's
-        power) of that degree, counted in one pass over the basis."""
-        ranges = [range(power) for power, _tail in self.rules]
-        return Counter(self.monomial_degree(m) for m in iproduct(*ranges))
+        power) of that degree: the product over generators of degree d of
+        1 + t^d + ... + t^(d (power - 1)), at the tables' cost, not the basis's."""
+        dims = Counter({0: 1})
+        for (_name, deg), (power, _tail) in zip(self.generators, self.rules):
+            step = Counter()
+            for d, n in dims.items():
+                for e in range(d, d + power * deg, deg):
+                    step[e] += n
+            dims = step
+        return dims
 
     def graded_dimension(self, degree: int) -> int:
         return self.graded_dimensions()[degree]

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from hfcalc import _fixedpoint, abeljacobi
+from hfcalc import _elementary, _fixedpoint, abeljacobi
 from hfcalc.abeljacobi import Divisor, EllipticCurve, _numbers, _period_basis, complex_agm, lattice_invariants
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import jacobian
@@ -54,17 +55,17 @@ def cubic_roots(g2, g3, t):
     ``_cardano`` at B = 2 prec + 20 bits, 2^t a bound on the curve's size,
     chopped (``_chop``) and each rounded once (``_root_out``)."""
     b = 2 * mp.prec + 20
-    g = _fixedpoint._fixed(g2, b - 4 * t), _fixedpoint._fixed(g3, b - 6 * t)
-    roots = _fixedpoint._chop(_fixedpoint._cardano(*g, b), 2 * t - b)
+    g = abeljacobi._fixed(g2, b - 4 * t), abeljacobi._fixed(g3, b - 6 * t)
+    roots = _fixedpoint._chop(_fixedpoint._cardano(*g, b), 2 * t - b, mp.prec)
     return [abeljacobi._root_out(*r, 2 * t - b) for r in roots]
 
 
 def reduce_tau(w1, w2):
     """``_reduce_basis`` on the exact integers of w1 and w2: the reduced
     basis, each vector rounded once, and the matrix."""
-    v1, v2, unit = _fixedpoint._lattice(abeljacobi._exact(w1), abeljacobi._exact(w2))
-    r1, r2, matrix = _fixedpoint._reduce_basis(v1, v2)
-    return _fixedpoint._unfixed(*r1, unit), _fixedpoint._unfixed(*r2, unit), matrix
+    v1, v2, unit = _elementary._align(abeljacobi._exact(w1), abeljacobi._exact(w2))
+    r1, r2, matrix = _fixedpoint._reduce_basis(v1, v2, mp.dps)
+    return abeljacobi._unfixed(*r1, unit), abeljacobi._unfixed(*r2, unit), matrix
 
 
 def point_from_x(e, x, sign=1):
@@ -99,7 +100,7 @@ def on_curve_residual(e, pt):
     exact on the check's fixed-point coordinates."""
     with mp.workdps(e._workdps):
         t, big_x, big_y = e._fixed_point(*_numbers(pt, "point coordinates"))
-        num, den = e._residual2(t - e._t, big_x, big_y)
+        num, den = _fixedpoint._residual2(big_x, big_y, e._g_fixed, e._sizes[2], t - e._t, e._bits)
         return mp.sqrt(mpf(num) / den)
 
 
@@ -166,7 +167,8 @@ def curve_agm_start(e):
 
 def agm_log(walk, e2, e3, x):
     """``_agm_log`` on mpc arguments: x - e3 and x - e2 in as triples, z out as an mpc."""
-    return abeljacobi._unfixed(*abeljacobi._agm_log(walk, abeljacobi._exact(x - e3), abeljacobi._exact(x - e2)))
+    d3, d2 = abeljacobi._exact(x - e3), abeljacobi._exact(x - e2)
+    return abeljacobi._unfixed(*abeljacobi._agm_log(walk, d3, d2, mp.prec))
 
 
 def log_start(unit, e2, e3, x):
@@ -243,7 +245,7 @@ class TestPeriods:
         with mp.workdps(e._workdps):
             tol = mpf(10) ** (-(e.digits - 3))
             for order in itertools.permutations(e.roots):
-                w1, w2, _pairs = _period_basis(*order)
+                w1, w2, _pairs = _period_basis(order, mp.prec, mp.dps)
                 g2r, g3r = lattice_invariants(w1, w2)
                 assert abs(g2r - e.g2) <= tol * max(1, abs(e.g2)), order
                 assert abs(g3r - e.g3) <= tol * max(1, abs(e.g3)), order
@@ -258,25 +260,23 @@ class TestPeriods:
             # differences of the roots' integers, and w1 = pi / M from its
             # mean, one division rounded once.
             walk_unit, ds, m2 = e._walk
-            roots = [abeljacobi._exact(r) for r in e.roots]
-            low = min(exp for _re, _im, exp in roots)
-            (r1, i1), (r2, i2), (r3, i3) = ((re << exp - low, im << exp - low) for re, im, exp in roots)
-            agm = _fixedpoint._agm_roots((r1 - r3, i1 - i3), (r1 - r2, i1 - i2), low)
+            (r1, i1), (r2, i2), (r3, i3), low = _elementary._align(*(abeljacobi._exact(r) for r in e.roots))
+            agm = _fixedpoint._agm_roots((r1 - r3, i1 - i3), (r1 - r2, i1 - i2), low, mp.prec, mp.dps)
             assert _fixedpoint._log_walk(*agm) == e._walk
             wp = mp.prec + 40
-            pi = (2 * _fixedpoint._pi(wp), 0, -wp)
-            assert e.w1 == _fixedpoint._unfixed(*_fixedpoint._zdiv(pi, (*m2, walk_unit)))
+            pi = (2 * _elementary._pi(wp, mp.prec), 0, -wp)
+            assert e.w1 == abeljacobi._unfixed(*_elementary._zdiv(pi, (*m2, walk_unit), mp.prec))
             # The same AGM started from mpc square roots gives the same
             # numbers to the working precision.
             a, b = curve_agm_start(e)
-            unit, pairs = abeljacobi._agm_sequence(a, b)
-            m, tol = _fixedpoint._agm_mean(unit, pairs[-1]), mpf(10) ** -(e._workdps - 3)
-            assert abs(_fixedpoint._unfixed(*m2, walk_unit - 1) - m) <= tol * abs(m)
+            unit, pairs = abeljacobi._agm_sequence(a, b, mp.prec, mp.dps)
+            m, tol = complex_agm(a, b), mpf(10) ** -(e._workdps - 3)
+            assert m == abeljacobi._unfixed(pairs[-1][0] + pairs[-1][2], pairs[-1][1] + pairs[-1][3], unit - 1)
+            assert abs(abeljacobi._unfixed(*m2, walk_unit - 1) - m) <= tol * abs(m)
             assert abs(e.w1 - mp.pi / m) <= tol * abs(e.w1)
-            assert complex_agm(a, b) == m
             assert len(ds) == len(pairs) - 1 >= 1
             for (dr, di), (an, bn) in zip(ds, agm_values(unit, pairs[1:])):
-                d = _fixedpoint._unfixed(dr, di, 2 * walk_unit)
+                d = abeljacobi._unfixed(dr, di, 2 * walk_unit)
                 assert abs(d - (an * an - bn * bn)) <= mpf(10) ** -(e._workdps - 3) * abs(an) ** 2
 
     def test_hostile_precision_rejected(self):
@@ -288,8 +288,8 @@ class TestPeriods:
         # two roots nearest one theta value leave a root without one.
         theta_lattice = abeljacobi._theta_lattice
 
-        def merged(r1, r2, unit, t):
-            *head, (e1, _e2, e3), g2, g3 = theta_lattice(r1, r2, unit, t)
+        def merged(*args):
+            *head, (e1, _e2, e3), g2, g3 = theta_lattice(*args)
             return (*head, (e1, e1, e3), g2, g3)
 
         monkeypatch.setattr(abeljacobi, "_theta_lattice", merged)
@@ -378,14 +378,14 @@ class TestEllipticLog:
         e = EllipticCurve(g2, g3, digits=30)
         with mp.workdps(e._workdps):
             floor = mpf(10) ** (-(e._workdps - 5))
-            unit, pairs = abeljacobi._agm_sequence(*curve_agm_start(e))
+            unit, pairs = abeljacobi._agm_sequence(*curve_agm_start(e), mp.prec, mp.dps)
             for u, v in (("0.21", "0.37"), ("0.05", "0.9")):
                 x, _y = e.point_at(mpf(u) * e.w1 + mpf(v) * e.w2)
                 zr = abeljacobi.carlson_rf(*(x - root for root in e.roots))
                 for k in range(1, len(pairs)):
                     (a, b), = agm_values(unit, pairs[k : k + 1])
                     r = abs(a - b) / abs(a)
-                    walk = abeljacobi._log_walk(unit, pairs[: k + 1])
+                    walk = _fixedpoint._log_walk(unit, pairs[: k + 1])
                     z = agm_log(walk, e.roots[1], e.roots[2], x)
                     d = min(e.lattice_distance(z - zr), e.lattice_distance(z + zr)) / abs(e.w1)
                     assert d <= r ** mpf("1.5") + floor, (u, v, k)
@@ -565,6 +565,39 @@ class TestEdgeCases:
             assert e.lattice_distance(e.aj(d)) < TOL9
 
 
+class TestLibraryLimits:
+    """complex_agm and lattice_invariants refuse what they cannot compute
+    with a CurveError, at once."""
+
+    @pytest.mark.parametrize("call, args", [
+        (complex_agm, (mp.inf, 1)),
+        (complex_agm, ("x", 1)),
+        (complex_agm, (1, mpf("1e-100000000"))),  # integers of 10^8 bits
+        (lattice_invariants, (1, "x")),
+        (lattice_invariants, (mp.nan, 1j)),
+        (lattice_invariants, (0, 1j)),
+        (lattice_invariants, (1, mpc(0, "1e100"))),  # reduced Im(tau) 10^100
+        (lattice_invariants, (1, mpc(0, "1e-100000000"))),  # 10^(10^8)
+        (lattice_invariants, (1, mpc("0.5", "1e-10"))),  # found only by the reduction
+        (lattice_invariants, (1, mpc("1e30", 1))),  # dependent at 15 digits
+    ], ids=["agm-inf", "agm-text", "agm-gap", "text", "nan", "zero", "tau-1e100", "tau-1e1e8", "tau-reduced",
+            "dependent"])
+    def test_refused_at_once(self, call, args):
+        start = time.perf_counter()
+        with pytest.raises(CurveError):
+            call(*args)
+        assert time.perf_counter() - start < 0.1
+
+    def test_long_lattices_below_the_bound(self):
+        # At Im(tau) = 1000, q = exp(-2000 pi) vanishes at any precision here:
+        # g2 = (2 pi)^4 / 12 and g3 = (2 pi)^6 / 216 for w1 = 1.
+        with mp.workdps(50):
+            for w2 in (1000j, mpc("0.3", 1000), mpc(0, abeljacobi.MAX_IM_TAU - 1)):
+                g2, g3 = lattice_invariants(1, w2)
+                assert abs(g2 - (2 * mp.pi) ** 4 / 12) <= mpf(10) ** -47 * g2.real
+                assert abs(g3 - (2 * mp.pi) ** 6 / 216) <= mpf(10) ** -47 * g3.real
+
+
 class TestTorsion:
     def test_two_torsion(self, lemniscatic):
         assert torsion_order(lemniscatic, (lemniscatic.roots[0], 0), 5) == 2
@@ -637,7 +670,7 @@ def assert_wp_matches_laurent(e, radius="0.25"):
         want = reference_laurent(e.g2, e.g3, int(e._workdps / -mp.log10(radius ** 2)) + 10)
         for phase in (0, 1, 2.5, 4):
             z = radius * rho(e) * mp.expj(phase)
-            p, pp = e.wp_pair_raw(z)
+            p, pp = e.wp_pair(z)
             rp, rpp = reference_wp_pair(want, z)
             assert abs(p - rp) <= tol * abs(rp)
             assert abs(pp - rpp) <= tol * abs(rpp)
@@ -661,7 +694,7 @@ class TestLaurentTable:
 
 def theta_values(q4, big_l, v):
     """The four theta values of the fixed-point ``_theta_sums`` as mpc."""
-    sums, exp = abeljacobi._theta_sums(abeljacobi._exact(q4), big_l, abeljacobi._exact(mpc(v)))
+    sums, exp = abeljacobi._theta_sums(abeljacobi._exact(q4), big_l, abeljacobi._exact(mpc(v)), mp.prec, mp.dps)
     return tuple(abeljacobi._unfixed(re, im, exp) for re, im in sums)
 
 
@@ -811,12 +844,12 @@ class TestAgmKernel:
         with mp.workdps(dps):
             e2, e3 = e1 - b * b, e1 - a * a
             tol = mpf(10) ** -(dps - 3)
-            unit, pairs = abeljacobi._agm_sequence(a, b)
+            unit, pairs = abeljacobi._agm_sequence(a, b, mp.prec, mp.dps)
             want = reference_agm_sequence(a, b)
             assert len(pairs) == len(want)
             for (ga, gb), (wa, wb) in zip(agm_values(unit, pairs), want):
                 assert abs(ga - wa) <= tol * abs(wa) and abs(gb - wb) <= tol * abs(wb)
-            walk = abeljacobi._log_walk(unit, pairs)
+            walk = _fixedpoint._log_walk(unit, pairs)
             z, zr = agm_log(walk, e2, e3, x), reference_agm_log(want, e3, x)
             mean = abeljacobi._unfixed(*walk[2], walk[0] - 1)
             assert abs(z - zr) <= tol * max(abs(zr), 1 / abs(mean))
@@ -834,7 +867,7 @@ class TestAgmKernel:
         with mp.workdps(dps):
             a = mpf(10) ** size * mp.expj(angle)
             b = -mp.conj(a) if negate else mp.conj(a)
-            _unit, pairs = abeljacobi._agm_sequence(a, b)
+            _unit, pairs = abeljacobi._agm_sequence(a, b, mp.prec, mp.dps)
             for ar, ai, br, bi in pairs[1:]:
                 assert (ar, br) == (0, 0) if negate else (ai, bi) == (0, 0)
 
@@ -845,10 +878,10 @@ class TestAgmKernel:
     @example(4 ** 50, 0)
     @example(1, 1)
     def test_csqrt(self, re, im):
-        r, i = _fixedpoint._csqrt(re, im)
+        r, i = _elementary._csqrt(re, im)
         assert r >= 0
         if im:
-            assert _fixedpoint._csqrt(re, -im) == (r, -i)
+            assert _elementary._csqrt(re, -im) == (r, -i)
         else:  # an exact 0 part: sqrt of a real is real, or i sqrt(-re)
             assert i == 0 if re >= 0 else r == 0
         # (r + i j)^2 = re + im j to the rounding of one unit of the root.
@@ -888,7 +921,7 @@ class TestSignTests:
                 assert nearer(a, b) == want
             # One AGM step from (a, b): the same rule on (a1, sqrt(a b)).  The
             # integer pair holds a1 and b1 to 2^unit, the AGM's rounding unit.
-            unit, pairs = abeljacobi._agm_sequence(a, b)
+            unit, pairs = abeljacobi._agm_sequence(a, b, mp.prec, mp.dps)
             (a1, b1), = agm_values(unit, pairs[1:2])
             root, ulp = mp.sqrt(a * b), mpf(2) ** (unit + 1)
             assert abs(a1 - (a + b) / 2) <= ulp + mp.eps * abs(a1)
@@ -904,7 +937,7 @@ class TestSignTests:
         # breaks towards Im(b/a) > 0; from (3, -1), i sqrt(3) already has it.
         # The integer pairs keep the exact 0 parts.
         for a, b, sign in ((-3, 1, -1), (3, -1, 1)):
-            unit, pairs = abeljacobi._agm_sequence(mpf(a), mpf(b))
+            unit, pairs = abeljacobi._agm_sequence(mpf(a), mpf(b), mp.prec, mp.dps)
             assert pairs[1] == (sign << -unit, 0, 0, sign * math.isqrt(3 << (-2 * unit)))
 
     @settings(max_examples=30, deadline=None)
@@ -1358,7 +1391,7 @@ class TestLogContract:
                     eps *= mpf(factor) * limit / miss_by_moduli(e, pt, z0 + eps * e.w1)
                 wrong = z0 + eps * e.w1
                 res = miss_by_moduli(e, pt, wrong)
-            monkeypatch.setattr(abeljacobi, "_agm_log", lambda walk, d3, d2: abeljacobi._exact(wrong))
+            monkeypatch.setattr(abeljacobi, "_agm_log", lambda walk, d3, d2, prec: abeljacobi._exact(wrong))
             if res > limit:
                 with pytest.raises(CurveError) as info:
                     e.elliptic_log(pt)
@@ -1497,7 +1530,7 @@ def log_start_cases(draw):
 
 
 def reference_wp_pair_theta(e, z):
-    """``wp_pair_raw`` as the mpc formula it replaced, on the plain mpc theta
+    """``wp_pair`` as the mpc formula it replaced, on the plain mpc theta
     loop: wp = k^2 [(theta2 theta3 theta4(v) / theta1(v))^2 - (theta2^4 + theta3^4)/3],
     wp' = -2 k^3 (theta2 theta3 theta4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3."""
     r1, r2 = e._reduced
@@ -1530,7 +1563,7 @@ class TestIntegerGlue:
         # equally near and either step is right.
         dps, a, b, (_e1, e2, e3), x = case
         with mp.workdps(dps):
-            unit, _pairs = abeljacobi._agm_sequence(a, b)
+            unit, _pairs = abeljacobi._agm_sequence(a, b, mp.prec, mp.dps)
             cr, ci = log_start(unit, e2, e3, x)
             bound, tie = 2 - mp.prec, mpf(2) ** (8 - mp.prec)
         with mp.workdps(dps + 20):
@@ -1573,7 +1606,7 @@ class TestIntegerGlue:
             s2, s3 = sizes(e)
             zs = [mpf(a) * w1 + mpf(b) * w2, near, -near, near * 1j, w1 / 2, w2 / 2, (w1 + w2) / 2]
             for z in zs:
-                p, pp = e.wp_pair_raw(z)
+                p, pp = e.wp_pair(z)
                 with mp.workdps(e._workdps + 20):
                     rp, rpp = reference_wp_pair_theta(e, z)
                     assert abs(p - rp) <= tol * max(abs(rp), s2), z
@@ -1632,8 +1665,8 @@ def fixed_sqrt(z):
     bits, rounded once to the current precision."""
     if not z:
         return mpc(0)
-    k = (_fixedpoint._mag(z) >> 1) - mp.prec - 10  # z in units of 2^(2k), the root in 2^k
-    return _fixedpoint._unfixed(*_fixedpoint._csqrt(*_fixedpoint._fixed(z, -2 * k)), k)
+    k = (abeljacobi._mag(z) >> 1) - mp.prec - 10  # z in units of 2^(2k), the root in 2^k
+    return abeljacobi._unfixed(*_elementary._csqrt(*abeljacobi._fixed(z, -2 * k)), k)
 
 
 @st.composite
@@ -1689,14 +1722,15 @@ class TestIntegerSetUp:
         dps, x, y, *_rest = case
         with mp.workdps(dps):
             q4 = mp.expj(mp.pi * mpc(x, y) / 4)
-            consts, wp = _fixedpoint._theta_constants(abeljacobi._exact(q4), float(mp.pi * y))
+            consts, wp = _fixedpoint._theta_constants(abeljacobi._exact(q4), float(mp.pi * y), mp.prec, mp.dps)
             got = [abeljacobi._unfixed(re, im, -wp) for re, im in consts]
             with mp.workdps(dps + 20):
                 _theta1, *want = reference_theta(q4, mp.zero)
             for g, w in zip(got, want):
                 assert abs(g - w) <= mpf(10) ** -(dps - 2) * abs(w), (g, w)
         with mp.workdps(dps):  # a real nome gives exactly real constants
-            consts, _wp = _fixedpoint._theta_constants(abeljacobi._exact(mp.expj(mp.pi * mpc(0, y) / 4)), float(mp.pi * y))
+            q4 = abeljacobi._exact(mp.expj(mp.pi * mpc(0, y) / 4))
+            consts, _wp = _fixedpoint._theta_constants(q4, float(mp.pi * y), mp.prec, mp.dps)
             assert all(im == 0 for _re, im in consts)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1711,7 +1745,7 @@ class TestIntegerSetUp:
         s2, s3 = sizes(e)
         with mp.workdps(e._workdps):
             (r1, r2), bits, t = e._reduced, e._bits, e._t
-            k, q4, _big_l, k2, k3, es, g2, g3 = abeljacobi._theta_lattice(*e._basis[1][:3], t)
+            k, q4, _big_l, k2, k3, es, g2, g3 = abeljacobi._theta_lattice(*e._basis[1][:3], t, mp.prec, mp.dps)
             k, q4, k2, k3 = (abeljacobi._unfixed(*v) for v in (k, q4, k2, k3))
             got_e = [abeljacobi._unfixed(*v, 2 * t - bits) for v in es]
             got_g = abeljacobi._unfixed(*g2, 4 * t - bits), abeljacobi._unfixed(*g3, 6 * t - bits)
@@ -1745,7 +1779,7 @@ class TestIntegerSetUp:
                 assert all(type(r) is mpc and r.imag == 0 for r in e.roots)
                 assert e.w1.imag == 0 and e.w2.real == 0
                 assert all(im == 0 for _re, im in e._roots_fixed)
-                *_head, es, g2f, g3f = abeljacobi._theta_lattice(*e._basis[1][:3], e._t)
+                *_head, es, g2f, g3f = abeljacobi._theta_lattice(*e._basis[1][:3], e._t, mp.prec, mp.dps)
                 assert all(im == 0 for _re, im in es) and g2f[1] == 0 and g3f[1] == 0
             else:
                 real = [r for r in e.roots if type(r) is mpf]
@@ -1819,6 +1853,10 @@ class TestIdentityCorpus:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, cwd=root)
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
         assert proc.stdout.endswith("0 of 1350 lines differ\n")
+
+    def test_lattice_invariants_on_every_curve(self, corpus):
+        for e in corpus[2]:
+            assert_invariants_on_weights(e)
 
     def test_reduction_matrix_gives_the_solved_parities(self, corpus):
         # The rows of the reduction matrix are the coordinates of r1 and r2

@@ -1,21 +1,25 @@
 """The integer kernels of the Abel-Jacobi path against mpmath at 20 more digits.
 
 ``hfcalc._elementary`` computes pi, log 2, exp, cos and sin (the theta
-argument) and the arcsine on Python integers; ``hfcalc._fixedpoint`` reduces
-a point into the fundamental cell on the exact integers of the basis.  Each
-is compared with mpmath on Hypothesis draws, at the edges where branch
-choices or exact zeros decide the answer: the arcsine's branch points and
-cuts, real and imaginary arguments, and points on the cell's edges.
+argument) and the arcsine on Python integers, and reduces a point into the
+fundamental cell on the exact integers of the basis.  Each is compared with
+mpmath on Hypothesis draws, at the edges where branch choices or exact
+zeros decide the answer: the arcsine's branch points and cuts, real and
+imaginary arguments, and points on the cell's edges.  The kernel modules
+import nothing from mpmath, and their integers do not depend on its
+ambient precision.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from hfcalc import _elementary, _fixedpoint
+from hfcalc import _elementary, _fixedpoint, abeljacobi
 from hfcalc.abeljacobi import MAX_DIGITS, Divisor, EllipticCurve, complex_agm
 from hfcalc.errors import CurveError
 
@@ -26,7 +30,7 @@ DPS = st.sampled_from([20, 45, 65, 125, 330, MAX_DIGITS + 25])
 
 def fixed(x, wp):
     """An mpf or mpc as integers (re, im) in units of 2^-wp."""
-    return _fixedpoint._fixed(mpc(x), wp)
+    return abeljacobi._fixed(mpc(x), wp)
 
 
 def value(re, im, wp):
@@ -45,44 +49,93 @@ class TestConstants:
     @given(DPS)
     def test_pi_and_log2(self, dps):
         with mp.workdps(dps):
-            wp = mp.prec + 20
-            pi, ln2 = _elementary._pi(wp), _elementary._ln2(wp)
-            bits = _elementary._constants().bits + 50  # past the stored bits: the series itself
-            far = _elementary._pi(bits), _elementary._ln2(bits)
-            with mp.workdps(dps + 40):
-                assert units(abs(mp.ldexp(pi, -wp) - mp.pi), wp) <= 2
-                assert units(abs(mp.ldexp(ln2, -wp) - mp.ln2), wp) <= 2
-            with mp.workdps(2 * dps + 60):
-                assert units(abs(mp.ldexp(far[0], -bits) - mp.pi), bits) <= 2
-                assert units(abs(mp.ldexp(far[1], -bits) - mp.ln2), bits) <= 2
+            prec = mp.prec
+        wp = prec + 20
+        pi, ln2 = _elementary._pi(wp, prec), _elementary._ln2(wp, prec)
+        bits = 2 * prec + 40 + 50  # past the memo's bits: the series itself
+        far = _elementary._pi(bits, prec), _elementary._ln2(bits, prec)
+        with mp.workdps(dps + 40):
+            assert units(abs(mp.ldexp(pi, -wp) - mp.pi), wp) <= 2
+            assert units(abs(mp.ldexp(ln2, -wp) - mp.ln2), wp) <= 2
+        with mp.workdps(2 * dps + 60):
+            assert units(abs(mp.ldexp(far[0], -bits) - mp.pi), bits) <= 2
+            assert units(abs(mp.ldexp(far[1], -bits) - mp.ln2), bits) <= 2
 
     def test_one_entry_per_precision(self):
-        with mp.workdps(77):
-            first = _elementary._constants()
-        with mp.workdps(78):
-            other = _elementary._constants()
-        with mp.workdps(77):
-            assert _elementary._constants() is first and other is not first
-            assert first.ten_dps == 10 ** 77 and first.inv_tol2 == 10 ** 148
-            assert first.inside == ((10 ** 77 - 1) ** 2, 10 ** 154)
+        # The memo holds pi and log 2 once per bit count, 2 prec + 40.
+        memo, bits = _elementary._pi_ln2_memo, 2 * 260 + 40
+        first, other = memo(bits), memo(bits + 2)
+        assert memo(bits) is first and other is not first
+        assert _elementary._pi(bits, 260) == first[0] and _elementary._ln2(bits - 9, 260) == first[1] >> 9
 
     def test_pi_on_first_use_and_a_bounded_table(self, monkeypatch):
-        # complex_agm at a caller's precision needs only the stop rule's
-        # 10^(2 (dps - 3)): pi and log 2 wait for their first use.  Callers
-        # at ever new precisions leave at most _MAX_PRECISIONS entries.
+        # complex_agm needs neither pi nor log 2: they wait for their first
+        # use, then are summed once per bit count.  Every smaller unit
+        # truncates the memo; a larger one sums the series itself.
         calls = []
         series = _elementary._pi_ln2
-        monkeypatch.setattr(_elementary, "_pi_ln2", lambda p: calls.append(p) or series(p))
+        memo = _elementary.functools.lru_cache(maxsize=64)(lambda p: calls.append(p) or series(p))
+        monkeypatch.setattr(_elementary, "_pi_ln2_memo", memo)
         with mp.workdps(1234):
             complex_agm(mpc(1, 2), mpc(3, -1))
-            assert calls == []
-            pi = _elementary._pi(mp.prec)
-            assert calls == [_elementary._constants().bits] and pi == _elementary._pi(mp.prec)
-            assert len(calls) == 1
-        for dps in range(300, 300 + 2 * _elementary._MAX_PRECISIONS):
-            with mp.workdps(dps):
-                complex_agm(1, 2)
-            assert len(_elementary._CONSTANTS) <= _elementary._MAX_PRECISIONS
+            prec = mp.prec
+        assert calls == []
+        pi = _elementary._pi(prec, prec)
+        assert _elementary._pi(prec - 7, prec) == pi >> 7 and _elementary._ln2(prec + 30, prec)
+        assert _elementary._pi(prec, prec) == pi and calls == [2 * prec + 40]
+        _elementary._pi(prec, prec + 1)
+        assert calls == [2 * prec + 40, 2 * prec + 42]
+        # Two curves at one working precision and an aj on one: one more.
+        e = EllipticCurve(4, 0, digits=40)
+        with mp.workdps(e._workdps):
+            pt = e.point_at(mpf("0.3") * e.w1 + mpf("0.2") * e.w2)
+        e.aj(Divisor([(pt, 1), (None, -1)]))
+        EllipticCurve(-4, 2, digits=40)
+        assert calls[2:] == [2 * e._prec + 40]
+        # Callers at ever new precisions leave at most 64 entries.
+        for p in range(1000, 1130):
+            _elementary._pi(p, p)
+        assert memo.cache_info().currsize <= 64
+
+
+class TestMpmathFree:
+    """The kernel modules are functions of their integers alone."""
+
+    @pytest.mark.parametrize("module", [_elementary, _fixedpoint], ids=["_elementary", "_fixedpoint"])
+    def test_imports_nothing_from_mpmath(self, module):
+        modules = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        assert not [m for m in modules if m.split(".")[0] == "mpmath"], modules
+        assert not [k for k, v in vars(module).items() if getattr(v, "__module__", "").startswith("mpmath")]
+
+    def test_kernels_ignore_the_ambient_precision(self):
+        # The same integer arguments give the same integers whatever
+        # mp.prec is when the kernel runs.
+        e = EllipticCurve(mpc(3, 1), mpc(-1, 2), digits=40)
+        prec, dps = e._prec, e._workdps
+        with mp.workdps(dps):
+            x, _y = e.point_at(mpf("0.3") * e.w1 + mpf("0.2") * e.w2)
+            d3, d2 = (abeljacobi._exact(x - r) for r in (e.roots[2], e.roots[1]))
+            v = abeljacobi._exact(mpc("0.7", "-0.4"))
+        b = 2 * prec + 20
+        g = tuple(abeljacobi._fixed(c, b - k * e._t) for c, k in ((e.g2, 4), (e.g3, 6)))
+        kernels = {
+            "_agm_log": lambda: _fixedpoint._agm_log(e._walk, d3, d2, prec),
+            "_theta_sums": lambda: _fixedpoint._theta_sums(e._q4, e._big_l, v, prec, dps),
+            "_cardano": lambda: _fixedpoint._cardano(*g, b),
+            "_asin": lambda: _elementary._asin(3 << prec - 2, 5 << prec - 3, prec, prec),
+            "_zdiv": lambda: _elementary._zdiv(d3, d2, prec),
+        }
+        for name, kernel in kernels.items():
+            with mp.workprec(53):
+                low = kernel()
+            with mp.workprec(3000):
+                high = kernel()
+            assert low == high, name
 
 
 @st.composite
@@ -118,7 +171,7 @@ class TestCosSin:
         with mp.workdps(dps):
             wp = mp.prec + 10
             vr, vi = fixed(v, wp)
-            (cr, ci), (sr, si) = _elementary._cos_sin(vr, vi, wp)
+            (cr, ci), (sr, si) = _elementary._cos_sin(vr, vi, wp, mp.prec)
             x = value(vr, vi, wp)
             with mp.workdps(dps + 20 + int(abs(x.imag) / math.log(10))):
                 size = mp.cosh(x.imag)
@@ -130,11 +183,12 @@ class TestCosSin:
     def test_exact_zeros_and_symmetry(self, case):
         dps, v = case
         with mp.workdps(dps):
-            wp = mp.prec + 10
+            prec = mp.prec
+            wp = prec + 10
             vr, vi = fixed(v, wp)
-        (cr, ci), (sr, si) = got = _elementary._cos_sin(vr, vi, wp)
-        assert _elementary._cos_sin(vr, -vi, wp) == ((cr, -ci), (sr, -si))  # conj(v)
-        assert _elementary._cos_sin(-vr, -vi, wp) == ((cr, ci), (-sr, -si))  # -v
+        (cr, ci), (sr, si) = got = _elementary._cos_sin(vr, vi, wp, prec)
+        assert _elementary._cos_sin(vr, -vi, wp, prec) == ((cr, -ci), (sr, -si))  # conj(v)
+        assert _elementary._cos_sin(-vr, -vi, wp, prec) == ((cr, ci), (-sr, -si))  # -v
         if vi == 0:
             assert ci == 0 and si == 0
         if vr == 0:
@@ -181,7 +235,7 @@ class TestArcsine:
         with mp.workdps(dps):
             wp = mp.prec + 10
             ur, ui = fixed(u, wp)
-            vr, vi = _elementary._asin(ur, ui, wp)
+            vr, vi = _elementary._asin(ur, ui, wp, mp.prec)
             x = value(ur, ui, wp)
             with mp.workdps(dps + 20):
                 want = mp.asin(x.real if ui == 0 else x)  # a real u: mpmath's values on the cuts
@@ -192,21 +246,22 @@ class TestArcsine:
     def test_exact_zeros_and_conjugates(self, case):
         dps, u = case
         with mp.workdps(dps):
-            wp = mp.prec + 10
+            prec = mp.prec
+            wp = prec + 10
             ur, ui = fixed(u, wp)
-        vr, vi = _elementary._asin(ur, ui, wp)
+        vr, vi = _elementary._asin(ur, ui, wp, prec)
         if ui:  # off the cuts: the conjugate, exactly
-            assert _elementary._asin(ur, -ui, wp) == (vr, -vi)
+            assert _elementary._asin(ur, -ui, wp, prec) == (vr, -vi)
         if ui == 0 and abs(ur) <= 1 << wp:
             assert vi == 0
         if ur == 0:
             assert vr == 0
         if ui == 0 and abs(ur) == 1 << wp:  # +-pi/2 exactly
-            assert (vr, vi) == ((1 if ur > 0 else -1) * (_elementary._pi(wp) >> 1), 0)
+            assert (vr, vi) == ((1 if ur > 0 else -1) * (_elementary._pi(wp, prec) >> 1), 0)
 
     def test_beyond_the_float_range(self):
         with pytest.raises(CurveError, match="beyond"):
-            _elementary._asin(1 << 1100, 0, 60)
+            _elementary._asin(1 << 1100, 0, 60, 50)
 
 
 class TestNome:
@@ -220,9 +275,9 @@ class TestNome:
         with mp.workdps(dps):
             r1 = mpc(1000, 0) if rectangular else mpc(1000, 300)
             r2 = mpc(0, 1000 * y) if rectangular else r1 * mpc(x, y)
-            v1, v2, _unit = _fixedpoint._lattice(_elementary._exact(r1), _elementary._exact(r2))
-            q4, big_l = _fixedpoint._nome(v1, v2)
-            got = _fixedpoint._unfixed(*q4)
+            v1, v2, _unit = _elementary._align(abeljacobi._exact(r1), abeljacobi._exact(r2))
+            q4, big_l = _fixedpoint._nome(v1, v2, mp.prec)
+            got = abeljacobi._unfixed(*q4)
             with mp.workdps(dps + 20):
                 tau = mpc(*v2) / mpc(*v1)
                 want = mp.expj(mp.pi * tau / 4)
@@ -269,7 +324,7 @@ class TestCellReduction:
     def test_matches_mpmath(self, case):
         e, z, _coords = case
         with mp.workdps(e._workdps):
-            got_z, got_a, got_b = e._reduce(_elementary._exact(z))
+            got_z, got_a, got_b = e._reduce(abeljacobi._exact(z))
         with mp.workdps(e._workdps + 20):
             w1, w2 = e.w1, e.w2
             det = w1.real * w2.imag - w1.imag * w2.real
@@ -310,7 +365,7 @@ def shifted_cell_coords(z, basis):
     """``_cell_coords`` with the power of two applied: exact fractions
     (num_a, num_b, den), as a reduction computes them by brute force."""
     w1, w2, unit, det = basis
-    na, nb, k = _fixedpoint._cell_coords(z, w1, w2, unit, det)
+    na, nb, k = _elementary._cell_coords(z, w1, w2, unit, det)
     return (na << k, nb << k, det) if k >= 0 else (na, nb, det << -k)
 
 
@@ -344,13 +399,13 @@ class TestFarFromTheBasis:
         zr, zi = zr << shift, zi << shift  # z in units of 2^min(exp, unit)
         w1, w2 = ((v[0] << -min(k, 0), v[1] << -min(k, 0)) for v in (w1, w2))
         want = (zr - a * w1[0] - b * w2[0], zi - a * w1[1] - b * w2[1], min(z[2], unit))
-        assert _fixedpoint._cell_nearest(z, basis) == want
+        assert _elementary._cell_nearest(z, basis) == want
 
     @pytest.mark.parametrize("zr, want", [(1, 4), (3, -4), (5, 4), (7, -4)])
     def test_nearest_ties_to_even(self, zr, want):
         # Coordinates (2m + 1)/2 of a z two bits coarser than the basis
         # (8, 8i): the nearest lattice point has even coordinates, as mp.nint.
-        assert _fixedpoint._cell_nearest((zr, 0, 2), ((8, 0), (0, 8), 0, 64)) == (want, 0, 0)
+        assert _elementary._cell_nearest((zr, 0, 2), ((8, 0), (0, 8), 0, 64)) == (want, 0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-3000, 3000), st.integers(-2 ** 200, 2 ** 200), st.integers(-2 ** 200, 2 ** 200))
@@ -359,7 +414,7 @@ class TestFarFromTheBasis:
         e = complex_curve
         basis = w1, w2, unit, _det = e._basis[0]
         z = (zr, zi, unit + k)
-        (re, im, exp), na, nb, den = _fixedpoint._cell_reduce(z, basis, e._ten_digits)
+        (re, im, exp), na, nb, den = _elementary._cell_reduce(z, basis, e._ten_digits, e._bits)
         want_a, want_b, want_den = shifted_cell_reduce(z, basis, e._ten_digits)
         assert (na * want_den, nb * want_den) == (want_a * den, want_b * den)
         with mp.workdps(e._workdps + 20):

@@ -1,9 +1,17 @@
 """Ring presentations: normal forms, tensor products, bundle relations."""
 
+import time
+from collections import Counter
+from functools import reduce
+from itertools import product as iproduct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfcalc.errors import RingError
 from hfcalc.rings import RingModel, bundle_extension, poly_add, polynomial_ring_mod_power, tensor_rings, trivial_ring
+from hfcalc.spaces import product, projective_space
 
 
 class TestPolynomialQuotient:
@@ -108,3 +116,46 @@ class TestBundleExtension:
             r.degree_of(mixed)
         assert r.degree_of(x) == 2
         assert r.degree_of(r.zero()) is None
+
+
+def basis(ring):
+    """Every basis monomial: each exponent below its rule's power."""
+    return iproduct(*(range(power) for power, _tail in ring.rules))
+
+
+@st.composite
+def triangular_rings(draw):
+    """Rings from the constructors: truncated polynomial rings, tensor
+    products, and bundle extensions whose Chern classes are drawn integer
+    combinations of the base's basis monomials of their degree."""
+    def truncated():
+        return polynomial_ring_mod_power("x", 2 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+
+    ring = truncated()
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            ring = tensor_rings(ring, truncated())
+            continue
+        chern = []
+        for q in range(1, draw(st.integers(1, 3)) + 1):
+            monomials = [m for m in basis(ring) if ring.monomial_degree(m) == 2 * q]
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+            chern.append({m: c for m, c in zip(monomials, coeffs) if c} or None)
+        ring = bundle_extension(ring, len(chern), chern)
+    return ring
+
+
+class TestGradedDimensions:
+    """The graded dimensions as a product of polynomials in the rule powers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(triangular_rings())
+    def test_match_monomial_enumeration(self, ring):
+        assert ring.graded_dimensions() == Counter(ring.monomial_degree(m) for m in basis(ring))
+
+    def test_many_factors_at_table_cost(self):
+        # (P^1)^24 has a basis of 2^24 monomials; its dimensions are 25 numbers.
+        start = time.perf_counter()
+        x = reduce(product, [projective_space(1)] * 24)
+        assert time.perf_counter() - start < 0.1
+        assert [x.ring.graded_dimension(2 * k) for k in (0, 1, 12, 24)] == [1, 24, 2704156, 1]

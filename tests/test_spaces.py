@@ -164,7 +164,7 @@ def _mod_p_dims(model, p):
 
 
 class TestKunnethWithTorsion:
-    # ROADMAP item 12: the integral Kunneth formula with its Tor term.
+    # The integral Kunneth formula with its Tor term.
     FACTORS = {"torsion": lambda: _torsion_fixture(), "tsurf": _torsion_surface}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
