@@ -586,7 +586,7 @@ class TestLibraryLimits:
         start = time.perf_counter()
         with pytest.raises(CurveError):
             call(*args)
-        assert time.perf_counter() - start < 0.1
+        assert time.perf_counter() - start < 1.0
 
     def test_long_lattices_below_the_bound(self):
         # At Im(tau) = 1000, q = exp(-2000 pi) vanishes at any precision here:

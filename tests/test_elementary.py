@@ -73,7 +73,8 @@ class TestConstants:
         # use, then are summed once per bit count.  Every smaller unit
         # truncates the memo; a larger one sums the series itself.
         calls = []
-        series = _elementary._pi_ln2
+        series, module_memo = _elementary._pi_ln2, _elementary._pi_ln2_memo
+        assert module_memo.cache_info().maxsize == 64
         memo = _elementary.functools.lru_cache(maxsize=64)(lambda p: calls.append(p) or series(p))
         monkeypatch.setattr(_elementary, "_pi_ln2_memo", memo)
         with mp.workdps(1234):
@@ -92,10 +93,14 @@ class TestConstants:
         e.aj(Divisor([(pt, 1), (None, -1)]))
         EllipticCurve(-4, 2, digits=40)
         assert calls[2:] == [2 * e._prec + 40]
-        # Callers at ever new precisions leave at most 64 entries.
+        # Callers at ever new precisions leave at most 64 entries in the
+        # module's own memo.
+        monkeypatch.undo()
+        module_memo.cache_clear()
         for p in range(1000, 1130):
             _elementary._pi(p, p)
-        assert memo.cache_info().currsize <= 64
+        info = module_memo.cache_info()
+        assert info.misses == 130 and info.currsize <= 64
 
 
 class TestMpmathFree:
