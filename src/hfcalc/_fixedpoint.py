@@ -14,9 +14,10 @@ mpc and integers and passes them down.  The kernels are the curve's: the
 discriminant and Cardano's roots (``_discriminant``, ``_cardano``), the
 complex AGM sequence and the periods (``_agm_pairs``, ``_periods``), the
 lattice reduction and the nome (``_reduce_basis``, ``_nome``), the Jacobi
-theta sums at v (``_theta_sums``) and at 0 (``_theta_constants``), wp and
-wp' from them (``_wp_thetas``), the on-curve residual (``_residual2``) and
-the logarithm's walk and arcsine (``_agm_log``).
+theta sums at v (``_theta_sums``), which at v = 0 give the lattice's theta
+constants (``_theta_lattice``), wp and wp' from them (``_wp_thetas``), the
+on-curve residual (``_residual2``) and the logarithm's walk and arcsine
+(``_agm_log``).
 They and the elementary functions are modules of their own so that no
 one module's compilation, which each process without cached bytecode pays
 once, grows with all of them.
@@ -161,33 +162,6 @@ def _theta_sums(q4, big_l, v, prec, dps):
     ), 1 - 2 * wp
 
 
-def _theta_constants(q4, big_l, prec, dps):
-    """(theta2, theta3, theta4) at v = 0 of the nome q = q4^4, q4 a triple, as integers
-    (re, im) in units of 2^-wp, and wp.
-
-    At v = 0 every cos(mv) is 1 and theta1 vanishes, so one pass sums
-    t = q^(m^2/4) over each class of m mod 4, two complex products a term,
-    to the term count of ``_theta_sums``; the guard bits are 20 plus
-    -log2|q4| (when positive), because theta2 is about 2 q4 and must keep
-    its relative accuracy.  A real q4 gives exactly real constants.
-    """
-    terms = int(math.sqrt(4 * dps * math.log(10) / big_l + 1))
-    wp = prec + 20 + max(0, -_zmag(q4))
-    # t = q^(m^2/4), u = q^((2m + 1)/4), h = q^(1/2), as in _theta_sums.
-    tr, ti = _scale(q4[0], q4[2] + wp), _scale(q4[1], q4[2] + wp)
-    hr, hi = _cmul((tr, ti), (tr, ti), wp)
-    ur, ui = _cmul((hr, hi), (tr, ti), wp)
-    sum_r, sum_i = [0] * 4, [0] * 4
-    for m in range(1, terms + 1):
-        sum_r[m % 4] += tr
-        sum_i[m % 4] += ti
-        tr, ti = (tr * ur - ti * ui) >> wp, (tr * ui + ti * ur) >> wp
-        ur, ui = (ur * hr - ui * hi) >> wp, (ur * hi + ui * hr) >> wp
-    (r0, r1, r2, r3), (i0, i1, i2, i3) = sum_r, sum_i
-    one = 1 << wp
-    return ((2 * (r1 + r3), 2 * (i1 + i3)), (one + 2 * (r0 + r2), 2 * (i0 + i2)), (one + 2 * (r0 - r2), 2 * (i0 - i2))), wp
-
-
 def _reduce_basis(w1, w2, dps):
     """SL_2(Z)-reduce the basis of integer pairs (w1, w2), one unit, so that
     tau = w2/w1 lies in the fundamental domain: (r1, r2, (a, b, c, d)) with
@@ -234,9 +208,9 @@ def _theta_lattice(r1, r2, unit, t, prec, dps):
     and q^(1/4) = exp(i pi tau / 4), tau = r2 / r1, as triples (``_nome``),
     L = -4 log|q^(1/4)| = pi Im(tau) as a float, the constants
     K2 = (k theta2 theta3)^2 and K3 = -2 k (k theta2 theta3 theta4)^2 of
-    ``_wp_fixed`` as triples with the theta constants at 0, and
-    (e1, e2, e3) = wp at (r1/2, (r1 + r2)/2, r2/2), g2 and g3 as integers
-    (re, im) in units of 2^(2t - W), 2^(4t - W) and 2^(6t - W),
+    ``_wp_fixed`` as triples with the theta constants (``_theta_sums`` at
+    v = 0), and (e1, e2, e3) = wp at (r1/2, (r1 + r2)/2, r2/2), g2 and g3
+    as integers (re, im) in units of 2^(2t - W), 2^(4t - W) and 2^(6t - W),
     W = prec + 16, 2^t a size of the lattice's weight 1.
 
     wp takes e1 = k^2 (theta3^4 + theta4^4)/3, e2 = k^2 (theta2^4 - theta4^4)/3
@@ -248,7 +222,10 @@ def _theta_lattice(r1, r2, unit, t, prec, dps):
     wp = prec + 40
     k = _zdiv((_pi(wp, prec), 0, -wp), (*r1, unit), prec)
     q4, big_l = _nome(r1, r2, prec)
-    (t2, t3, t4), wp = _theta_constants(q4, big_l, prec, dps)
+    # The sums at v = 0, where theta1 vanishes, from 2^(1 - 2 wp) to 2^-wp.
+    (_t1, *thetas), exp = _theta_sums(q4, big_l, (0, 0, 0), prec, dps)
+    wp = (1 - exp) // 2
+    t2, t3, t4 = ((_scale(re, exp + wp), _scale(im, exp + wp)) for re, im in thetas)
     k2, t23 = _zmul(k, k), _cmul(t2, t3)
     c2 = (*_cmul(t23, t23), -4 * wp)  # (theta2 theta3)^2
     big_k2 = _zmul(k2, c2)
@@ -423,10 +400,13 @@ def _cardano(g2, g3, b):
 
 
 def _chop(roots, unit, prec):
-    """The integer roots (re, im) in units of 2^unit with parts below
-    eps = 2^(1 - prec) set to 0 as ``polyroots`` chops them: (0, 0) when
-    |r| < eps, else a part with |part| < eps.  Each root rounded once to
-    the working precision is then a root of the curve (``_root_out``)."""
+    """The integer roots (re, im) with parts below eps = 2^(1 - prec) set
+    to 0 as ``polyroots`` chops them: (0, 0) when |r| < eps, else a part
+    with |part| < eps, the integers read in units of 2^unit.  The caller
+    passes the roots' unit over their size bound 2^(2t), so eps is relative
+    to the curve's size and (l^4 g2, l^6 g3) chops as (g2, g3) does.  Each
+    root rounded once to the working precision is then a root of the curve
+    (``_root_out``)."""
     k = 2 * (1 - prec - unit)  # |v|^2 < eps^2 <=> v^2 < 2^k in units of 2^(2 unit)
     small = (lambda n2: n2 < 1 << k) if k >= 0 else (lambda n2: n2 == 0)
     out = []

@@ -114,9 +114,11 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
             break
         _swap_rows(a, t, pos[0])
         _swap_cols(a, t, pos[1])
-        while True:
-            # Clear column t with Euclidean row steps; a nonzero remainder is
-            # strictly smaller than the pivot, so it becomes the next pivot.
+        restart = True
+        while restart:
+            # Clear column t with Euclidean row steps, then row t with column
+            # steps; a nonzero remainder is strictly smaller than the pivot,
+            # so it becomes the next pivot.
             restart = False
             for i in range(t + 1, nrows):
                 if a[i][t] != 0:
@@ -138,28 +140,11 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
                     if a[t][j] != 0:
                         _swap_cols(a, t, j)
                         restart = True
-            if restart:
-                continue
-            # Pivot must divide the rest of the submatrix for the chain
-            # condition; folding an offending row into row t shrinks the
-            # pivot's gcd, so this terminates.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
         diag.append(abs(a[t][t]))
         t += 1
-    # The divisibility fix above already chains the diagonal; the sweep is
-    # cheap insurance.  Unit factors are kept: the number of factors is the
-    # rank and their products are the minor gcds.
+    # The diagonal presents the same group; the gcd/lcm sweep turns it into
+    # the invariant factors d1 | d2 | ... .  Unit factors are kept: the
+    # number of factors is the rank and their products are the minor gcds.
     return _chain_sweep(diag)
 
 

@@ -12,8 +12,8 @@ point at hand), a number of weight k is an integer in units of 2^(k t - W),
 W = prec + 16 bits, and a threshold 10^-k enters as the integer 10^2k.  A
 square root is taken only to print a failing residual.  A divisor whose
 only point other than O is a branch point, with multiplicity 1, maps to
-that point's stored half period with no reduction, as its elliptic
-logarithm does.
+that point's stored half period with no reduction.  The elliptic
+logarithm of P is the map's value on [P] - [O].
 
 Numbers cross between mpmath and integers at the ends only, each into a
 unit its own size sets, so that parts or coefficients whose exponents lie
@@ -41,7 +41,8 @@ curves get more, see ``EllipticCurve``):
   of 4x^3 - g2 x - g3 by Cardano's formula (DLMF 1.11(iii)) at twice the
   working precision (``_cardano``): ``_csqrt`` for its square root and
   Newton's iteration for its cube root (``_ccbrt``) are its only loops,
-  and parts below eps are chopped on the integers (``_chop``);
+  and parts below eps 2^(2t), 2^t the curve's size bound, are chopped on
+  the integers (``_chop``);
 * periods by the arithmetic-geometric mean over C with the optimal-branch
   rule (|a - b| <= |a + b| at every step, tested without square roots as
   Re(a conj(b)) >= 0), after Cremona-Thongjunthug
@@ -61,8 +62,8 @@ curves get more, see ``EllipticCurve``):
   its integer matrix, whose rows give the coordinates of the reduced basis
   in (w1, w2) and so the half period of each root with no solve.  The
   nome q^(1/4) = exp(i pi tau / 4) is an integer exp, cos and sin
-  (``_nome``), and the theta constants of the reduced basis, computed once
-  by their own sum at v = 0 (``_theta_constants``), give e1, e2, e3, g2
+  (``_nome``), and the theta constants of the reduced basis, the theta
+  sums at v = 0 (``_theta_sums``) computed once, give e1, e2, e3, g2
   and g3 of the lattice as integers (``_theta_lattice``); g2 and g3 must
   reproduce the inputs to 10^-(digits-3) s^4 and s^6: g2 and g3 have
   weights 4 and 6, so the check, like the singular-curve test, reads the
@@ -207,7 +208,7 @@ def _relative(x, prec):
     (``_fixed``), 0 as (0, 0, 0): a part further below truncates towards 0,
     so however far apart the parts' exponents lie, the integers stay that
     size.  For a z or y handed in whole; ``_exact`` serves the curve's own
-    numbers, rounded from integers in one unit."""
+    numbers, rounded from integers in one unit, and a lattice's periods."""
     if not x:
         return 0, 0, 0
     wp = prec + _ZBITS - _mag(x)
@@ -307,8 +308,11 @@ def _nstr_ratio(ratios):
 
 def lattice_invariants(w1, w2):
     """Weierstrass g2, g3 of the lattice Z w1 + Z w2 from the theta constants
-    of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2).
-    Non-finite input, dependent periods and a reduced Im(tau) above
+    of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2).  The
+    periods enter exactly (``_exact``), so parts far apart in size keep the
+    smaller one.  Non-finite input, dependent periods, parts whose
+    exponents span more than ``MAX_AGM_GAP`` + prec bits, as
+    ``complex_agm`` bounds its moduli, and a reduced Im(tau) above
     ``MAX_IM_TAU`` raise CurveError before the theta sums."""
     w1, w2 = _numbers((w1, w2), "lattice periods")
     im_tau = mp.im(w2 / w1) if w1 and w2 else 0
@@ -321,7 +325,10 @@ def lattice_invariants(w1, w2):
     if im_tau * max(1, abs(w1 / w2)) ** 2 > MAX_IM_TAU:
         raise CurveError(f"lattice too elongated: reduced Im(tau) above {MAX_IM_TAU}")
     prec, dps = mp.prec, mp.dps
-    v1, v2, unit = _align(_relative(w1, prec), _relative(w2, prec))
+    parts = [(e, e + bc) for w in (w1, w2) for _s, man, e, bc in w._mpc_ if man]
+    if max(top for _e, top in parts) - min(e for e, _top in parts) > MAX_AGM_GAP + prec:
+        raise CurveError(f"lattice periods' parts more than 2^{MAX_AGM_GAP} apart in size")
+    v1, v2, unit = _align(_exact(w1), _exact(w2))
     if v1[0] * v2[1] - v1[1] * v2[0] <= 0:
         raise CurveError("degenerate lattice: periods are R-linearly dependent at working precision")
     r1, r2, _matrix = _reduce_basis(v1, v2, dps)
@@ -453,7 +460,7 @@ class EllipticCurve:
         2^(2t - W) go to ``_roots_fixed``, so a branch point given as a
         printed root is that root."""
         unit = 2 * self._t - b
-        roots = _chop(_cardano(g2, g3, b), unit, self._prec)
+        roots = _chop(_cardano(g2, g3, b), unit - 2 * self._t, self._prec)
         size2 = max(re * re + im * im for re, im in roots)
         real = all(im * im * 10 ** (2 * self.digits) < size2 for _re, im in roots)
         if real:
@@ -672,19 +679,16 @@ class EllipticCurve:
         return z, None
 
     def elliptic_log(self, pt: Point):
-        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell
-        (see ``_log``); a branch point gives its stored half period as is.
+        """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell:
+        ``aj`` of [P] - [O], so a branch point gives its stored half period as
+        is and None gives 0 (see ``_log``).
 
         z is about 1/sqrt(x) far from the origin, so a point with |x| beyond
         about 10^(2 (workdps - 5)) / rho^2 lies within the pole's tolerance
         and raises "wp evaluated at a lattice point" (at 40 digits x = 1e100
         is fine, x = 1e300 is not).
         """
-        if pt is None:
-            return mpc(0)
-        with mp.workdps(self._workdps):
-            z, branch = self._log(pt)
-            return self._reduce(z)[0] if branch is None else self._half_periods[branch]
+        return self.aj(Divisor([(pt, 1), (None, -1)]))
 
     # -- Abel-Jacobi ------------------------------------------------------------------
 
@@ -708,7 +712,7 @@ class EllipticCurve:
         """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell):
         the sum of m z(P) over the unreduced logarithms z(P) of ``_log``,
         reduced once.  A lone branch point (see ``_aj_sum``) gives its stored
-        half period as is, as ``elliptic_log`` does."""
+        half period as is."""
         with mp.workdps(self._workdps):
             z, branch = self._aj_sum(divisor)
             return self._reduce(z)[0] if branch is None else self._half_periods[branch]

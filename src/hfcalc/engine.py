@@ -45,7 +45,7 @@ from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup, divisibility_chain
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, mu_rank
 from hfcalc.errors import EngineError, RingError
-from hfcalc.rings import Poly, bundle_extension
+from hfcalc.rings import Poly, bundle_extension, poly_add, poly_scale
 from hfcalc.spaces import (
     KahlerModel,
     Model,
@@ -419,23 +419,10 @@ def grothendieck_check(model: Model, r: int, chern: list[Poly] | None = None) ->
     if model.ring is None:
         raise RingError(f"{model.name} carries no ring presentation")
     bundle_ring = bundle_extension(model.ring, r, chern)
-
-    def lift(p0: Poly, xi_power: int) -> Poly:
-        return {m + (xi_power,): c for m, c in p0.items()}
-
-    classes: list[Poly] = [model.ring.unit()]
-    classes.extend(list(chern or []))
-    while len(classes) < r + 1:
-        classes.append({})
     total: Poly = {}
-    for q in range(r + 1):
-        cq = classes[q]
-        if not cq:
-            continue
-        sign = 1 if q % 2 == 0 else -1
-        term = {m: sign * c for m, c in lift(cq, r - q).items()}
-        for mono, coeff in term.items():
-            total[mono] = total.get(mono, 0) + coeff
+    for q, cq in enumerate([model.ring.unit(), *(chern or [])]):
+        if cq:  # c_q xi^(r - q), a missing class 0
+            total = poly_add(total, poly_scale({m + (r - q,): c for m, c in cq.items()}, (-1) ** q))
     return bundle_ring.is_zero(total)
 
 

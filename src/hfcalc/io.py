@@ -56,14 +56,16 @@ __all__ = [
 # A document is checked against these before the model or theory it
 # describes is built, so a hostile size ends in a ParseError (exit 1), not
 # in minutes of CPU time.  Dimension does not bound the work: a product
-# convolves its factors' tables, entry by entry, and a model's check
-# enumerates its ring's basis, so 128 nested products of curves (dimension
-# 128) convolve 2.9 million entry pairs (2.4 s) and P(P^300 x P^300, 300)
-# enumerates 27 million monomials (37 s).  MAX_TABLE_TERMS bounds those
-# counts summed over the document's products and bundles.  A projective
-# bundle over a quasi-projective base grows with about the fourth power of
-# its top degree (P(P(Gm, 60), 60), top degree 237: 0.6 s; P(P(Gm, 200),
-# 200): 34 s).
+# convolves its factors' tables, entry by entry, so 128 nested products of
+# curves (dimension 128) convolve 2.9 million entry pairs (2.4 s).
+# MAX_TABLE_TERMS bounds those counts summed over the document's products
+# and bundles.  It also counts each ring's basis monomials, the most terms
+# a ring element in normal form (``RingModel.reduce``) can hold; a model's
+# check counts them by degree from the rule powers without listing them
+# (P(P^300 x P^300, 300), 27 million monomials, builds in 0.7 s).  A
+# projective bundle over a quasi-projective base grows with about the
+# fourth power of its top degree (P(P(Gm, 60), 60), top degree 237: 0.6 s;
+# P(P(Gm, 200), 200): 34 s).
 
 MAX_DIM = 1000  # complex dimension of a Kahler model, of P^n and of A^n
 MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
@@ -77,7 +79,8 @@ def _within(what: str, size: int, limit: int) -> None:
 
 
 def _ring_basis(ring: RingModel | None) -> int:
-    """The basis monomials of a ring, which its model's check enumerates."""
+    """The basis monomials of a ring: the most terms one of its elements in
+    normal form can hold."""
     return math.prod(power for power, _tail in ring.rules) if ring is not None else 0
 
 

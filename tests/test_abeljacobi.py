@@ -29,6 +29,7 @@ from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import jacobian
 from hfcalc.errors import CurveError
 from hfcalc.spaces import curve
+from tests import aj_identity
 
 TOL9 = mpf(10) ** -9
 
@@ -337,6 +338,11 @@ class TestEllipticLog:
     def test_infinity(self, lemniscatic):
         assert lemniscatic.elliptic_log(None) == 0
 
+    def test_not_a_pair(self, lemniscatic):
+        # The logarithm is aj of [P] - [O], so Divisor refuses the entry.
+        with pytest.raises(CurveError, match="must be"):
+            lemniscatic.elliptic_log((1,))
+
     def test_two_torsion_at_half_periods(self, lemniscatic):
         e = lemniscatic
         with mp.workdps(e._workdps):
@@ -579,14 +585,20 @@ class TestLibraryLimits:
         (lattice_invariants, (1, mpc(0, "1e100"))),  # reduced Im(tau) 10^100
         (lattice_invariants, (1, mpc(0, "1e-100000000"))),  # 10^(10^8)
         (lattice_invariants, (1, mpc("0.5", "1e-10"))),  # found only by the reduction
-        (lattice_invariants, (1, mpc("1e30", 1))),  # dependent at 15 digits
+        (lattice_invariants, (1, mpc("1e100000000", 1))),  # parts 3.3 * 10^8 bits apart
     ], ids=["agm-inf", "agm-text", "agm-gap", "text", "nan", "zero", "tau-1e100", "tau-1e1e8", "tau-reduced",
-            "dependent"])
+            "parts-gap"])
     def test_refused_at_once(self, call, args):
         start = time.perf_counter()
         with pytest.raises(CurveError):
             call(*args)
         assert time.perf_counter() - start < 1.0
+
+    def test_far_apart_parts_compute(self):
+        # Z + Z(10^30 + i) = Z + Zi: the periods enter exactly, so the part
+        # 30 orders below the other is kept, not read as dependent.
+        with mp.workdps(15):
+            assert lattice_invariants(1, mpc("1e30", 1)) == lattice_invariants(1, 1j)
 
     def test_long_lattices_below_the_bound(self):
         # At Im(tau) = 1000, q = exp(-2000 pi) vanishes at any precision here:
@@ -1080,6 +1092,12 @@ class TestRegressionFence:
         assert_lattice_and_round_trip(*curve_digits, a, b)
 
 
+# The first curve of each shape the identity corpus draws (tests/aj_identity.py).
+CORPUS_SHAPES = {
+    shape: aj_identity._invariants(shape, 20, random.Random(aj_identity.SEED)) for shape in aj_identity.COUNTS
+}
+
+
 class TestCurveScale:
     """Set-up thresholds are measured on the curve's weights, not on 1."""
 
@@ -1108,6 +1126,12 @@ class TestCurveScale:
     @given(curve_invariants(), st.sampled_from([20, 40, 100]), st.integers(-10, 10))
     @example(invariants=(12, 4 * (1 + 1e-8)), digits=20, k=-10)  # near-singular, roots of size 1e-20
     @example(invariants=(20.1 + 6.7j, -1.9 + 3.9j), digits=20, k=-10)  # complex roots of size 1e-20
+    @example(invariants=CORPUS_SHAPES["real_pos"], digits=20, k=-40)  # corpus curves at l = 10^-40 and 10^40
+    @example(invariants=CORPUS_SHAPES["real_neg"], digits=40, k=-40)
+    @example(invariants=CORPUS_SHAPES["complex"], digits=20, k=-40)
+    @example(invariants=CORPUS_SHAPES["near_singular"], digits=40, k=-40)
+    @example(invariants=CORPUS_SHAPES["real_pos"], digits=40, k=40)
+    @example(invariants=CORPUS_SHAPES["complex"], digits=100, k=40)
     def test_weight_scaling_law(self, invariants, digits, k):
         # (g2, g3) -> (l^4 g2, l^6 g3) divides both periods by l; every
         # threshold of the set-up is measured on the curve's own weights.
@@ -1273,6 +1297,14 @@ def log_points(draw):
             return e, mpf(draw(st.floats(0.05, 0.95))) * e.w1 + mpf(draw(st.floats(0.05, 0.95))) * e.w2
         half = draw(st.sampled_from([e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]))
         return e, half + draw(st.sampled_from([1, -1])) * mpf(10) ** -draw(st.integers(1, 30)) * e.w1
+
+
+def reported_translation_case():
+    """(curve, z0) of a reported translation-law draw: z0 = w1/2 + 0.1 w1
+    on the real curve (1, 1) at 100 digits."""
+    e = EllipticCurve(1, 1, digits=100)
+    with mp.workdps(e._workdps):
+        return e, e.w1 / 2 + mpf(10) ** -1 * e.w1
 
 
 def near_half_period_case():
@@ -1448,6 +1480,7 @@ class TestNearHalfPeriod:
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(log_points(), st.integers(0, 2))
+    @example(reported_translation_case(), 1)
     def test_translation_law(self, case, i):
         # P + T_i = (e_i + C / (x - e_i), -C y / (x - e_i)^2), with
         # C = (e_i - e_j)(e_i - e_k): z(P + T_i) = z(P) + w_i mod L, w_i the
@@ -1718,19 +1751,23 @@ class TestIntegerSetUp:
     @example((1025, 0.0, 80.0, 0.0, 0.0, 0))  # the smallest |q| at the largest precision
     @example((45, 0.5, math.sqrt(0.75), 0.0, 0.0, 0))  # the corner of the domain, the largest |q|
     def test_theta_constants_match_mpc_loop(self, case):
-        # The sum at v = 0 is the general kernel's at v = 0, with no cosines.
+        # The theta constants are the theta sums at v = 0, as _theta_lattice
+        # takes them: theta1 is an exact 0 there.
         dps, x, y, *_rest = case
+        zero = (0, 0, 0)
         with mp.workdps(dps):
             q4 = mp.expj(mp.pi * mpc(x, y) / 4)
-            consts, wp = _fixedpoint._theta_constants(abeljacobi._exact(q4), float(mp.pi * y), mp.prec, mp.dps)
-            got = [abeljacobi._unfixed(re, im, -wp) for re, im in consts]
+            (theta1, *consts), exp = _fixedpoint._theta_sums(
+                abeljacobi._exact(q4), float(mp.pi * y), zero, mp.prec, mp.dps)
+            assert theta1 == (0, 0)
+            got = [abeljacobi._unfixed(re, im, exp) for re, im in consts]
             with mp.workdps(dps + 20):
                 _theta1, *want = reference_theta(q4, mp.zero)
             for g, w in zip(got, want):
                 assert abs(g - w) <= mpf(10) ** -(dps - 2) * abs(w), (g, w)
         with mp.workdps(dps):  # a real nome gives exactly real constants
             q4 = abeljacobi._exact(mp.expj(mp.pi * mpc(0, y) / 4))
-            consts, _wp = _fixedpoint._theta_constants(q4, float(mp.pi * y), mp.prec, mp.dps)
+            consts, _exp = _fixedpoint._theta_sums(q4, float(mp.pi * y), zero, mp.prec, mp.dps)
             assert all(im == 0 for _re, im in consts)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1823,8 +1860,6 @@ class TestIdentityCorpus:
     @pytest.fixture(scope="class")
     def corpus(self):
         # 150 curves at 20, 40 and 100 digits (tests/aj_identity.py).
-        from tests import aj_identity
-
         curves = []
         return aj_identity, aj_identity.corpus_lines(curves), curves
 

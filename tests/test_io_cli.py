@@ -625,8 +625,12 @@ class TestExponentsFarApart:
             ("1+1e-100000000j", "0", "[]", 0),
             ("4", "0", json.dumps([[[NEAR_ROOT_X, NEAR_ROOT_Y + "+1e-100000000j"], 1], ["inf", -1]]), 0),
             ("4", "0", '[[["1e1000000000", "2e1500000000"], 1], ["inf", -1]]', 1),
+            # roots far below 1, chopped on the curve's size, not read as 0
+            ("1e-160", "1e-240", '[["inf", 0]]', 0),
+            ("4e-160", "0", '[["inf", 0]]', 0),
         ],
-        ids=["coefficients", "coefficient_parts", "y_parts_near_a_root", "x_past_the_pole_tolerance"],
+        ids=["coefficients", "coefficient_parts", "y_parts_near_a_root", "x_past_the_pole_tolerance", "small_curve",
+             "small_curve_g3_zero"],
     )
     def test_aj_process(self, g2, g3, divisor, code):
         start = time.perf_counter()
