@@ -26,14 +26,9 @@ import math
 from hfcalc.errors import CurveError
 
 
-def _half(n):
-    """n / 2 truncated towards 0, so that -n halves to exactly the negation."""
-    return (n + (n < 0)) >> 1
-
-
 def _tdiv(n, d):
     """n / d truncated towards 0 for d > 0, so that -n divides to exactly the
-    negation (``_half`` is the case d = 2)."""
+    negation."""
     return -(-n // d) if n < 0 else n // d
 
 
@@ -262,7 +257,7 @@ def _cos_sin(vr, vi, wp, prec):
     imaginary v an exactly real cos and imaginary sin."""
     c, s = _cos_sin_real(vr, wp)
     ep, en = _exp_pair(vi, wp, prec)
-    ch, sh = _half(ep + en), _half(ep - en)
+    ch, sh = _tshift(ep + en, 1), _tshift(ep - en, 1)
     return (_tshift(c * ch, wp), -_tshift(s * sh, wp)), (_tshift(s * ch, wp), _tshift(c * sh, wp))
 
 
@@ -308,7 +303,7 @@ def _asin(ur, ui, wp, prec):
     sign = 1 if ur > 0 else -1
     # (1 - u)/2 for u > 0 and (1 + u)/2 for u < 0, in units of 2^-(2 wp - 1)
     hr, hi = (one - sign * ur) << wp, -sign * ui << wp
-    wr, wi = _csqrt(_half(hr), _half(hi))
+    wr, wi = _csqrt(_tshift(hr, 1), _tshift(hi, 1))
     ar, ai = _halley_asin(wr, wi, wp, prec)
     half_pi = _pi(wp, prec) >> 1
     return sign * (half_pi - 2 * ar), sign * -2 * ai
@@ -384,6 +379,20 @@ def _align(*zs):
     """The triples as integer pairs in one unit, exactly, and the unit."""
     unit = min(z[2] for z in zs)
     return (*((re << exp - unit, im << exp - unit) for re, im, exp in zs), unit)
+
+
+def _round(z, prec):
+    """The triple z with each part rounded to ``prec`` bits, nearest, ties to
+    even, in the form mpmath makes and holds: no trailing zero bits, the
+    exponent the smaller of the nonzero parts' (0 for 0)."""
+    parts = []
+    for n in z[:2]:
+        k = max(0, abs(n).bit_length() - prec)
+        n = _nint(n, 1 << k)
+        zeros = (n & -n).bit_length() - 1 if n else 0
+        parts.append((n >> zeros, z[2] + k + zeros))
+    exp = min((e for n, e in parts if n), default=0)
+    return (*(n << e - exp if n else 0 for n, e in parts), exp)
 
 
 # -- reductions modulo a lattice basis ----------------------------------------

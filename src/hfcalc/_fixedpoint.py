@@ -38,7 +38,6 @@ from hfcalc._elementary import (
     _dist2,
     _exp_small,
     _float,
-    _half,
     _ln2,
     _nint,
     _pi,
@@ -86,7 +85,7 @@ def _agm_pairs(ar, ai, br, bi, dps):
     pairs = [(ar, ai, br, bi)]
     inv_tol2 = 10 ** (2 * (dps - 3))
     for _ in range(dps * 4 + 40):
-        (br, bi), ar, ai = _csqrt(ar * br - ai * bi, ar * bi + ai * br), _half(ar + br), _half(ai + bi)
+        (br, bi), ar, ai = _csqrt(ar * br - ai * bi, ar * bi + ai * br), _tshift(ar + br, 1), _tshift(ai + bi, 1)
         d = ar * br + ai * bi  # Re(a conj(b)) = (|a + b|^2 - |a - b|^2) / 4
         if d < 0 or (d == 0 and ar * bi - ai * br < 0):  # ties towards Im(b/a) > 0
             br, bi = -br, -bi
@@ -302,13 +301,13 @@ def _log_start(unit, d3, d2):
     sr, si = _csqrt(_scale(d2[0], d2[2] - 2 * unit), _scale(d2[1], d2[2] - 2 * unit))
     if cr * sr + ci * si < 0:  # the root nearer c: Re(c conj(s)) >= 0
         sr, si = -sr, -si
-    return _half(cr + sr), _half(ci + si)
+    return _tshift(cr + sr, 1), _tshift(ci + si, 1)
 
 
 def _agm_log(walk, d3, d2, prec):
     """Cremona-Thongjunthug elliptic logarithm: z with wp(z) = x, up to sign
     and the lattice, as a triple, from the triples d3 = x - e3 and
-    d2 = x - e2.  ``walk`` comes from ``_period_basis`` of the roots
+    d2 = x - e2.  ``walk`` comes from ``_periods`` of the roots
     e1, e2, e3: c starts at sqrt(x - e3) and takes one step
     c <- (c + sqrt(c^2 - d_n))/2, the root nearer c, per pair, on integers
     in the AGM's units (pair 0 by ``_log_start``); then z = asin(M / c) / M
@@ -319,7 +318,7 @@ def _agm_log(walk, d3, d2, prec):
         sr, si = _csqrt(cr * cr - ci * ci - dr, 2 * cr * ci - di)
         if cr * sr + ci * si < 0:  # the root nearer c: Re(c conj(s)) >= 0
             sr, si = -sr, -si
-        cr, ci = _half(cr + sr), _half(ci + si)
+        cr, ci = _tshift(cr + sr, 1), _tshift(ci + si, 1)
     # asin's error is absolute, so a small u = M / c (a point with large |x|)
     # needs -log2|u| more bits to keep its relative accuracy.
     wp = prec + 20 + max(0, _zmag((cr, ci, 0)) - _zmag((*m2, 0)) + 2)
@@ -405,8 +404,8 @@ def _chop(roots, unit, prec):
     with |part| < eps, the integers read in units of 2^unit.  The caller
     passes the roots' unit over their size bound 2^(2t), so eps is relative
     to the curve's size and (l^4 g2, l^6 g3) chops as (g2, g3) does.  Each
-    root rounded once to the working precision is then a root of the curve
-    (``_root_out``)."""
+    root rounded once to the working precision (``_round``) is then a root
+    of the curve."""
     k = 2 * (1 - prec - unit)  # |v|^2 < eps^2 <=> v^2 < 2^k in units of 2^(2 unit)
     small = (lambda n2: n2 < 1 << k) if k >= 0 else (lambda n2: n2 == 0)
     out = []

@@ -10,18 +10,20 @@ Every modulus test compares squared moduli, as in |a - b|^2 - |a + b|^2 =
 size s = max(|g2|^(1/4), |g3|^(1/6)) (and on |x|^(1/2), |y|^(1/3) of the
 point at hand), a number of weight k is an integer in units of 2^(k t - W),
 W = prec + 16 bits, and a threshold 10^-k enters as the integer 10^2k.  A
-square root is taken only to print a failing residual.  A divisor whose
-only point other than O is a branch point, with multiplicity 1, maps to
-that point's stored half period with no reduction.  The elliptic
-logarithm of P is the map's value on [P] - [O].
+square root is taken only to print a failing residual.  Every divisor takes
+that one path, a branch point's logarithm being its exact half period, which
+the reduction leaves as it is.  The elliptic logarithm of P is the map's
+value on [P] - [O].
 
 Numbers cross between mpmath and integers at the ends only, each into a
 unit its own size sets, so that parts or coefficients whose exponents lie
 far apart cost no more than others.  g2 and g3 enter once, as integers
 with 2 prec + 20 bits below bounds read off their exponents
-(``_curve_scale``), and the set-up runs on integers from there; it rounds
-each public number once: the roots, w1, w2, tau, the discriminant, the
-reduced basis and the half periods.  In ``aj`` the point coordinates enter
+(``_curve_scale``), and the set-up runs on integers from there, one way:
+it rounds the roots, w1, w2 and w1 + w2 once on their integers (``_round``,
+as mpmath rounds), goes on from those, and publishes the roots, w1, w2,
+tau, the discriminant and the reduced basis, each rounded once, never
+reading one back.  In ``aj`` the point coordinates enter
 once (x and y truncated to their units, y also with prec + 40 bits of its
 own where the logarithm translates through a branch point, ``_relative``),
 and the reduced z leaves once, an mpc at the working precision, with its
@@ -86,9 +88,10 @@ curves get more, see ``EllipticCurve``):
   reproduce the point to 10^-(digits-3) of max(|x|, s^2) and
   max(|y|, s^3), x and y having weights 2 and 3.  A branch point (e_i, 0),
   y = 0 exactly, maps to its half period w1/2, w2/2 or (w1 + w2)/2 without
-  a logarithm: at set-up each root is matched to the nearest of the theta
-  values of wp at the reduced basis's half periods (DLMF 23.6(i)), a match
-  that must be one to one.  Near a half period w_i (x within a quarter of
+  a logarithm, the triple of the rounded w1, w2 or w1 + w2 halved: at
+  set-up each root is matched to the nearest of the theta values of wp at
+  the reduced basis's half periods (DLMF 23.6(i)), a match that must be
+  one to one.  Near a half period w_i (x within a quarter of
   e_i's gap to the other roots), x - e_i comes from y, and the logarithm
   is that of P + T_i, near O, plus w_i (``_translate``);
 * wp and wp' from Jacobi theta functions on the same reduced basis (DLMF
@@ -131,6 +134,7 @@ from hfcalc._elementary import (
     _cell_reduce,
     _dist2,
     _less,
+    _round,
     _scale,
     _tshift,
     _zadd,
@@ -207,8 +211,7 @@ def _relative(x, prec):
     """The mpc x as a triple with prec + ``_ZBITS`` bits below its size
     (``_fixed``), 0 as (0, 0, 0): a part further below truncates towards 0,
     so however far apart the parts' exponents lie, the integers stay that
-    size.  For a z or y handed in whole; ``_exact`` serves the curve's own
-    numbers, rounded from integers in one unit, and a lattice's periods."""
+    size.  For a z or y handed in whole; ``_exact`` serves a lattice's periods."""
     if not x:
         return 0, 0, 0
     wp = prec + _ZBITS - _mag(x)
@@ -372,25 +375,6 @@ class Divisor(Frozen):
         return Divisor(self.entries + other.entries)
 
 
-def _root_out(re, im, unit):
-    """A root of ``_chop`` rounded once to the working precision: an mpf if
-    real (0 included), else an mpc."""
-    root = _unfixed(re, im, unit)
-    return root if im else root.real
-
-
-def _period_basis(roots, prec, dps):
-    """``_periods`` of the roots e1, e2, e3 in this order, on their exact
-    integers, with w1 and w2 each rounded once and w2 signed so that
-    Im(w2 / w1) > 0."""
-    *roots, unit = _align(*(_exact(r) for r in roots))
-    w1, w2, walk = _periods(*roots, unit, prec, dps)
-    w1, w2 = _unfixed(*w1), _unfixed(*w2)
-    if w2.imag * w1.real < w2.real * w1.imag:  # Im(w2 conj(w1)) < 0: Im(w2 / w1) < 0
-        w2 = -w2
-    return w1, w2, walk
-
-
 class EllipticCurve:
     """y^2 = 4x^3 - g2 x - g3 with its period lattice and elliptic logarithm.
 
@@ -448,17 +432,16 @@ class EllipticCurve:
             # Beyond |x| = 10^(workdps/2) s^2, wp(z) = z^-2 (1 + g2 z^4/20 + ...)
             # gives z = x^(-1/2) at working precision: |x|^2 > s^4 10^workdps.
             self._far2 = self._sizes[0] * 10 ** self._workdps, 4 * t - 2 * bits
-            self.roots = self._sorted_roots(*g, b)
-            self.w1, self.w2, self._walk = self._compute_periods()
+            self.w1, self.w2, self._walk = self._compute_periods(self._sorted_roots(*g, b))
 
     # -- lattice construction ---------------------------------------------------
 
     def _sorted_roots(self, g2, g3, b):
         """The roots of ``_cardano`` on the integers, sorted by (Re, Im)
-        descending: all real (each an mpc) when every imaginary part lies
-        below 10^-digits of the largest root.  The rounded roots in units of
-        2^(2t - W) go to ``_roots_fixed``, so a branch point given as a
-        printed root is that root."""
+        descending, as triples rounded once (``_round``): all real (each
+        public root an mpc) when every imaginary part lies below 10^-digits
+        of the largest root.  ``_roots_fixed`` truncates them to units of
+        2^(2t - W), so a branch point given as a printed root is that root."""
         unit = 2 * self._t - b
         roots = _chop(_cardano(g2, g3, b), unit - 2 * self._t, self._prec)
         size2 = max(re * re + im * im for re, im in roots)
@@ -466,19 +449,24 @@ class EllipticCurve:
         if real:
             roots = [(re, 0) for re, _im in roots]
         roots.sort(reverse=True)
-        out = [_root_out(*r, unit) for r in roots]
-        self._roots_fixed = [_fixed(r, self._bits - 2 * self._t) for r in out]
-        return [mpc(r) for r in out] if real else out
+        roots = [_round((*r, unit), self._prec) for r in roots]
+        k = self._bits - 2 * self._t
+        self._roots_fixed = [(_scale(re, exp + k), _scale(im, exp + k)) for re, im, exp in roots]
+        self.roots = [_unfixed(*r) if real or r[1] else _unfixed(*r).real for r in roots]
+        return roots
 
-    def _compute_periods(self):
+    def _compute_periods(self, roots):
         """Periods and the logarithm's AGM walk, checked by the reduced basis's
         theta constants; for each root the half period where wp takes it, and
-        its fixed-point value and gap for ``_log``."""
+        its fixed-point value and gap for ``_log``; the public w1 and w2."""
         prec, dps = self._prec, self._workdps
-        w1, w2, walk = _period_basis(self.roots, prec, dps)
+        *roots, unit = _align(*roots)
+        w1, w2, walk = _periods(*roots, unit, prec, dps)
         # The basis, its reduction and their Cramer determinants as exact
         # integers, for the reductions of _wp_fixed and _reduce.
-        v1, v2, unit = _align(_exact(w1), _exact(w2))
+        v1, v2, unit = _align(_round(w1, prec), _round(w2, prec))
+        if v2[1] * v1[0] < v2[0] * v1[1]:  # Im(w2 conj(w1)) < 0: Im(w2 / w1) < 0
+            v2 = -v2[0], -v2[1]
         r1, r2, (a, b, c, d) = _reduce_basis(v1, v2, dps)
         self.tau = _unfixed(*_zdiv((*v2, unit), (*v1, unit), prec))
         self._reduced = _unfixed(*r1, unit), _unfixed(*r2, unit)
@@ -503,17 +491,17 @@ class EllipticCurve:
         if sorted(match) != [0, 1, 2]:
             raise CurveError("half periods do not separate the branch points")
         # Twice the half periods where wp takes theta_e are r1, r1 + r2 and r2,
-        # whose coordinates in (w1, w2) are the rows of the reduction matrix.
+        # whose coordinates in (w1, w2) are the rows of the reduction matrix:
+        # the half period is w1/2, w2/2 or (w1 + w2)/2, the sum rounded once.
         doubled = ((a, b), (a + c, b + d), (c, d))
-        self._half_periods = []
+        self._half_exact = []
         for j in match:
             m, n = (v % 2 for v in doubled[j])
-            # Exact: w1/2, w2/2 or (w1 + w2)/2.
-            self._half_periods.append(((w1 if m else 0) + (w2 if n else 0)) * mpf(0.5))
-        self._half_exact = [_exact(h) for h in self._half_periods]
+            re, im, exp = _round((m * v1[0] + n * v2[0], m * v1[1] + n * v2[1], unit), prec)
+            self._half_exact.append((re, im, exp - 1))
         # Each root's gap to the other two squared, in units of 2^(4t - 2W).
         self._gaps = [min(_dist2(r, fixed[i - 1]), _dist2(r, fixed[i - 2])) for i, r in enumerate(fixed)]
-        return w1, w2, walk
+        return _unfixed(*v1, unit), _unfixed(*v2, unit), walk
 
     # -- lattice bookkeeping ------------------------------------------------------
 
@@ -623,13 +611,12 @@ class EllipticCurve:
     # -- elliptic logarithm -----------------------------------------------------------
 
     def _log(self, pt):
-        """(z, branch): z with (wp(z), wp'(z)) = P, not reduced mod L, as a
-        triple of integers, and the index of the root whose stored half
-        period z is (already in the cell), else None.  Runs at the working
-        precision.
+        """z with (wp(z), wp'(z)) = P, not reduced mod L, as a triple of
+        integers.  Runs at the working precision.
 
         With e_i the root nearest x: a branch point (y = 0 exactly, x within
-        10^-(digits-4) max(|x|, s^2) of e_i) maps to its half period w_i.
+        10^-(digits-4) max(|x|, s^2) of e_i) maps to its half period w_i,
+        exactly the stored triple.
         Within a quarter of e_i's gap, x has lost to rounding what y keeps
         (dz = dx / y), so d = x - e_i = y^2 / (4 (x - e_j)(x - e_k)) and
         z = log(P + T_i) + w_i, where P + T_i has x' = e_i + (e_i - e_j)
@@ -650,7 +637,7 @@ class EllipticCurve:
         i = min(range(3), key=dist2.__getitem__)
         size_x2 = max(_dist2(big_x, _ZERO), s4)
         if not y and dist2[i] * self._inv_root_tol2 <= size_x2:
-            return self._half_exact[i], i
+            return self._half_exact[i]
         unit = 2 * t - bits  # of x and the roots
         if y and 16 * dist2[i] < self._gaps[i] >> 4 * dt:
             x_log = _translate(big_x, roots[i], roots[i - 1], roots[i - 2], _relative(y, prec), unit, prec)
@@ -676,12 +663,12 @@ class EllipticCurve:
             if off * self._inv_tol2 > size_y2:
                 raise CurveError(f"point is not on the curve: residual {_nstr_ratio([(off, size_y2)])}")
             raise CurveError(f"elliptic logarithm misses the point: residual {_nstr_ratio(misses)}")
-        return z, None
+        return z
 
     def elliptic_log(self, pt: Point):
         """z with wp(z) = x(P), wp'(z) = y(P), reduced to the fundamental cell:
-        ``aj`` of [P] - [O], so a branch point gives its stored half period as
-        is and None gives 0 (see ``_log``).
+        ``aj`` of [P] - [O], so a branch point gives its half period and
+        None gives 0 (see ``_log``).
 
         z is about 1/sqrt(x) far from the origin, so a point with |x| beyond
         about 10^(2 (workdps - 5)) / rho^2 lies within the pole's tolerance
@@ -693,34 +680,24 @@ class EllipticCurve:
     # -- Abel-Jacobi ------------------------------------------------------------------
 
     def _aj_sum(self, divisor: Divisor):
-        """(z, branch): the sum of m z(P) over the unreduced logarithms z(P)
-        of ``_log``, a triple of integers, and None; or, for a lone branch
-        point (the divisor's only point other than O, with multiplicity 1),
-        its half period's triple and the index of its root.  Runs at the
-        working precision."""
+        """The sum of m z(P) over the unreduced logarithms z(P) of ``_log``,
+        a triple of integers.  Runs at the working precision."""
         if divisor.degree != 0:
             raise CurveError(f"divisor has degree {divisor.degree}, expected 0")
-        terms = [(pt, mult) for pt, mult in divisor.entries if mult and pt is not None]
-        if len(terms) == 1 and terms[0][1] == 1:
-            return self._log(terms[0][0])
         total = 0, 0, 0
-        for pt, mult in terms:
-            total = _zadd(total, self._log(pt)[0], self._prec, mult)
-        return total, None
+        for pt, mult in divisor.entries:
+            if mult and pt is not None:
+                total = _zadd(total, self._log(pt), self._prec, mult)
+        return total
 
     def aj(self, divisor: Divisor):
         """Abel-Jacobi value of a degree-zero divisor in C/L (fundamental cell):
         the sum of m z(P) over the unreduced logarithms z(P) of ``_log``,
-        reduced once.  A lone branch point (see ``_aj_sum``) gives its stored
-        half period as is."""
-        with mp.workdps(self._workdps):
-            z, branch = self._aj_sum(divisor)
-            return self._reduce(z)[0] if branch is None else self._half_periods[branch]
+        reduced once."""
+        return self._aj_coords(divisor)[0]
 
     def _aj_coords(self, divisor: Divisor) -> tuple:
         """(z, a, b): the value of ``aj`` and its coordinates (a, b) mod 1,
         z = a w1 + b w2, from one reduction (``_reduce``)."""
         with mp.workdps(self._workdps):
-            z, branch = self._aj_sum(divisor)
-            out = self._reduce(z)
-            return out if branch is None else (self._half_periods[branch], *out[1:])
+            return self._reduce(self._aj_sum(divisor))

@@ -26,6 +26,7 @@ from hfcalc.engine import GroupDescriptor
 from hfcalc.errors import ParseError, _int_arg
 from hfcalc.rings import RingModel
 from hfcalc.spaces import (
+    MAX_QUASI_DEGREE,
     KahlerModel,
     Model,
     QuasiProjModel,
@@ -62,13 +63,11 @@ __all__ = [
 # and bundles.  It also counts each ring's basis monomials, the most terms
 # a ring element in normal form (``RingModel.reduce``) can hold; a model's
 # check counts them by degree from the rule powers without listing them
-# (P(P^300 x P^300, 300), 27 million monomials, builds in 0.7 s).  A
-# projective bundle over a quasi-projective base grows with about the
-# fourth power of its top degree (P(P(Gm, 60), 60), top degree 237: 0.6 s;
-# P(P(Gm, 200), 200): 34 s).
+# (P(P^300 x P^300, 300), 27 million monomials, builds in 0.7 s).  The top
+# Betti degree of a quasi-projective model is bounded by the library's own
+# limit, ``spaces.MAX_QUASI_DEGREE``, checked here before any model is built.
 
 MAX_DIM = 1000  # complex dimension of a Kahler model, of P^n and of A^n
-MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
 MAX_THEORY_DEGREE = 1000  # |j| of a theory document's rank table
 MAX_TABLE_TERMS = 10 ** 6  # entry pairs and ring monomials a document's models cost
 

@@ -307,6 +307,10 @@ Model = KahlerModel | QuasiProjModel
 
 # -- constructors ---------------------------------------------------------------
 
+# A bundle over a quasi-projective base costs about the fourth power of its
+# top degree (P(P(Gm, 60), 60), degree 237: 0.6 s; P(P(Gm, 200), 200): 34 s).
+MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
+
 
 def _convolve(a: Mapping, b: Mapping) -> dict:
     """out[k + l] += a[k] * b[l]; keys are integers or (s, t) pairs, added
@@ -389,8 +393,10 @@ def product(x: KahlerModel, y: KahlerModel) -> KahlerModel:
     factors' tables (products of Hodge classes); when the product is known
     to carry more, ``product(x, y).replace(hodge_class_rank=...)`` builds
     that model, validated.  The odd-degree lattice ranks cannot be
-    overridden.
+    overridden.  A quasi-projective factor is refused (see ``quasi_product``).
     """
+    if not (isinstance(x, KahlerModel) and isinstance(y, KahlerModel)):
+        raise ModelError("product takes Kahler models; use quasi_product, after as_quasiproj on a compact factor")
     # Free parts convolve their ranks; tensor and Tor add torsion only when
     # a factor has some, so a torsion-free product costs one rank convolution.
     ranks = _convolve(
@@ -419,11 +425,15 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
     When the base carries a ring presentation the bundle ring adjoins a
     degree-2 class subject to the alternating Chern-class relation
     (``chern`` = [c_1, ..., c_r] as base ring elements, default trivial).
+    Over a quasi-projective base, a top degree above MAX_QUASI_DEGREE is refused.
     """
     if r < 1:
         raise ModelError("projective_bundle needs r >= 1")
     shifts = range(r)
     name = f"P(V^{r} -> {x.name})"
+    top = x.max_degree + 2 * (r - 1) if isinstance(x, QuasiProjModel) else 0
+    if top > MAX_QUASI_DEGREE:
+        raise ModelError(f"{name}: top degree {top} exceeds the limit of {MAX_QUASI_DEGREE}")
     hcr = _convolve(x.hodge_class_rank, {i: 1 for i in shifts})
     ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
     if isinstance(x, KahlerModel):

@@ -1,0 +1,161 @@
+"""A mutation fence: one-line mutants of the program's rules, each with the
+tests that must fail on it.
+
+Each mutant names a module under ``src/hfcalc``, one line as it stands
+there (without its indentation; it must occur exactly once), the line put
+in its place, and the tests, as pytest ids, of which at least one must fail.
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, checks that every named test passes there, then
+applies each mutant in turn and runs its tests with a fixed Hypothesis
+seed.  A mutant whose tests all pass has survived; the runner then exits 1.
+
+    python tests/mutants.py
+
+pytest does not collect this module, since its name does not start with
+``test_``: one run costs a pytest process per mutant, more than tier-1 has
+time for, so CI runs it on pull requests only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+AJ = "tests/test_abeljacobi.py::"
+ELEM = "tests/test_elementary.py::"
+PINNED = "tests/test_pinned_cells.py::test_log_and_diagonal_cells"
+
+# (name, module, old line, new line, tests)
+MUTANTS = [
+    # The engine's rules, which no checker tests independently.
+    ("certified_f_at_most_1", "engine.py",
+     "certified = (2 * q > m) if kahler else (f_block == 0)",
+     "certified = (2 * q > m) if kahler else (f_block <= 1)", [PINNED]),
+    ("kahler_rule_2q_at_least_m", "engine.py",
+     "certified = (2 * q > m) if kahler else (f_block == 0)",
+     "certified = (2 * q >= m) if kahler else (f_block == 0)", [PINNED]),
+    ("torus_on_every_diagonal", "engine.py",
+     "ctd = circle // 2 if kahler and diagonal else None",
+     "ctd = circle // 2 if diagonal else None", [PINNED]),
+    ("excess_positive", "engine.py", "if excess >= 0:", "if excess > 0:",
+     ["tests/test_engine.py::TestHfcGroup::test_analytic_picard_shape"]),
+    ("odd_lattice_below_s_min", "spaces.py",
+     "return b if q <= s_min else 0", "return b if q < s_min else 0",
+     ["tests/test_spaces.py::TestLatticeRule::test_odd_degree_real_lattice"]),
+    ("blocks_parity", "engine.py", "if (m - degree) % 2:", "if (m - degree) % 2 == 0:",
+     [PINNED, "tests/test_engine.py::TestERank::test_curve_degree_one"]),
+    ("variant_always_log", "engine.py",
+     "return ANALYTIC if isinstance(model, KahlerModel) else LOG", "return LOG",
+     ["tests/test_io_cli.py::TestGoldenOutputs"]),
+    # The model constructors.
+    ("convolve_pair_keys", "spaces.py",
+     "key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[1])",
+     "key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[0])",
+     ["tests/test_engine.py::TestHfcGroup::test_certified_off_diagonal"]),
+    ("bundle_drops_shift_0", "spaces.py",
+     "if not odd and 0 <= i < r:", "if not odd and 0 < i < r:",
+     [PINNED, "tests/test_engine.py::TestBundleFormula::test_other_builtin_bases"]),
+    ("window_drops_top_level", "spaces.py",
+     "for p in range(1, n + 1):", "for p in range(1, n):",
+     [PINNED, "tests/test_spaces.py::TestQuasiProj::test_quasi_product_with_affine_is_identity"]),
+    ("bundle_limit_off_by_one", "spaces.py",
+     "if top > MAX_QUASI_DEGREE:", "if top > MAX_QUASI_DEGREE + 1:",
+     ["tests/test_spaces.py::TestProjectiveBundle::test_quasiproj_top_degree_limit"]),
+    ("product_takes_quasi_projective", "spaces.py",
+     "if not (isinstance(x, KahlerModel) and isinstance(y, KahlerModel)):",
+     "if not (isinstance(x, KahlerModel) or isinstance(y, KahlerModel)):",
+     ["tests/test_spaces.py::TestQuasiProj::test_product_refuses_quasi_projective_factor"]),
+    ("tor_lcm", "abelian.py",
+     "return FgAbelianGroup.of(0, (gcd(s, t) for s in self.torsion for t in other.torsion))",
+     "return FgAbelianGroup.of(0, (s * t // gcd(s, t) for s in self.torsion for t in other.torsion))",
+     ["tests/test_abelian.py::TestFgAbelianGroup::test_tensor_and_tor_examples"]),
+    ("partition_last_pentagonal_term", "coefficients.py",
+     "term = table[m - g] + (table[m - g - k] if g + k <= m else 0)",
+     "term = table[m - g] + (table[m - g - k] if g + k < m else 0)",
+     ["tests/test_coefficients.py::TestMuRank"]),
+    # The size limits' sums.
+    ("product_terms_without_rings", "io.py",
+     "terms = terms_x + terms_y + pairs + _ring_basis(x.ring) * _ring_basis(y.ring)",
+     "terms = terms_x + terms_y + pairs",
+     ["tests/test_io_cli.py::TestSizeLimits"]),
+    ("bundle_terms_once", "io.py",
+     "terms += r * (sum(map(len, _tables(base))) + _ring_basis(base.ring))",
+     "terms += sum(map(len, _tables(base))) + _ring_basis(base.ring)",
+     ["tests/test_io_cli.py::TestSizeLimits"]),
+    # The Abel-Jacobi path.
+    ("asin_cut_sign", "_elementary.py",
+     "return sign * (half_pi - 2 * ar), sign * -2 * ai",
+     "return sign * (half_pi - 2 * ar), -2 * ai",
+     [ELEM + "TestArcsine"]),
+    ("cell_snap_tolerance", "_elementary.py",
+     "na, nb = (0 if abs(n - _nint(n, den) * den) * ten_digits <= tol else n % den for n in (na, nb))",
+     "na, nb = (0 if abs(n - _nint(n, den) * den) * math.isqrt(ten_digits) <= tol else n % den for n in (na, nb))",
+     [ELEM + "TestCellReduction"]),
+    ("cell_nearest_mod_det", "_elementary.py",
+     "na, nb, den = na * m % (2 * det), nb * m % (2 * det), det",
+     "na, nb, den = na * m % det, nb * m % det, det",
+     [ELEM + "TestFarFromTheBasis"]),
+    ("round_ties_away_from_even", "_elementary.py",
+     "n = _nint(n, 1 << k)",
+     "n = 2 * n + (1 << k) >> k + 1 if n > 0 else -(-2 * n + (1 << k) >> k + 1)",
+     [ELEM + "TestRound"]),
+    ("aj_sum_ignores_multiplicity", "abeljacobi.py",
+     "total = _zadd(total, self._log(pt), self._prec, mult)",
+     "total = _zadd(total, self._log(pt), self._prec)",
+     [AJ + "TestAbelJacobi::test_trivial_divisor"]),
+]
+
+
+def _apply(text: str, old: str, new: str, where: str) -> str:
+    """``text`` with its one line ``old`` (indentation aside) replaced by ``new``."""
+    lines = text.split("\n")
+    hits = [i for i, line in enumerate(lines) if line.strip() == old]
+    if len(hits) != 1:
+        raise SystemExit(f"{where}: {len(hits)} lines read {old!r}, expected one")
+    line = lines[hits[0]]
+    lines[hits[0]] = line[: len(line) - len(line.lstrip())] + new
+    return "\n".join(lines)
+
+
+def _pytest(tree: Path, tests: list) -> int:
+    """pytest's exit code on ``tests`` in ``tree``: 0 all passed, 1 some failed."""
+    # No bytecode: a mutant the same size as the last one, written within the
+    # same second, would otherwise run the last one's cached bytecode.
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutants: list) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        named = sorted({test for *_line, tests in mutants for test in tests})
+        if _pytest(tree, named):
+            print("the named tests do not all pass on the unmutated tree")
+            return 1
+        failed = 0
+        for name, module, old, new, tests in mutants:
+            path = tree / "src" / "hfcalc" / module
+            original = path.read_text()
+            path.write_text(_apply(original, old, new, f"{name} ({module})"))
+            code = _pytest(tree, tests)
+            path.write_text(original)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            failed += code != 1
+            print(f"{verdict:10} {name}: {module}: {new}", flush=True)
+        print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
+        return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from hfcalc import _elementary, _fixedpoint, abeljacobi
-from hfcalc.abeljacobi import Divisor, EllipticCurve, _numbers, _period_basis, complex_agm, lattice_invariants
+from hfcalc.abeljacobi import Divisor, EllipticCurve, _numbers, complex_agm, lattice_invariants
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import jacobian
 from hfcalc.errors import CurveError
@@ -54,11 +54,12 @@ def nearer(a, b):
 def cubic_roots(g2, g3, t):
     """The roots of 4x^3 - g2 x - g3 as the curve takes them, unsorted:
     ``_cardano`` at B = 2 prec + 20 bits, 2^t a bound on the curve's size,
-    chopped (``_chop``) and each rounded once (``_root_out``)."""
+    chopped (``_chop``) and each rounded once: an mpf if real, else an mpc."""
     b = 2 * mp.prec + 20
     g = abeljacobi._fixed(g2, b - 4 * t), abeljacobi._fixed(g3, b - 6 * t)
     roots = _fixedpoint._chop(_fixedpoint._cardano(*g, b), 2 * t - b, mp.prec)
-    return [abeljacobi._root_out(*r, 2 * t - b) for r in roots]
+    out = [abeljacobi._unfixed(*r, 2 * t - b) for r in roots]
+    return [root if im else root.real for root, (_re, im) in zip(out, roots)]
 
 
 def reduce_tau(w1, w2):
@@ -160,7 +161,7 @@ def log_by_quadrature(e, x, y):
 
 
 def curve_agm_start(e):
-    """(a, b) of the curve's AGM M(a, b), as ``_period_basis`` starts it."""
+    """(a, b) of the curve's AGM M(a, b), as ``_periods`` starts it."""
     e1, e2, e3 = e.roots
     a = mp.sqrt(e1 - e3)
     return a, nearer(a, mp.sqrt(e1 - e2))
@@ -246,7 +247,8 @@ class TestPeriods:
         with mp.workdps(e._workdps):
             tol = mpf(10) ** (-(e.digits - 3))
             for order in itertools.permutations(e.roots):
-                w1, w2, _pairs = _period_basis(order, mp.prec, mp.dps)
+                *roots, unit = _elementary._align(*(abeljacobi._exact(r) for r in order))
+                w1, w2 = (abeljacobi._unfixed(*w) for w in _fixedpoint._periods(*roots, unit, mp.prec, mp.dps)[:2])
                 g2r, g3r = lattice_invariants(w1, w2)
                 assert abs(g2r - e.g2) <= tol * max(1, abs(e.g2)), order
                 assert abs(g3r - e.g3) <= tol * max(1, abs(e.g3)), order
@@ -824,7 +826,7 @@ def reference_agm_log(pairs, e3, x):
 @st.composite
 def agm_cases(draw):
     """(dps, a, b, e1, x): |a| in 1e-8..1e8, |b| / |a| in 1e-12..1, the angle
-    between them under 0.45 pi (``_period_basis`` makes Re(a conj(b)) >= 0),
+    between them under 0.45 pi (``_periods`` makes Re(a conj(b)) >= 0),
     either of them the smaller; roots e1, e2 = e1 - b^2, e3 = e1 - a^2 and a
     point x = e1 + t h^2, h the larger of a and b, with |t| in 0.1..1e12.  A
     small ratio puts two roots close together, a curve near its node, where
@@ -1307,6 +1309,13 @@ def reported_translation_case():
         return e, e.w1 / 2 + mpf(10) ** -1 * e.w1
 
 
+def tied_roots_translation_case():
+    """(curve, z0) of a translation-law draw, (1, 1 + 8.07e-303 i) at 100
+    digits: the complex roots' real parts agree far below the working
+    precision, so the curve and its digits + 40 copy sort them apart."""
+    return EllipticCurve(1, mpc(1, 8.06541460369852e-303), digits=100), mpc("1.7211617829476653")
+
+
 def near_half_period_case():
     """(curve, z0) with z0 = w2/2 + 10^-21 w1 at 20 digits: coordinates
     (1e-21, 1/2), whose 1e-21 frac_coords takes as 0."""
@@ -1365,8 +1374,8 @@ class TestLogContract:
         e.aj(Divisor.of([(p, 2), (q, -1), ((e.roots[1], 0), 1), (near, 1), (None, -3)]))
         assert len(calls) == 1
         calls.clear()
-        e.elliptic_log((e.roots[1], 0))  # a stored half period: no reduction
-        assert calls == []
+        e.elliptic_log((e.roots[1], 0))  # a branch point: its half period's triple, reduced once
+        assert calls == [e._half_exact[1]]
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(curve_invariants(), st.floats(0.05, 0.45), st.floats(0.05, 0.95), st.integers(-40, -1))
@@ -1481,11 +1490,14 @@ class TestNearHalfPeriod:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(log_points(), st.integers(0, 2))
     @example(reported_translation_case(), 1)
+    @example(tied_roots_translation_case(), 1)
     def test_translation_law(self, case, i):
         # P + T_i = (e_i + C / (x - e_i), -C y / (x - e_i)^2), with
         # C = (e_i - e_j)(e_i - e_k): z(P + T_i) = z(P) + w_i mod L, w_i the
         # half period of the branch point T_i = (e_i, 0).  Near w_i, x - e_i
-        # keeps few digits, so both points come from a curve at digits + 40.
+        # keeps few digits, so both points come from a curve at digits + 40,
+        # and T_i is the curve's root nearest that curve's e_i: roots whose
+        # real parts tie below the working precision sort by rounding.
         e, z0 = case
         ref = EllipticCurve(e.g2, e.g3, e.digits + 40)
         with mp.workdps(ref._workdps):
@@ -1495,7 +1507,7 @@ class TestNearHalfPeriod:
             c = (ei - ej) * (ei - ek)
             moved = (ei + c / (x - ei), -c * y / (x - ei) ** 2)
         with mp.workdps(e._workdps):
-            w_i = e.elliptic_log((e.roots[i], 0))
+            w_i = e.elliptic_log((min(e.roots, key=lambda r: abs(r - ei)), 0))
             d = e.lattice_distance(e.elliptic_log(moved) - e.elliptic_log((x, y)) - w_i)
             assert d <= mpf(10) ** -(e.digits - 3) * abs(e.w1)
 
@@ -1674,22 +1686,28 @@ class TestIntegerGlue:
         assert abs(e._big_l - want) <= 4 * sys.float_info.epsilon * want
 
     @pytest.mark.parametrize("g2, g3", SHAPES.values(), ids=SHAPES.keys())
-    def test_lone_branch_point_is_not_reduced(self, monkeypatch, g2, g3):
-        # aj([T] - [O]) is the stored half period itself, with no solve; any
-        # other divisor through a branch point is reduced once.
+    def test_lone_branch_point_is_reduced_once(self, monkeypatch, g2, g3):
+        # aj([T] - [O]) takes the one path of every divisor: the branch
+        # point's logarithm is its exact half-period triple, reduced once,
+        # which leaves it w1/2, w2/2 or (w1 + w2)/2 at the working precision,
+        # a different one for each root.
         e = EllipticCurve(g2, g3, digits=30)
+        with mp.workdps(e._workdps):
+            halves = [e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]
         calls = []
-        reduce, coords = EllipticCurve._reduce, abeljacobi._cell_coords
-        monkeypatch.setattr(EllipticCurve, "_reduce", lambda self, z: calls.append("reduce") or reduce(self, z))
-        monkeypatch.setattr(abeljacobi, "_cell_coords", lambda *args: calls.append(args) or coords(*args))
+        reduce = EllipticCurve._reduce
+        monkeypatch.setattr(EllipticCurve, "_reduce", lambda self, z: calls.append(z) or reduce(self, z))
+        found = set()
         for i, root in enumerate(e.roots):
             for entries in ([((root, 0), 1), (None, -1)], [(None, -1), ((root, 0), 1)], [((root, 0), 1), (None, -1), (None, 0)]):
-                assert e.aj(Divisor.of(entries)) == e._half_periods[i]
-        assert calls == []
+                found.add(halves.index(e.aj(Divisor(entries))))
+                assert calls == [e._half_exact[i]]
+                calls.clear()
+        assert found == {0, 1, 2}
         for entries in ([((e.roots[0], 0), -1), (None, 1)], [((e.roots[0], 0), 2), (None, -2)],
                         [((e.roots[0], 0), 1), ((e.roots[1], 0), 1), (None, -2)]):
-            e.aj(Divisor.of(entries))
-            assert calls.count("reduce") == 1
+            e.aj(Divisor(entries))
+            assert len(calls) == 1
             calls.clear()
 
 
@@ -1906,7 +1924,10 @@ class TestIdentityCorpus:
                 solved = [solve_coords(r, e.w1, e.w2) for r in (r1, r2)]
                 assert [[int(mp.nint(x)) for x in xy] for xy in solved] == [[a, b], [c, d]]
                 assert all(abs(x - mp.nint(x)) <= mpf(10) ** -(e._workdps - 5) for xy in solved for x in xy)
-                for root, half in zip(e.roots, e._half_periods):
+                halves = [e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]
+                for root in e.roots:
+                    half = e.aj(Divisor([((root, 0), 1), (None, -1)]))
+                    assert half in halves
                     m, n = (int(mp.nint(x)) for x in e.coords(2 * half))
                     assert [m % 2, n % 2] != [0, 0]
                     assert abs(e.wp_pair(half)[0] - root) <= mpf(10) ** -(e.digits - 4) * max(abs(root), sizes(e)[0])

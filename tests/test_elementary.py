@@ -12,12 +12,14 @@ ambient precision.
 
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from hfcalc import _elementary, _fixedpoint, abeljacobi
 from hfcalc.abeljacobi import MAX_DIGITS, Divisor, EllipticCurve, complex_agm
@@ -160,6 +162,40 @@ def theta_arguments(draw):
             "zero": mpc(0),
         }[kind]
     return dps, v
+
+
+def mpmath_round(z, prec):
+    """The triple z as mpmath makes it an mpc at ``prec`` bits, read back exactly."""
+    re, im, exp = z
+    return abeljacobi._exact(mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n"))))
+
+
+class TestRound:
+    """``_round`` is mpmath's rounding of a number it makes, on integers:
+    each part to nearest, ties to even, in mpmath's form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 400), st.integers(-(1 << 600), 1 << 600), st.integers(-(1 << 600), 1 << 600),
+           st.integers(-1000, 1000))
+    @example(53, (1 << 60) - 1, 0, 0)  # carries into a bit of its own
+    @example(3, 0, 0, 5)
+    def test_matches_mpmath(self, prec, re, im, exp):
+        assert _elementary._round((re, im, exp), prec) == mpmath_round((re, im, exp), prec)
+
+    @pytest.mark.parametrize("prec", [2, 53, 113, 333])
+    def test_ties(self, prec):
+        rng = random.Random(prec)
+        for _ in range(300):
+            k = rng.randint(1, 80)
+            top = rng.choice(((1 << prec) - 1, rng.getrandbits(prec - 1) | 1 << prec - 1))
+            for low in (1 << k - 1, (1 << k - 1) - 1, (1 << k - 1) + 1, (1 << k) - 1):
+                n = (top << k | low) * rng.choice((1, -1))
+                z = n, rng.choice((0, n, -3, top << k | 1 << k - 1)), rng.randint(-200, 200)
+                assert _elementary._round(z, prec) == mpmath_round(z, prec)
+            # An exact tie goes to the even neighbour, on either sign.
+            for sign in (1, -1):
+                re, _im, exp = _elementary._round((sign * (top << k | 1 << k - 1), 0, 0), prec)
+                assert re << exp - k == sign * (top + (top & 1))
 
 
 class TestCosSin:
@@ -352,7 +388,7 @@ class TestCellReduction:
     def test_real_curves_keep_exact_zeros(self, g2, g3):
         # A real point on a real curve: its logarithm, the aj sum and the
         # reduced value have an exactly zero imaginary part or lie exactly
-        # on the w2 line; branch points give their stored half periods.
+        # on the w2 line; branch points give their half periods.
         e = EllipticCurve(g2, g3, digits=40)
         with mp.workdps(e._workdps):
             x = e.roots[0] + 1
@@ -363,7 +399,9 @@ class TestCellReduction:
             _z, a, b = e._aj_coords(Divisor([(pt, 1), (None, -1)]))
             if e.w1.imag == 0:  # rectangular: the point lies on the real axis
                 assert z.imag == 0 and zz.imag == 0 and b == 0
-            assert [e.aj(Divisor([((r, 0), 1), (None, -1)])) for r in e.roots] == e._half_periods
+            halves = [e.w1 / 2, e.w2 / 2, (e.w1 + e.w2) / 2]
+            got = [e.aj(Divisor([((r, 0), 1), (None, -1)])) for r in e.roots]
+            assert sorted(map(halves.index, got)) == [0, 1, 2]
 
 
 def shifted_cell_coords(z, basis):

@@ -613,6 +613,97 @@ NEAR_ROOT_X = "1.000000000000000000000000000001"
 NEAR_ROOT_Y = "2.82842712474619009760337744842156323254184295060911286880001e-15"
 
 
+KAHLER_CURVE = '{"kind": "kahler", "complex_dim": 1, "betti": {"0": [1, []], "1": [2, []], "2": [1, []]}, %s}'
+COMPUTE = ["--theory", "HZ", "--n", "0", "--p", "0"]
+AJ = ["aj", "--g2", "4", "--g3", "0", "--divisor"]
+
+# Refusals of outside input: name -> (documents written to files, argv with
+# {name} for a document's path, exit code, a fragment of the one stderr line).
+REFUSALS = {
+    "space_not_an_object": ({"s": "[1, 2]"}, ["compute", "--space", "{s}", *COMPUTE], 1,
+                            "space document must be a JSON object"),
+    "table_not_an_object": ({"s": KAHLER_CURVE % '"hodge": [1]'}, ["compute", "--space", "{s}", *COMPUTE], 1,
+                            "hodge: expected an object, got list"),
+    "pair_key": ({"s": KAHLER_CURVE % '"hodge": {"1": 1}'}, ["compute", "--space", "{s}", *COMPUTE], 1,
+                 "hodge: key '1' is not of the form 'a,b'"),
+    "betti_entry": ({"s": KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, 2]') % '"hodge": {}'},
+                    ["compute", "--space", "{s}", *COMPUTE], 1, "betti[0]: expected [free_rank, [torsion...]]"),
+    "betti_torsion": ({"s": KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, [0]]') % '"hodge": {}'},
+                      ["compute", "--space", "{s}", *COMPUTE], 1, "betti[0]: zero is not a torsion order"),
+    "ring_presentation": ({"s": KAHLER_CURVE % '"ring": {"generators": 5}'}, ["compute", "--space", "{s}", *COMPUTE],
+                          1, "ring presentation: "),
+    "expression_not_a_list": ({"s": '{"kind": "construct", "expr": "P2"}'}, ["compute", "--space", "{s}", *COMPUTE],
+                              1, "constructor expression must be a list starting with a name: 'P2'"),
+    "leaf_arity": ({"s": '{"kind": "construct", "expr": ["curve"]}'}, ["compute", "--space", "{s}", *COMPUTE], 1,
+                   "curve takes 1 argument(s), got 0"),
+    "product_arity": ({"s": '{"kind": "construct", "expr": ["product", ["point"]]}'},
+                      ["compute", "--space", "{s}", *COMPUTE], 1, "product takes two sub-expressions"),
+    "product_of_gm": ({"s": '{"kind": "construct", "expr": ["product", ["gm"], ["point"]]}'},
+                      ["compute", "--space", "{s}", *COMPUTE], 1, "product requires two kahler models"),
+    "bundle_arity": ({"s": '{"kind": "construct", "expr": ["projective_bundle", ["point"]]}'},
+                     ["compute", "--space", "{s}", *COMPUTE], 1,
+                     "projective_bundle takes a base expression and a rank"),
+    "theory_not_an_object": ({"t": "[1]"}, ["compute", "--space", fixture("p1.json"), "--theory", "{t}",
+                                            "--n", "0", "--p", "0"], 1, "theory document must be a JSON object"),
+    "theory_invalid_json": ({"t": "{"}, ["compute", "--space", fixture("p1.json"), "--theory", "{t}",
+                                         "--n", "0", "--p", "0"], 1, "is not valid JSON"),
+    "unreadable_space": ({}, ["compute", "--space", "{missing}", *COMPUTE], 1, "cannot read space file"),
+    "range_shape": ({}, ["point-table", "--theory", "HZ", "--n-range", "0", "--p-range", "0..1"], 1,
+                    "range '0' must look like A..B"),
+    "range_endpoints": ({}, ["point-table", "--theory", "HZ", "--n-range", "a..b", "--p-range", "0..1"], 1,
+                        "range 'a..b' must have integer endpoints"),
+    "range_empty": ({}, ["point-table", "--theory", "HZ", "--n-range", "3..1", "--p-range", "0..1"], 1,
+                    "range '3..1' is empty"),
+    "negative_unknown_generator": ({}, ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class=-y"],
+                                   1, "unknown generator 'y' in ring element '+-y'"),
+    "transfer_without_ring": ({}, ["check", "transfer", "--space", fixture("gm.json"), "--divisor-class", "x"], 1,
+                              "Gm carries no ring presentation"),
+    "grothendieck_without_ring": ({}, ["check", "grothendieck", "--space", fixture("gm.json"), "--chern", "x"], 1,
+                                  "Gm carries no ring presentation"),
+    "grothendieck_without_ring_or_chern": ({}, ["check", "grothendieck", "--space", fixture("gm.json")], 1,
+                                           "Gm carries no ring presentation"),
+    "divisor_invalid_json": ({}, [*AJ, "[["], 1, "divisor is not valid JSON"),
+    "divisor_not_a_list": ({}, [*AJ, "{}"], 1, "divisor must be a JSON list of [point, multiplicity]"),
+    "divisor_entry": ({}, [*AJ, "[1]"], 1, "divisor entry 1 must be [point, multiplicity]"),
+    "divisor_point": ({}, [*AJ, "[[5, 1]]"], 1, "divisor point 5 must be [x, y] or \"inf\""),
+    "missing_flag": ({}, ["compute", "--space", fixture("p1.json")], 2, "the following arguments are required"),
+    "check_missing_flag": ({}, ["check", "transfer", "--space", fixture("p2.json")], 2,
+                           "check transfer requires --divisor-class"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refused(self, name, tmp_path):
+        # Each refusal exits with its documented code and says why on one
+        # stderr line (a usage error's line follows argparse's usage text).
+        docs, argv, code, message = REFUSALS[name]
+        paths = {"{missing}": str(tmp_path / "missing.json")}
+        for key, text in docs.items():
+            paths[f"{{{key}}}"] = str(tmp_path / f"{key}.json")
+            (tmp_path / f"{key}.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                got = run([paths.get(arg, arg) for arg in argv], out=io.StringIO())
+            except SystemExit as exc:
+                got = exc.code
+        lines = err.getvalue().splitlines()
+        assert got == code, lines
+        assert "Traceback" not in err.getvalue()
+        assert message in lines[-1]
+        if code == 1:
+            assert len(lines) == 1, lines
+
+    def test_rank_level_cell_in_a_table(self, tmp_path):
+        # The table form flags a rank-level cell, which no golden shows.
+        path = tmp_path / "ee.json"
+        path.write_text(json.dumps({"kind": "construct", "expr": ["product", ["curve", 1], ["curve", 1]]}))
+        code, out = run_cli("compute", "--space", str(path), "--theory", "HZ", "--n", "3", "--p", "1", "--ascii")
+        assert code == 0
+        assert out.splitlines()[3:] == ["group: Z^4 + T^2 {rank-level}", "exactness: rank-level"]
+
+
 class TestExponentsFarApart:
     """Coefficients and coordinates enter as integers sized by their own
     magnitude, so exponents 10^8 apart cost what any others do; integers

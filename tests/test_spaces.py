@@ -13,6 +13,7 @@ from hfcalc.engine import e_rank, hfc_group
 from hfcalc.errors import ModelError
 from hfcalc.io import parse_space, parse_space_text
 from hfcalc.spaces import (
+    MAX_QUASI_DEGREE,
     KahlerModel,
     QuasiProjModel,
     affine_space,
@@ -231,6 +232,20 @@ class TestProjectiveBundle:
         for n in range(0, 2 * pb.dim + 1):
             assert pb.ring.graded_dimension(n) == pb.betti_rank(n)
 
+    def test_quasiproj_top_degree_limit(self):
+        # Refused before any work: the base's Betti keys (its top degree) are
+        # all that is read.  Top degree 1 + 2 (r - 1): 239 builds, 241 does not.
+        g = gm()
+        base = g.replace(betti=CountingDict(g.betti))
+        base.betti.reads = 0
+        with pytest.raises(ModelError, match="top degree 241 exceeds the limit of 240"):
+            projective_bundle(base, 121)
+        assert base.betti.reads <= len(base.betti)
+        assert MAX_QUASI_DEGREE == 240
+        assert projective_bundle(gm(), 120).max_degree == 239
+        with pytest.raises(ModelError, match="top degree 397"):
+            projective_bundle(projective_bundle(gm(), 100), 100)
+
     def test_quasiproj_base(self):
         pb = projective_bundle(gm(), 2)
         assert isinstance(pb, QuasiProjModel)
@@ -281,6 +296,18 @@ class TestQuasiProj:
         for x, y in ((projective_space(1), gm()), (gm(), curve(1)), (point(), point())):
             with pytest.raises(ModelError, match="as_quasiproj"):
                 quasi_product(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        (gm(), gm()),
+        (curve(1), gm()),
+        (gm(), curve(1)),
+        (projective_space(1), as_quasiproj(curve(1))),
+    ], ids=["gm-gm", "curve-gm", "gm-curve", "p1-quasi_curve"])
+    def test_product_refuses_quasi_projective_factor(self, x, y):
+        # product builds Kahler models only, and names the constructor that
+        # multiplies quasi-projective ones.
+        with pytest.raises(ModelError, match="quasi_product.*as_quasiproj"):
+            product(x, y)
 
     def test_quasi_product_with_affine_is_identity(self):
         for model in (gm(), affine_space(2), as_quasiproj(projective_space(2))):
