@@ -31,7 +31,6 @@ __all__ = [
     "rank",
     "kernel_rank",
     "cokernel_of",
-    "direct_sum",
     "divisibility_chain",
 ]
 
@@ -63,9 +62,6 @@ class IntMatrix(Frozen):
         for i, d in enumerate(diag):
             entries[i * c + i] = int(d)
         return cls(r, c, tuple(entries))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
@@ -246,10 +242,6 @@ class FgAbelianGroup(Frozen):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    return a.direct_sum(b)
 
 
 def cokernel_of(m: IntMatrix) -> FgAbelianGroup:

@@ -313,28 +313,26 @@ def lattice_invariants(w1, w2):
     """Weierstrass g2, g3 of the lattice Z w1 + Z w2 from the theta constants
     of an SL_2(Z)-reduced basis, where |q| <= exp(-pi sqrt 3 / 2).  The
     periods enter exactly (``_exact``), so parts far apart in size keep the
-    smaller one.  Non-finite input, dependent periods, parts whose
-    exponents span more than ``MAX_AGM_GAP`` + prec bits, as
-    ``complex_agm`` bounds its moduli, and a reduced Im(tau) above
-    ``MAX_IM_TAU`` raise CurveError before the theta sums."""
+    smaller one, and every test reads those integers: the sign of the
+    determinant Im(conj(w1) w2) orients the basis, a zero one means
+    dependent periods, and the reduced basis bounds Im(tau).  Non-finite
+    input, parts whose exponents span more than ``MAX_AGM_GAP`` + prec
+    bits, as ``complex_agm`` bounds its moduli, dependent periods and a
+    reduced Im(tau) above ``MAX_IM_TAU`` raise CurveError before the theta
+    sums."""
     w1, w2 = _numbers((w1, w2), "lattice periods")
-    im_tau = mp.im(w2 / w1) if w1 and w2 else 0
-    if im_tau < 0:
-        w2, im_tau = -w2, -im_tau
-    if im_tau == 0:
-        raise CurveError("degenerate lattice: periods are R-linearly dependent")
-    # The reduced Im(tau) is the area over the shortest vector squared, at
-    # least the area over min(|w1|, |w2|)^2.
-    if im_tau * max(1, abs(w1 / w2)) ** 2 > MAX_IM_TAU:
-        raise CurveError(f"lattice too elongated: reduced Im(tau) above {MAX_IM_TAU}")
     prec, dps = mp.prec, mp.dps
-    parts = [(e, e + bc) for w in (w1, w2) for _s, man, e, bc in w._mpc_ if man]
+    parts = [(e, e + bc) for w in (w1, w2) for _s, man, e, bc in w._mpc_ if man] or [(0, 0)]
     if max(top for _e, top in parts) - min(e for e, _top in parts) > MAX_AGM_GAP + prec:
         raise CurveError(f"lattice periods' parts more than 2^{MAX_AGM_GAP} apart in size")
     v1, v2, unit = _align(_exact(w1), _exact(w2))
-    if v1[0] * v2[1] - v1[1] * v2[0] <= 0:
-        raise CurveError("degenerate lattice: periods are R-linearly dependent at working precision")
+    det = v1[0] * v2[1] - v1[1] * v2[0]
+    if det == 0:
+        raise CurveError("degenerate lattice: periods are R-linearly dependent")
+    if det < 0:  # Im(w2 / w1) < 0
+        v2 = -v2[0], -v2[1]
     r1, r2, _matrix = _reduce_basis(v1, v2, dps)
+    # The reduced Im(tau) is the area over the shortest vector squared.
     if r1[0] * r2[1] - r1[1] * r2[0] > MAX_IM_TAU * _dist2(r1, _ZERO):
         raise CurveError(f"lattice too elongated: reduced Im(tau) above {MAX_IM_TAU}")
     t = 2 - _zmag((*r1, unit))  # |k| = pi / |r1| < 2^t
@@ -440,15 +438,20 @@ class EllipticCurve:
         """The roots of ``_cardano`` on the integers, sorted by (Re, Im)
         descending, as triples rounded once (``_round``): all real (each
         public root an mpc) when every imaginary part lies below 10^-digits
-        of the largest root.  ``_roots_fixed`` truncates them to units of
-        2^(2t - W), so a branch point given as a printed root is that root."""
+        of the largest root.  Real parts are compared in steps of that size,
+        so rounding noise below it cannot reorder a conjugate pair and the
+        period basis does not depend on the precision.  ``_roots_fixed``
+        truncates them to units of 2^(2t - W), so a branch point given as a
+        printed root is that root."""
         unit = 2 * self._t - b
         roots = _chop(_cardano(g2, g3, b), unit - 2 * self._t, self._prec)
         size2 = max(re * re + im * im for re, im in roots)
-        real = all(im * im * 10 ** (2 * self.digits) < size2 for _re, im in roots)
+        ten = 10 ** self.digits
+        real = all(im * im * ten * ten < size2 for _re, im in roots)
         if real:
             roots = [(re, 0) for re, _im in roots]
-        roots.sort(reverse=True)
+        step = math.isqrt(size2) // ten  # real parts this close tie, whatever the precision
+        roots.sort(key=lambda r: (r[0] // step, r[1]), reverse=True)
         roots = [_round((*r, unit), self._prec) for r in roots]
         k = self._bits - 2 * self._t
         self._roots_fixed = [(_scale(re, exp + k), _scale(im, exp + k)) for re, im, exp in roots]

@@ -136,9 +136,6 @@ class RingModel(Frozen):
             replaced = poly_mul_raw({tuple(rest): c}, tail) if tail else {}
             work = poly_add(work, replaced)
 
-    def scale(self, a: Poly, k: int) -> Poly:
-        return poly_scale(a, k)
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(poly_mul_raw(a, b))
 
@@ -180,6 +177,12 @@ def trivial_ring() -> RingModel:
     return RingModel(generators=(), rules=())
 
 
+def _lift(p: Poly, before: Monomial = (), after: Monomial = ()) -> Poly:
+    """``p`` in a ring with more generators: ``before`` and ``after`` are the
+    exponents of those listed before and after its own."""
+    return {before + m + after: c for m, c in p.items()}
+
+
 def _uniquify(names: list[str]) -> list[str]:
     seen: dict[str, int] = {}
     out = []
@@ -200,16 +203,9 @@ def tensor_rings(a: RingModel, b: RingModel) -> RingModel:
         (names[i], deg)
         for i, (_n, deg) in enumerate(list(a.generators) + list(b.generators))
     )
-    na, nb = len(a.generators), len(b.generators)
-
-    def lift_a(p: Poly) -> Poly:
-        return {m + (0,) * nb: c for m, c in p.items()}
-
-    def lift_b(p: Poly) -> Poly:
-        return {(0,) * na + m: c for m, c in p.items()}
-
-    rules = tuple((power, lift_a(tail)) for power, tail in a.rules) + tuple(
-        (power, lift_b(tail)) for power, tail in b.rules
+    za, zb = (0,) * len(a.generators), (0,) * len(b.generators)
+    rules = tuple((power, _lift(tail, after=zb)) for power, tail in a.rules) + tuple(
+        (power, _lift(tail, before=za)) for power, tail in b.rules
     )
     return RingModel(generators=gens, rules=rules)
 
@@ -228,12 +224,7 @@ def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None) -
         raise RingError("bundle rank must be >= 1")
     names = _uniquify([n for n, _d in base.generators] + ["xi"])
     gens = tuple((names[i], deg) for i, (_n, deg) in enumerate(base.generators)) + ((names[-1], 2),)
-    nb = len(base.generators)
-
-    def lift(p: Poly, xi_power: int) -> Poly:
-        return {m + (xi_power,): c for m, c in p.items()}
-
-    rules = tuple((power, lift(tail, 0)) for power, tail in base.rules)
+    rules = tuple((power, _lift(tail, after=(0,))) for power, tail in base.rules)
     tail: Poly = {}
     if chern:
         if len(chern) > r:
@@ -245,6 +236,6 @@ def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None) -
             if deg is not None and deg != 2 * q:
                 raise RingError(f"c_{q} must sit in degree {2 * q}, got {deg}")
             sign = 1 if q % 2 == 1 else -1
-            tail = poly_add(tail, poly_scale(lift(cq, r - q), sign))
+            tail = poly_add(tail, poly_scale(_lift(cq, after=(r - q,)), sign))
     rules = rules + ((r, tail),)
     return RingModel(generators=gens, rules=rules)

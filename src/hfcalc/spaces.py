@@ -33,7 +33,9 @@ the derived data and refuses inconsistent tables with a ModelError.
 
 The position of the integral lattice relative to the Hodge filtration on a
 KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
-:meth:`KahlerModel.lattice_rank_in_filtration`.
+:meth:`KahlerModel.lattice_rank_in_filtration`.  Its Hodge-class ranks
+are held to what Hodge theory allows: at most h^{q,q}, and all of b_2q
+where H^2q has type (q, q) alone.
 """
 
 from __future__ import annotations
@@ -136,25 +138,20 @@ class KahlerModel(Frozen):
     def lattice_rank_in_filtration(self, q: int, m: int) -> int:
         """Rank of the sublattice of H^m(X; Z) whose C-span lies in F^q H^m.
 
-        Cellular Hodge-Tate rule.  For odd m the lattice is real, so it lies
-        in F^q exactly when F^q is everything (q at most the smallest Hodge
-        level).  For even m: below the smallest Hodge level the filtration is
-        everything and the full lattice qualifies; at levels up to m/2 the
-        lattice part inside F^q is the group of integral Hodge classes,
-        whose rank is model data; above m/2 a real class in F^q would have to
-        be of type (s, t) with s, t >= q > m/2, which cannot happen.
+        Cellular Hodge-Tate rule.  At or below the smallest Hodge level the
+        filtration is everything and the full lattice qualifies.  Above it,
+        a real class in F^q has types (s, t) with s, t >= q, so none exists
+        in odd degree or for 2q > m; otherwise the lattice part inside F^q
+        is the group of integral Hodge classes, whose rank is model data.
+        The constructor holds that rank to b_m where H^m has type (q, q)
+        alone, so the two readings agree there.
         """
         b = self.betti_rank(m)
         if b == 0:
             return 0
-        s_min = self._levels[m][0][0]
-        if m % 2 != 0:
-            return b if q <= s_min else 0
-        if q <= min(s_min, m // 2 - 1):
+        if q <= self._levels[m][0][0]:
             return b
-        if q <= m // 2:
-            return self.hcr(m // 2)
-        return 0
+        return 0 if m % 2 or 2 * q > m else self.hcr(m // 2)
 
     def _check(self) -> None:
         """Refuse tables that no Kahler manifold has; Hodge numbers are read by degree."""
@@ -196,6 +193,13 @@ class KahlerModel(Frozen):
             hqq = row[len(row) // 2][1] if len(row) % 2 else 0  # the middle of a symmetric row
             if v < 0 or v > hqq:
                 raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, h^{{{q},{q}}} = {hqq}]")
+        for n, row in self._levels.items():
+            q, b = row[0]  # the smallest s; at n / 2, H^n has type (q, q) alone and b is its rank
+            if 2 * q == n and self.hcr(q) != b:
+                raise ModelError(
+                    f"{name}: H^{n} has type ({q},{q}) alone, so every class is a Hodge class:"
+                    f" hodge_class_rank({q}) = {self.hcr(q)}, b_{n} = {b}"
+                )
         if self.ring is not None:
             rdims = dict(self.ring.graded_dimensions())
             if rdims != ranks:
@@ -515,13 +519,9 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
     if not (isinstance(x, QuasiProjModel) and isinstance(y, QuasiProjModel)):
         raise ModelError("quasi_product takes quasi-projective models; re-present a compact factor with as_quasiproj")
 
-    def gr(model: QuasiProjModel, a: int, n: int) -> int:
-        return max(model.filtration_dim(a, n) - model.filtration_dim(a + 1, n), 0)
-
-    def gr_lat(model: QuasiProjModel, a: int, n: int) -> int:
-        return max(
-            model.lattice_rank_in_filtration(a, n) - model.lattice_rank_in_filtration(a + 1, n), 0
-        )
+    def gr(table, a: int, n: int) -> int:
+        # The constructor holds both tables non-increasing in p.
+        return table(a, n) - table(a + 1, n)
 
     def cell(p: int, n: int) -> tuple[int, int]:
         f = 0
@@ -530,8 +530,8 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
             for a in range(0, i + 1):
                 for bb in range(0, (n - i) + 1):
                     if a + bb >= p:
-                        f += gr(x, a, i) * gr(y, bb, n - i)
-                        lat += gr_lat(x, a, i) * gr_lat(y, bb, n - i)
+                        f += gr(x.filtration_dim, a, i) * gr(y.filtration_dim, bb, n - i)
+                        lat += gr(x.lattice_rank_in_filtration, a, i) * gr(y.lattice_rank_in_filtration, bb, n - i)
         return f, min(lat, f, betti[n])
 
     betti = _convolve(x.betti, y.betti)

@@ -18,7 +18,6 @@ from hfcalc.abelian import (
     FgAbelianGroup,
     IntMatrix,
     cokernel_of,
-    direct_sum,
     divisibility_chain,
     kernel_rank,
     smith_normal_form,
@@ -198,17 +197,17 @@ class TestFgAbelianGroup:
     def test_direct_sum_concatenates(self):
         a = FgAbelianGroup.of(1, [2])
         b = FgAbelianGroup.of(0, [4])
-        assert direct_sum(a, b) == FgAbelianGroup.of(1, [2, 4])
+        assert a.direct_sum(b) == FgAbelianGroup.of(1, [2, 4])
 
     def test_crt_normalization(self):
         # Z/2 + Z/3 = Z/6 by CRT; the chain normalization must merge them.
-        s = direct_sum(FgAbelianGroup.of(0, [2]), FgAbelianGroup.of(0, [3]))
+        s = FgAbelianGroup.of(0, [2]).direct_sum(FgAbelianGroup.of(0, [3]))
         assert s == FgAbelianGroup.of(0, [6])
         assert crt_elementary_divisors(s.torsion) == crt_elementary_divisors([2, 3])
 
     def test_identity_element(self):
         g = FgAbelianGroup.of(2, [2, 6])
-        assert direct_sum(FgAbelianGroup(), g) == g
+        assert FgAbelianGroup().direct_sum(g) == g
 
     def test_rejects_bad_chain(self):
         with pytest.raises(ValueError):
@@ -226,8 +225,8 @@ class TestFgAbelianGroup:
     )
     def test_commutative_associative(self, xs, ys, zs):
         a, b, c = (FgAbelianGroup.of(0, t) for t in (xs, ys, zs))
-        assert direct_sum(a, b) == direct_sum(b, a)
-        assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+        assert a.direct_sum(b) == b.direct_sum(a)
+        assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(2, 200), max_size=6))
@@ -252,8 +251,8 @@ class TestFgAbelianGroup:
         assert a.tensor(unit) == a and a.tor(unit) == zero
         assert a.tensor(b) == b.tensor(a) and a.tor(b) == b.tor(a)
         assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
-        assert a.tensor(direct_sum(b, c)) == direct_sum(a.tensor(b), a.tensor(c))
-        assert a.tor(direct_sum(b, c)) == direct_sum(a.tor(b), a.tor(c))
+        assert a.tensor(b.direct_sum(c)) == a.tensor(b).direct_sum(a.tensor(c))
+        assert a.tor(b.direct_sum(c)) == a.tor(b).direct_sum(a.tor(c))
 
     def test_str(self):
         assert str(FgAbelianGroup.of(2, [2])) == "Z^2 + Z/2"

@@ -241,6 +241,17 @@ class TestPeriods:
             assert errors[0] > errors[1] > errors[2]
             assert errors[2] < mpf(10) ** -30
 
+    def test_root_order_independent_of_precision(self):
+        # The conjugate roots' real parts agree far below 10^-100, where
+        # rounding noise differs from one precision to the next: it must not
+        # reorder them, or the curve would take another period basis.
+        curves = [EllipticCurve(1, 1 + 8.07e-303j, digits) for digits in (100, 140)]
+        with mp.workdps(160):
+            assert [[mp.sign(r.imag) for r in e.roots] for e in curves] == [[0, 1, -1]] * 2
+            tol = mpf(10) ** -97
+            assert all(abs(a - b) < tol for a, b in zip(*(e.roots for e in curves)))
+            assert abs(curves[0].w1 - curves[1].w1) < tol and abs(curves[0].w2 - curves[1].w2) < tol
+
     @pytest.mark.parametrize("g2, g3", [(4, 0), (-4, 2), (12, 4), (mpc(3, 1), mpc(-1, 2)), (mpc(0, 2), 5)])
     def test_sign_rule_basis_for_every_root_order(self, g2, g3):
         e = EllipticCurve(g2, g3, digits=30)
@@ -584,11 +595,12 @@ class TestLibraryLimits:
         (lattice_invariants, (1, "x")),
         (lattice_invariants, (mp.nan, 1j)),
         (lattice_invariants, (0, 1j)),
+        (lattice_invariants, (0, 0)),
         (lattice_invariants, (1, mpc(0, "1e100"))),  # reduced Im(tau) 10^100
         (lattice_invariants, (1, mpc(0, "1e-100000000"))),  # 10^(10^8)
         (lattice_invariants, (1, mpc("0.5", "1e-10"))),  # found only by the reduction
         (lattice_invariants, (1, mpc("1e100000000", 1))),  # parts 3.3 * 10^8 bits apart
-    ], ids=["agm-inf", "agm-text", "agm-gap", "text", "nan", "zero", "tau-1e100", "tau-1e1e8", "tau-reduced",
+    ], ids=["agm-inf", "agm-text", "agm-gap", "text", "nan", "zero", "zeros", "tau-1e100", "tau-1e1e8", "tau-reduced",
             "parts-gap"])
     def test_refused_at_once(self, call, args):
         start = time.perf_counter()

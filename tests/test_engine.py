@@ -508,10 +508,11 @@ class TestTransfer:
 
     def test_no_room_for_the_class(self):
         # A quadric model whose declared Hodge classes above degree zero are
-        # erased: the divisor class has nowhere to land.
-        s = product(projective_space(1), projective_space(1)).replace(hodge_class_rank={0: 1})
-        ok, class_rank, group_rank = transfer_normalization_check(s, s.ring.gen("x"))
-        assert not ok and class_rank == 1 and group_rank == 0
+        # erased left the divisor class nowhere to land.  H^2 of P1 x P1 has
+        # type (1,1) alone, so every class there is a Hodge class and the
+        # model itself is refused.
+        with pytest.raises(ModelError, match=r"H\^2 has type \(1,1\) alone.*hodge_class_rank\(1\) = 0, b_2 = 2"):
+            product(projective_space(1), projective_space(1)).replace(hodge_class_rank={0: 1})
 
     def test_degree_checked(self):
         p2 = projective_space(2)

@@ -24,7 +24,7 @@ from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.cli import run
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import GroupDescriptor, hfc_group
-from hfcalc.errors import CurveError, ModelError, ParseError, RingError
+from hfcalc.errors import CalcError, CurveError, ModelError, ParseError, RingError
 from hfcalc.io import (
     descriptor_from_json,
     descriptor_to_json,
@@ -158,6 +158,26 @@ class TestDescriptorJson:
                         assert descriptor_from_json(descriptor_to_json(d)) == d
                     seen += 1
         assert seen > 100
+
+    @pytest.mark.parametrize("key", ["free_rank", "torsion", "circle_rank", "real_rank", "complex_torus_dim",
+                                     "exactness"])
+    def test_missing_key_refused(self, key):
+        raw = descriptor_to_json(GroupDescriptor(free_rank=1, torsion=(2,)))
+        del raw[key]
+        with pytest.raises(ParseError, match="descriptor object"):
+            descriptor_from_json(raw)
+
+    @pytest.mark.parametrize("key, value", [("free_rank", "two"), ("circle_rank", 1.5), ("real_rank", None),
+                                            ("torsion", [2, "x"]), ("complex_torus_dim", True)])
+    def test_non_integer_count_refused(self, key, value):
+        raw = dict(descriptor_to_json(GroupDescriptor(free_rank=1)), **{key: value})
+        with pytest.raises(ParseError, match=key):
+            descriptor_from_json(raw)
+
+    def test_torsion_not_a_chain_refused(self):
+        raw = dict(descriptor_to_json(GroupDescriptor(free_rank=1)), torsion=[4, 6])
+        with pytest.raises(CalcError, match="not a divisibility chain"):
+            descriptor_from_json(raw)
 
     def test_rendering(self):
         d = GroupDescriptor(free_rank=2, torsion=(2,), circle_rank=2, real_rank=1)
@@ -632,6 +652,12 @@ REFUSALS = {
                       ["compute", "--space", "{s}", *COMPUTE], 1, "betti[0]: zero is not a torsion order"),
     "ring_presentation": ({"s": KAHLER_CURVE % '"ring": {"generators": 5}'}, ["compute", "--space", "{s}", *COMPUTE],
                           1, "ring presentation: "),
+    # P^1's tables with its Hodge classes erased: H^0 and H^2 have types (0,0)
+    # and (1,1) alone, so every class there is a Hodge class.
+    "hodge_classes_erased": ({"s": '{"kind": "kahler", "complex_dim": 1, "betti": {"0": [1, []], "2": [1, []]},'
+                                   ' "hodge": {"0,0": 1, "1,1": 1}, "hodge_class_rank": {}}'},
+                             ["compute", "--space", "{s}", *COMPUTE], 1,
+                             "H^0 has type (0,0) alone, so every class is a Hodge class: hodge_class_rank(0) = 0, b_0 = 1"),
     "expression_not_a_list": ({"s": '{"kind": "construct", "expr": "P2"}'}, ["compute", "--space", "{s}", *COMPUTE],
                               1, "constructor expression must be a list starting with a name: 'P2'"),
     "leaf_arity": ({"s": '{"kind": "construct", "expr": ["curve"]}'}, ["compute", "--space", "{s}", *COMPUTE], 1,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfcalc.errors import RingError
-from hfcalc.rings import RingModel, bundle_extension, poly_add, polynomial_ring_mod_power, tensor_rings, trivial_ring
+from hfcalc.rings import RingModel, bundle_extension, poly_add, poly_scale, polynomial_ring_mod_power, tensor_rings, trivial_ring
 from hfcalc.spaces import product, projective_space
 
 
@@ -100,7 +100,7 @@ class TestBundleExtension:
         lhs = r.power(xi, 2)
         h_lift = r.gen("h")
         rhs = r.mul(h_lift, xi)
-        assert r.is_zero(poly_add(lhs, r.scale(rhs, -1)))
+        assert r.is_zero(poly_add(lhs, poly_scale(rhs, -1)))
 
     def test_chern_degree_checked(self):
         base = polynomial_ring_mod_power("h", 2, 3)

@@ -421,7 +421,9 @@ class TestValidation:
 #
 # The quadratic code the constructors and accessors replaced, kept as oracles:
 # the whole-table Hodge scan, the smallest Hodge level, the Kahler bundle's
-# Betti loop over every degree and shift, and the three window loops.
+# Betti loop over every degree and shift, and the three window loops.  The
+# lattice rule keeps its parity branches and quasi_product its two clamped
+# graded-piece helpers, as they stood before each became one test.
 
 
 def reference_filtration_dim(model, p, n):
