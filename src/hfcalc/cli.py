@@ -154,12 +154,6 @@ def _cmd_point_table(args, out) -> int:
 # -- checks ----------------------------------------------------------------------------
 
 
-def _ring_of(model: Model):
-    if model.ring is None:
-        raise ParseError(f"{model.name} carries no ring presentation")
-    return model.ring
-
-
 def _check_splitting(args):
     from hfcalc.engine import rational_splitting_check
 
@@ -183,26 +177,30 @@ def _check_a1(args):
 
 def _check_pbf(args):
     from hfcalc.engine import pbf_check
-    from hfcalc.io import load_theory_argument
+    from hfcalc.io import check_bundle, load_theory_argument
 
-    return pbf_check(_load_space(args.space), args.r, args.n, args.p, load_theory_argument(args.theory))
+    model = _load_space(args.space)
+    check_bundle(model, args.r)
+    return pbf_check(model, args.r, args.n, args.p, load_theory_argument(args.theory))
 
 
 def _check_grothendieck(args):
     from hfcalc.engine import grothendieck_check
     from hfcalc.io import parse_ring_element
+    from hfcalc.rings import ring_of
 
     model = _load_space(args.space)
-    chern = [parse_ring_element(_ring_of(model), c) for c in args.chern.split(";")] if args.chern else None
+    chern = [parse_ring_element(ring_of(model), c) for c in args.chern.split(";")] if args.chern else None
     return grothendieck_check(model, args.r, chern), None, None
 
 
 def _check_transfer(args):
     from hfcalc.engine import transfer_normalization_check
     from hfcalc.io import parse_ring_element
+    from hfcalc.rings import ring_of
 
     model = _load_space(args.space)
-    divisor_class = parse_ring_element(_ring_of(model), args.divisor_class)
+    divisor_class = parse_ring_element(ring_of(model), args.divisor_class)
     ok, class_rank, group_rank = transfer_normalization_check(model, divisor_class)
     return ok, None, None, {"class_rank": class_rank, "group_rank": group_rank}
 

@@ -45,7 +45,7 @@ from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup, divisibility_chain
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, mu_rank
 from hfcalc.errors import EngineError, RingError
-from hfcalc.rings import Poly, bundle_extension, poly_add, poly_scale
+from hfcalc.rings import Poly, bundle_extension, lift, ring_of
 from hfcalc.spaces import (
     KahlerModel,
     Model,
@@ -416,14 +416,10 @@ def grothendieck_check(model: Model, r: int, chern: list[Poly] | None = None) ->
     """The alternating Chern-class sum sum_q (-1)^q c_q xi^{r-q}, formed here
     independently of the relation ``bundle_extension`` stores, reduces to
     zero in the bundle's ring presentation."""
-    if model.ring is None:
-        raise RingError(f"{model.name} carries no ring presentation")
-    bundle_ring = bundle_extension(model.ring, r, chern)
-    total: Poly = {}
-    for q, cq in enumerate([model.ring.unit(), *(chern or [])]):
-        if cq:  # c_q xi^(r - q), a missing class 0
-            total = poly_add(total, poly_scale({m + (r - q,): c for m, c in cq.items()}, (-1) ** q))
-    return bundle_ring.is_zero(total)
+    ring = ring_of(model)
+    classes = enumerate([ring.unit(), *(chern or [])])  # c_q xi^(r - q) for each q, a missing class 0
+    total = {m: (-1) ** q * c for q, cq in classes if cq for m, c in lift(cq, after=(r - q,)).items()}
+    return bundle_extension(ring, r, chern).is_zero(total)
 
 
 def transfer_normalization_check(model: Model, divisor_class: Poly) -> tuple[bool, int, int]:
@@ -432,13 +428,10 @@ def transfer_normalization_check(model: Model, divisor_class: Poly) -> tuple[boo
     Chern class of its line bundle.  At rank level the check is that the
     line generated by the divisor class fits inside the degree-(2,1) Hodge
     filtered bordism group: returns (ok, class rank, group rank)."""
-    if model.ring is None:
-        raise RingError(f"{model.name} carries no ring presentation")
-    reduced = model.ring.reduce(divisor_class)
-    if reduced:
-        deg = model.ring.degree_of(reduced)
-        if deg != 2:
-            raise RingError(f"divisor class must have degree 2, got {deg}")
-    class_rank = 0 if model.ring.is_zero(reduced) else 1
+    ring = ring_of(model)
+    reduced = ring.reduce(divisor_class)
+    if reduced and ring.degree_of(reduced) != 2:
+        raise RingError(f"divisor class must have degree 2, got {ring.degree_of(reduced)}")
+    class_rank = 1 if reduced else 0
     group = hfc_group(model, builtin_theory("MU"), 2, 1, variant_for(model))
     return class_rank <= group.free_rank, class_rank, group.free_rank

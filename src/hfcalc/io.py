@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Any
 
 from hfcalc.abelian import FgAbelianGroup
@@ -49,6 +50,7 @@ __all__ = [
     "descriptor_from_json",
     "render_descriptor",
     "parse_ring_element",
+    "check_bundle",
 ]
 
 
@@ -75,6 +77,18 @@ MAX_TABLE_TERMS = 10 ** 6  # entry pairs and ring monomials a document's models 
 def _within(what: str, size: int, limit: int) -> None:
     if size > limit:
         raise ParseError(f"{what} {size} exceeds the limit of {limit}")
+
+
+def check_bundle(base: Model, r: int, terms: int = 0) -> int:
+    """``terms`` plus the table terms of a rank-r bundle over ``base``; a ParseError past a
+    limit.  P(V) has dimension dim X + r - 1 and top degree that of X plus 2(r - 1)."""
+    if isinstance(base, KahlerModel):
+        _within("projective_bundle dimension", base.dim + r - 1, MAX_DIM)
+    else:
+        _within("projective_bundle top degree", base.max_degree + 2 * (r - 1), MAX_QUASI_DEGREE)
+    terms += r * (sum(map(len, _tables(base))) + _ring_basis(base.ring))
+    _within("table terms", terms, MAX_TABLE_TERMS)
+    return terms
 
 
 def _ring_basis(ring: RingModel | None) -> int:
@@ -142,31 +156,26 @@ def _ring_from_json(raw: Any) -> RingModel:
 
 
 def parse_ring_element(ring: RingModel, text: str) -> dict:
-    """Parse a sum of integer-coefficient monomials like ``2*x^2*y - 3*x``."""
-    text = text.replace("-", "+-").replace(" ", "")
+    """Parse a sum of integer-coefficient monomials like ``2*x^2*y - 3*x``: a
+    sign starts each term (the first may go without), ``*`` joins factors, and a
+    factor is a nonnegative integer or a generator with an optional integer
+    power.  Spaces are ignored; an empty text is 0."""
+    index = {name: i for i, (name, _deg) in enumerate(ring.generators)}
+    body = text.replace(" ", "")
+    parts = re.split(r"([+-])", body if body[:1] in "+-" else "+" + body)[1:]  # sign, term, sign, term, ...
     poly: dict = {}
-    for term in text.split("+"):
-        if not term:
-            continue
-        coeff = 1
-        expo = [0] * len(ring.generators)
+    for sign, term in zip(parts[::2], parts[1::2]):
+        coeff, expo = -1 if sign == "-" else 1, [0] * len(index)
         for factor in term.split("*"):
-            if not factor:
-                continue
-            if factor.lstrip("-").isdigit():
+            name, caret, power = factor.partition("^")
+            if factor.isdigit():
                 coeff *= _int_arg(factor, "ring element coefficient")
-                continue
-            name, _, power = factor.partition("^")
-            neg = name.startswith("-")
-            if neg:
-                name = name[1:]
-                coeff = -coeff
-            for i, (gname, _deg) in enumerate(ring.generators):
-                if gname == name:
-                    expo[i] += _int_arg(power, "ring element exponent") if power else 1
-                    break
-            else:
+            elif name in index:
+                expo[index[name]] += _int_arg(power, "ring element exponent") if caret else 1
+            elif name:
                 raise ParseError(f"unknown generator {name!r} in ring element {text!r}")
+            else:
+                raise ParseError(f"ring element {text!r}: {factor!r} is not an integer or a generator")
         key = tuple(expo)
         poly[key] = poly.get(key, 0) + coeff
     return ring.reduce(poly)
@@ -217,14 +226,7 @@ def _eval_expr(expr: Any) -> tuple[Model, int]:
             raise ParseError("projective_bundle takes a base expression and a rank")
         base, terms = _eval_expr(args[0])
         r = _int_arg(args[1], "projective_bundle rank")
-        # The rank's limit is that of the bundle it gives: P(V) has
-        # dimension dim X + r - 1 and top degree that of X plus 2(r - 1).
-        if isinstance(base, KahlerModel):
-            _within("projective_bundle dimension", base.dim + r - 1, MAX_DIM)
-        else:
-            _within("projective_bundle top degree", base.max_degree + 2 * (r - 1), MAX_QUASI_DEGREE)
-        terms += r * (sum(map(len, _tables(base))) + _ring_basis(base.ring))
-        _within("table terms", terms, MAX_TABLE_TERMS)
+        terms = check_bundle(base, r, terms)
         return projective_bundle(base, r), terms
     raise ParseError(f"unknown constructor {head!r}")
 

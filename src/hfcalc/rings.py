@@ -23,12 +23,14 @@ carry no ring.
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heapify, heappop, heappush
+from operator import add, neg
 from typing import Mapping
 
 from hfcalc._frozen import Frozen
 from hfcalc.errors import RingError
 
-__all__ = ["Poly", "RingModel", "polynomial_ring_mod_power", "tensor_rings", "bundle_extension"]
+__all__ = ["Poly", "RingModel", "polynomial_ring_mod_power", "tensor_rings", "bundle_extension", "ring_of"]
 
 Monomial = tuple[int, ...]
 Poly = dict  # Monomial -> int
@@ -46,9 +48,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_scale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {m: c * k for m, c in a.items()}
+    return {m: c * k for m, c in a.items()} if k else {}
 
 
 def poly_mul_raw(a: Poly, b: Poly) -> Poly:
@@ -73,6 +73,9 @@ class RingModel(Frozen):
         object.__setattr__(self, "rules", rules)
         if len(generators) != len(rules):
             raise RingError("one rewriting rule required per generator")
+        names = [name for name, _deg in generators]
+        if len(set(names)) < len(names):
+            raise RingError(f"generator name {Counter(names).most_common(1)[0][0]!r} appears twice")
         k = len(generators)
         for i, ((name, deg), (power, tail)) in enumerate(zip(generators, rules)):
             if deg <= 0 or deg % 2 != 0:
@@ -93,12 +96,10 @@ class RingModel(Frozen):
         return {(0,) * len(self.generators): 1}
 
     def gen(self, name: str) -> Poly:
-        for i, (gname, _deg) in enumerate(self.generators):
-            if gname == name:
-                expo = [0] * len(self.generators)
-                expo[i] = 1
-                return self.reduce({tuple(expo): 1})
-        raise RingError(f"no generator named {name!r}")
+        names = [n for n, _deg in self.generators]
+        if name not in names:
+            raise RingError(f"no generator named {name!r}")
+        return self.reduce({tuple(int(n == name) for n in names): 1})
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(e * deg for e, (_n, deg) in zip(m, self.generators))
@@ -115,26 +116,32 @@ class RingModel(Frozen):
     # -- normal form -----------------------------------------------------------
 
     def reduce(self, p: Poly) -> Poly:
-        """Rewrite until every exponent is below its generator's rule power."""
-        work = _clean(p)
-        while True:
-            target = None
-            for m in work:
-                for i, e in enumerate(m):
-                    if e >= self.rules[i][0]:
-                        target = (m, i)
-                        break
-                if target:
+        """The normal form: every exponent below its generator's rule power.
+
+        A rewrite by rule i lowers generator i's exponent and no later one,
+        so taken largest first, comparing the last exponent first (the heap
+        key), each monomial is rewritten or kept once, with its whole coefficient."""
+        rules = self.rules
+        pending = dict(p)
+        heap = [(tuple(map(neg, reversed(m))), m) for m in pending]
+        heapify(heap)
+        out: Poly = {}
+        while heap:
+            m = heappop(heap)[1]
+            c = pending.pop(m)
+            for i, e in enumerate(m):
+                power, tail = rules[i]
+                if e >= power:
+                    rest = m[:i] + (e - power,) + m[i + 1:]
+                    for t, tc in tail.items():
+                        n = tuple(map(add, rest, t))
+                        if n not in pending:
+                            heappush(heap, (tuple(map(neg, reversed(n))), n))
+                        pending[n] = pending.get(n, 0) + c * tc
                     break
-            if target is None:
-                return work
-            m, i = target
-            c = work.pop(m)
-            power, tail = self.rules[i]
-            rest = list(m)
-            rest[i] -= power
-            replaced = poly_mul_raw({tuple(rest): c}, tail) if tail else {}
-            work = poly_add(work, replaced)
+            else:
+                out[m] = c
+        return _clean(out)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(poly_mul_raw(a, b))
@@ -177,41 +184,35 @@ def trivial_ring() -> RingModel:
     return RingModel(generators=(), rules=())
 
 
-def _lift(p: Poly, before: Monomial = (), after: Monomial = ()) -> Poly:
+def lift(p: Poly, before: Monomial = (), after: Monomial = ()) -> Poly:
     """``p`` in a ring with more generators: ``before`` and ``after`` are the
     exponents of those listed before and after its own."""
     return {before + m + after: c for m, c in p.items()}
 
 
 def _uniquify(names: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
-    out = []
+    """Each name, or the first of name_1, name_2, ... that no earlier name took."""
+    taken: dict[str, None] = {}
     for n in names:
-        if n in seen:
-            seen[n] += 1
-            out.append(f"{n}_{seen[n]}")
-        else:
-            seen[n] = 0
-            out.append(n)
-    return out
+        unique, k = n, 0
+        while unique in taken:
+            k += 1
+            unique = f"{n}_{k}"
+        taken[unique] = None
+    return list(taken)
 
 
 def tensor_rings(a: RingModel, b: RingModel) -> RingModel:
     """Tensor product over Z, renaming clashing generators."""
-    names = _uniquify([n for n, _d in a.generators] + [n for n, _d in b.generators])
-    gens = tuple(
-        (names[i], deg)
-        for i, (_n, deg) in enumerate(list(a.generators) + list(b.generators))
-    )
+    both = (*a.generators, *b.generators)
+    gens = tuple(zip(_uniquify([n for n, _d in both]), (deg for _n, deg in both)))
     za, zb = (0,) * len(a.generators), (0,) * len(b.generators)
-    rules = tuple((power, _lift(tail, after=zb)) for power, tail in a.rules) + tuple(
-        (power, _lift(tail, before=za)) for power, tail in b.rules
-    )
-    return RingModel(generators=gens, rules=rules)
+    return RingModel(generators=gens, rules=tuple((power, lift(tail, after=zb)) for power, tail in a.rules)
+                     + tuple((power, lift(tail, before=za)) for power, tail in b.rules))
 
 
 def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None) -> RingModel:
-    """Extend ``base`` by a degree-2 class xi subject to the Chern-class relation.
+    """``base`` (x) Z[xi]/(xi^r), xi in degree 2, with xi's rule the Chern-class relation.
 
     ``chern`` lists c_1, ..., c_r as elements of the base ring (missing or
     None means the trivial bundle, i.e. xi^r = 0).  The rule stored is
@@ -222,20 +223,20 @@ def bundle_extension(base: RingModel, r: int, chern: list[Poly] | None = None) -
     """
     if r < 1:
         raise RingError("bundle rank must be >= 1")
-    names = _uniquify([n for n, _d in base.generators] + ["xi"])
-    gens = tuple((names[i], deg) for i, (_n, deg) in enumerate(base.generators)) + ((names[-1], 2),)
-    rules = tuple((power, _lift(tail, after=(0,))) for power, tail in base.rules)
-    tail: Poly = {}
-    if chern:
-        if len(chern) > r:
-            raise RingError(f"at most {r} Chern classes for a rank-{r} bundle")
-        for q, cq in enumerate(chern, start=1):
-            if cq is None:
-                continue
-            deg = base.degree_of(cq)
-            if deg is not None and deg != 2 * q:
-                raise RingError(f"c_{q} must sit in degree {2 * q}, got {deg}")
-            sign = 1 if q % 2 == 1 else -1
-            tail = poly_add(tail, poly_scale(_lift(cq, after=(r - q,)), sign))
-    rules = rules + ((r, tail),)
-    return RingModel(generators=gens, rules=rules)
+    if chern and len(chern) > r:
+        raise RingError(f"at most {r} Chern classes for a rank-{r} bundle")
+    classes = [(q, cq) for q, cq in enumerate(chern or (), start=1) if cq]  # a missing class None or 0
+    for q, cq in classes:
+        if base.degree_of(cq) != 2 * q:
+            raise RingError(f"c_{q} must sit in degree {2 * q}, got {base.degree_of(cq)}")
+    # The classes' terms c_q xi^(r - q) differ in their power of xi.
+    tail = {m: c if q % 2 else -c for q, cq in classes for m, c in lift(cq, after=(r - q,)).items() if c}
+    ring = tensor_rings(base, polynomial_ring_mod_power("xi", 2, r))
+    return RingModel(generators=ring.generators, rules=ring.rules[:-1] + ((r, tail),))
+
+
+def ring_of(model) -> RingModel:
+    """A model's ring presentation; a RingError when it carries none."""
+    if model.ring is None:
+        raise RingError(f"{model.name} carries no ring presentation")
+    return model.ring

@@ -45,7 +45,7 @@ from typing import Mapping, Optional
 from hfcalc._frozen import Frozen
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.errors import ModelError
-from hfcalc.rings import Poly, RingModel, bundle_extension, polynomial_ring_mod_power, tensor_rings, trivial_ring
+from hfcalc.rings import RingModel, bundle_extension, polynomial_ring_mod_power, tensor_rings, trivial_ring
 
 __all__ = [
     "KahlerModel",
@@ -70,6 +70,15 @@ def _nonzero(table: dict, keep=bool) -> dict:
 def _first_difference(a: dict, b: dict) -> int:
     """The smallest key where two tables of nonzero entries differ."""
     return min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
+
+
+def _check_ring(model, ranks: dict) -> None:
+    """Refuse a ring presentation whose graded dimensions are not the nonzero Betti ranks."""
+    if model.ring is not None and (rdims := dict(model.ring.graded_dimensions())) != ranks:
+        n = _first_difference(rdims, ranks)
+        raise ModelError(
+            f"{model.name}: ring presentation has dimension {rdims.get(n, 0)} in degree {n}, Betti rank is {ranks.get(n, 0)}"
+        )
 
 
 class KahlerModel(Frozen):
@@ -200,13 +209,7 @@ class KahlerModel(Frozen):
                     f"{name}: H^{n} has type ({q},{q}) alone, so every class is a Hodge class:"
                     f" hodge_class_rank({q}) = {self.hcr(q)}, b_{n} = {b}"
                 )
-        if self.ring is not None:
-            rdims = dict(self.ring.graded_dimensions())
-            if rdims != ranks:
-                n = _first_difference(rdims, ranks)
-                raise ModelError(
-                    f"{name}: ring presentation has dimension {rdims.get(n, 0)} in degree {n}, Betti rank is {ranks.get(n, 0)}"
-                )
+        _check_ring(self, ranks)
 
 
 class QuasiProjModel(Frozen):
@@ -304,6 +307,7 @@ class QuasiProjModel(Frozen):
             bound = self.lattice_rank_in_filtration(q, 2 * q)
             if v < 0 or v > bound:
                 raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, lattice rank in F^{q}H^{2 * q} = {bound}]")
+        _check_ring(self, betti)
 
 
 Model = KahlerModel | QuasiProjModel
@@ -412,9 +416,7 @@ def product(x: KahlerModel, y: KahlerModel) -> KahlerModel:
             for j, h in y.betti.items():
                 factors.setdefault(i + j, []).extend(g.tensor(h).torsion)
                 factors.setdefault(i + j - 1, []).extend(g.tor(h).torsion)
-    ring = None
-    if x.ring is not None and y.ring is not None:
-        ring = tensor_rings(x.ring, y.ring)
+    ring = tensor_rings(x.ring, y.ring) if x.ring is not None and y.ring is not None else None
     return KahlerModel(
         name=f"{x.name} x {y.name}", dim=x.dim + y.dim,
         betti={n: FgAbelianGroup.of(ranks.get(n, 0), factors.get(n, ())) for n in sorted(ranks.keys() | factors.keys())},
@@ -423,12 +425,11 @@ def product(x: KahlerModel, y: KahlerModel) -> KahlerModel:
     )
 
 
-def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Model:
+def projective_bundle(x: Model, r: int) -> Model:
     """P(V) for a rank-r bundle V on x: tables are r-fold shifted sums.
 
     When the base carries a ring presentation the bundle ring adjoins a
-    degree-2 class subject to the alternating Chern-class relation
-    (``chern`` = [c_1, ..., c_r] as base ring elements, default trivial).
+    degree-2 class xi with xi^r = 0 (the trivial bundle's relation).
     Over a quasi-projective base, a top degree above MAX_QUASI_DEGREE is refused.
     """
     if r < 1:
@@ -439,7 +440,7 @@ def projective_bundle(x: Model, r: int, chern: list[Poly] | None = None) -> Mode
     if top > MAX_QUASI_DEGREE:
         raise ModelError(f"{name}: top degree {top} exceeds the limit of {MAX_QUASI_DEGREE}")
     hcr = _convolve(x.hodge_class_rank, {i: 1 for i in shifts})
-    ring = bundle_extension(x.ring, r, chern) if x.ring is not None else None
+    ring = bundle_extension(x.ring, r) if x.ring is not None else None
     if isinstance(x, KahlerModel):
         betti = {}
         for i in shifts:

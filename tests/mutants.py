@@ -85,7 +85,7 @@ MUTANTS = [
     ("graded_piece_drops_next_level", "spaces.py",
      "return table(a, n) - table(a + 1, n)", "return table(a, n) - table(a, n)",
      ["tests/test_reference_engine.py::TestLatticeRule::test_lattice_ranks"]),
-    # The size limits' sums.
+    # The size limits.
     ("product_terms_without_rings", "io.py",
      "terms = terms_x + terms_y + pairs + _ring_basis(x.ring) * _ring_basis(y.ring)",
      "terms = terms_x + terms_y + pairs",
@@ -94,6 +94,22 @@ MUTANTS = [
      "terms += r * (sum(map(len, _tables(base))) + _ring_basis(base.ring))",
      "terms += sum(map(len, _tables(base))) + _ring_basis(base.ring)",
      ["tests/test_io_cli.py::TestSizeLimits"]),
+    ("pbf_rank_unchecked", "cli.py", "check_bundle(model, args.r)", "pass",
+     ["tests/test_io_cli.py::TestSizeLimits::test_hostile_flag[pbf_rank_past_the_limit]"]),
+    ("partition_limit_off_by_one", "coefficients.py",
+     "if n > MAX_PARTITION_DEGREE:", "if n > MAX_PARTITION_DEGREE + 1:",
+     ["tests/test_coefficients.py::TestMuRank::test_degree_limit"]),
+    # The ring layer.
+    ("reader_empty_power", "io.py",
+     'expo[index[name]] += _int_arg(power, "ring element exponent") if caret else 1',
+     'expo[index[name]] += _int_arg(power, "ring element exponent") if power else 1',
+     ["tests/test_io_cli.py::TestRingElements::test_refused"]),
+    ("quasi_ring_unchecked", "spaces.py", "_check_ring(self, betti)", "pass",
+     ["tests/test_spaces.py::TestQuasiProj::test_ring_dimensions_are_betti_ranks"]),
+    ("uniquify_reuses_a_name", "rings.py", "while unique in taken:", "if unique in taken:",
+     ["tests/test_rings.py::TestTensor::test_p1_cubed_names_distinct"]),
+    ("reduce_keeps_the_rule_power", "rings.py", "if e >= power:", "if e > power:",
+     ["tests/test_rings.py::TestPolynomialQuotient::test_truncation"]),
     # The Abel-Jacobi path.
     ("asin_cut_sign", "_elementary.py",
      "return sign * (half_pi - 2 * ar), sign * -2 * ai",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hfcalc.coefficients import builtin_theory, custom_theory, mu_rank, partition_count
+from hfcalc.coefficients import MAX_PARTITION_DEGREE, builtin_theory, custom_theory, mu_rank, partition_count
 from hfcalc.errors import TheoryError
 
 
@@ -56,6 +56,15 @@ class TestMuRank:
         assert partition_count(400) == 6727090051741041926
         assert partition_count(100) == 190569292
         assert [partition_count(n) for n in (-3, -1)] == [0, 0]
+
+    def test_degree_limit(self):
+        # p(10^5) took 8 s; a degree past the limit is refused before any work.
+        with pytest.raises(TheoryError, match="partition degree 10001 exceeds the limit of 10000"):
+            partition_count(MAX_PARTITION_DEGREE + 1)
+        assert partition_count(MAX_PARTITION_DEGREE) == int(  # p(10^4), OEIS A070177
+            "3616725132563629398882047189095369549501603033931565042208186860"
+            "5887952568754066420592310556052906916435144"
+        )
 
 
 class TestBuiltins:

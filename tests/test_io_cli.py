@@ -22,7 +22,7 @@ from mpmath import mp, mpc, mpf
 import hfcalc
 from hfcalc.abeljacobi import Divisor, EllipticCurve
 from hfcalc.cli import run
-from hfcalc.coefficients import builtin_theory
+from hfcalc.coefficients import builtin_theory, partition_count
 from hfcalc.engine import GroupDescriptor, hfc_group
 from hfcalc.errors import CalcError, CurveError, ModelError, ParseError, RingError
 from hfcalc.io import (
@@ -30,11 +30,13 @@ from hfcalc.io import (
     descriptor_to_json,
     emit_space,
     load_theory_argument,
+    parse_ring_element,
     parse_space,
     parse_space_text,
     render_descriptor,
 )
 from hfcalc.spaces import (
+    affine_space,
     as_quasiproj,
     curve,
     gm,
@@ -634,6 +636,10 @@ NEAR_ROOT_Y = "2.82842712474619009760337744842156323254184295060911286880001e-15
 
 
 KAHLER_CURVE = '{"kind": "kahler", "complex_dim": 1, "betti": {"0": [1, []], "1": [2, []], "2": [1, []]}, %s}'
+# P^1 x P^1 with both generators named x, and A^1 with the ring Z[x]/(x^3).
+TWO_X = json.dumps(_edited(emit_space(product(projective_space(1), projective_space(1))), ("ring", "generators", 1, 0), "x"))
+A1_RING = json.dumps({**emit_space(affine_space(1)), "ring": {"generators": [["x", 2]], "rules": [[3, []]]}})
+TRANSFER_P2 = ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class"]
 COMPUTE = ["--theory", "HZ", "--n", "0", "--p", "0"]
 AJ = ["aj", "--g2", "4", "--g3", "0", "--divisor"]
 
@@ -681,7 +687,16 @@ REFUSALS = {
     "range_empty": ({}, ["point-table", "--theory", "HZ", "--n-range", "3..1", "--p-range", "0..1"], 1,
                     "range '3..1' is empty"),
     "negative_unknown_generator": ({}, ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class=-y"],
-                                   1, "unknown generator 'y' in ring element '+-y'"),
+                                   1, "unknown generator 'y' in ring element '-y'"),
+    # Ring element texts the reader once took as other elements: x - 1,
+    # 3 - x, x + 2 and x.
+    "element_signed_power": ({}, [*TRANSFER_P2, "x^-1"], 1, "ring element exponent: '' is not an integer"),
+    "element_signed_factor": ({}, [*TRANSFER_P2, "3*-x"], 1, "ring element '3*-x': '' is not an integer or a generator"),
+    "element_plus_power": ({}, [*TRANSFER_P2, "x^+2"], 1, "ring element exponent: '' is not an integer"),
+    "element_trailing_star": ({}, [*TRANSFER_P2, "x*"], 1, "ring element 'x*': '' is not an integer or a generator"),
+    "duplicate_generator": ({"s": TWO_X}, ["compute", "--space", "{s}", *COMPUTE], 1, "generator name 'x' appears twice"),
+    "quasi_ring_dimensions": ({"s": A1_RING}, ["check", "transfer", "--space", "{s}", "--divisor-class", "x"], 1,
+                              "A1: ring presentation has dimension 1 in degree 2, Betti rank is 0"),
     "transfer_without_ring": ({}, ["check", "transfer", "--space", fixture("gm.json"), "--divisor-class", "x"], 1,
                               "Gm carries no ring presentation"),
     "grothendieck_without_ring": ({}, ["check", "grothendieck", "--space", fixture("gm.json"), "--chern", "x"], 1,
@@ -728,6 +743,33 @@ class TestRefusals:
         code, out = run_cli("compute", "--space", str(path), "--theory", "HZ", "--n", "3", "--p", "1", "--ascii")
         assert code == 0
         assert out.splitlines()[3:] == ["group: Z^4 + T^2 {rank-level}", "exactness: rank-level"]
+
+
+class TestRingElements:
+    """The element reader: a sign starts each term, ``*`` joins factors, and
+    a factor is a nonnegative integer or a generator with an optional power."""
+
+    RING = product(projective_space(2), projective_space(2)).ring  # generators x, x_1
+
+    @pytest.mark.parametrize("text, terms", [
+        ("2*x^2*x_1 - 3*x", {(2, 1): 2, (1, 0): -3}),
+        ("-x", {(1, 0): -1}),
+        ("+x - x_1 + 0", {(1, 0): 1, (0, 1): -1}),
+        (" x ^ 2 * 3 ", {(2, 0): 3}),
+        ("x^3", {}),
+        ("x*x*x_1^0", {(2, 0): 1}),
+        ("", {}),
+    ])
+    def test_accepted(self, text, terms):
+        assert parse_ring_element(self.RING, text) == terms
+
+    @pytest.mark.parametrize("text", [
+        "x^-1", "3*-x", "x^+2", "x*", "x^", "*x", "x**2", "x+-x_1", "x--x", "-", "x-", "x^2^2", "2x", "y", "x^abc",
+        "\u00b2*x", "9" * 5000 + "*x",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ParseError):
+            parse_ring_element(self.RING, text)
 
 
 class TestExponentsFarApart:
@@ -863,6 +905,38 @@ class TestSizeLimits:
         assert "theory degree 1001 exceeds the limit of 1000" in err
         path.write_text(json.dumps({"name": "far", "ranks": {"0": 1, "1000": 1, "-1000": 1}}))
         assert load_theory_argument(str(path)).name == "far"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--space", fixture("p2.json"), "--theory", "MU", "--n", "-200000", "--p", "0"],
+         "partition degree 100000 exceeds the limit of 10000"),
+        (["check", "pbf", "--space", fixture("p2.json"), "--theory", "HZ", "--r", "1000000", "--n", "2", "--p", "1"],
+         "projective_bundle dimension 1000001 exceeds the limit of 1000"),
+        (["check", "pbf", "--space", fixture("p2.json"), "--theory", "HZ", "--r", "1000", "--n", "2", "--p", "1"],
+         "projective_bundle dimension 1001 exceeds the limit of 1000"),
+    ], ids=["mu_degree", "pbf_rank", "pbf_rank_past_the_limit"])
+    def test_hostile_flag(self, argv, message, capsys):
+        # The first two ran 8.8 s and 17.9 s and printed a result.
+        start = time.perf_counter()
+        code, _ = run_cli(*argv)
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1) and message in err, err
+
+    def test_hostile_flag_process(self):
+        code, err = run_cli_process("compute", "--space", fixture("p2.json"), "--theory", "MU", "--n", "-200000", "--p", "0")
+        assert (code, err.count("\n")) == (1, 1) and "Traceback" not in err, err
+
+    def test_flags_at_the_limit(self):
+        # P^2's top class meets pi_{2j}MU at j = 10^4; a rank-999 bundle over
+        # P^2 has dimension 1000.  The tests and the benchmark ask far less:
+        # p(j) to j = 2000, bundles of rank 4 from the CLI.
+        code, out = run_cli("compute", "--space", fixture("p2.json"), "--theory", "MU", "--n", str(4 - 2 * 10 ** 4),
+                            "--p", str(-10 ** 4), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["descriptor"]["free_rank"] == sum(partition_count(10 ** 4 - k) for k in range(3))
+        code, out = run_cli("check", "pbf", "--space", fixture("p2.json"), "--theory", "HZ", "--r", "999",
+                            "--n", "2", "--p", "1")
+        assert code == 0 and out.startswith("OK check pbf")
 
     def test_benchmark_sizes_admitted(self):
         # The largest documents the benchmark parses: P^400, genus 80,

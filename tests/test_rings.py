@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfcalc.errors import RingError
-from hfcalc.rings import RingModel, bundle_extension, poly_add, poly_scale, polynomial_ring_mod_power, tensor_rings, trivial_ring
+from hfcalc.io import parse_ring_element
+from hfcalc.rings import (
+    RingModel, bundle_extension, poly_add, poly_mul_raw, poly_scale, polynomial_ring_mod_power, tensor_rings, trivial_ring,
+)
 from hfcalc.spaces import product, projective_space
 
 
@@ -51,6 +54,11 @@ class TestPolynomialQuotient:
         with pytest.raises(RingError):
             RingModel(generators=(("a", 3),), rules=((2, {}),))
 
+    def test_duplicate_names_rejected(self):
+        # A second generator of one name could be neither parsed nor told apart.
+        with pytest.raises(RingError, match="generator name 'x' appears twice"):
+            RingModel(generators=(("x", 2), ("y", 2), ("x", 2)), rules=((2, {}), (2, {}), (2, {})))
+
     @pytest.mark.parametrize("gens, rules", [
         ((("x", 2),), ((2, {(3,): 1}),)),  # x^2 = x^3 rewrote forever
         ((("x", 2),), ((2, {(2,): 1}),)),  # its own power
@@ -82,6 +90,18 @@ class TestTensor:
         a, b = r.gen("x"), r.gen("x_1")
         assert r.is_zero(r.mul(a, a))
         assert not r.is_zero(r.mul(a, b))
+
+    @pytest.mark.parametrize("nested", ["left", "right"])
+    def test_p1_cubed_names_distinct(self, nested):
+        # (P^1 x P^1) x P^1 used to name its generators x, x_1, x_1: the
+        # text x_1 read the second, and no text named the third.
+        p1 = projective_space(1)
+        x = product(product(p1, p1), p1) if nested == "left" else product(p1, product(p1, p1))
+        names = [name for name, _deg in x.ring.generators]
+        assert names == (["x", "x_1", "x_2"] if nested == "left" else ["x", "x_1", "x_1_1"])
+        for name in names:
+            assert parse_ring_element(x.ring, name) == x.ring.gen(name)
+        assert len({frozenset(x.ring.gen(name)) for name in names}) == 3
 
 
 class TestBundleExtension:
@@ -123,26 +143,46 @@ def basis(ring):
     return iproduct(*(range(power) for power, _tail in ring.rules))
 
 
+# Names that clash with the ones tensor_rings and bundle_extension make.
+NAMES = ["x", "x_1", "xi", "xi_1"]
+
+
+def chern_classes(draw, ring, r):
+    """c_1, ..., c_r: drawn integer combinations of the basis monomials of
+    degree 2q, or None."""
+    chern = []
+    for q in range(1, r + 1):
+        monomials = [m for m in basis(ring) if ring.monomial_degree(m) == 2 * q]
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+        chern.append({m: c for m, c in zip(monomials, coeffs) if c} or None)
+    return chern
+
+
 @st.composite
 def triangular_rings(draw):
-    """Rings from the constructors: truncated polynomial rings, tensor
-    products, and bundle extensions whose Chern classes are drawn integer
-    combinations of the base's basis monomials of their degree."""
+    """Rings from the constructors: truncated polynomial rings with clashing
+    names, tensor products, and bundle extensions whose Chern classes are
+    drawn integer combinations of the base's basis monomials of their degree."""
     def truncated():
-        return polynomial_ring_mod_power("x", 2 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        return polynomial_ring_mod_power(
+            draw(st.sampled_from(NAMES)), 2 * draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        )
 
     ring = truncated()
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
             ring = tensor_rings(ring, truncated())
-            continue
-        chern = []
-        for q in range(1, draw(st.integers(1, 3)) + 1):
-            monomials = [m for m in basis(ring) if ring.monomial_degree(m) == 2 * q]
-            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
-            chern.append({m: c for m, c in zip(monomials, coeffs) if c} or None)
-        ring = bundle_extension(ring, len(chern), chern)
+        else:
+            r = draw(st.integers(1, 3))
+            ring = bundle_extension(ring, r, chern_classes(draw, ring, r))
     return ring
+
+
+@st.composite
+def ring_elements(draw, ring, top=2):
+    """Up to six monomials, each exponent up to ``top`` above its rule's power."""
+    monomial = st.tuples(*(st.integers(0, power + top) for power, _tail in ring.rules))
+    return draw(st.dictionaries(monomial, st.integers(-3, 3), max_size=6))
 
 
 class TestGradedDimensions:
@@ -159,3 +199,99 @@ class TestGradedDimensions:
         x = reduce(product, [projective_space(1)] * 24)
         assert time.perf_counter() - start < 1.0
         assert [x.ring.graded_dimension(2 * k) for k in (0, 1, 12, 24)] == [1, 24, 2704156, 1]
+
+
+# -- the ring layer before it had one path, kept as the reference ------------------
+
+
+def reference_reduce(ring, p):
+    """RingModel.reduce as it was: rescan for a reducible monomial and add
+    its rewrite into a copy of the element, until none is left."""
+    work = {m: c for m, c in p.items() if c}
+    while True:
+        target = next(((m, i) for m in work for i, e in enumerate(m) if e >= ring.rules[i][0]), None)
+        if target is None:
+            return work
+        m, i = target
+        c = work.pop(m)
+        power, tail = ring.rules[i]
+        rest = list(m)
+        rest[i] -= power
+        work = poly_add(work, poly_mul_raw({tuple(rest): c}, tail) if tail else {})
+
+
+def reference_uniquify(names):
+    """The renaming as it was: the k-th repeat of a name became name_k,
+    taken or not."""
+    seen: dict = {}
+    out = []
+    for n in names:
+        seen[n] = seen.get(n, -1) + 1
+        out.append(f"{n}_{seen[n]}" if seen[n] else n)
+    return out
+
+
+def reference_bundle_extension(base, r, chern):
+    """bundle_extension as it was, with its own names and lifted rules: the
+    generators and rules it built (its names could repeat)."""
+    names = reference_uniquify([n for n, _d in base.generators] + ["xi"])
+    gens = tuple((name, deg) for name, (_n, deg) in zip(names, base.generators)) + ((names[-1], 2),)
+    rules = tuple((power, {m + (0,): c for m, c in tail.items()}) for power, tail in base.rules)
+    tail: dict = {}
+    for q, cq in enumerate(chern or [], start=1):
+        if cq is not None:
+            tail = poly_add(tail, poly_scale({m + (r - q,): c for m, c in cq.items()}, 1 if q % 2 else -1))
+    return gens, rules + ((r, tail),)
+
+
+def as_text(ring, p):
+    """An element written out: a sign before every term, the coefficient
+    left out where it is 1 before a generator."""
+    terms = []
+    for m, c in sorted(p.items()):
+        factors = [f"{name}^{e}" if e > 1 else name for (name, _deg), e in zip(ring.generators, m) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        terms.append(("-" if c < 0 else "+") + "*".join(factors))
+    return " ".join(terms)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_reduce(self, data):
+        ring = data.draw(triangular_rings())
+        p = data.draw(ring_elements(ring))
+        assert ring.reduce(p) == reference_reduce(ring, p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bundle_extension(self, data):
+        base = data.draw(triangular_rings())
+        r = data.draw(st.integers(1, 3))
+        chern = chern_classes(data.draw, base, r)
+        ring = bundle_extension(base, r, chern)
+        gens, rules = reference_bundle_extension(base, r, chern)
+        assert ring.rules == rules
+        assert [deg for _n, deg in ring.generators] == [deg for _n, deg in gens]
+        names = [name for name, _deg in ring.generators]
+        assert len(set(names)) == len(names)
+        if len({name for name, _deg in gens}) == len(gens):
+            assert ring.generators == gens
+
+    def test_bundle_over_clashing_names(self):
+        # A base with generators xi and xi_1: the old renaming gave the new
+        # class the taken name xi_1.
+        base = tensor_rings(polynomial_ring_mod_power("xi", 2, 2), polynomial_ring_mod_power("xi", 2, 2))
+        assert [name for name, _deg in base.generators] == ["xi", "xi_1"]
+        assert [name for name, _deg in bundle_extension(base, 2).generators] == ["xi", "xi_1", "xi_2"]
+        assert [name for name, _deg in reference_bundle_extension(base, 2, None)[0]] == ["xi", "xi_1", "xi_1"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_text_round_trip(self, data):
+        # A normal-form element of a product or bundle ring, written out,
+        # parses back equal.
+        ring = data.draw(triangular_rings())
+        p = ring.reduce(data.draw(ring_elements(ring, top=0)))
+        assert parse_ring_element(ring, as_text(ring, p)) == p

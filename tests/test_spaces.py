@@ -11,7 +11,8 @@ from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import builtin_theory
 from hfcalc.engine import e_rank, hfc_group
 from hfcalc.errors import ModelError
-from hfcalc.io import parse_space, parse_space_text
+from hfcalc.io import emit_space, parse_space, parse_space_text
+from hfcalc.rings import polynomial_ring_mod_power, trivial_ring
 from hfcalc.spaces import (
     MAX_QUASI_DEGREE,
     KahlerModel,
@@ -308,6 +309,16 @@ class TestQuasiProj:
         # multiplies quasi-projective ones.
         with pytest.raises(ModelError, match="quasi_product.*as_quasiproj"):
             product(x, y)
+
+    def test_ring_dimensions_are_betti_ranks(self):
+        # A^1 with the ring Z[x]/(x^3) loaded, and check transfer then
+        # printed FAIL on it: class rank 1 against group rank 0.
+        with pytest.raises(ModelError, match="A1: ring presentation has dimension 1 in degree 2, Betti rank is 0"):
+            affine_space(1).replace(ring=polynomial_ring_mod_power("x", 2, 3))
+        # P(V^2 -> A^1) with the bundle ring Z[xi]/(xi^2) is consistent, as a document too.
+        bundle = projective_bundle(affine_space(1).replace(ring=trivial_ring()), 2)
+        assert dict(bundle.ring.graded_dimensions()) == bundle.betti == {0: 1, 2: 1}
+        assert parse_space(emit_space(bundle)) == bundle
 
     def test_quasi_product_with_affine_is_identity(self):
         for model in (gm(), affine_space(2), as_quasiproj(projective_space(2))):
