@@ -8,7 +8,7 @@ Abel-Jacobi map for elliptic curves.
 The main entry points are:
 
 * :mod:`hfcalc.abelian` -- exact integer linear algebra (Smith normal form,
-  cokernels, finitely generated abelian groups);
+  finitely generated abelian groups);
 * :mod:`hfcalc.coefficients` -- rationally even coefficient theories;
 * :mod:`hfcalc.spaces` -- cohomological models of Kahler and smooth
   quasi-projective varieties;
@@ -28,7 +28,7 @@ from importlib import import_module
 
 # name -> the submodule that defines it
 _HOME = {
-    **dict.fromkeys(("FgAbelianGroup", "IntMatrix", "smith_normal_form", "cokernel_of", "kernel_rank"), "abelian"),
+    **dict.fromkeys(("FgAbelianGroup", "IntMatrix", "smith_normal_form"), "abelian"),
     **dict.fromkeys(("CoefficientTheory", "builtin_theory", "custom_theory", "mu_rank"), "coefficients"),
     **dict.fromkeys(
         ("KahlerModel", "QuasiProjModel", "point", "projective_space", "curve", "product", "projective_bundle",

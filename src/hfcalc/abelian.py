@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers.
 
-Smith normal form, kernels and cokernels of integer matrices, and a small
-value type for finitely generated abelian groups in invariant-factor form.
+The Smith normal form of integer matrices, and a small value type for
+finitely generated abelian groups in invariant-factor form.
 Everything here runs on Python's arbitrary-precision integers; intermediate
 entries of a Smith reduction routinely exceed machine words even for small
 inputs, so no fixed-width arithmetic is used anywhere.
@@ -20,7 +20,7 @@ Conventions
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from hfcalc._frozen import Frozen
 
@@ -28,9 +28,6 @@ __all__ = [
     "IntMatrix",
     "FgAbelianGroup",
     "smith_normal_form",
-    "rank",
-    "kernel_rank",
-    "cokernel_of",
     "divisibility_chain",
 ]
 
@@ -48,20 +45,6 @@ class IntMatrix(Frozen):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError(f"entry list has length {len(entries)}, expected {rows * cols}")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        n = len(diag)
-        r = n if rows is None else rows
-        c = n if cols is None else cols
-        entries = [0] * (r * c)
-        for i, d in enumerate(diag):
-            entries[i * c + i] = int(d)
-        return cls(r, c, tuple(entries))
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
@@ -144,16 +127,6 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
     return _chain_sweep(diag)
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of the matrix over Q (= number of invariant factors)."""
-    return len(smith_normal_form(m))
-
-
-def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the kernel of the map Z^cols -> Z^rows."""
-    return m.cols - rank(m)
-
-
 def _chain_sweep(factors: list[int]) -> list[int]:
     # Repeated gcd/lcm exchanges converge to the unique chain d1 | d2 | ...;
     # each exchange preserves the multiset of elementary divisors (and
@@ -233,18 +206,3 @@ class FgAbelianGroup(Frozen):
         """Tor(self, other): Z/gcd(a, b) for each pair of cyclic torsion
         factors Z/a, Z/b; free summands contribute nothing."""
         return FgAbelianGroup.of(0, (gcd(s, t) for s in self.torsion for t in other.torsion))
-
-    def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
-
-def cokernel_of(m: IntMatrix) -> FgAbelianGroup:
-    """Cokernel Z^rows / image of the map Z^cols -> Z^rows."""
-    factors = smith_normal_form(m)
-    return FgAbelianGroup.of(m.rows - len(factors), factors)

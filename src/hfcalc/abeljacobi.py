@@ -515,11 +515,6 @@ class EllipticCurve:
             det, (prec, rnd) = self._basis[0][3], mp._prec_rounding
             return tuple(mp.make_mpf(mpf_shift(from_rational(n, det, prec, rnd), k)) for n in (na, nb))
 
-    def reduce_fundamental(self, z):
-        """Representative with z = a w1 + b w2, a, b in [0, 1)."""
-        with mp.workdps(self._workdps):
-            return self._reduce(_relative(mpc(z), self._prec))[0]
-
     def frac_coords(self, z) -> tuple:
         """(a, b) mod 1, in [0, 1), with z = a w1 + b w2 (see ``_reduce``)."""
         with mp.workdps(self._workdps):

@@ -51,12 +51,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ParseError(f"range {text!r} must look like A..B")
     try:
-        a, b = int(lo), int(hi)
-    except ValueError:
+        a, b = _int_arg(lo, "range"), _int_arg(hi, "range")
+    except ParseError:
         raise ParseError(f"range {text!r} must have integer endpoints")
     if a > b:
         raise ParseError(f"range {text!r} is empty")
     return a, b
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag, read by ``_int_arg``; argparse exits 2 on a bad one."""
+    try:
+        return _int_arg(text, "flag")
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
 
 
 def _emit(lines: list[str], out) -> None:
@@ -342,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="one Hodge filtered group")
     p.add_argument("--space", required=True)
     p.add_argument("--theory", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--p", type=_int_flag, required=True)
     p.add_argument("--variant", choices=["analytic", "log"])
     add_format(p)
     p.set_defaults(fn=_cmd_compute)
@@ -362,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("--w")
     p.add_argument("--theory")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--n", type=_int_flag, default=0)
+    p.add_argument("--p", type=_int_flag, default=0)
+    p.add_argument("--r", type=_int_flag, default=1)
     p.add_argument("--chern", help="semicolon-separated ring elements c_1; ...; c_r")
     p.add_argument("--divisor-class", help="ring element for check transfer")
     add_format(p)

@@ -41,16 +41,19 @@ class ParseError(CalcError):
 
 def _int_arg(value: Any, what: str, key: Any = None) -> int:
     """The one reader for an integer from outside the program: a JSON
-    integer, an integral number or a numeral string.  Anything else
-    (``"abc"``, ``null``, ``1.5``, ``true``) is a ParseError naming
-    ``what`` (and ``key``), never a silent truncation."""
+    integer, an integral number or a numeral string, an optional ``-``
+    and ASCII digits.  Anything else (``"abc"``, ``"1_0"``, ``" 7"``,
+    ``"+5"``, ``null``, ``1.5``, ``true``) is a ParseError naming ``what``
+    (and ``key``), never a silent truncation."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's limit on numeral length
+                pass
     elif isinstance(value, float):
         if value.is_integer():
             return int(value)

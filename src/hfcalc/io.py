@@ -1,4 +1,4 @@
-"""Textual formats: space documents, theory documents, descriptor JSON.
+"""Textual formats: space and theory documents in, descriptors out.
 
 Spaces and theories are single JSON documents (diff-able fixtures for
 golden tests).  A space document is one of three kinds:
@@ -11,7 +11,8 @@ golden tests).  A space document is one of three kinds:
   filtration and lattice tables.
 
 Every field of both model kinds round-trips through emit/parse, and each
-model's constructor checks it on loading.
+model's constructor checks it on loading.  A descriptor is only written,
+as JSON or as text; nothing reads one back.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "parse_theory",
     "load_theory_argument",
     "descriptor_to_json",
-    "descriptor_from_json",
     "render_descriptor",
     "parse_ring_element",
     "check_bundle",
@@ -358,21 +358,6 @@ def descriptor_to_json(d: GroupDescriptor) -> dict:
         "complex_torus_dim": d.complex_torus_dim,
         "exactness": d.exactness,
     }
-
-
-def descriptor_from_json(raw: Any) -> GroupDescriptor:
-    try:
-        ctd = raw["complex_torus_dim"]
-        return GroupDescriptor(
-            free_rank=_int_arg(raw["free_rank"], "free_rank"),
-            torsion=tuple(_int_arg(t, "torsion") for t in raw["torsion"]),
-            circle_rank=_int_arg(raw["circle_rank"], "circle_rank"),
-            real_rank=_int_arg(raw["real_rank"], "real_rank"),
-            complex_torus_dim=None if ctd is None else _int_arg(ctd, "complex_torus_dim"),
-            exactness=str(raw["exactness"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"descriptor object: {exc}")
 
 
 def render_descriptor(d: GroupDescriptor, ascii_only: bool = False) -> str:

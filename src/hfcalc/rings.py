@@ -40,26 +40,6 @@ def _clean(p: Mapping[Monomial, int]) -> Poly:
     return {m: c for m, c in p.items() if c != 0}
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-    return _clean(out)
-
-
-def poly_scale(a: Poly, k: int) -> Poly:
-    return {m: c * k for m, c in a.items()} if k else {}
-
-
-def poly_mul_raw(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return _clean(out)
-
-
 class RingModel(Frozen):
     """Generators (name, even degree) plus a power rule per generator.
 
@@ -89,17 +69,8 @@ class RingModel(Frozen):
 
     # -- element constructors -------------------------------------------------
 
-    def zero(self) -> Poly:
-        return {}
-
     def unit(self) -> Poly:
         return {(0,) * len(self.generators): 1}
-
-    def gen(self, name: str) -> Poly:
-        names = [n for n, _deg in self.generators]
-        if name not in names:
-            raise RingError(f"no generator named {name!r}")
-        return self.reduce({tuple(int(n == name) for n in names): 1})
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(e * deg for e, (_n, deg) in zip(m, self.generators))
@@ -142,15 +113,6 @@ class RingModel(Frozen):
             else:
                 out[m] = c
         return _clean(out)
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(poly_mul_raw(a, b))
-
-    def power(self, a: Poly, k: int) -> Poly:
-        out = self.unit()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
 
     def is_zero(self, p: Poly) -> bool:
         return not self.reduce(p)

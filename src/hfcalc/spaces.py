@@ -134,9 +134,6 @@ class KahlerModel(Frozen):
     def support_degrees(self) -> tuple[int, ...]:
         return self._support
 
-    def hodge_number(self, s: int, t: int) -> int:
-        return self.hodge.get((s, t), 0)
-
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
 
@@ -284,24 +281,34 @@ class QuasiProjModel(Frozen):
                         f"{name}: filtration entry at (p={p}, n={n}) outside the windows 1 <= p <= n of the degrees with Betti rank"
                     )
         filt, lattice = self.filt, self.lattice
-        for n, prev in betti.items():
-            prev_lat = prev  # the lattice inside F^0 H^n = H^n has full rank
+        for n, b in betti.items():
+            fs, lats = [b], [b]  # by p from 0: F^0 H^n = H^n, and the lattice inside it has full rank
             for p in range(1, n + 1):  # F^(n+1) H^n = 0 meets both bounds
                 cur = filt.get((p, n), 0)
-                if cur > prev:
-                    raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {prev}")
-                # cur <= prev <= ... <= betti_rank(n), so cur is min(Betti, filtration).
+                if cur > fs[-1]:
+                    raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {fs[-1]}")
+                # cur <= F^(p-1) <= ... <= betti_rank(n), so cur is min(Betti, filtration).
                 lat = lattice.get((p, n), 0)
                 if lat < 0 or lat > cur:
                     raise ModelError(
                         f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
                     )
                 # The lattice inside F^p lies inside F^(p-1): non-increasing in p.
-                if lat > prev_lat:
+                if lat > lats[-1]:
                     raise ModelError(
-                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {prev_lat} at (p={p - 1}, n={n})"
+                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {lats[-1]} at (p={p - 1}, n={n})"
                     )
-                prev, prev_lat = cur, lat
+                fs.append(cur)
+                lats.append(lat)
+            # On a smooth variety h^{s,t}(H^n) = 0 unless s, t <= n <= s + t, and h^{s,t} = h^{t,s}
+            # on each weight (Deligne, Hodge II 3.2, III 8.2): (s, t) -> (t, s) maps the types with
+            # s <= a, a complement of F^(a+1), into F^(n-a).  If F^p H^n = H^n, all the lattice is in F^p.
+            for a in range(n):
+                f, lat, mirror = fs[a + 1], lats[a + 1], fs[n - a]
+                if f == b and lat != b:
+                    raise ModelError(f"{name}: F^{a + 1}H^{n} = H^{n}, yet its lattice rank is {lat}, not b_{n} = {b}")
+                if b - f > mirror:
+                    raise ModelError(f"{name}: codim F^{a + 1}H^{n} = {b - f} exceeds dim F^{n - a}H^{n} = {mirror}")
         for q, v in self.hodge_class_rank.items():
             # Hodge classes are lattice classes inside F^q H^2q, as h^{q,q} bounds them on KahlerModel.
             bound = self.lattice_rank_in_filtration(q, 2 * q)

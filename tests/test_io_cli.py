@@ -26,7 +26,6 @@ from hfcalc.coefficients import builtin_theory, partition_count
 from hfcalc.engine import GroupDescriptor, hfc_group
 from hfcalc.errors import CalcError, CurveError, ModelError, ParseError, RingError
 from hfcalc.io import (
-    descriptor_from_json,
     descriptor_to_json,
     emit_space,
     load_theory_argument,
@@ -50,6 +49,7 @@ from hfcalc.spaces import (
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEMA = SRC / "hfcalc" / "data" / "result.schema.json"
 
 
 def fixture(name: str) -> str:
@@ -144,7 +144,16 @@ class TestTheoryDocuments:
             load_theory_argument("NOPE")
 
 
+def descriptor_schema_error(raw):
+    """The shipped schema's first complaint about a descriptor object, or None."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text())["$defs"]["descriptor"])
+    return next(validator.iter_errors(raw), None)
+
+
 class TestDescriptorJson:
+    """Descriptor JSON is only written: it carries every field, in the shipped schema's shape."""
+
     def test_round_trip_reachable_descriptors(self):
         mu = builtin_theory("MU")
         hz = builtin_theory("HZ")
@@ -153,11 +162,11 @@ class TestDescriptorJson:
         for model in spaces:
             for n in range(-3, 6):
                 for p in range(-2, 4):
-                    d = hfc_group(model, hz, n, p)
-                    assert descriptor_from_json(descriptor_to_json(d)) == d
-                    if not model.has_torsion:
-                        d = hfc_group(model, mu, n, p)
-                        assert descriptor_from_json(descriptor_to_json(d)) == d
+                    for theory in (hz,) if model.has_torsion else (hz, mu):
+                        d = hfc_group(model, theory, n, p)
+                        raw = descriptor_to_json(d)
+                        assert descriptor_schema_error(raw) is None
+                        assert GroupDescriptor(**dict(raw, torsion=tuple(raw["torsion"]))) == d
                     seen += 1
         assert seen > 100
 
@@ -166,20 +175,17 @@ class TestDescriptorJson:
     def test_missing_key_refused(self, key):
         raw = descriptor_to_json(GroupDescriptor(free_rank=1, torsion=(2,)))
         del raw[key]
-        with pytest.raises(ParseError, match="descriptor object"):
-            descriptor_from_json(raw)
+        assert key in descriptor_schema_error(raw).message
 
     @pytest.mark.parametrize("key, value", [("free_rank", "two"), ("circle_rank", 1.5), ("real_rank", None),
                                             ("torsion", [2, "x"]), ("complex_torus_dim", True)])
     def test_non_integer_count_refused(self, key, value):
         raw = dict(descriptor_to_json(GroupDescriptor(free_rank=1)), **{key: value})
-        with pytest.raises(ParseError, match=key):
-            descriptor_from_json(raw)
+        assert descriptor_schema_error(raw).absolute_path[0] == key
 
     def test_torsion_not_a_chain_refused(self):
-        raw = dict(descriptor_to_json(GroupDescriptor(free_rank=1)), torsion=[4, 6])
         with pytest.raises(CalcError, match="not a divisibility chain"):
-            descriptor_from_json(raw)
+            GroupDescriptor(free_rank=1, torsion=(4, 6))
 
     def test_rendering(self):
         d = GroupDescriptor(free_rank=2, torsion=(2,), circle_rank=2, real_rank=1)
@@ -202,9 +208,7 @@ class TestCliCommands:
 
     def test_compute_json_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads(
-            (Path(__file__).parents[1] / "src" / "hfcalc" / "data" / "result.schema.json").read_text()
-        )
+        schema = json.loads(SCHEMA.read_text())
         for argv in (
             ["compute", "--space", fixture("p2.json"), "--theory", "HZ", "--n", "2", "--p", "1"],
             ["point-table", "--theory", "MU", "--n-range", "-2..2", "--p-range", "-1..1"],
@@ -395,6 +399,11 @@ MALFORMED_INTEGERS = {
     "aj_multiplicity_null": (None, None, AJ_TWO_TORSION + ['[[["1", "0"], null], ["inf", -1]]']),
     "ring_element_exponent": (P1_DOC, None, ["check", "transfer", "--divisor-class", "x^abc"]),
     "ring_element_coefficient": (P1_DOC, None, ["check", "transfer", "--divisor-class", "\u00b2*x"]),
+    "complex_dim_1_0": (_edited(ELLIPTIC_DOC, ("complex_dim",), "1_0"), None, ["compute"]),
+    "hodge_arabic_digit": (_edited(ELLIPTIC_DOC, ("hodge", "1,1"), "\u0661"), None, ["compute"]),
+    "hodge_key_plus": (_edited(ELLIPTIC_DOC, ("hodge", "+1,1"), 1), None, ["compute"]),
+    "theory_rank_spaced": (None, {"name": "t", "ranks": {"0": " 7 "}}, ["compute"]),
+    "aj_multiplicity_1_0": (None, None, AJ_TWO_TORSION + ['[[["1", "0"], "1_0"], ["inf", -10]]']),
 }
 # Betti entries of the wrong shape, run as processes.
 BETTI_SHAPES = {
@@ -642,50 +651,55 @@ A1_RING = json.dumps({**emit_space(affine_space(1)), "ring": {"generators": [["x
 TRANSFER_P2 = ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class"]
 COMPUTE = ["--theory", "HZ", "--n", "0", "--p", "0"]
 AJ = ["aj", "--g2", "4", "--g3", "0", "--divisor"]
+GROTHENDIECK_P1 = ["check", "grothendieck", "--space", fixture("p1.json")]
+# Tables no smooth variety has, which used to load and answer HZ_D^2(1) = 0.
+# Q2: F^1 H^2 = H^2, so the whole lattice lies in F^1, yet its rank is 0.
+# Q: all of H^2 is gr_F^0, so h^{0,2} = 1, and h^{2,0} = 1 would lie in F^2 H^2 = 0.
+Q2 = '{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"1,2": 1, "2,2": 1}, "lattice_in_f": {}}'
+Q = '{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {}, "lattice_in_f": {}}'
+QUASI = '{"kind": "quasiprojective", "betti_rank": {%s}}'
+# compute on P^1; argparse reads each repeat of a flag and keeps the last.
+P1_COMPUTE = ["compute", "--space", fixture("p1.json"), "--theory", "HZ", "--n", "0", "--p", "0"]
+POINT_TABLE = ["point-table", "--theory", "MU", "--n-range"]
+
+
+def _refused_space(text: str, message: str) -> tuple:
+    """A space document that compute refuses on loading, with exit code 1."""
+    return {"s": text}, ["compute", "--space", "{s}", *COMPUTE], 1, message
+
 
 # Refusals of outside input: name -> (documents written to files, argv with
 # {name} for a document's path, exit code, a fragment of the one stderr line).
 REFUSALS = {
-    "space_not_an_object": ({"s": "[1, 2]"}, ["compute", "--space", "{s}", *COMPUTE], 1,
-                            "space document must be a JSON object"),
-    "table_not_an_object": ({"s": KAHLER_CURVE % '"hodge": [1]'}, ["compute", "--space", "{s}", *COMPUTE], 1,
-                            "hodge: expected an object, got list"),
-    "pair_key": ({"s": KAHLER_CURVE % '"hodge": {"1": 1}'}, ["compute", "--space", "{s}", *COMPUTE], 1,
-                 "hodge: key '1' is not of the form 'a,b'"),
-    "betti_entry": ({"s": KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, 2]') % '"hodge": {}'},
-                    ["compute", "--space", "{s}", *COMPUTE], 1, "betti[0]: expected [free_rank, [torsion...]]"),
-    "betti_torsion": ({"s": KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, [0]]') % '"hodge": {}'},
-                      ["compute", "--space", "{s}", *COMPUTE], 1, "betti[0]: zero is not a torsion order"),
-    "ring_presentation": ({"s": KAHLER_CURVE % '"ring": {"generators": 5}'}, ["compute", "--space", "{s}", *COMPUTE],
-                          1, "ring presentation: "),
+    "space_not_an_object": _refused_space("[1, 2]", "space document must be a JSON object"),
+    "table_not_an_object": _refused_space(KAHLER_CURVE % '"hodge": [1]', "hodge: expected an object, got list"),
+    "pair_key": _refused_space(KAHLER_CURVE % '"hodge": {"1": 1}', "hodge: key '1' is not of the form 'a,b'"),
+    "betti_entry": _refused_space(KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, 2]') % '"hodge": {}',
+                                  "betti[0]: expected [free_rank, [torsion...]]"),
+    "betti_torsion": _refused_space(KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, [0]]') % '"hodge": {}',
+                                    "betti[0]: zero is not a torsion order"),
+    "ring_presentation": _refused_space(KAHLER_CURVE % '"ring": {"generators": 5}', "ring presentation: "),
     # P^1's tables with its Hodge classes erased: H^0 and H^2 have types (0,0)
     # and (1,1) alone, so every class there is a Hodge class.
-    "hodge_classes_erased": ({"s": '{"kind": "kahler", "complex_dim": 1, "betti": {"0": [1, []], "2": [1, []]},'
-                                   ' "hodge": {"0,0": 1, "1,1": 1}, "hodge_class_rank": {}}'},
-                             ["compute", "--space", "{s}", *COMPUTE], 1,
-                             "H^0 has type (0,0) alone, so every class is a Hodge class: hodge_class_rank(0) = 0, b_0 = 1"),
-    "expression_not_a_list": ({"s": '{"kind": "construct", "expr": "P2"}'}, ["compute", "--space", "{s}", *COMPUTE],
-                              1, "constructor expression must be a list starting with a name: 'P2'"),
-    "leaf_arity": ({"s": '{"kind": "construct", "expr": ["curve"]}'}, ["compute", "--space", "{s}", *COMPUTE], 1,
-                   "curve takes 1 argument(s), got 0"),
-    "product_arity": ({"s": '{"kind": "construct", "expr": ["product", ["point"]]}'},
-                      ["compute", "--space", "{s}", *COMPUTE], 1, "product takes two sub-expressions"),
-    "product_of_gm": ({"s": '{"kind": "construct", "expr": ["product", ["gm"], ["point"]]}'},
-                      ["compute", "--space", "{s}", *COMPUTE], 1, "product requires two kahler models"),
-    "bundle_arity": ({"s": '{"kind": "construct", "expr": ["projective_bundle", ["point"]]}'},
-                     ["compute", "--space", "{s}", *COMPUTE], 1,
-                     "projective_bundle takes a base expression and a rank"),
-    "theory_not_an_object": ({"t": "[1]"}, ["compute", "--space", fixture("p1.json"), "--theory", "{t}",
-                                            "--n", "0", "--p", "0"], 1, "theory document must be a JSON object"),
-    "theory_invalid_json": ({"t": "{"}, ["compute", "--space", fixture("p1.json"), "--theory", "{t}",
-                                         "--n", "0", "--p", "0"], 1, "is not valid JSON"),
+    "hodge_classes_erased": _refused_space(
+        '{"kind": "kahler", "complex_dim": 1, "betti": {"0": [1, []], "2": [1, []]}, "hodge": {"0,0": 1, "1,1": 1},'
+        ' "hodge_class_rank": {}}',
+        "H^0 has type (0,0) alone, so every class is a Hodge class: hodge_class_rank(0) = 0, b_0 = 1"),
+    "expression_not_a_list": _refused_space('{"kind": "construct", "expr": "P2"}',
+                                            "constructor expression must be a list starting with a name: 'P2'"),
+    "leaf_arity": _refused_space('{"kind": "construct", "expr": ["curve"]}', "curve takes 1 argument(s), got 0"),
+    "product_arity": _refused_space('{"kind": "construct", "expr": ["product", ["point"]]}',
+                                    "product takes two sub-expressions"),
+    "product_of_gm": _refused_space('{"kind": "construct", "expr": ["product", ["gm"], ["point"]]}',
+                                    "product requires two kahler models"),
+    "bundle_arity": _refused_space('{"kind": "construct", "expr": ["projective_bundle", ["point"]]}',
+                                   "projective_bundle takes a base expression and a rank"),
+    "theory_not_an_object": ({"t": "[1]"}, [*P1_COMPUTE, "--theory", "{t}"], 1, "theory document must be a JSON object"),
+    "theory_invalid_json": ({"t": "{"}, [*P1_COMPUTE, "--theory", "{t}"], 1, "is not valid JSON"),
     "unreadable_space": ({}, ["compute", "--space", "{missing}", *COMPUTE], 1, "cannot read space file"),
-    "range_shape": ({}, ["point-table", "--theory", "HZ", "--n-range", "0", "--p-range", "0..1"], 1,
-                    "range '0' must look like A..B"),
-    "range_endpoints": ({}, ["point-table", "--theory", "HZ", "--n-range", "a..b", "--p-range", "0..1"], 1,
-                        "range 'a..b' must have integer endpoints"),
-    "range_empty": ({}, ["point-table", "--theory", "HZ", "--n-range", "3..1", "--p-range", "0..1"], 1,
-                    "range '3..1' is empty"),
+    "range_shape": ({}, [*POINT_TABLE, "0", "--p-range", "0..1"], 1, "range '0' must look like A..B"),
+    "range_endpoints": ({}, [*POINT_TABLE, "a..b", "--p-range", "0..1"], 1, "range 'a..b' must have integer endpoints"),
+    "range_empty": ({}, [*POINT_TABLE, "3..1", "--p-range", "0..1"], 1, "range '3..1' is empty"),
     "negative_unknown_generator": ({}, ["check", "transfer", "--space", fixture("p2.json"), "--divisor-class=-y"],
                                    1, "unknown generator 'y' in ring element '-y'"),
     # Ring element texts the reader once took as other elements: x - 1,
@@ -694,7 +708,7 @@ REFUSALS = {
     "element_signed_factor": ({}, [*TRANSFER_P2, "3*-x"], 1, "ring element '3*-x': '' is not an integer or a generator"),
     "element_plus_power": ({}, [*TRANSFER_P2, "x^+2"], 1, "ring element exponent: '' is not an integer"),
     "element_trailing_star": ({}, [*TRANSFER_P2, "x*"], 1, "ring element 'x*': '' is not an integer or a generator"),
-    "duplicate_generator": ({"s": TWO_X}, ["compute", "--space", "{s}", *COMPUTE], 1, "generator name 'x' appears twice"),
+    "duplicate_generator": _refused_space(TWO_X, "generator name 'x' appears twice"),
     "quasi_ring_dimensions": ({"s": A1_RING}, ["check", "transfer", "--space", "{s}", "--divisor-class", "x"], 1,
                               "A1: ring presentation has dimension 1 in degree 2, Betti rank is 0"),
     "transfer_without_ring": ({}, ["check", "transfer", "--space", fixture("gm.json"), "--divisor-class", "x"], 1,
@@ -707,6 +721,32 @@ REFUSALS = {
     "divisor_not_a_list": ({}, [*AJ, "{}"], 1, "divisor must be a JSON list of [point, multiplicity]"),
     "divisor_entry": ({}, [*AJ, "[1]"], 1, "divisor entry 1 must be [point, multiplicity]"),
     "divisor_point": ({}, [*AJ, "[[5, 1]]"], 1, "divisor point 5 must be [x, y] or \"inf\""),
+    "kahler_without_dim": _refused_space('{"kind": "kahler", "betti": {"0": [1, []]}, "hodge": {"0,0": 1}}',
+                                         "space: negative dimension"),
+    "kahler_betti_degree": _refused_space(KAHLER_CURVE.replace('"2": [1, []]', '"3": [1, []]') % '"hodge": {}',
+                                          "Betti group in degree 3 outside [0, 2]"),
+    "hodge_outside_square": _refused_space(KAHLER_CURVE % '"hodge": {"0,0": 1, "1,0": 1, "0,1": 1, "2,0": 1, "0,2": 1}',
+                                           "h^{0,2} nonzero outside [0, 1]^2"),
+    "hodge_negative": _refused_space(KAHLER_CURVE % '"hodge": {"0,0": 1, "1,0": -1, "0,1": -1, "1,1": 1}',
+                                     "negative Hodge number h^{0,1}"),
+    "quasi_negative_degree": _refused_space(QUASI % '"0": 1, "-2": 1', "cohomology in negative degree -2"),
+    "quasi_negative_betti": _refused_space(QUASI % '"0": 1, "2": -1', "negative Betti rank in degree 2"),
+    "quasi_lattice_short_of_h2": _refused_space(Q2, "space: F^1H^2 = H^2, yet its lattice rank is 0, not b_2 = 1"),
+    "quasi_gr0_without_mirror": _refused_space(Q, "space: codim F^1H^2 = 1 exceeds dim F^2H^2 = 0"),
+    "ring_power_zero": _refused_space(json.dumps(_edited(P1_DOC, ("ring", "rules", 0, 0), 0)), "rule powers must be >= 1"),
+    "theory_unknown_field": ({"t": '{"ranks": {"0": 1}, "field": "complex"}'}, [*P1_COMPUTE, "--theory", "{t}"], 1,
+                             "unknown ring field 'complex'"),
+    "point_table_grid": ({}, [*POINT_TABLE, "-1000..1000", "--p-range", "-1000..1000"], 1,
+                         "point table of 4004001 cells exceeds the limit of 100000"),
+    "grothendieck_rank_zero": ({}, [*GROTHENDIECK_P1, "--r", "0"], 1, "bundle rank must be >= 1"),
+    "grothendieck_chern_past_rank": ({}, [*GROTHENDIECK_P1, "--r", "1", "--chern", "x;x^2"], 1,
+                                     "at most 1 Chern classes for a rank-1 bundle"),
+    # Integers are an optional - and ASCII digits; a flag exits 2, a range 1.
+    "flag_underscore": ({}, [*P1_COMPUTE, "--n", "1_0"], 2, "argument --n: '1_0' is not an integer"),
+    "flag_arabic_digit": ({}, [*P1_COMPUTE, "--p", "\u0663"], 2, "argument --p: '\u0663' is not an integer"),
+    "flag_plus_sign": ({}, [*GROTHENDIECK_P1, "--r", "+2"], 2, "argument --r: '+2' is not an integer"),
+    "range_underscore": ({}, [*POINT_TABLE, "0..1_0", "--p-range", "0..1"], 1, "range '0..1_0' must have integer endpoints"),
+    "range_spaced": ({}, [*POINT_TABLE, "0.. 1", "--p-range", "0..1"], 1, "range '0.. 1' must have integer endpoints"),
     "missing_flag": ({}, ["compute", "--space", fixture("p1.json")], 2, "the following arguments are required"),
     "check_missing_flag": ({}, ["check", "transfer", "--space", fixture("p2.json")], 2,
                            "check transfer requires --divisor-class"),
@@ -735,6 +775,12 @@ class TestRefusals:
         assert message in lines[-1]
         if code == 1:
             assert len(lines) == 1, lines
+
+    def test_aj_precision_below_ten_digits(self, monkeypatch, capsys):
+        monkeypatch.setenv("HFCALC_AJ_PRECISION", "5")
+        code, _ = run_cli(*AJ, "[]")
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1 and lines == ["working precision below 10 digits is not supported"], lines
 
     def test_rank_level_cell_in_a_table(self, tmp_path):
         # The table form flags a rank-level cell, which no golden shows.
@@ -817,7 +863,10 @@ def curve_products(k: int) -> list:
 
 # Documents just past a size limit (hfcalc.io), each with the message of its
 # one stderr line, and the same documents at the limit.
-QUASI_TOP = {"kind": "quasiprojective", "betti_rank": {"0": 1, "240": 1}, "hodge_class_rank": {}}
+# All of H^240 lies in F^240, as on Gm^240: a table a smooth variety can have.
+H240 = {f"{p},240": 1 for p in range(1, 241)}
+QUASI_TOP = {"kind": "quasiprojective", "betti_rank": {"0": 1, "240": 1}, "filt_dim": H240, "lattice_in_f": H240,
+             "hodge_class_rank": {}}
 # Z[h_1, ..., h_21]/(h_i^2): 2^21 basis monomials, which the model's check would enumerate.
 WIDE_RING = {"generators": [[f"h{i}", 2] for i in range(21)], "rules": [[2, []] for _i in range(21)]}
 OVER_LIMIT = {
@@ -1067,7 +1116,7 @@ def test_package_names_resolve_on_first_use():
         " print(len(hfcalc.__all__), sorted(set(hfcalc.__all__) - set(dir(hfcalc))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["['hfcalc']", "True", "25 []"], proc.stdout
+    assert proc.stdout.splitlines() == ["['hfcalc']", "True", "23 []"], proc.stdout
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         hfcalc.nope
 

@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 
 from hfcalc.errors import RingError
 from hfcalc.io import parse_ring_element
-from hfcalc.rings import (
-    RingModel, bundle_extension, poly_add, poly_mul_raw, poly_scale, polynomial_ring_mod_power, tensor_rings, trivial_ring,
-)
+from hfcalc.rings import RingModel, bundle_extension, polynomial_ring_mod_power, tensor_rings, trivial_ring
 from hfcalc.spaces import product, projective_space
 
 
 class TestPolynomialQuotient:
     def test_truncation(self):
         r = polynomial_ring_mod_power("x", 2, 3)
-        x = r.gen("x")
-        assert not r.is_zero(r.power(x, 2))
-        assert r.is_zero(r.power(x, 3))
+        assert not r.is_zero({(2,): 1})
+        assert r.is_zero({(3,): 1})
 
     def test_graded_dimensions(self):
         r = polynomial_ring_mod_power("x", 2, 4)
@@ -47,7 +44,7 @@ class TestPolynomialQuotient:
         r = trivial_ring()
         assert r.graded_dimension(0) == 1
         assert r.graded_dimension(2) == 0
-        assert r.is_zero(r.zero())
+        assert r.is_zero({})
         assert not r.is_zero(r.unit())
 
     def test_odd_degree_rejected(self):
@@ -75,8 +72,7 @@ class TestPolynomialQuotient:
         # Tensor factors stay apart and the bundle class comes last, so the
         # relation xi^2 = c1 xi - c2 over P^1 x P^1 passes.
         base = tensor_rings(polynomial_ring_mod_power("x", 2, 2), polynomial_ring_mod_power("x", 2, 2))
-        x, y = base.gen("x"), base.gen("x_1")
-        r = bundle_extension(base, 2, [poly_add(x, y), base.mul(x, y)])
+        r = bundle_extension(base, 2, [{(1, 0): 1, (0, 1): 1}, {(1, 1): 1}])  # x + x_1, x x_1
         assert [power for power, _tail in r.rules] == [2, 2, 2]
         assert dict(r.graded_dimensions()) == {0: 1, 2: 3, 4: 3, 6: 1}
 
@@ -87,9 +83,8 @@ class TestTensor:
         assert [g[0] for g in r.generators] == ["x", "x_1"]
         assert r.graded_dimension(2) == 2
         assert r.graded_dimension(4) == 1
-        a, b = r.gen("x"), r.gen("x_1")
-        assert r.is_zero(r.mul(a, a))
-        assert not r.is_zero(r.mul(a, b))
+        assert r.is_zero({(2, 0): 1})
+        assert not r.is_zero({(1, 1): 1})
 
     @pytest.mark.parametrize("nested", ["left", "right"])
     def test_p1_cubed_names_distinct(self, nested):
@@ -99,43 +94,33 @@ class TestTensor:
         x = product(product(p1, p1), p1) if nested == "left" else product(p1, product(p1, p1))
         names = [name for name, _deg in x.ring.generators]
         assert names == (["x", "x_1", "x_2"] if nested == "left" else ["x", "x_1", "x_1_1"])
-        for name in names:
-            assert parse_ring_element(x.ring, name) == x.ring.gen(name)
-        assert len({frozenset(x.ring.gen(name)) for name in names}) == 3
+        for i, name in enumerate(names):
+            assert parse_ring_element(x.ring, name) == {tuple(int(k == i) for k in range(3)): 1}
 
 
 class TestBundleExtension:
     def test_trivial_chern(self):
         r = bundle_extension(trivial_ring(), 3)
-        xi = r.gen("xi")
-        assert r.is_zero(r.power(xi, 3))
+        assert r.is_zero({(3,): 1})
         assert [r.graded_dimension(n) for n in (0, 2, 4, 6)] == [1, 1, 1, 0]
 
     def test_chern_relation_rewrites(self):
         base = polynomial_ring_mod_power("h", 2, 2)
-        h = base.gen("h")
-        r = bundle_extension(base, 2, chern=[h, None])
-        xi = r.gen("xi")
+        r = bundle_extension(base, 2, chern=[{(1,): 1}, None])
         # xi^2 = c1 xi = h xi
-        lhs = r.power(xi, 2)
-        h_lift = r.gen("h")
-        rhs = r.mul(h_lift, xi)
-        assert r.is_zero(poly_add(lhs, poly_scale(rhs, -1)))
+        assert r.is_zero({(0, 2): 1, (1, 1): -1})
 
     def test_chern_degree_checked(self):
         base = polynomial_ring_mod_power("h", 2, 3)
-        h2 = base.power(base.gen("h"), 2)
         with pytest.raises(RingError, match="c_1"):
-            bundle_extension(base, 2, chern=[h2])
+            bundle_extension(base, 2, chern=[{(2,): 1}])  # h^2
 
     def test_homogeneity_check(self):
         r = polynomial_ring_mod_power("x", 2, 4)
-        x = r.gen("x")
-        mixed = poly_add(x, r.unit())
         with pytest.raises(RingError, match="homogeneous"):
-            r.degree_of(mixed)
-        assert r.degree_of(x) == 2
-        assert r.degree_of(r.zero()) is None
+            r.degree_of({(1,): 1, (0,): 1})  # x + 1
+        assert r.degree_of({(1,): 1}) == 2
+        assert r.degree_of({}) is None
 
 
 def basis(ring):
@@ -204,6 +189,13 @@ class TestGradedDimensions:
 # -- the ring layer before it had one path, kept as the reference ------------------
 
 
+def poly_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
 def reference_reduce(ring, p):
     """RingModel.reduce as it was: rescan for a reducible monomial and add
     its rewrite into a copy of the element, until none is left."""
@@ -217,7 +209,7 @@ def reference_reduce(ring, p):
         power, tail = ring.rules[i]
         rest = list(m)
         rest[i] -= power
-        work = poly_add(work, poly_mul_raw({tuple(rest): c}, tail) if tail else {})
+        work = poly_add(work, {tuple(e + f for e, f in zip(rest, t)): c * tc for t, tc in tail.items()})
 
 
 def reference_uniquify(names):
@@ -240,7 +232,7 @@ def reference_bundle_extension(base, r, chern):
     tail: dict = {}
     for q, cq in enumerate(chern or [], start=1):
         if cq is not None:
-            tail = poly_add(tail, poly_scale({m + (r - q,): c for m, c in cq.items()}, 1 if q % 2 else -1))
+            tail = poly_add(tail, {m + (r - q,): c if q % 2 else -c for m, c in cq.items()})
     return gens, rules + ((r, tail),)
 
 
