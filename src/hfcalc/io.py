@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any
+from typing import Any, NoReturn
 
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, custom_theory
@@ -117,14 +117,28 @@ def _int_table(raw: Any, what: str) -> dict:
     return {_int_arg(k, what, k): _int_arg(v, what, k) for k, v in _items(raw, what)}
 
 
+_PAIR_KEY = re.compile(r"(-?[0-9]+),(-?[0-9]+)")  # two of _int_arg's numerals
+
+
 def _pair_table(raw: Any, what: str) -> dict:
     out = {}
     for k, v in _items(raw, what):
-        parts = str(k).split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{what}: key {k!r} is not of the form 'a,b'")
-        out[(_int_arg(parts[0], what, k), _int_arg(parts[1], what, k))] = _int_arg(v, what, k)
+        value = _int_arg(v, what, k)
+        m = _PAIR_KEY.fullmatch(k) if isinstance(k, str) else None
+        try:
+            out[int(m[1]), int(m[2])] = value
+        except (TypeError, ValueError):  # no match, or a numeral past the interpreter's length limit
+            _refuse_pair_key(k, what)
     return out
+
+
+def _refuse_pair_key(k: Any, what: str) -> NoReturn:
+    """Word the refusal of a key that is not two integers joined by a comma."""
+    parts = str(k).split(",")
+    if len(parts) == 2:
+        for part in parts:
+            _int_arg(part, what, k)  # refuses the first part that is not an integer
+    raise ParseError(f"{what}: key {k!r} is not of the form 'a,b'")
 
 
 # -- ring presentations ------------------------------------------------------------
@@ -246,7 +260,9 @@ def parse_space(doc: Any) -> Model:
             model = model.replace(name=str(name))
         return model
     if kind == "kahler":
-        dim = _int_arg(doc.get("complex_dim", -1), "complex_dim")
+        if "complex_dim" not in doc:
+            raise ParseError("kahler document: complex_dim is missing")
+        dim = _int_arg(doc["complex_dim"], "complex_dim")
         _within("complex_dim", dim, MAX_DIM)
         betti = {}
         for k, entry in _items(doc.get("betti", {}), "betti"):

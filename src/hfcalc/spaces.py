@@ -21,7 +21,7 @@ plus Tor).  A rank-r bundle's tables are the base's convolved with
 1 + t + ... + t^(r-1) in the matching grading (the projective bundle
 formula; a Kahler bundle direct-sums the base's Betti groups, torsion
 included).  One helper fills the ``filt`` and ``lattice`` windows of every
-quasi-projective result from a per-cell function.
+quasi-projective result from its graded pieces gr^a H^n, degree by degree.
 
 Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
@@ -322,8 +322,10 @@ Model = KahlerModel | QuasiProjModel
 
 # -- constructors ---------------------------------------------------------------
 
-# A bundle over a quasi-projective base costs about the fourth power of its
-# top degree (P(P(Gm, 60), 60), degree 237: 0.6 s; P(P(Gm, 200), 200): 34 s).
+# A quasi-projective model's windows grow with the square of its top degree, and
+# so does building a bundle over a quasi-projective base (on a two-CPU Xeon host,
+# P(P(Gm, 60), 60), degree 237, 14,161 filt entries: 24 ms; P(P(Gm, 200), 200),
+# degree 797: 0.35 s).
 MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
 
 
@@ -338,18 +340,25 @@ def _convolve(a: Mapping, b: Mapping) -> dict:
     return out
 
 
-def _window_tables(degrees, cell) -> tuple[dict, dict]:
+def _steps(column: list) -> dict:
+    """The nonzero graded pieces {a: column[a] - column[a + 1]} of a filtration
+    listed from p = 0, zero past the end of the list."""
+    return {a: d for a, (f, g) in enumerate(zip(column, column[1:] + [0])) if (d := f - g)}
+
+
+def _window_tables(degrees, pieces) -> tuple[dict, dict]:
     """Nonzero ``filt`` and ``lattice`` entries on the windows 1 <= p <= n of
-    ``degrees``, from cell(p, n) = (dim F^p H^n, lattice rank inside F^p)."""
+    ``degrees``, from pieces(n) = ({a: dim gr^a H^n}, {a: the lattice's step at a}):
+    the value at p is the sum of the pieces at a >= p, one suffix sum per degree."""
     filt = {}
     lattice = {}
     for n in degrees:
-        for p in range(1, n + 1):
-            f, lat = cell(p, n)
-            if f:
-                filt[(p, n)] = f
-            if lat:
-                lattice[(p, n)] = lat
+        for table, gr in zip((filt, lattice), pieces(n)):
+            total = 0
+            for p in range(max(gr, default=0), 0, -1):
+                total += gr.get(p, 0)
+                if total:
+                    table[(p, n)] = total
     return filt, lattice
 
 
@@ -458,20 +467,15 @@ def projective_bundle(x: Model, r: int) -> Model:
             name=name, dim=x.dim + r - 1, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
-    support = x.support_degrees()
-
-    def cell(p: int, n: int) -> tuple[int, int]:
-        # Shift i reaches base degree m = n - 2i: only the base's support counts.
-        f = lat = 0
-        for m in support:
-            i, odd = divmod(n - m, 2)
-            if not odd and 0 <= i < r:
-                f += x.filtration_dim(p - i, m)
-                lat += x.lattice_rank_in_filtration(p - i, m)
-        return f, lat
-
+    gr: dict = {}  # n -> the bundle's pieces in degree n: the base's, shifted by (i, 2i)
+    for m, b in x.betti.items():
+        base = [_steps([b] + [table.get((p, m), 0) for p in range(1, m + 1)]) for table in (x.filt, x.lattice)]
+        for i in shifts:
+            for out, piece in zip(gr.setdefault(m + 2 * i, ({}, {})), base):
+                for a, v in piece.items():
+                    out[a + i] = out.get(a + i, 0) + v
     betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
-    filt, lattice = _window_tables(betti_q, cell)
+    filt, lattice = _window_tables(betti_q, gr.__getitem__)
     return QuasiProjModel(
         name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
     )
@@ -505,9 +509,16 @@ def as_quasiproj(x: Model) -> QuasiProjModel:
     if x.has_torsion:
         raise ModelError(f"{x.name}: cannot re-present a torsion Betti table as quasi-projective data")
     betti = {n: x.betti_rank(n) for n in x.support_degrees()}
-    filt, lattice = _window_tables(
-        betti, lambda p, n: (x.filtration_dim(p, n), x.lattice_rank_in_filtration(p, n))
-    )
+
+    def pieces(n: int) -> tuple[dict, dict]:
+        # gr^s H^n is h^{s, n-s}.  The lattice rule steps from b_n to the Hodge classes
+        # above the smallest Hodge level s, and from them to 0 above n / 2.
+        row, half = x._levels[n], n // 2
+        s = row[0][0]
+        hodge = x.hcr(half) if n % 2 == 0 and s < half else 0
+        return dict(row), {half: hodge, s: betti[n] - hodge}  # one step, b_n, where s = half
+
+    filt, lattice = _window_tables(betti, pieces)
     return QuasiProjModel(
         name=x.name, betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=dict(x.hodge_class_rank),
@@ -542,8 +553,12 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
                         lat += gr(x.lattice_rank_in_filtration, a, i) * gr(y.lattice_rank_in_filtration, bb, n - i)
         return f, min(lat, f, betti[n])
 
+    def pieces(n: int) -> tuple[dict, dict]:
+        cells = [cell(p, n) for p in range(1, n + 1)]
+        return _steps([betti[n]] + [f for f, _lat in cells]), _steps([betti[n]] + [lat for _f, lat in cells])
+
     betti = _convolve(x.betti, y.betti)
-    filt, lattice = _window_tables(betti, cell)
+    filt, lattice = _window_tables(betti, pieces)
     return QuasiProjModel(
         name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice,
         hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank),

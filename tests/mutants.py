@@ -31,6 +31,7 @@ AJ = "tests/test_abeljacobi.py::"
 ELEM = "tests/test_elementary.py::"
 REFUSED = "tests/test_io_cli.py::TestRefusals::test_refused"
 PINNED = "tests/test_pinned_cells.py::test_log_and_diagonal_cells"
+NODES = "tests/test_spaces.py::TestReferenceConstructors::test_every_kind_of_node"
 
 # (name, module, old line, new line, tests)
 MUTANTS = [
@@ -59,12 +60,19 @@ MUTANTS = [
      "key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[1])",
      "key = k + l if isinstance(k, int) else (k[0] + l[0], k[1] + l[0])",
      ["tests/test_engine.py::TestHfcGroup::test_certified_off_diagonal"]),
+    # Quasi-projective windows from graded pieces.
     ("bundle_drops_shift_0", "spaces.py",
-     "if not odd and 0 <= i < r:", "if not odd and 0 < i < r:",
+     "for out, piece in zip(gr.setdefault(m + 2 * i, ({}, {})), base):",
+     "for out, piece in zip(gr.setdefault(m + 2 * i, ({}, {})), base if i else ({}, {})):",
      [PINNED, "tests/test_engine.py::TestBundleFormula::test_other_builtin_bases"]),
+    ("bundle_piece_unshifted", "spaces.py",
+     "out[a + i] = out.get(a + i, 0) + v", "out[a] = out.get(a, 0) + v", [NODES]),
     ("window_drops_top_level", "spaces.py",
-     "for p in range(1, n + 1):", "for p in range(1, n):",
+     "for p in range(max(gr, default=0), 0, -1):", "for p in range(max(gr, default=0) - 1, 0, -1):",
      [PINNED, "tests/test_engine.py::TestBundleFormula::test_other_builtin_bases"]),
+    ("quasiproj_drops_middle_lattice_piece", "spaces.py",
+     "return dict(row), {half: hodge, s: betti[n] - hodge}  # one step, b_n, where s = half",
+     "return dict(row), {s: betti[n] - hodge}", [NODES]),
     ("bundle_limit_off_by_one", "spaces.py",
      "if top > MAX_QUASI_DEGREE:", "if top > MAX_QUASI_DEGREE + 1:",
      ["tests/test_spaces.py::TestProjectiveBundle::test_quasiproj_top_degree_limit"]),
@@ -110,6 +118,10 @@ MUTANTS = [
      "if digits.isascii() and digits.isdigit():", "if True:",
      [REFUSED + "[flag_underscore]", REFUSED + "[range_underscore]",
       "tests/test_io_cli.py::TestInputBoundary::test_malformed_integer[complex_dim_1_0]"]),
+    ("pair_key_unsigned", "io.py",
+     '_PAIR_KEY = re.compile(r"(-?[0-9]+),(-?[0-9]+)")  # two of _int_arg\'s numerals',
+     '_PAIR_KEY = re.compile(r"([0-9]+),([0-9]+)")  # two of _int_arg\'s numerals',
+     [REFUSED + "[pair_key_negative]"]),
     # The ring layer.
     ("reader_empty_power", "io.py",
      'expo[index[name]] += _int_arg(power, "ring element exponent") if caret else 1',

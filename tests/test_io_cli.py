@@ -722,7 +722,7 @@ REFUSALS = {
     "divisor_entry": ({}, [*AJ, "[1]"], 1, "divisor entry 1 must be [point, multiplicity]"),
     "divisor_point": ({}, [*AJ, "[[5, 1]]"], 1, "divisor point 5 must be [x, y] or \"inf\""),
     "kahler_without_dim": _refused_space('{"kind": "kahler", "betti": {"0": [1, []]}, "hodge": {"0,0": 1}}',
-                                         "space: negative dimension"),
+                                         "kahler document: complex_dim is missing"),
     "kahler_betti_degree": _refused_space(KAHLER_CURVE.replace('"2": [1, []]', '"3": [1, []]') % '"hodge": {}',
                                           "Betti group in degree 3 outside [0, 2]"),
     "hodge_outside_square": _refused_space(KAHLER_CURVE % '"hodge": {"0,0": 1, "1,0": 1, "0,1": 1, "2,0": 1, "0,2": 1}',
@@ -747,6 +747,19 @@ REFUSALS = {
     "flag_plus_sign": ({}, [*GROTHENDIECK_P1, "--r", "+2"], 2, "argument --r: '+2' is not an integer"),
     "range_underscore": ({}, [*POINT_TABLE, "0..1_0", "--p-range", "0..1"], 1, "range '0..1_0' must have integer endpoints"),
     "range_spaced": ({}, [*POINT_TABLE, "0.. 1", "--p-range", "0..1"], 1, "range '0.. 1' must have integer endpoints"),
+    # A table key is two integers of the same grammar joined by a comma; a
+    # negative one reads, and the model refuses it.
+    "pair_key_plus_sign": _refused_space(KAHLER_CURVE % '"hodge": {"+1,2": 1}', "hodge[+1,2]: '+1' is not an integer"),
+    "pair_key_spaced": _refused_space(KAHLER_CURVE % '"hodge": {" 1,2": 1}', "hodge[ 1,2]: ' 1' is not an integer"),
+    "pair_key_underscore": _refused_space(KAHLER_CURVE % '"hodge": {"1_0,2": 1}', "hodge[1_0,2]: '1_0' is not an integer"),
+    "pair_key_arabic_digit": _refused_space(KAHLER_CURVE % '"hodge": {"\u0661,2": 1}',
+                                            "hodge[\u0661,2]: '\u0661' is not an integer"),
+    "pair_key_three_parts": _refused_space(KAHLER_CURVE % '"hodge": {"1,2,3": 1}', "hodge: key '1,2,3' is not of the form 'a,b'"),
+    "pair_key_past_int_length": _refused_space(KAHLER_CURVE % f'"hodge": {{"{"1" * 5000},2": 1}}',
+                                               f"hodge[{'1' * 5000},2]: '{'1' * 5000}' is not an integer"),
+    "pair_key_negative": _refused_space(
+        '{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"-1,-2": 1}}',
+        "space: filtration entry at (p=-1, n=-2) outside the windows"),
     "missing_flag": ({}, ["compute", "--space", fixture("p1.json")], 2, "the following arguments are required"),
     "check_missing_flag": ({}, ["check", "transfer", "--space", fixture("p2.json")], 2,
                            "check transfer requires --divisor-class"),
