@@ -4,11 +4,15 @@ Every domain failure raised by the library derives from :class:`CalcError`,
 so callers (in particular the CLI) can distinguish "the mathematics refused"
 from genuine bugs.  It also holds ``_int_arg``, the one reader for an
 integer from outside the program, so that every command path (the ``aj``
-path too, which loads no model module) reads integers the same way.
+path too, which loads no model module) reads integers the same way, and
+``_quoted``, through which a refusal quotes outside input on one bounded line.
 """
 
 import operator
 from typing import Any
+
+MAX_QUOTED = 40  # characters of an input that a refusal quotes
+
 
 
 class CalcError(Exception):
@@ -39,6 +43,16 @@ class ParseError(CalcError):
     """A space or theory document failed to parse or validate."""
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a one-line refusal quotes it: unprintable characters
+    escaped as ``repr`` escapes them, and past MAX_QUOTED characters cut,
+    with a marker giving its length.  Short printable text is unchanged."""
+    shown = text[:MAX_QUOTED]
+    if not shown.isprintable():
+        shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in shown)
+    return shown if len(text) <= MAX_QUOTED else f"{shown}... ({len(text)} characters)"
+
+
 def _int_arg(value: Any, what: str, key: Any = None) -> int:
     """The one reader for an integer from outside the program: a JSON
     integer, an integral number or a numeral string, an optional ``-``
@@ -62,5 +76,5 @@ def _int_arg(value: Any, what: str, key: Any = None) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    where = what if key is None else f"{what}[{key}]"
-    raise ParseError(f"{where}: {value!r} is not an integer")
+    where = what if key is None else f"{what}[{_quoted(str(key))}]"
+    raise ParseError(f"{where}: {_quoted(repr(value))} is not an integer")

@@ -28,7 +28,7 @@ from operator import add, neg
 from typing import Mapping
 
 from hfcalc._frozen import Frozen
-from hfcalc.errors import RingError
+from hfcalc.errors import RingError, _quoted
 
 __all__ = ["Poly", "RingModel", "polynomial_ring_mod_power", "tensor_rings", "bundle_extension", "ring_of"]
 
@@ -55,7 +55,7 @@ class RingModel(Frozen):
             raise RingError("one rewriting rule required per generator")
         names = [name for name, _deg in generators]
         if len(set(names)) < len(names):
-            raise RingError(f"generator name {Counter(names).most_common(1)[0][0]!r} appears twice")
+            raise RingError(f"generator name {_quoted(repr(Counter(names).most_common(1)[0][0]))} appears twice")
         k = len(generators)
         for i, ((name, deg), (power, tail)) in enumerate(zip(generators, rules)):
             if deg <= 0 or deg % 2 != 0:

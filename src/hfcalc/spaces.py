@@ -9,10 +9,12 @@ Two model kinds feed the engine:
   indexed by degree once per model.
 
 * :class:`QuasiProjModel` -- a smooth quasi-projective variety presented by
-  (torsion-free) Betti ranks together with explicit tables for
-  dim F^p H^n(X; C) and for the rank of the sublattice of H^n(X; Z) whose
-  complex span lies in F^p.  Mixed Hodge weights are not modelled; the
-  filtration tables are all the engine consumes.
+  (torsion-free) Betti ranks together with dim F^p H^n(X; C) and the rank
+  of the sublattice of H^n(X; Z) whose complex span lies in F^p.  Each
+  degree stores the nonzero graded pieces gr^a = F^a / F^(a+1) of both
+  filtrations, which fix them (Deligne, Hodge II), so a model costs its
+  pieces, not the windows 1 <= p <= n of its documents.  Mixed Hodge
+  weights are not modelled; the filtrations are all the engine consumes.
 
 Products and projective bundles convolve tables.  A product's Hodge
 numbers and Hodge-class ranks are the convolutions of its factors' tables,
@@ -20,8 +22,9 @@ and its Betti groups follow the integral Kunneth formula (tensor products
 plus Tor).  A rank-r bundle's tables are the base's convolved with
 1 + t + ... + t^(r-1) in the matching grading (the projective bundle
 formula; a Kahler bundle direct-sums the base's Betti groups, torsion
-included).  One helper fills the ``filt`` and ``lattice`` windows of every
-quasi-projective result from its graded pieces gr^a H^n, degree by degree.
+included); over a quasi-projective base it shifts the base's graded pieces
+by (i, 2i).  ``as_quasiproj`` and ``quasi_product`` hand their pieces to
+the model directly, degree by degree.
 
 Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
@@ -40,6 +43,7 @@ where H^2q has type (q, q) alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping, Optional
 
 from hfcalc._frozen import Frozen
@@ -79,6 +83,31 @@ def _check_ring(model, ranks: dict) -> None:
         raise ModelError(
             f"{model.name}: ring presentation has dimension {rdims.get(n, 0)} in degree {n}, Betti rank is {ranks.get(n, 0)}"
         )
+
+
+def _check_betti(name: str, betti: dict) -> None:
+    """Refuse a quasi-projective Betti table with a negative rank or degree."""
+    for n, b in betti.items():
+        if b < 0:
+            raise ModelError(f"{name}: negative Betti rank in degree {n}")
+        if n < 0:
+            raise ModelError(f"{name}: cohomology in negative degree {n}")
+
+
+_NO_PIECES = ((), (0,))  # a degree without positive pieces: F^p H^n = 0 for p >= 1
+
+
+def _window(tails: dict) -> dict:
+    """The nonzero window entries (p, n) -> the sum of the pieces at a >= p, 1 <= p <= n,
+    of per-degree (positions, suffix sums)."""
+    out = {}
+    for n, (pos, sums) in tails.items():
+        lo = 1
+        for a, s in zip(pos, sums):
+            for p in range(lo, a + 1):
+                out[p, n] = s
+            lo = a + 1
+    return out
 
 
 class KahlerModel(Frozen):
@@ -210,15 +239,21 @@ class KahlerModel(Frozen):
 
 
 class QuasiProjModel(Frozen):
-    """A smooth quasi-projective variety presented by filtration tables.
+    """A smooth quasi-projective variety presented by the graded pieces of
+    its Hodge filtration and of its lattice.
 
-    ``filt`` and ``lattice`` store only the window 1 <= p <= n of the
-    degrees with Betti rank; outside it the values are forced: everything
-    for p <= 0, zero for p > n.
+    Each degree stores only its nonzero pieces gr^a = F^a / F^(a+1) at
+    a >= 1: their positions, sorted, and their suffix sums, so that
+    dim F^p H^n is one ``bisect_left`` (and everything for p <= 0).  The
+    ``filt`` and ``lattice`` fields are the windows 1 <= p <= n of the
+    degrees with Betti rank, which ``__init__`` reads once into pieces and
+    which are derived from the pieces on access (documents, ``replace``,
+    pickle, equality); the constructors pass their pieces to ``_of_pieces``.
+    Both paths take the same build and check.
     """
 
     _fields = ("name", "betti", "filt", "lattice", "hodge_class_rank", "ring")
-    __slots__ = _fields + ("_support",)
+    __slots__ = ("name", "betti", "hodge_class_rank", "ring", "_filt", "_lattice", "_support")
 
     has_torsion = False  # not a field: the Betti table is torsion-free
 
@@ -232,16 +267,57 @@ class QuasiProjModel(Frozen):
         ring: Optional[RingModel] = None,
     ):
         betti = _nonzero(betti)
+        _check_betti(name, betti)  # before the window entries, whose bounds read it
+        pieces = {n: ({}, {}) for n in betti}  # n -> ({a: F^a - F^(a+1)}, the same for the lattice)
+        for k, table in enumerate((_nonzero(filt), _nonzero(lattice))):
+            for (p, n), v in table.items():
+                if not 1 <= p <= n or n not in betti:
+                    raise ModelError(
+                        f"{name}: filtration entry at (p={p}, n={n}) outside the windows 1 <= p <= n of the degrees with Betti rank"
+                    )
+                gr = pieces[n][k]
+                gr[p] = gr.get(p, 0) + v
+                gr[p - 1] = gr.get(p - 1, 0) - v
+        self._build(name, betti, pieces, hodge_class_rank, ring)
+
+    @classmethod
+    def _of_pieces(cls, name: str, betti: dict, pieces: dict, hodge_class_rank: dict, ring=None) -> QuasiProjModel:
+        """The model whose degree n has the pieces pieces[n] = ({a: dim gr^a H^n},
+        {a: the lattice's step at a}); pieces at a <= 0 are left to the Betti rank."""
+        model = object.__new__(cls)
+        model._build(name, _nonzero(betti), pieces, hodge_class_rank, ring)
+        return model
+
+    def _build(self, name, betti, pieces, hodge_class_rank, ring) -> None:
+        tails = ({}, {})  # n -> (positions, suffix sums ending in 0), for F and for the lattice
+        for n, grs in pieces.items():
+            for out, gr in zip(tails, grs):
+                pos = sorted(a for a, v in gr.items() if v and a > 0)
+                if pos:
+                    sums = [0]
+                    for a in reversed(pos):
+                        sums.append(sums[-1] + gr[a])
+                    out[n] = tuple(pos), tuple(reversed(sums))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "filt", _nonzero(filt))
-        object.__setattr__(self, "lattice", _nonzero(lattice))
         object.__setattr__(self, "hodge_class_rank", _nonzero(hodge_class_rank or {}))
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_filt", tails[0])
+        object.__setattr__(self, "_lattice", tails[1])
         object.__setattr__(self, "_support", tuple(sorted(betti)))  # derived, as on KahlerModel
         self._check()
 
     make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # as on KahlerModel
+
+    @property
+    def filt(self) -> dict:
+        """The nonzero window entries (p, n) -> dim F^p H^n, 1 <= p <= n."""
+        return _window(self._filt)
+
+    @property
+    def lattice(self) -> dict:
+        """The nonzero window entries (p, n) -> the lattice rank inside F^p H^n."""
+        return _window(self._lattice)
 
     def betti_rank(self, n: int) -> int:
         return self.betti.get(n, 0)
@@ -259,56 +335,68 @@ class QuasiProjModel(Frozen):
     def hcr(self, q: int) -> int:
         return self.hodge_class_rank.get(q, 0)
 
-    # The constructor holds every entry inside the window, so a cell outside
-    # it finds none.
+    # Every piece lies at 1 <= a <= n, so a cell past the last one finds the
+    # trailing 0, and a degree without positive pieces finds no entry.
     def filtration_dim(self, p: int, n: int) -> int:
-        return self.betti.get(n, 0) if p <= 0 else self.filt.get((p, n), 0)
+        if p <= 0:
+            return self.betti.get(n, 0)
+        tail = self._filt.get(n)
+        return tail[1][bisect_left(tail[0], p)] if tail else 0
 
     def lattice_rank_in_filtration(self, q: int, n: int) -> int:
-        return self.betti.get(n, 0) if q <= 0 else self.lattice.get((q, n), 0)
+        if q <= 0:
+            return self.betti.get(n, 0)
+        tail = self._lattice.get(n)
+        return tail[1][bisect_left(tail[0], q)] if tail else 0
+
+    def graded_pieces(self, n: int) -> tuple[dict, dict]:
+        """The nonzero pieces of H^n from a = 0: ({a: dim gr^a}, {a: the lattice's step at a})."""
+        b = self.betti.get(n, 0)
+        return tuple(
+            {a: d for a, s, t in zip((0, *pos), (b, *sums), sums) if (d := s - t)}
+            for pos, sums in (self._filt.get(n, _NO_PIECES), self._lattice.get(n, _NO_PIECES))
+        )
 
     def _check(self) -> None:
+        """The window rules, evaluated where their inputs change.  F^p and the
+        lattice rank L^p are constant in p between pieces: they change only at
+        p = a + 1 past a piece at a, or past a = 0, where F^0 = L^0 = H^n.  So
+        each rule first fails at one of those cells, and they are walked in
+        order, degree by degree, as a walk over every window cell would."""
         name, betti = self.name, self.betti
+        _check_betti(name, betti)
         for n, b in betti.items():
-            if b < 0:
-                raise ModelError(f"{name}: negative Betti rank in degree {n}")
-            if n < 0:
-                raise ModelError(f"{name}: cohomology in negative degree {n}")
-        for table in (self.filt, self.lattice):
-            for p, n in table:
-                if not 1 <= p <= n or n not in betti:
-                    raise ModelError(
-                        f"{name}: filtration entry at (p={p}, n={n}) outside the windows 1 <= p <= n of the degrees with Betti rank"
-                    )
-        filt, lattice = self.filt, self.lattice
-        for n, b in betti.items():
-            fs, lats = [b], [b]  # by p from 0: F^0 H^n = H^n, and the lattice inside it has full rank
-            for p in range(1, n + 1):  # F^(n+1) H^n = 0 meets both bounds
-                cur = filt.get((p, n), 0)
-                if cur > fs[-1]:
-                    raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {fs[-1]}")
+            # F^p = fsums[bisect_left(fpos, p)] for p >= 0, with F^0 = H^n in front; L^p alike.
+            fpos, fsums = self._filt.get(n, _NO_PIECES)
+            lpos, lsums = self._lattice.get(n, _NO_PIECES)
+            fpos, fsums, lpos, lsums = (0, *fpos), (b, *fsums), (0, *lpos), (b, *lsums)
+            cells = sorted({a + 1 for a in (*fpos, *lpos) if a < n})
+            for p in cells:
+                cur, prev = fsums[bisect_left(fpos, p)], fsums[bisect_left(fpos, p - 1)]
+                if cur > prev:
+                    raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {prev}")
                 # cur <= F^(p-1) <= ... <= betti_rank(n), so cur is min(Betti, filtration).
-                lat = lattice.get((p, n), 0)
+                lat, lprev = lsums[bisect_left(lpos, p)], lsums[bisect_left(lpos, p - 1)]
                 if lat < 0 or lat > cur:
                     raise ModelError(
                         f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}"
                     )
                 # The lattice inside F^p lies inside F^(p-1): non-increasing in p.
-                if lat > lats[-1]:
+                if lat > lprev:
                     raise ModelError(
-                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {lats[-1]} at (p={p - 1}, n={n})"
+                        f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {lprev} at (p={p - 1}, n={n})"
                     )
-                fs.append(cur)
-                lats.append(lat)
             # On a smooth variety h^{s,t}(H^n) = 0 unless s, t <= n <= s + t, and h^{s,t} = h^{t,s}
             # on each weight (Deligne, Hodge II 3.2, III 8.2): (s, t) -> (t, s) maps the types with
-            # s <= a, a complement of F^(a+1), into F^(n-a).  If F^p H^n = H^n, all the lattice is in F^p.
-            for a in range(n):
-                f, lat, mirror = fs[a + 1], lats[a + 1], fs[n - a]
+            # s < p, a complement of F^p, into F^(n+1-p).  If F^p H^n = H^n, all the lattice is in F^p.
+            # F is non-increasing by now, so the mirror F^(n+1-p) only grows with p, and the codim
+            # bound first fails where codim F^p grows: at one of the cells.
+            for p in cells:  # the Deligne rules
+                f, lat, mirror = fsums[bisect_left(fpos, p)], lsums[bisect_left(lpos, p)], fsums[bisect_left(fpos, n + 1 - p)]
                 if f == b and lat != b:
-                    raise ModelError(f"{name}: F^{a + 1}H^{n} = H^{n}, yet its lattice rank is {lat}, not b_{n} = {b}")
+                    raise ModelError(f"{name}: F^{p}H^{n} = H^{n}, yet its lattice rank is {lat}, not b_{n} = {b}")
                 if b - f > mirror:
-                    raise ModelError(f"{name}: codim F^{a + 1}H^{n} = {b - f} exceeds dim F^{n - a}H^{n} = {mirror}")
+                    raise ModelError(f"{name}: codim F^{p}H^{n} = {b - f} exceeds dim F^{n + 1 - p}H^{n} = {mirror}")
         for q, v in self.hodge_class_rank.items():
             # Hodge classes are lattice classes inside F^q H^2q, as h^{q,q} bounds them on KahlerModel.
             bound = self.lattice_rank_in_filtration(q, 2 * q)
@@ -322,10 +410,11 @@ Model = KahlerModel | QuasiProjModel
 
 # -- constructors ---------------------------------------------------------------
 
-# A quasi-projective model's windows grow with the square of its top degree, and
-# so does building a bundle over a quasi-projective base (on a two-CPU Xeon host,
-# P(P(Gm, 60), 60), degree 237, 14,161 filt entries: 24 ms; P(P(Gm, 200), 200),
-# degree 797: 0.35 s).
+# A quasi-projective model costs its graded pieces, and a rank-r bundle over a
+# quasi-projective base r shifts of them (on a two-CPU Xeon host, P(P(Gm, 60), 60),
+# degree 237: 4.4 ms; P(P(Gm, 200), 200), degree 797: 43 ms).  The limit stays:
+# quasi_product still fills each degree cell by cell, and a document's filt_dim
+# and lattice_in_f windows grow with the square of its top degree.
 MAX_QUASI_DEGREE = 240  # top Betti degree of a quasi-projective model
 
 
@@ -344,22 +433,6 @@ def _steps(column: list) -> dict:
     """The nonzero graded pieces {a: column[a] - column[a + 1]} of a filtration
     listed from p = 0, zero past the end of the list."""
     return {a: d for a, (f, g) in enumerate(zip(column, column[1:] + [0])) if (d := f - g)}
-
-
-def _window_tables(degrees, pieces) -> tuple[dict, dict]:
-    """Nonzero ``filt`` and ``lattice`` entries on the windows 1 <= p <= n of
-    ``degrees``, from pieces(n) = ({a: dim gr^a H^n}, {a: the lattice's step at a}):
-    the value at p is the sum of the pieces at a >= p, one suffix sum per degree."""
-    filt = {}
-    lattice = {}
-    for n in degrees:
-        for table, gr in zip((filt, lattice), pieces(n)):
-            total = 0
-            for p in range(max(gr, default=0), 0, -1):
-                total += gr.get(p, 0)
-                if total:
-                    table[(p, n)] = total
-    return filt, lattice
 
 
 def point() -> KahlerModel:
@@ -467,43 +540,32 @@ def projective_bundle(x: Model, r: int) -> Model:
             name=name, dim=x.dim + r - 1, betti=betti, hodge=_convolve(x.hodge, {(i, i): 1 for i in shifts}),
             hodge_class_rank=hcr, ring=ring,
         )
-    gr: dict = {}  # n -> the bundle's pieces in degree n: the base's, shifted by (i, 2i)
-    for m, b in x.betti.items():
-        base = [_steps([b] + [table.get((p, m), 0) for p in range(1, m + 1)]) for table in (x.filt, x.lattice)]
-        for i in shifts:
-            for out, piece in zip(gr.setdefault(m + 2 * i, ({}, {})), base):
-                for a, v in piece.items():
+    betti = _convolve(x.betti, {2 * i: 1 for i in shifts})
+    gr = {n: ({}, {}) for n in betti}  # n -> the bundle's pieces in degree n: the base's, shifted by (i, 2i)
+    for m in x.betti:
+        for k, piece in enumerate(x.graded_pieces(m)):
+            for a, v in piece.items():
+                for i in shifts:
+                    out = gr[m + 2 * i][k]
                     out[a + i] = out.get(a + i, 0) + v
-    betti_q = _convolve(x.betti, {2 * i: 1 for i in shifts})
-    filt, lattice = _window_tables(betti_q, gr.__getitem__)
-    return QuasiProjModel(
-        name=name, betti=betti_q, filt=filt, lattice=lattice, hodge_class_rank=hcr, ring=ring,
-    )
+    return QuasiProjModel._of_pieces(name, betti, gr, hcr, ring)
 
 
 def affine_space(n: int) -> QuasiProjModel:
     """A^n: cohomologically a point, with the filtration of weight zero."""
     if n < 0:
         raise ModelError("affine_space needs n >= 0")
-    return QuasiProjModel(
-        name=f"A{n}", betti={0: 1}, filt={}, lattice={}, hodge_class_rank={0: 1},
-    )
+    return QuasiProjModel._of_pieces(f"A{n}", {0: 1}, {}, {0: 1})
 
 
 def gm() -> QuasiProjModel:
     """The multiplicative group C^*: H^1 is spanned by dz/z, which has
     filtration level one (the class carries a weight-2 mixed structure)."""
-    return QuasiProjModel(
-        name="Gm",
-        betti={0: 1, 1: 1},
-        filt={(1, 1): 1},
-        lattice={(1, 1): 1},
-        hodge_class_rank={0: 1},
-    )
+    return QuasiProjModel._of_pieces("Gm", {0: 1, 1: 1}, {1: ({1: 1}, {1: 1})}, {0: 1})
 
 
 def as_quasiproj(x: Model) -> QuasiProjModel:
-    """Re-present a torsion-free model through explicit filtration tables."""
+    """Re-present a torsion-free model through the graded pieces of its filtration and lattice."""
     if isinstance(x, QuasiProjModel):
         return x
     if x.has_torsion:
@@ -518,11 +580,7 @@ def as_quasiproj(x: Model) -> QuasiProjModel:
         hodge = x.hcr(half) if n % 2 == 0 and s < half else 0
         return dict(row), {half: hodge, s: betti[n] - hodge}  # one step, b_n, where s = half
 
-    filt, lattice = _window_tables(betti, pieces)
-    return QuasiProjModel(
-        name=x.name, betti=betti, filt=filt, lattice=lattice,
-        hodge_class_rank=dict(x.hodge_class_rank),
-    )
+    return QuasiProjModel._of_pieces(x.name, betti, {n: pieces(n) for n in betti}, dict(x.hodge_class_rank))
 
 
 def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
@@ -558,8 +616,6 @@ def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:
         return _steps([betti[n]] + [f for f, _lat in cells]), _steps([betti[n]] + [lat for _f, lat in cells])
 
     betti = _convolve(x.betti, y.betti)
-    filt, lattice = _window_tables(betti, pieces)
-    return QuasiProjModel(
-        name=f"{x.name} x {y.name}", betti=betti, filt=filt, lattice=lattice,
-        hodge_class_rank=_convolve(x.hodge_class_rank, y.hodge_class_rank),
+    return QuasiProjModel._of_pieces(
+        f"{x.name} x {y.name}", betti, {n: pieces(n) for n in betti}, _convolve(x.hodge_class_rank, y.hodge_class_rank)
     )

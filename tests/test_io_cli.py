@@ -26,6 +26,7 @@ from hfcalc.coefficients import builtin_theory, partition_count
 from hfcalc.engine import GroupDescriptor, hfc_group
 from hfcalc.errors import CalcError, CurveError, ModelError, ParseError, RingError
 from hfcalc.io import (
+    check_bundle,
     descriptor_to_json,
     emit_space,
     load_theory_argument,
@@ -676,6 +677,8 @@ REFUSALS = {
     "pair_key": _refused_space(KAHLER_CURVE % '"hodge": {"1": 1}', "hodge: key '1' is not of the form 'a,b'"),
     "betti_entry": _refused_space(KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, 2]') % '"hodge": {}',
                                   "betti[0]: expected [free_rank, [torsion...]]"),
+    "betti_entry_newline_key": _refused_space(KAHLER_CURVE.replace('"0": [1, []]', '"0\\n": 5') % '"hodge": {}',
+                                              "betti[0\\n]: expected [free_rank, [torsion...]]"),
     "betti_torsion": _refused_space(KAHLER_CURVE.replace('"0": [1, []]', '"0": [1, [0]]') % '"hodge": {}',
                                     "betti[0]: zero is not a torsion order"),
     "ring_presentation": _refused_space(KAHLER_CURVE % '"ring": {"generators": 5}', "ring presentation: "),
@@ -755,8 +758,12 @@ REFUSALS = {
     "pair_key_arabic_digit": _refused_space(KAHLER_CURVE % '"hodge": {"\u0661,2": 1}',
                                             "hodge[\u0661,2]: '\u0661' is not an integer"),
     "pair_key_three_parts": _refused_space(KAHLER_CURVE % '"hodge": {"1,2,3": 1}', "hodge: key '1,2,3' is not of the form 'a,b'"),
+    # A refusal quotes at most 40 characters of a key or value, unprintable ones escaped.
     "pair_key_past_int_length": _refused_space(KAHLER_CURVE % f'"hodge": {{"{"1" * 5000},2": 1}}',
-                                               f"hodge[{'1' * 5000},2]: '{'1' * 5000}' is not an integer"),
+                                               f"hodge[{'1' * 40}... (5002 characters)]: '{'1' * 39}..."
+                                               " (5002 characters) is not an integer"),
+    "pair_key_newline": _refused_space('{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"1,2\\n": 1}}',
+                                       "filt_dim[1,2\\n]: '2\\n' is not an integer"),
     "pair_key_negative": _refused_space(
         '{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"-1,-2": 1}}',
         "space: filtration entry at (p=-1, n=-2) outside the windows"),
@@ -957,6 +964,14 @@ class TestSizeLimits:
 
     def test_quasi_tables_at_the_limit(self):
         assert parse_space(QUASI_TOP).max_degree == 240
+
+    def test_quasi_bundle_terms_count_pieces(self):
+        # A rank-r bundle over a quasi-projective base costs r shifts of the
+        # base's Betti ranks, graded pieces and Hodge-class ranks.  Gm: 2 + 4 + 1.
+        # P(Gm, 60): 120 degrees, each with one filtration and one lattice piece
+        # at a >= 0, and 60 Hodge-class ranks (its windows held 7,200 entries).
+        assert check_bundle(gm(), 60) == 60 * 7
+        assert check_bundle(projective_bundle(gm(), 60), 60, 420) == 420 + 60 * (120 + 240 + 60)
 
     def test_theory_degree(self, tmp_path, capsys):
         path = tmp_path / "theory.json"

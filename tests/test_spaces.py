@@ -1,5 +1,6 @@
 """Space models: constructors, invariants, filtration and lattice rules."""
 
+import json
 from functools import cached_property
 from pathlib import Path
 
@@ -440,9 +441,53 @@ class TestValidation:
 #
 # The quadratic code the constructors and accessors replaced, kept as oracles:
 # the whole-table Hodge scan, the smallest Hodge level, the Kahler bundle's
-# Betti loop over every degree and shift, and the three window loops.  The
-# lattice rule keeps its parity branches and quasi_product its two clamped
-# graded-piece helpers, as they stood before each became one test.
+# Betti loop over every degree and shift, the three window loops and the
+# quasi-projective check's walk over every window cell.  The lattice rule
+# keeps its parity branches and quasi_product its two clamped graded-piece
+# helpers, as they stood before each became one test.
+
+
+def reference_window_check(name, betti, filt, lattice, hodge_class_rank):
+    """The quasi-projective check as a walk over every window cell (p, n),
+    1 <= p <= n, degree by degree in Betti order: a ModelError on the first
+    rule that fails."""
+    betti, filt, lattice = _nonzero(betti), _nonzero(filt), _nonzero(lattice)
+    for n, b in betti.items():
+        if b < 0:
+            raise ModelError(f"{name}: negative Betti rank in degree {n}")
+        if n < 0:
+            raise ModelError(f"{name}: cohomology in negative degree {n}")
+    for table in (filt, lattice):
+        for p, n in table:
+            if not 1 <= p <= n or n not in betti:
+                raise ModelError(
+                    f"{name}: filtration entry at (p={p}, n={n}) outside the windows 1 <= p <= n of the degrees with Betti rank"
+                )
+    for n, b in betti.items():
+        fs, lats = [b], [b]
+        for p in range(1, n + 1):
+            cur = filt.get((p, n), 0)
+            if cur > fs[-1]:
+                raise ModelError(f"{name}: dim F^{p}H^{n} = {cur} exceeds dim F^{p - 1}H^{n} = {fs[-1]}")
+            lat = lattice.get((p, n), 0)
+            if lat < 0 or lat > cur:
+                raise ModelError(f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds min(Betti, filtration) = {cur}")
+            if lat > lats[-1]:
+                raise ModelError(
+                    f"{name}: lattice rank {lat} at (p={p}, n={n}) exceeds the rank {lats[-1]} at (p={p - 1}, n={n})"
+                )
+            fs.append(cur)
+            lats.append(lat)
+        for a in range(n):
+            f, lat, mirror = fs[a + 1], lats[a + 1], fs[n - a]
+            if f == b and lat != b:
+                raise ModelError(f"{name}: F^{a + 1}H^{n} = H^{n}, yet its lattice rank is {lat}, not b_{n} = {b}")
+            if b - f > mirror:
+                raise ModelError(f"{name}: codim F^{a + 1}H^{n} = {b - f} exceeds dim F^{n - a}H^{n} = {mirror}")
+    for q, v in _nonzero(hodge_class_rank).items():
+        bound = betti.get(2 * q, 0) if q <= 0 else lattice.get((q, 2 * q), 0)
+        if v < 0 or v > bound:
+            raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, lattice rank in F^{q}H^{2 * q} = {bound}]")
 
 
 def reference_filtration_dim(model, p, n):
@@ -678,7 +723,63 @@ class TestReferenceConstructors:
             ("as_quasiproj", ("product", ("product", ("curve1",), ("curve1",)), ("curve1",))),
             ("bundle", ("as_quasiproj", ("product", ("ee_diagonal",), ("P1",))), 3),
         ]:
-            build_checked(tree)
+            model = build_checked(tree)
+            # A document round trip: the same model, and the same bytes when emitted again.
+            text = json.dumps(emit_space(model))
+            again = parse_space_text(text)
+            assert again == model and json.dumps(emit_space(again)) == text, tree
+
+
+@st.composite
+def window_tables(draw):
+    """Small quasi-projective tables: Betti ranks in degrees up to 6, per degree
+    a filtration column from p = 1 (sorted or not, now and then one cell past
+    the window) and a lattice column (clamped under it or not), a stray entry
+    now and then, and Hodge-class ranks."""
+    small = st.integers(-1, 3)
+    rank = st.sampled_from([-1, 0] + [1, 2, 3] * 4)
+    betti = draw(st.dictionaries(st.sampled_from([-1] + list(range(7)) * 4), rank, max_size=4))
+    filt, lattice = {}, {}
+    for n, b in betti.items():
+        values = small if draw(st.booleans()) else st.integers(0, max(b, 0))
+        columns = [draw(st.lists(values, max_size=max(n, 0) + draw(st.sampled_from([0, 0, 0, 1])))) for _ in "fl"]
+        if draw(st.booleans()):
+            columns = [sorted(column, reverse=True) for column in columns]
+        if draw(st.booleans()):
+            columns[1] = [min(f, lat) for f, lat in zip(columns[0] + [0] * len(columns[1]), columns[1])]
+        for table, column in zip((filt, lattice), columns):
+            table.update(((p, n), v) for p, v in enumerate(column, 1))
+    stray = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(-1, 7)), small, min_size=1, max_size=1)
+    for table in (filt, lattice):
+        table.update(draw(st.one_of(st.just({}), st.just({}), st.just({}), stray)))
+    hcr = draw(st.dictionaries(st.integers(-1, 3), st.sampled_from([-1, 0, 1, 1, 2]), max_size=2))
+    return betti, filt, lattice, hcr
+
+
+class TestPieceCheck:
+    # The check on stored pieces evaluates each rule where its inputs change;
+    # the window walk evaluates every cell.  Same verdict, same first refusal.
+    @settings(max_examples=100, deadline=None)
+    @given(window_tables())
+    def test_same_verdict_as_the_window_walk(self, tables):
+        betti, filt, lattice, hcr = tables
+        want = got = None
+        try:
+            reference_window_check("q", betti, filt, lattice, hcr)
+        except ModelError as exc:
+            want = str(exc)
+        try:
+            model = QuasiProjModel("q", betti, filt, lattice, hcr)
+        except ModelError as exc:
+            got = str(exc)
+        assert got == want
+        if got is None:
+            assert (model.filt, model.lattice) == (_nonzero(filt), _nonzero(lattice))
+            for n in range(-1, 8):
+                for p in range(-1, 9):
+                    b = betti.get(n, 0)
+                    assert model.filtration_dim(p, n) == (b if p <= 0 else filt.get((p, n), 0)), (p, n)
+                    assert model.lattice_rank_in_filtration(p, n) == (b if p <= 0 else lattice.get((p, n), 0)), (p, n)
 
 
 class TestDerivedData:
@@ -749,19 +850,25 @@ class TestGrowth:
         assert large <= 2.2 * small, (small, large)
 
     def test_quasi_bundle_reads_base_tables_once(self):
-        # The base's graded pieces are read once, whatever the rank, not once
-        # per window cell of the bundle.
+        # The base's Betti table and graded pieces are read once per base
+        # degree, whatever the rank, not once per cell of the bundle.
         def reads(r):
             g = projective_bundle(gm(), 5)
-            tables = {name: CountingDict(getattr(g, name)) for name in ("betti", "filt", "lattice")}
-            base = g.replace(**tables)
-            before = sum(t.reads for t in tables.values())
+            base = g.replace(betti=CountingDict(g.betti))
+            before = base.betti.reads
             projective_bundle(base, r)
-            return sum(t.reads for t in tables.values()) - before
+            return base.betti.reads - before
 
         small = reads(50)
         assert small > 0
         assert reads(100) == small
+
+    def test_as_quasiproj_stores_pieces_not_windows(self):
+        # P^400 has 401 degrees and one filtration and one lattice piece in
+        # each; its windows 1 <= p <= n held 80,200 entries per table.
+        q = as_quasiproj(projective_space(400))
+        assert len(q.betti) == 401 and len(q.filt) == 80200
+        assert sum(len(pos) for tails in (q._filt, q._lattice) for pos, _sums in tails.values()) <= 2 * 401
 
     def test_projective_space_mu_cell_reads_hodge_linearly(self):
         mu = builtin_theory("MU")
