@@ -53,9 +53,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         a, b = _int_arg(lo, "range"), _int_arg(hi, "range")
     except ParseError:
-        raise ParseError(f"range {_quoted(repr(text))} must have integer endpoints")
+        raise ParseError(f"range {_quoted(text)} must have integer endpoints")
     if a > b:
-        raise ParseError(f"range {_quoted(repr(text))} is empty")
+        raise ParseError(f"range {_quoted(text)} is empty")
     return a, b
 
 
@@ -64,7 +64,7 @@ def _int_flag(text: str) -> int:
     try:
         return _int_arg(text, "flag")
     except ParseError:
-        raise argparse.ArgumentTypeError(f"{_quoted(repr(text))} is not an integer")
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not an integer")
 
 
 def _emit(lines: list[str], out) -> None:

@@ -5,7 +5,8 @@ so callers (in particular the CLI) can distinguish "the mathematics refused"
 from genuine bugs.  It also holds ``_int_arg``, the one reader for an
 integer from outside the program, so that every command path (the ``aj``
 path too, which loads no model module) reads integers the same way, and
-``_quoted``, through which a refusal quotes outside input on one bounded line.
+``_quoted`` and ``_shown``, through which a refusal quotes outside input on
+one bounded line.
 """
 
 import operator
@@ -43,14 +44,25 @@ class ParseError(CalcError):
     """A space or theory document failed to parse or validate."""
 
 
-def _quoted(text: str) -> str:
-    """``text`` as a one-line refusal quotes it: unprintable characters
-    escaped as ``repr`` escapes them, and past MAX_QUOTED characters cut,
-    with a marker giving its length.  Short printable text is unchanged."""
+def _shown(text: str) -> str:
+    """``text`` on one bounded line, as a refusal shows a key: unprintable
+    characters escaped as ``repr`` escapes them, and past MAX_QUOTED
+    characters cut, with a marker giving its length.  Short printable text
+    is unchanged."""
     shown = text[:MAX_QUOTED]
     if not shown.isprintable():
         shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in shown)
     return shown if len(text) <= MAX_QUOTED else f"{shown}... ({len(text)} characters)"
+
+
+def _quoted(value: Any) -> str:
+    """``repr(value)`` on one bounded line, as a refusal quotes an input.  A
+    string past MAX_QUOTED characters is cut before it is quoted, so its
+    quotes close and the marker gives the string's own length; any other
+    value's ``repr`` is shown as ``_shown`` shows a key."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= MAX_QUOTED else f"{value[:MAX_QUOTED]!r}... ({len(value)} characters)"
+    return _shown(repr(value))
 
 
 def _int_arg(value: Any, what: str, key: Any = None) -> int:
@@ -76,5 +88,5 @@ def _int_arg(value: Any, what: str, key: Any = None) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    where = what if key is None else f"{what}[{_quoted(str(key))}]"
-    raise ParseError(f"{where}: {_quoted(repr(value))} is not an integer")
+    where = what if key is None else f"{what}[{_shown(str(key))}]"
+    raise ParseError(f"{where}: {_quoted(value)} is not an integer")

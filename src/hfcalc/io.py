@@ -25,7 +25,7 @@ from typing import Any, NoReturn
 from hfcalc.abelian import FgAbelianGroup
 from hfcalc.coefficients import CoefficientTheory, builtin_theory, custom_theory
 from hfcalc.engine import GroupDescriptor
-from hfcalc.errors import ParseError, _int_arg, _quoted
+from hfcalc.errors import ParseError, _int_arg, _quoted, _shown
 from hfcalc.rings import RingModel
 from hfcalc.spaces import (
     MAX_QUASI_DEGREE,
@@ -139,7 +139,7 @@ def _refuse_pair_key(k: Any, what: str) -> NoReturn:
     if len(parts) == 2:
         for part in parts:
             _int_arg(part, what, k)  # refuses the first part that is not an integer
-    raise ParseError(f"{what}: key {_quoted(repr(k))} is not of the form 'a,b'")
+    raise ParseError(f"{what}: key {_quoted(k)} is not of the form 'a,b'")
 
 
 # -- ring presentations ------------------------------------------------------------
@@ -188,9 +188,9 @@ def parse_ring_element(ring: RingModel, text: str) -> dict:
             elif name in index:
                 expo[index[name]] += _int_arg(power, "ring element exponent") if caret else 1
             elif name:
-                raise ParseError(f"unknown generator {_quoted(repr(name))} in ring element {_quoted(repr(text))}")
+                raise ParseError(f"unknown generator {_quoted(name)} in ring element {_quoted(text)}")
             else:
-                raise ParseError(f"ring element {_quoted(repr(text))}: {_quoted(repr(factor))} is not an integer or a generator")
+                raise ParseError(f"ring element {_quoted(text)}: {_quoted(factor)} is not an integer or a generator")
         key = tuple(expo)
         poly[key] = poly.get(key, 0) + coeff
     return ring.reduce(poly)
@@ -215,7 +215,7 @@ def _eval_expr(expr: Any) -> tuple[Model, int]:
     bases; for a rank-r bundle r times the base's table entries and ring
     basis."""
     if not isinstance(expr, list) or not expr or not isinstance(expr[0], str):
-        raise ParseError(f"constructor expression must be a list starting with a name: {_quoted(repr(expr))}")
+        raise ParseError(f"constructor expression must be a list starting with a name: {_quoted(expr)}")
     head, *args = expr
     if head in _LEAVES:
         arity, fn = _LEAVES[head]
@@ -243,7 +243,7 @@ def _eval_expr(expr: Any) -> tuple[Model, int]:
         r = _int_arg(args[1], "projective_bundle rank")
         terms = check_bundle(base, r, terms)
         return projective_bundle(base, r), terms
-    raise ParseError(f"unknown constructor {_quoted(repr(head))}")
+    raise ParseError(f"unknown constructor {_quoted(head)}")
 
 
 # -- space documents ---------------------------------------------------------------
@@ -268,13 +268,13 @@ def parse_space(doc: Any) -> Model:
         betti = {}
         for k, entry in _items(doc.get("betti", {}), "betti"):
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
-                raise ParseError(f"betti[{_quoted(str(k))}]: expected [free_rank, [torsion...]]")
+                raise ParseError(f"betti[{_shown(str(k))}]: expected [free_rank, [torsion...]]")
             try:
                 betti[_int_arg(k, "betti", k)] = FgAbelianGroup.of(
                     _int_arg(entry[0], "betti", k), [_int_arg(t, "betti", k) for t in entry[1]]
                 )
             except ValueError as exc:
-                raise ParseError(f"betti[{_quoted(str(k))}]: {exc}")
+                raise ParseError(f"betti[{_shown(str(k))}]: {exc}")
         return KahlerModel(
             name=str(doc.get("name", "space")),
             dim=dim,
@@ -298,7 +298,7 @@ def parse_space(doc: Any) -> Model:
             hodge_class_rank=hcr,
             ring=_ring_from_json(doc["ring"]) if doc.get("ring") else None,
         )
-    raise ParseError(f"unknown space kind {_quoted(repr(kind))} (expected kahler, quasiprojective or construct)")
+    raise ParseError(f"unknown space kind {_quoted(kind)} (expected kahler, quasiprojective or construct)")
 
 
 def parse_space_text(text: str) -> Model:

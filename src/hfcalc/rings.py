@@ -55,7 +55,7 @@ class RingModel(Frozen):
             raise RingError("one rewriting rule required per generator")
         names = [name for name, _deg in generators]
         if len(set(names)) < len(names):
-            raise RingError(f"generator name {_quoted(repr(Counter(names).most_common(1)[0][0]))} appears twice")
+            raise RingError(f"generator name {_quoted(Counter(names).most_common(1)[0][0])} appears twice")
         k = len(generators)
         for i, ((name, deg), (power, tail)) in enumerate(zip(generators, rules)):
             if deg <= 0 or deg % 2 != 0:

@@ -249,7 +249,8 @@ class QuasiProjModel(Frozen):
     degrees with Betti rank, which ``__init__`` reads once into pieces and
     which are derived from the pieces on access (documents, ``replace``,
     pickle, equality); the constructors pass their pieces to ``_of_pieces``.
-    Both paths take the same build and check.
+    Both paths take the same build and check; the window path first
+    refuses a negative Betti rank or degree, which no constructor makes.
     """
 
     _fields = ("name", "betti", "filt", "lattice", "hodge_class_rank", "ring")
@@ -364,7 +365,6 @@ class QuasiProjModel(Frozen):
         each rule first fails at one of those cells, and they are walked in
         order, degree by degree, as a walk over every window cell would."""
         name, betti = self.name, self.betti
-        _check_betti(name, betti)
         for n, b in betti.items():
             # F^p = fsums[bisect_left(fpos, p)] for p >= 0, with F^0 = H^n in front; L^p alike.
             fpos, fsums = self._filt.get(n, _NO_PIECES)

@@ -104,6 +104,9 @@ MUTANTS = [
      "for p in cells:  # the Deligne rules", "for p in cells[1:]:  # the Deligne rules",
      [REFUSED + "[quasi_gr0_without_mirror]", WALK]),
     ("graded_piece_drops_next_level", "spaces.py",
+     "return table(a, n) - table(a + 1, n)", "return table(a, n) - table(a, n)",
+     ["tests/test_reference_engine.py::TestLatticeRule::test_lattice_ranks"]),
+    ("graded_pieces_drops_next_level", "spaces.py",
      "{a: d for a, s, t in zip((0, *pos), (b, *sums), sums) if (d := s - t)}",
      "{a: d for a, s, t in zip((0, *pos), (b, *sums), sums) if (d := s)}",
      [NODES, "tests/test_engine.py::TestBundleFormula::test_other_builtin_bases"]),

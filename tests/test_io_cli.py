@@ -760,8 +760,8 @@ REFUSALS = {
     "pair_key_three_parts": _refused_space(KAHLER_CURVE % '"hodge": {"1,2,3": 1}', "hodge: key '1,2,3' is not of the form 'a,b'"),
     # A refusal quotes at most 40 characters of a key or value, unprintable ones escaped.
     "pair_key_past_int_length": _refused_space(KAHLER_CURVE % f'"hodge": {{"{"1" * 5000},2": 1}}',
-                                               f"hodge[{'1' * 40}... (5002 characters)]: '{'1' * 39}..."
-                                               " (5002 characters) is not an integer"),
+                                               f"hodge[{'1' * 40}... (5002 characters)]: '{'1' * 40}'..."
+                                               " (5000 characters) is not an integer"),
     "pair_key_newline": _refused_space('{"kind": "quasiprojective", "betti_rank": {"0": 1, "2": 1}, "filt_dim": {"1,2\\n": 1}}',
                                        "filt_dim[1,2\\n]: '2\\n' is not an integer"),
     "pair_key_negative": _refused_space(

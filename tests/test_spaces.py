@@ -850,14 +850,17 @@ class TestGrowth:
         assert large <= 2.2 * small, (small, large)
 
     def test_quasi_bundle_reads_base_tables_once(self):
-        # The base's Betti table and graded pieces are read once per base
+        # The base's Betti table and stored pieces are read once per base
         # degree, whatever the rank, not once per cell of the bundle.
         def reads(r):
             g = projective_bundle(gm(), 5)
             base = g.replace(betti=CountingDict(g.betti))
-            before = base.betti.reads
+            tables = (base.betti, CountingDict(base._filt), CountingDict(base._lattice))
+            object.__setattr__(base, "_filt", tables[1])
+            object.__setattr__(base, "_lattice", tables[2])
+            before = [t.reads for t in tables]
             projective_bundle(base, r)
-            return base.betti.reads - before
+            return sum(t.reads for t in tables) - sum(before)
 
         small = reads(50)
         assert small > 0
