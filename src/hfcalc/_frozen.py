@@ -24,10 +24,11 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # The field tuple that eq and hash compare, read by one C-level getter
-        # per class (a generator over _fields made == six times slower).  An
-        # attrgetter is no descriptor, so self._key(x) reads x, not self.
-        cls._key = attrgetter(*cls._fields)
+        # The field tuple that eq and hash compare (unless the class sets its own),
+        # read by one C-level getter per class (a generator over _fields made ==
+        # six times slower).  An attrgetter is no descriptor, so self._key(x)
+        # reads x, not self.
+        cls._key = vars(cls).get("_key") or attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

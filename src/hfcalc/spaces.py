@@ -4,17 +4,19 @@ Two model kinds feed the engine:
 
 * :class:`KahlerModel` -- a compact Kahler manifold presented by its
   integral Betti groups, Hodge numbers h^{s,t} and the ranks of its groups
-  of integral Hodge classes.  Filtration dimensions are derived:
-  dim F^p H^n = sum_{s >= p} h^{s, n-s}, read from the Hodge numbers
-  indexed by degree once per model.
+  of integral Hodge classes.  Its graded pieces are derived once per
+  model: gr^s H^n is h^{s, n-s}, and the lattice's follow one rule.
 
 * :class:`QuasiProjModel` -- a smooth quasi-projective variety presented by
   (torsion-free) Betti ranks together with dim F^p H^n(X; C) and the rank
-  of the sublattice of H^n(X; Z) whose complex span lies in F^p.  Each
-  degree stores the nonzero graded pieces gr^a = F^a / F^(a+1) of both
-  filtrations, which fix them (Deligne, Hodge II), so a model costs its
-  pieces, not the windows 1 <= p <= n of its documents.  Mixed Hodge
-  weights are not modelled; the filtrations are all the engine consumes.
+  of the sublattice of H^n(X; Z) whose complex span lies in F^p.  Mixed
+  Hodge weights are not modelled; the filtrations are all the engine
+  consumes.
+
+Both kinds keep, degree by degree, the graded pieces gr^a = F^a / F^(a+1)
+of the Hodge filtration and of the lattice inside it, which fix them
+(Deligne, Hodge II), in one store with one set of readers: a model costs
+its pieces, not the windows 1 <= p <= n of a quasi-projective document.
 
 Products and projective bundles convolve tables.  A product's Hodge
 numbers and Hodge-class ranks are the convolutions of its factors' tables,
@@ -23,27 +25,30 @@ plus Tor).  A rank-r bundle's tables are the base's convolved with
 1 + t + ... + t^(r-1) in the matching grading (the projective bundle
 formula; a Kahler bundle direct-sums the base's Betti groups, torsion
 included); over a quasi-projective base it shifts the base's graded pieces
-by (i, 2i).  ``as_quasiproj`` and ``quasi_product`` hand their pieces to
-the model directly, degree by degree.
+by (i, 2i).  ``as_quasiproj`` hands over a Kahler model's stored pieces
+unchanged, and ``quasi_product`` its own, degree by degree.
 
 Hodge-class ranks are data, not derived: the rank of the group of integral
 Hodge classes is not a function of the h^{s,t} (Picard numbers vary in
 families).  The constructors install the defaults that are correct for
 them -- cellular spaces use h^{q,q}, products and bundles the convolution
 -- and callers override any field with ``.replace``.  Each model class
-has one construction path, its ``__init__``: it drops zero entries, builds
-the derived data and refuses inconsistent tables with a ModelError.
+has one construction path, its ``__init__`` (on QuasiProjModel, ``_set``
+past the window reader): it drops zero entries, builds the derived data
+and refuses inconsistent tables with a ModelError.
 
 The position of the integral lattice relative to the Hodge filtration on a
 KahlerModel follows one documented rule ("cellular Hodge-Tate"): see
-:meth:`KahlerModel.lattice_rank_in_filtration`.  Its Hodge-class ranks
-are held to what Hodge theory allows: at most h^{q,q}, and all of b_2q
-where H^2q has type (q, q) alone.
+:meth:`KahlerModel._check`, which stores it.  Its Hodge-class ranks are
+held to what Hodge theory allows: at most h^{q,q}, and all of b_2q where
+H^2q has type (q, q) alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
+from operator import attrgetter, sub
 from typing import Mapping, Optional
 
 from hfcalc._frozen import Frozen
@@ -85,21 +90,9 @@ def _check_ring(model, ranks: dict) -> None:
         )
 
 
-def _check_betti(name: str, betti: dict) -> None:
-    """Refuse a quasi-projective Betti table with a negative rank or degree."""
-    for n, b in betti.items():
-        if b < 0:
-            raise ModelError(f"{name}: negative Betti rank in degree {n}")
-        if n < 0:
-            raise ModelError(f"{name}: cohomology in negative degree {n}")
-
-
-_NO_PIECES = ((), (0,))  # a degree without positive pieces: F^p H^n = 0 for p >= 1
-
-
 def _window(tails: dict) -> dict:
-    """The nonzero window entries (p, n) -> the sum of the pieces at a >= p, 1 <= p <= n,
-    of per-degree (positions, suffix sums)."""
+    """The nonzero window entries (p, n) -> the value at p, 1 <= p <= n, of
+    per-degree (positions, suffix sums)."""
     out = {}
     for n, (pos, sums) in tails.items():
         lo = 1
@@ -110,11 +103,61 @@ def _window(tails: dict) -> dict:
     return out
 
 
-class KahlerModel(Frozen):
+def _tails(betti: dict, pieces: dict) -> tuple[dict, dict]:
+    """The store, for F and for the lattice, of the degrees n with Betti rank and
+    their pieces pieces[n] = ({a: dim gr^a H^n}, {a: the lattice's step at a}):
+    0 and the positions of the nonzero pieces at a >= 1, sorted, and b_n and
+    their suffix sums.  Pieces at a <= 0 are left to b_n."""
+    out = ({}, {})
+    for n, b in betti.items():
+        for tails, gr in zip(out, pieces.get(n, ({}, {}))):
+            pos = sorted([a for a, v in gr.items() if v and a > 0])
+            sums = [0]
+            for a in reversed(pos):
+                sums.append(sums[-1] + gr[a])
+            tails[n] = (0, *pos), (b, *reversed(sums))
+    return out
+
+
+class _Graded:
+    """The one store both model kinds read their filtrations from.  Each
+    degree n with Betti rank keeps, for F and for the lattice inside it, the
+    levels a >= 0 of its pieces, sorted, and sums[i], the sum of the pieces
+    from positions[i] on, then 0.  So sums[0] = b_n = F^0 = L^0, and a cell
+    is one ``bisect_left``: at or below the first position it finds b_n,
+    past the last the trailing 0, and in a degree without Betti rank no entry."""
+
+    __slots__ = ("_filt", "_lattice", "_support")
+
+    def support_degrees(self) -> tuple[int, ...]:
+        return self._support
+
+    def hcr(self, q: int) -> int:
+        return self.hodge_class_rank.get(q, 0)
+
+    def filtration_dim(self, p: int, n: int) -> int:
+        """dim F^p H^n(X; C)."""
+        tail = self._filt.get(n)
+        return tail[1][bisect_left(tail[0], p)] if tail else 0
+
+    def lattice_rank_in_filtration(self, q: int, n: int) -> int:
+        """Rank of the sublattice of H^n(X; Z) whose C-span lies in F^q H^n."""
+        tail = self._lattice.get(n)
+        return tail[1][bisect_left(tail[0], q)] if tail else 0
+
+    def graded_pieces(self, n: int) -> tuple[dict, dict]:
+        """The nonzero pieces of H^n: ({a: dim gr^a}, {a: the lattice's step at a})."""
+        return tuple(
+            {a: d for a, s, t in zip(pos, sums, sums[1:]) if (d := s - t)}
+            for pos, sums in (self._filt.get(n, ((), ())), self._lattice.get(n, ((), ())))
+        )
+
+
+class KahlerModel(_Graded, Frozen):
     """A compact Kahler manifold presented by cohomological data."""
 
     _fields = ("name", "dim", "betti", "hodge", "hodge_class_rank", "ring")
-    __slots__ = _fields + ("_levels", "_support", "has_torsion")
+    __slots__ = _fields + ("has_torsion",)
 
     def __init__(
         self,
@@ -126,27 +169,20 @@ class KahlerModel(Frozen):
         ring: Optional[RingModel] = None,
     ):
         betti = _nonzero(betti, lambda g: not g.is_trivial)
-        hodge = _nonzero(hodge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "hodge", _nonzero(hodge))
         object.__setattr__(self, "hodge_class_rank", _nonzero(hodge_class_rank))
         object.__setattr__(self, "ring", ring)
-        # Derived data, built once per instance beside the fields (a
-        # ``replace`` copy is a new instance, so none of it goes stale).
-        levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], s increasing
-        for (s, t), v in sorted(hodge.items()):
-            levels.setdefault(s + t, []).append((s, v))
-        object.__setattr__(self, "_levels", levels)
+        # Derived data, built once per instance beside the fields, the store by
+        # _check (a ``replace`` copy is a new instance, so none of it goes stale).
         object.__setattr__(self, "_support", tuple(sorted(betti)))
         object.__setattr__(self, "has_torsion", any(g.torsion for g in betti.values()))
         self._check()
 
     # The benchmark's probes still call make (ROADMAP item 1); construct directly.
     make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
-
-    # -- accessors shared with QuasiProjModel ---------------------------------
 
     def betti_rank(self, n: int) -> int:
         g = self.betti.get(n)
@@ -160,36 +196,17 @@ class KahlerModel(Frozen):
     def max_degree(self) -> int:
         return 2 * self.dim
 
-    def support_degrees(self) -> tuple[int, ...]:
-        return self._support
-
-    def hcr(self, q: int) -> int:
-        return self.hodge_class_rank.get(q, 0)
-
-    def filtration_dim(self, p: int, n: int) -> int:
-        """dim F^p H^n(X; C) = sum_{s >= p} h^{s, n-s}."""
-        return sum(v for s, v in self._levels.get(n, ()) if s >= p)
-
-    def lattice_rank_in_filtration(self, q: int, m: int) -> int:
-        """Rank of the sublattice of H^m(X; Z) whose C-span lies in F^q H^m.
-
-        Cellular Hodge-Tate rule.  At or below the smallest Hodge level the
-        filtration is everything and the full lattice qualifies.  Above it,
-        a real class in F^q has types (s, t) with s, t >= q, so none exists
-        in odd degree or for 2q > m; otherwise the lattice part inside F^q
-        is the group of integral Hodge classes, whose rank is model data.
-        The constructor holds that rank to b_m where H^m has type (q, q)
-        alone, so the two readings agree there.
-        """
-        b = self.betti_rank(m)
-        if b == 0:
-            return 0
-        if q <= self._levels[m][0][0]:
-            return b
-        return 0 if m % 2 or 2 * q > m else self.hcr(m // 2)
-
     def _check(self) -> None:
-        """Refuse tables that no Kahler manifold has; Hodge numbers are read by degree."""
+        """Refuse tables that no Kahler manifold has, reading the Hodge numbers
+        by degree, and store each degree's pieces in the same pass over its row.
+
+        gr^s H^n is h^{s, n-s}; the lattice follows the cellular Hodge-Tate
+        rule.  At or below the smallest Hodge level s, F^q is everything and
+        so is its lattice.  Above it, a real class in F^q has types (s, t)
+        with s, t >= q, so none exists in odd degree or for 2q > n; else the
+        lattice inside F^q is the group of integral Hodge classes, whose rank
+        is model data: the lattice steps from b_n to hcr(n / 2) past s, and to
+        0 past n / 2.  Where H^n has type (q, q) alone, hcr(q) must be b_n."""
         name, d = self.name, self.dim
         if d < 0:
             raise ModelError(f"{name}: negative dimension")
@@ -199,8 +216,11 @@ class KahlerModel(Frozen):
                 raise ModelError(f"{name}: Betti group in degree {n} outside [0, {2 * d}]")
             if g.free_rank:
                 ranks[n] = g.free_rank
-        hsums = {}
-        for n, row in self._levels.items():
+        levels: dict = {}  # the Hodge table by degree: n -> [(s, h^{s, n-s}), ...], s increasing
+        for (s, t), v in sorted(self.hodge.items()):
+            levels.setdefault(s + t, []).append((s, v))
+        hsums, filt, lattice, alone, hcr = {}, {}, {}, [], self.hodge_class_rank.get
+        for n, row in levels.items():
             if row != [(n - s, v) for s, v in reversed(row)]:
                 h = dict(row)
                 s = next(s for s, v in row if h.get(n - s, 0) != v)
@@ -210,11 +230,19 @@ class KahlerModel(Frozen):
             s = row[0][0]  # the smallest s, and by symmetry n - s is the largest
             if s < 0 or n - s > d:
                 raise ModelError(f"{name}: h^{{{s},{n - s}}} nonzero outside [0, {d}]^2")
-            values = [v for _s, v in row]
+            levels_s, values = zip(*row)
             if min(values) < 0:
                 s = next(s for s, v in row if v < 0)
                 raise ModelError(f"{name}: negative Hodge number h^{{{s},{n - s}}}")
-            hsums[n] = sum(values)
+            b = hsums[n] = sum(values)
+            if len(row) == 1:  # type (s, s) alone, as in every degree of P^n: the lattice is all of F
+                filt[n] = lattice[n] = (s,), (b, 0)
+                alone.append((n, s, b))
+            else:  # F^p at each level and 0 past the top; the lattice's two steps
+                filt[n] = levels_s, (*accumulate(values, sub, initial=b),)
+                lattice[n] = (s, n // 2), (b, 0 if n % 2 else hcr(n // 2, 0), 0)
+        object.__setattr__(self, "_filt", filt)
+        object.__setattr__(self, "_lattice", lattice)
         # Symmetric Hodge numbers pair up in odd degrees, so these sums also
         # hold every odd-degree Betti rank even.
         if hsums != ranks:
@@ -224,37 +252,36 @@ class KahlerModel(Frozen):
             if ranks.get(2 * d - n) != b:
                 raise ModelError(f"{name}: Poincare duality fails between degrees {n} and {2 * d - n}")
         for q, v in self.hodge_class_rank.items():
-            row = self._levels.get(2 * q, ())
+            row = levels.get(2 * q, ())
             hqq = row[len(row) // 2][1] if len(row) % 2 else 0  # the middle of a symmetric row
             if v < 0 or v > hqq:
                 raise ModelError(f"{name}: hodge_class_rank({q}) = {v} outside [0, h^{{{q},{q}}} = {hqq}]")
-        for n, row in self._levels.items():
-            q, b = row[0]  # the smallest s; at n / 2, H^n has type (q, q) alone and b is its rank
-            if 2 * q == n and self.hcr(q) != b:
+        for n, q, b in alone:
+            if hcr(q, 0) != b:
                 raise ModelError(
                     f"{name}: H^{n} has type ({q},{q}) alone, so every class is a Hodge class:"
-                    f" hodge_class_rank({q}) = {self.hcr(q)}, b_{n} = {b}"
+                    f" hodge_class_rank({q}) = {hcr(q, 0)}, b_{n} = {b}"
                 )
         _check_ring(self, ranks)
 
 
-class QuasiProjModel(Frozen):
+class QuasiProjModel(_Graded, Frozen):
     """A smooth quasi-projective variety presented by the graded pieces of
     its Hodge filtration and of its lattice.
 
-    Each degree stores only its nonzero pieces gr^a = F^a / F^(a+1) at
-    a >= 1: their positions, sorted, and their suffix sums, so that
-    dim F^p H^n is one ``bisect_left`` (and everything for p <= 0).  The
-    ``filt`` and ``lattice`` fields are the windows 1 <= p <= n of the
-    degrees with Betti rank, which ``__init__`` reads once into pieces and
-    which are derived from the pieces on access (documents, ``replace``,
-    pickle, equality); the constructors pass their pieces to ``_of_pieces``.
-    Both paths take the same build and check; the window path first
-    refuses a negative Betti rank or degree, which no constructor makes.
+    Each degree keeps the positions of its nonzero pieces gr^a = F^a / F^(a+1)
+    at a >= 1 in the shared store.  The ``filt`` and ``lattice`` fields are
+    the windows 1 <= p <= n of the degrees with Betti rank, which ``__init__``
+    reads once into pieces and which are derived from the store on access
+    (documents, pickle); the constructors pass their pieces to
+    ``_of_pieces``, and ``replace`` and equality keep to the store.  Every
+    path takes the same check; the window path first refuses a negative
+    Betti rank or degree, which no constructor makes.
     """
 
     _fields = ("name", "betti", "filt", "lattice", "hodge_class_rank", "ring")
-    __slots__ = ("name", "betti", "hodge_class_rank", "ring", "_filt", "_lattice", "_support")
+    __slots__ = ("name", "betti", "hodge_class_rank", "ring")
+    _key = attrgetter("name", "betti", "_filt", "_lattice", "hodge_class_rank", "ring")  # what == compares
 
     has_torsion = False  # not a field: the Betti table is torsion-free
 
@@ -268,7 +295,11 @@ class QuasiProjModel(Frozen):
         ring: Optional[RingModel] = None,
     ):
         betti = _nonzero(betti)
-        _check_betti(name, betti)  # before the window entries, whose bounds read it
+        for n, b in betti.items():  # before the window entries, whose bounds read it
+            if b < 0:
+                raise ModelError(f"{name}: negative Betti rank in degree {n}")
+            if n < 0:
+                raise ModelError(f"{name}: cohomology in negative degree {n}")
         pieces = {n: ({}, {}) for n in betti}  # n -> ({a: F^a - F^(a+1)}, the same for the lattice)
         for k, table in enumerate((_nonzero(filt), _nonzero(lattice))):
             for (p, n), v in table.items():
@@ -279,34 +310,34 @@ class QuasiProjModel(Frozen):
                 gr = pieces[n][k]
                 gr[p] = gr.get(p, 0) + v
                 gr[p - 1] = gr.get(p - 1, 0) - v
-        self._build(name, betti, pieces, hodge_class_rank, ring)
+        self._set(name, betti, *_tails(betti, pieces), hodge_class_rank, ring)
 
     @classmethod
     def _of_pieces(cls, name: str, betti: dict, pieces: dict, hodge_class_rank: dict, ring=None) -> QuasiProjModel:
         """The model whose degree n has the pieces pieces[n] = ({a: dim gr^a H^n},
         {a: the lattice's step at a}); pieces at a <= 0 are left to the Betti rank."""
-        model = object.__new__(cls)
-        model._build(name, _nonzero(betti), pieces, hodge_class_rank, ring)
-        return model
+        betti = _nonzero(betti)
+        return object.__new__(cls)._set(name, betti, *_tails(betti, pieces), hodge_class_rank, ring)
 
-    def _build(self, name, betti, pieces, hodge_class_rank, ring) -> None:
-        tails = ({}, {})  # n -> (positions, suffix sums ending in 0), for F and for the lattice
-        for n, grs in pieces.items():
-            for out, gr in zip(tails, grs):
-                pos = sorted(a for a, v in gr.items() if v and a > 0)
-                if pos:
-                    sums = [0]
-                    for a in reversed(pos):
-                        sums.append(sums[-1] + gr[a])
-                    out[n] = tuple(pos), tuple(reversed(sums))
+    def replace(self, **changes) -> QuasiProjModel:
+        """A new model with ``changes`` applied; one that keeps the Betti ranks
+        and windows keeps the stored pieces and takes only the check."""
+        if changes.keys() & {"betti", "filt", "lattice"}:
+            return super().replace(**changes)
+        fields = {"name": self.name, "hodge_class_rank": self.hodge_class_rank, "ring": self.ring, **changes}
+        return object.__new__(type(self))._set(betti=self.betti, filt=self._filt, lattice=self._lattice, **fields)
+
+    def _set(self, name, betti, filt, lattice, hodge_class_rank, ring) -> QuasiProjModel:
+        """Every path's end: assign the fields and the store, and check them."""
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "hodge_class_rank", _nonzero(hodge_class_rank or {}))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_filt", tails[0])
-        object.__setattr__(self, "_lattice", tails[1])
+        object.__setattr__(self, "_filt", filt)
+        object.__setattr__(self, "_lattice", lattice)
         object.__setattr__(self, "_support", tuple(sorted(betti)))  # derived, as on KahlerModel
         self._check()
+        return self
 
     make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # as on KahlerModel
 
@@ -330,34 +361,6 @@ class QuasiProjModel(Frozen):
     def max_degree(self) -> int:
         return max(self.betti, default=0)
 
-    def support_degrees(self) -> tuple[int, ...]:
-        return self._support
-
-    def hcr(self, q: int) -> int:
-        return self.hodge_class_rank.get(q, 0)
-
-    # Every piece lies at 1 <= a <= n, so a cell past the last one finds the
-    # trailing 0, and a degree without positive pieces finds no entry.
-    def filtration_dim(self, p: int, n: int) -> int:
-        if p <= 0:
-            return self.betti.get(n, 0)
-        tail = self._filt.get(n)
-        return tail[1][bisect_left(tail[0], p)] if tail else 0
-
-    def lattice_rank_in_filtration(self, q: int, n: int) -> int:
-        if q <= 0:
-            return self.betti.get(n, 0)
-        tail = self._lattice.get(n)
-        return tail[1][bisect_left(tail[0], q)] if tail else 0
-
-    def graded_pieces(self, n: int) -> tuple[dict, dict]:
-        """The nonzero pieces of H^n from a = 0: ({a: dim gr^a}, {a: the lattice's step at a})."""
-        b = self.betti.get(n, 0)
-        return tuple(
-            {a: d for a, s, t in zip((0, *pos), (b, *sums), sums) if (d := s - t)}
-            for pos, sums in (self._filt.get(n, _NO_PIECES), self._lattice.get(n, _NO_PIECES))
-        )
-
     def _check(self) -> None:
         """The window rules, evaluated where their inputs change.  F^p and the
         lattice rank L^p are constant in p between pieces: they change only at
@@ -366,10 +369,8 @@ class QuasiProjModel(Frozen):
         order, degree by degree, as a walk over every window cell would."""
         name, betti = self.name, self.betti
         for n, b in betti.items():
-            # F^p = fsums[bisect_left(fpos, p)] for p >= 0, with F^0 = H^n in front; L^p alike.
-            fpos, fsums = self._filt.get(n, _NO_PIECES)
-            lpos, lsums = self._lattice.get(n, _NO_PIECES)
-            fpos, fsums, lpos, lsums = (0, *fpos), (b, *fsums), (0, *lpos), (b, *lsums)
+            # F^p = fsums[bisect_left(fpos, p)], with F^0 = H^n in front; L^p alike.
+            (fpos, fsums), (lpos, lsums) = self._filt[n], self._lattice[n]
             cells = sorted({a + 1 for a in (*fpos, *lpos) if a < n})
             for p in cells:
                 cur, prev = fsums[bisect_left(fpos, p)], fsums[bisect_left(fpos, p - 1)]
@@ -453,7 +454,7 @@ def projective_space(n: int) -> KahlerModel:
     return KahlerModel(
         name=f"P{n}",
         dim=n,
-        betti={2 * q: FgAbelianGroup(1) for q in range(n + 1)},
+        betti=dict.fromkeys(range(0, 2 * n + 1, 2), FgAbelianGroup(1)),
         hodge={(q, q): 1 for q in range(n + 1)},
         hodge_class_rank={q: 1 for q in range(n + 1)},
         ring=polynomial_ring_mod_power("x", 2, n + 1) if n >= 1 else trivial_ring(),
@@ -571,16 +572,7 @@ def as_quasiproj(x: Model) -> QuasiProjModel:
     if x.has_torsion:
         raise ModelError(f"{x.name}: cannot re-present a torsion Betti table as quasi-projective data")
     betti = {n: x.betti_rank(n) for n in x.support_degrees()}
-
-    def pieces(n: int) -> tuple[dict, dict]:
-        # gr^s H^n is h^{s, n-s}.  The lattice rule steps from b_n to the Hodge classes
-        # above the smallest Hodge level s, and from them to 0 above n / 2.
-        row, half = x._levels[n], n // 2
-        s = row[0][0]
-        hodge = x.hcr(half) if n % 2 == 0 and s < half else 0
-        return dict(row), {half: hodge, s: betti[n] - hodge}  # one step, b_n, where s = half
-
-    return QuasiProjModel._of_pieces(x.name, betti, {n: pieces(n) for n in betti}, dict(x.hodge_class_rank))
+    return QuasiProjModel._of_pieces(x.name, betti, {n: x.graded_pieces(n) for n in betti}, dict(x.hodge_class_rank))
 
 
 def quasi_product(x: QuasiProjModel, y: QuasiProjModel) -> QuasiProjModel:

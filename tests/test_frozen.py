@@ -80,8 +80,22 @@ def test_value_semantics(cls):
 def test_replace_rebuilds_levels():
     e, c2 = curve(1), curve(2)
     swapped = e.replace(hodge=c2.hodge, betti=c2.betti)
-    assert e._levels[1] == [(0, 1), (1, 1)]
-    assert swapped._levels[1] == [(0, 2), (1, 2)] and swapped.filtration_dim(1, 1) == 2
+    # gr^s H^1 = h^{s, 1-s}, and the lattice steps from b_1 to 0 above the smallest level.
+    assert e.graded_pieces(1) == ({0: 1, 1: 1}, {0: 2})
+    assert swapped.graded_pieces(1) == ({0: 2, 1: 2}, {0: 4}) and swapped.filtration_dim(1, 1) == 2
+
+
+def test_quasi_projective_eq_and_replace_read_the_stored_pieces():
+    # Two models that differ only in the lattice differ; a replace that keeps
+    # the Betti ranks and windows keeps the stored pieces and still checks.
+    a = QuasiProjModel("x", {1: 2}, {(1, 1): 1}, {})
+    b = QuasiProjModel("x", {1: 2}, {(1, 1): 1}, {(1, 1): 1})
+    assert a != b and a.filt == b.filt
+    renamed = b.replace(name="y", hodge_class_rank={})
+    assert renamed.name == "y" and renamed._filt is b._filt and renamed._lattice is b._lattice
+    assert renamed.replace(name="x") == b
+    with pytest.raises(ModelError, match=r"hodge_class_rank\(0\) = 1 outside"):
+        b.replace(hodge_class_rank={0: 1})  # H^0 = 0 here
 
 
 def test_replace_checks_the_model():

@@ -649,15 +649,18 @@ def quasi_trees(depth):
 
 
 def check_accessors(model):
-    """A Kahler model's filtration and lattice accessors agree with the
-    reference scan (a quasi-projective model's read its stored tables)."""
-    if not isinstance(model, KahlerModel):
-        return
+    """Both accessors read the tail sums of the model's graded pieces at every
+    cell, the pieces of a degree sum to its Betti rank, and a Kahler model's
+    accessors agree with the reference scan."""
     top = model.max_degree
     for n in range(-1, top + 2):
+        f, lat = model.graded_pieces(n)
+        assert sum(f.values()) == sum(lat.values()) == model.betti_rank(n), (model.name, n)
         for p in range(-1, top + 2):
-            assert model.filtration_dim(p, n) == reference_filtration_dim(model, p, n), (model.name, p, n)
-            assert model.lattice_rank_in_filtration(p, n) == reference_lattice_rank(model, p, n), (model.name, p, n)
+            got = model.filtration_dim(p, n), model.lattice_rank_in_filtration(p, n)
+            assert got == (sum(v for a, v in f.items() if a >= p), sum(v for a, v in lat.items() if a >= p)), (model.name, p, n)
+            if isinstance(model, KahlerModel):
+                assert got == (reference_filtration_dim(model, p, n), reference_lattice_rank(model, p, n)), (model.name, p, n)
 
 
 def build_checked(tree):
@@ -868,10 +871,12 @@ class TestGrowth:
 
     def test_as_quasiproj_stores_pieces_not_windows(self):
         # P^400 has 401 degrees and one filtration and one lattice piece in
-        # each; its windows 1 <= p <= n held 80,200 entries per table.
+        # each, stored beside the head F^0 = L^0; its windows 1 <= p <= n held
+        # 80,200 entries per table.
         q = as_quasiproj(projective_space(400))
         assert len(q.betti) == 401 and len(q.filt) == 80200
-        assert sum(len(pos) for tails in (q._filt, q._lattice) for pos, _sums in tails.values()) <= 2 * 401
+        assert sum(len(gr) for n in q.betti for gr in q.graded_pieces(n)) <= 2 * 401
+        assert sum(len(pos) for tails in (q._filt, q._lattice) for pos, _sums in tails.values()) <= 2 * 2 * 401
 
     def test_projective_space_mu_cell_reads_hodge_linearly(self):
         mu = builtin_theory("MU")
